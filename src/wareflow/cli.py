@@ -36,7 +36,7 @@ from .model import (
     serialize_instance,
     serialize_solution,
 )
-from .network import build_network, solve_with_network, to_dot
+from .network import build_network, solve, solve_with_network, to_dot
 from .oracle import oracle_solve
 from .stocklevels import double_horizon, gen_stock_levels
 
@@ -54,9 +54,11 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    sol, net = solve_with_network(inst)
     if args.dot:
+        sol, net = solve_with_network(inst)
         _emit(to_dot(net), args.dot)
+    else:
+        sol = solve(inst)
     print(f"objective: {format_exact(sol.objective)}")
     if args.output:
         _emit(serialize_solution(sol), args.output)

@@ -21,11 +21,12 @@ The module only builds, lifts, and prints the model; no LP solver is run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NotAPath
 from .model import (
+    _VECTOR_FIELDS,
     Exact,
     FeasibilityReport,
     Instance,
@@ -362,25 +363,9 @@ def _model_numbers(model: LPModel):
 
 
 def _scale_instance(inst: Instance, factor: int) -> Instance:
-    def times(vec):
-        return tuple(exact(v * factor) for v in vec)
-
-    return Instance(
-        variant=inst.variant,
-        T=inst.T,
-        s0=exact(inst.s0 * factor),
-        Ls=times(inst.Ls),
-        Us=times(inst.Us),
-        Lx=times(inst.Lx),
-        Ux=times(inst.Ux),
-        Ly=times(inst.Ly),
-        Uy=times(inst.Uy),
-        revenue=times(inst.revenue),
-        cost=times(inst.cost),
-        holding=times(inst.holding),
-        fixed_purchase=times(inst.fixed_purchase),
-        fixed_sale=times(inst.fixed_sale),
-    )
+    scaled = {name: tuple(exact(v * factor) for v in getattr(inst, name))
+              for name in _VECTOR_FIELDS}
+    return replace(inst, s0=exact(inst.s0 * factor), **scaled)
 
 
 def _render(model: LPModel, comments: tuple[str, ...]) -> str:
@@ -439,9 +424,10 @@ def emit_lp(inst: Instance) -> str:
     comments = ["extended formulation over the trading network"]
     model = build_extended_formulation(base, _network_for(base))
     if any(_decimal_or_none(v) is None for v in _model_numbers(model)):
-        factor = 1
-        for value in _instance_numbers(base):
-            factor = math.lcm(factor, Fraction(value).denominator)
+        numbers = [base.s0]
+        for name in _VECTOR_FIELDS:
+            numbers.extend(getattr(base, name))
+        factor = math.lcm(*(Fraction(v).denominator for v in numbers))
         base = _scale_instance(base, factor)
         model = build_extended_formulation(base, _network_for(base))
         comments.append(f"all instance data scaled by {factor}")
@@ -451,11 +437,3 @@ def emit_lp(inst: Instance) -> str:
 def _network_for(inst: Instance) -> LayeredNetwork:
     return build_network(inst, gen_stock_levels(inst))
 
-
-def _instance_numbers(inst: Instance):
-    yield inst.s0
-    for name in (
-        "Ls", "Us", "Lx", "Ux", "Ly", "Uy",
-        "revenue", "cost", "holding", "fixed_purchase", "fixed_sale",
-    ):
-        yield from getattr(inst, name)

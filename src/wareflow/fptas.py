@@ -13,7 +13,7 @@ which the exact solver then finds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -140,10 +140,9 @@ def normalize_terminal(inst: Instance) -> Instance:
     if inst.variant is not Variant.WP3:
         raise WrongVariant("normalize_terminal applies to wp3 instances only")
     span = inst.Us[-1]
-    return Instance(
-        variant=Variant.WP3,
+    return replace(
+        inst,
         T=inst.T + 1,
-        s0=inst.s0,
         Ls=inst.Ls + (inst.s0,),
         Us=inst.Us + (inst.s0,),
         Lx=inst.Lx + (0,),
@@ -197,22 +196,7 @@ def scale_trade_bounds(inst: Instance, params: FptasParams) -> Instance:
     K = params.K
     ux = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Ux)
     uy = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Uy)
-    return Instance(
-        variant=inst.variant,
-        T=inst.T,
-        s0=inst.s0,
-        Ls=inst.Ls,
-        Us=inst.Us,
-        Lx=inst.Lx,
-        Ux=ux,
-        Ly=inst.Ly,
-        Uy=uy,
-        revenue=inst.revenue,
-        cost=inst.cost,
-        holding=inst.holding,
-        fixed_purchase=inst.fixed_purchase,
-        fixed_sale=inst.fixed_sale,
-    )
+    return replace(inst, Ux=ux, Uy=uy)
 
 
 def fptas_solve(inst: Instance, epsilon) -> Solution:
@@ -220,8 +204,9 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
 
     Rounds the trade bounds down to multiples of K = epsilon * U_min and
     solves the rounded instance exactly.  The result is feasible for the
-    original instance and, for pure trading payoffs (zero holding costs),
-    its objective is at least (1 - epsilon) times the optimum.  The rounded
+    original instance and its objective is at least (1 - epsilon) times
+    the optimum; the guarantee needs the zero holding costs that wp3
+    validation enforces.  The rounded
     network has polynomially many stock levels in T and 1/epsilon when
     U_max / U_min is bounded.
     """

@@ -235,7 +235,8 @@ def validate_instance(inst: Instance) -> None:
     if inst.variant is Variant.WP3:
         for t in inst.periods:
             i = t - 1
-            for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale"):
+            for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale",
+                         "holding"):
                 v = getattr(inst, name)[i]
                 if v != 0:
                     raise WP3ShapeViolation(

@@ -1,10 +1,21 @@
-"""Layered trading network and the exact longest-path solver.
+"""Exact solver by a sliding-window DP over the level sets, plus the
+layered trading network for the consumers that need its arcs.
 
 Layer 0 holds the single node s0; layer t holds the candidate stock values
 for period t.  An arc from stock s to stock s' in period t carries the best
 feasible trade decision realizing that stock change, and its payoff.  Every
 source-to-sink path decodes to a feasible plan, and some optimal plan is a
 path, so a longest path is an optimal plan.
+
+solve never materializes the O(T*S^2) arcs.  On wp1, wp3 and the doubled
+wp2 horizon a purchase arc s -> s' pays c*s - fp + [suf(s') - (c+h)*s'] and
+its heads form the window [s+Lx, s+Ux] minus s itself, which slides upward
+with the tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So
+each layer's suffix values follow in O(S) from two monotone-deque window
+maxima plus the no-trade arc, and a forward pass decodes the plan through
+the same arc rule (_wp1_candidates) the network uses.  build_network is
+kept for the DOT dump, the LP formulation and lift check, and the direct
+wp2 route; solve_with_network decodes from it and so witnesses solve.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
@@ -13,6 +24,7 @@ paths the lexicographically smallest stock sequence wins.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import Infeasible, WrongVariant
@@ -192,19 +204,22 @@ def _longest_path(net: LayeredNetwork):
     return suffix, adjacency
 
 
-def _decode(net: LayeredNetwork) -> Solution:
-    suffix, adjacency = _longest_path(net)
-    if not net.layers[-1] or suffix[0][0] is None:
+def _walk(layers, suffix, outgoing) -> Solution:
+    """Decode a longest path forward from its suffix table.
+
+    outgoing(t, node) yields the (head, ArcDecision) pairs of the node's
+    period-t arcs in ascending head order, so the first head that attains
+    the node's suffix value gives the lexicographically smallest plan.
+    """
+    if not layers[-1] or suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")
     x, y, w, z, stocks = [], [], [], [], []
     node = 0
     total = 0
-    for t in range(1, len(net.layers)):
+    for t in range(1, len(layers)):
         target = suffix[t - 1][node]
         chosen = None
-        # heads ascend in stock order, so the first hit is the
-        # lexicographically smallest continuation
-        for head, dec in sorted(adjacency[t - 1].get(node, ())):
+        for head, dec in outgoing(t, node):
             if suffix[t][head] is None:
                 continue
             if dec.payoff + suffix[t][head] == target:
@@ -216,11 +231,107 @@ def _decode(net: LayeredNetwork) -> Solution:
         y.append(dec.y)
         w.append(dec.w)
         z.append(dec.z)
-        stocks.append(net.layers[t][head])
+        stocks.append(layers[t][head])
         total += dec.payoff
         node = head
     return Solution(x=tuple(x), y=tuple(y), s=tuple(stocks),
                     w=tuple(w), z=tuple(z), objective=total)
+
+
+def _decode(net: LayeredNetwork) -> Solution:
+    suffix, adjacency = _longest_path(net)
+    return _walk(net.layers, suffix,
+                 lambda t, node: sorted(adjacency[t - 1].get(node, ())))
+
+
+def _window_maxima(tails, heads, keys, lo, hi, open_lo, open_hi) -> list:
+    """Per tail s, the max of keys[j] over live heads in the window s+lo..s+hi.
+
+    Tails and heads ascend, so both window ends only move up and a deque
+    of head indices with decreasing keys yields every maximum in O(S).  A
+    head with key None is dead and never enters.  open_lo / open_hi make
+    that end of the window strict.
+    """
+    out = []
+    window: deque = deque()
+    nxt = 0
+    for s in tails:
+        top = s + hi
+        while nxt < len(heads) and (
+            heads[nxt] < top if open_hi else heads[nxt] <= top
+        ):
+            key = keys[nxt]
+            if key is not None:
+                while window and keys[window[-1]] <= key:
+                    window.pop()
+                window.append(nxt)
+            nxt += 1
+        bottom = s + lo
+        while window and (
+            heads[window[0]] <= bottom if open_lo else heads[window[0]] < bottom
+        ):
+            window.popleft()
+        out.append(keys[window[0]] if window else None)
+    return out
+
+
+def _window_suffix(inst: Instance, layers) -> list[list]:
+    """Best payoff to the last layer from every node, without building arcs.
+
+    Equals the suffix table _longest_path computes on build_network(inst,
+    ...) over the same layers; inst must not be wp2 (solve its doubled
+    horizon instead).
+    """
+    T = inst.T
+    suffix: list[list] = [[None] * len(layer) for layer in layers]
+    suffix[T] = [0] * len(layers[T])
+    for t in range(T, 0, -1):
+        i = t - 1
+        tails, heads, after = layers[t - 1], layers[t], suffix[t]
+        c, r, h = inst.cost[i], inst.revenue[i], inst.holding[i]
+        buy_keys = [None if v is None else v - (c + h) * s
+                    for s, v in zip(heads, after)]
+        sell_keys = [None if v is None else v - (r + h) * s
+                     for s, v in zip(heads, after)]
+        # purchases: s' in [s+Lx, s+Ux] with s' > s; sales: s' in
+        # [s-Uy, s-Ly] with s' < s; the stay arc s' = s is always allowed
+        buys = _window_maxima(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i],
+                              inst.Lx[i] == 0, False)
+        sells = _window_maxima(tails, heads, sell_keys, -inst.Uy[i],
+                               -inst.Ly[i], False, inst.Ly[i] == 0)
+        position = {s: j for j, s in enumerate(heads)}
+        for k, s in enumerate(tails):
+            best = None
+            j = position.get(s)
+            if j is not None and after[j] is not None:
+                best = after[j] - h * s
+            if buys[k] is not None:
+                value = c * s - inst.fixed_purchase[i] + buys[k]
+                if best is None or value > best:
+                    best = value
+            if sells[k] is not None:
+                value = r * s - inst.fixed_sale[i] + sells[k]
+                if best is None or value > best:
+                    best = value
+            suffix[t - 1][k] = best
+    return suffix
+
+
+def _solve_windows(inst: Instance) -> Solution:
+    """Window DP, then a forward decode through the wp1 arc rule.
+
+    inst must not be wp2 (solve its doubled horizon instead).
+    """
+    levels = gen_stock_levels(inst)
+    layers = ((inst.s0,),) + tuple(levels.levels)
+
+    def outgoing(t, node):
+        s_prev = layers[t - 1][node]
+        for head, s_next in enumerate(layers[t]):
+            for dec in _wp1_candidates(inst, t, s_prev, s_next):
+                yield head, dec
+
+    return _walk(layers, _window_suffix(inst, layers), outgoing)
 
 
 def _solve_network(inst: Instance) -> Solution:
@@ -230,11 +341,13 @@ def _solve_network(inst: Instance) -> Solution:
 
 
 def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
-    """Solve an instance and return the network the plan was decoded from.
+    """Solve an instance on its built network and return both.
 
     For wp2 the returned network is the doubled-horizon one actually
     searched, while the solution is mapped back to the original periods.
-    Raises Infeasible when no plan exists.
+    Decoding from the network's own longest path keeps this an independent
+    witness for solve; the two return equal solutions.  Raises Infeasible
+    when no plan exists.
     """
     validate_instance(inst)
     if inst.variant is Variant.WP2:
@@ -248,13 +361,18 @@ def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
 
 
 def solve(inst: Instance) -> Solution:
-    """Solve an instance exactly via the layered network.
+    """Solve an instance exactly by the window DP over its level sets.
 
     wp2 instances are rewritten onto the doubled horizon first and the
     2T-period plan is mapped back, so the single wp1 arc rule serves all
-    variants.  Raises Infeasible when no plan exists.
+    variants.  Agrees with solve_with_network in plan and objective.
+    Raises Infeasible when no plan exists.
     """
-    return solve_with_network(inst)[0]
+    validate_instance(inst)
+    if inst.variant is Variant.WP2:
+        doubled = double_horizon(inst)
+        return doubled.map_back(_solve_windows(doubled.instance))
+    return _solve_windows(inst)
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:

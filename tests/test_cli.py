@@ -1,10 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+import wareflow.network
 from wareflow import (
     check_solution,
+    gen_random,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -115,6 +118,67 @@ def test_fptas_reports_unit_on_stderr(tmp_path, capsys):
 def test_fptas_wrong_variant_exits_two(instance_file, capsys):
     assert run(["fptas", "--input", instance_file, "--epsilon", "1/2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_fptas_rejects_wp3_holding(tmp_path, capsys):
+    data = json.loads(serialize_instance(two_period_trade()))
+    data["variant"] = "wp3"
+    data["holding"] = [0, 1]
+    path = tmp_path / "held.json"
+    path.write_text(json.dumps(data))
+    assert run(["fptas", "--input", str(path), "--epsilon", "1/3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "holding[2]" in err
+
+
+def _solve_outputs(tmp_path, capsys, path, *extra):
+    sol_path = tmp_path / "sol.json"
+    sol_path.unlink(missing_ok=True)
+    code = run(["solve", "--input", str(path), "--output", str(sol_path),
+                *extra])
+    out = capsys.readouterr()
+    text = sol_path.read_text() if sol_path.exists() else None
+    return code, out.out, out.err, text
+
+
+def test_solve_output_is_the_same_with_dot(tmp_path, capsys):
+    stuck = replace(two_period_trade(), Ls=(8, 8), Us=(8, 8), Ux=(1, 1))
+    instances = [two_period_trade(), wp2_mixed(), stuck]
+    instances += [gen_random(seed, T=4, variant=variant, max_bound=6)
+                  for seed in range(4) for variant in ("wp1", "wp2", "wp3")]
+    codes = set()
+    for k, inst in enumerate(instances):
+        path = tmp_path / f"inst{k}.json"
+        path.write_text(serialize_instance(inst))
+        plain = _solve_outputs(tmp_path, capsys, path)
+        with_dot = _solve_outputs(tmp_path, capsys, path,
+                                  "--dot", str(tmp_path / "net.dot"))
+        assert plain == with_dot
+        codes.add(plain[0])
+    assert codes == {0, 1}
+
+
+def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_network called")
+
+    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    inst = two_period_trade()
+    path = tmp_path / "trade.json"
+    path.write_text(serialize_instance(inst))
+    assert run(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "objective: 10\n"
+    wp2_path = tmp_path / "mixed.json"
+    wp2_path.write_text(serialize_instance(wp2_mixed()))
+    assert run(["solve", "--input", str(wp2_path)]) == 0
+    assert capsys.readouterr().out.startswith("objective: ")
+    data = json.loads(serialize_instance(inst))
+    data["variant"] = "wp3"
+    path.write_text(json.dumps(data))
+    assert run(["fptas", "--input", str(path), "--epsilon", "2/5"]) == 0
+    assert capsys.readouterr().out.startswith("objective: ")
+    with pytest.raises(AssertionError, match="build_network called"):
+        run(["solve", "--input", str(path), "--dot", str(tmp_path / "n.dot")])
 
 
 def test_check_reports_tampering(instance_file, tmp_path, capsys):

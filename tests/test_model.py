@@ -72,6 +72,13 @@ def test_validate_wp3_shape():
     validate_instance(tiny(variant="wp3"))
 
 
+def test_validate_wp3_rejects_holding():
+    # fptas_solve's (1 - epsilon) guarantee needs zero holding costs
+    with pytest.raises(WP3ShapeViolation, match=r"holding\[1\]"):
+        validate_instance(tiny("wp3", holding=(1,)))
+    validate_instance(tiny("wp1", holding=(1,)))
+
+
 def test_evaluate_payoff_values():
     inst = tiny(
         revenue=(3,), cost=(1,), holding=(0,),

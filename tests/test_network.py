@@ -1,21 +1,29 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from wareflow import (
     Infeasible,
     Instance,
+    Variant,
     WrongVariant,
     arc_candidates,
     build_network,
     check_solution,
+    double_horizon,
+    fptas_params,
     gen_random,
     gen_stock_levels,
     oracle_solve,
     reduce_partition,
+    scale_trade_bounds,
     solve,
     solve_with_network,
     solve_wp2_direct,
     to_dot,
 )
+from wareflow.network import _longest_path, _window_suffix
 from helpers import blocked_by_fixed_cost, two_period_trade, wp2_mixed
 
 
@@ -213,3 +221,74 @@ def test_to_dot_lists_every_node_and_arc():
     assert dot.count("->") == net.arc_count
     assert 'n_0_0 [label="0:0"]' in dot
     assert dot.endswith("}\n")
+
+
+def _window_dp_matches_network(inst) -> bool:
+    """Compare the window DP with the network it replaces on one instance.
+
+    Asserts equal suffix tables on the searched instance (wp2 doubled) and
+    an equal Solution, or the same Infeasible message; returns feasibility.
+    """
+    base = inst
+    if inst.variant is Variant.WP2:
+        base = double_horizon(inst).instance
+    net = build_network(base, gen_stock_levels(base))
+    assert _window_suffix(base, net.layers) == _longest_path(net)[0]
+    try:
+        expected = solve_with_network(inst)[0]
+    except Infeasible as err:
+        with pytest.raises(Infeasible, match=f"^{re.escape(str(err))}$"):
+            solve(inst)
+        return False
+    assert solve(inst) == expected
+    return True
+
+
+@pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
+def test_window_dp_matches_network_seeded(variant):
+    outcomes = [
+        _window_dp_matches_network(
+            gen_random(seed, T=2 + seed % 6, variant=variant,
+                       max_bound=4 + seed % 5)
+        )
+        for seed in range(60)
+    ]
+    assert any(outcomes)
+    if variant != "wp3":
+        assert not all(outcomes)  # infeasible instances are covered too
+
+
+def test_window_dp_matches_network_at_window_edges():
+    def inst(**overrides):
+        fields = dict(
+            variant="wp1", T=2, s0=4,
+            Ls=(0, 0), Us=(6, 6), Lx=(0, 0), Ux=(2, 2), Ly=(0, 0), Uy=(2, 2),
+            revenue=(1, 2), cost=(1, 1), holding=(1, 0),
+            fixed_purchase=(0, 0), fixed_sale=(0, 0),
+        )
+        fields.update(overrides)
+        return Instance(**fields)
+
+    cases = [
+        inst(),  # open windows at Lx = Ly = 0
+        inst(Lx=(2, 2), Ly=(2, 2)),  # stay arc despite positive lower bounds
+        inst(Ux=(0, 0), Uy=(0, 0)),  # only the stay arc
+        inst(s0=2, Ls=(0, 6), Ux=(1, 1)),  # 6 is out of reach: infeasible
+        inst(revenue=(0, 0), cost=(0, 0), holding=(0, 0)),  # all ties
+    ]
+    assert [_window_dp_matches_network(c) for c in cases] == [
+        True, True, True, False, True,
+    ]
+
+
+def test_window_dp_matches_network_on_fptas_scaled_bounds():
+    fractional = 0
+    for seed in range(40):
+        inst = gen_random(500 + seed, T=2 + seed % 5, variant="wp3",
+                          max_bound=9)
+        for epsilon in (Fraction(1, 3), Fraction(2, 7)):
+            scaled = scale_trade_bounds(inst, fptas_params(inst, epsilon))
+            fractional += any(isinstance(v, Fraction)
+                              for v in scaled.Ux + scaled.Uy)
+            _window_dp_matches_network(scaled)
+    assert fractional > 0
