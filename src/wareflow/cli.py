@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import Infeasible, WarehouseError
@@ -35,10 +34,17 @@ from .model import (
     parse_solution,
     serialize_instance,
     serialize_solution,
+    validate_instance,
 )
-from .network import build_network, solve, solve_with_network, to_dot
+from .network import (
+    build_network,
+    search_instance,
+    solve,
+    solve_with_network,
+    to_dot,
+)
 from .oracle import oracle_solve
-from .stocklevels import double_horizon, gen_stock_levels
+from .stocklevels import gen_stock_levels
 
 
 def _read(path: str) -> str:
@@ -96,6 +102,7 @@ def _cmd_emit_lp(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = parse_instance(_read(args.input))
+    validate_instance(inst)
     sol = parse_solution(_read(args.solution))
     report = check_solution(inst, sol)
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -105,6 +112,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_levels(args) -> int:
     inst = parse_instance(_read(args.input))
+    validate_instance(inst)
     levels = gen_stock_levels(inst)
     payload = {
         "S_size": levels.S_size,
@@ -139,22 +147,15 @@ def _cmd_reduce_lotsizing(args) -> int:
     return 0
 
 
-def _stats_network(inst):
-    base = inst
-    if inst.variant is Variant.WP2:
-        base = double_horizon(inst).instance
-    return build_network(base, gen_stock_levels(base))
-
-
 def _bench_one(name: str, inst) -> dict:
     start = time.perf_counter()
     try:
-        sol, net = solve_with_network(inst)
-        objective = format_exact(sol.objective)
+        objective = format_exact(solve(inst).objective)
     except Infeasible:
-        net = _stats_network(inst)
         objective = "infeasible"
     wall_ms = int((time.perf_counter() - start) * 1000)
+    base = search_instance(inst)[0]
+    net = build_network(base, gen_stock_levels(base))
     return {
         "instance": name,
         "T": inst.T,
@@ -170,12 +171,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise WarehouseError(f"no instance files in {args.dir}")
-    loaded = [(p.stem, parse_instance(_read(str(p)))) for p in paths]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda pair: _bench_one(*pair), loaded))
-    else:
-        rows = [_bench_one(name, inst) for name, inst in loaded]
+    rows = [_bench_one(p.stem, parse_instance(_read(str(p)))) for p in paths]
     rows.sort(key=lambda r: r["instance"])
     fields = ["instance", "T", "S_size", "nodes", "arcs", "objective", "wall_ms"]
     buffer = io.StringIO()
@@ -246,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve every instance in a directory")
     p.add_argument("--dir", required=True, help="directory of instance JSON files")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent solves")
     p.add_argument("--output", default=None, help="write the CSV here")
     p.set_defaults(handler=_cmd_bench)
 

@@ -31,11 +31,10 @@ from .model import (
     FeasibilityReport,
     Instance,
     Solution,
-    Variant,
     exact,
 )
-from .network import LayeredNetwork, build_network
-from .stocklevels import double_horizon, gen_stock_levels
+from .network import LayeredNetwork, build_network, search_instance
+from .stocklevels import gen_stock_levels
 
 Term = tuple  # (variable name, coefficient)
 
@@ -413,14 +412,13 @@ def _render(model: LPModel, comments: tuple[str, ...]) -> str:
 def emit_lp(inst: Instance) -> str:
     """Print the extended formulation in the common LP text dialect.
 
-    wp2 instances are emitted on their doubled horizon, matching how they
-    are solved.  Every number must print as an exact decimal; when the data
-    makes that impossible, all instance data is scaled up by one integer
-    factor first and a comment line records the factor.
+    The instance is validated and emitted as search_instance returns it,
+    so wp2 lands on its doubled horizon, matching how it is solved.  Every
+    number must print as an exact decimal; when the data makes that
+    impossible, all instance data is scaled up by one integer factor first
+    and a comment line records the factor.
     """
-    base = inst
-    if inst.variant is Variant.WP2:
-        base = double_horizon(inst).instance
+    base = search_instance(inst)[0]
     comments = ["extended formulation over the trading network"]
     model = build_extended_formulation(base, _network_for(base))
     if any(_decimal_or_none(v) is None for v in _model_numbers(model)):

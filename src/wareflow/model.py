@@ -6,7 +6,8 @@ x_t and sell y_t subject to indicator-coupled bounds, and the stock evolves
 by the balance equation s_t = s_{t-1} - y_t + x_t.  Three variants are
 supported: wp1 forbids buying and selling in the same period, wp2 instead
 limits each sale to the opening stock (y_t <= s_{t-1}), and wp3 is wp1 with
-zero lower trade bounds and zero fixed costs.
+zero lower trade bounds, fixed costs and holding costs, and with s0 inside
+every period's stock bounds [Ls_t, Us_t].
 
 Every numeric datum is an exact rational, held as a plain int whenever the
 value is integral and as fractions.Fraction otherwise.  Floats are rejected
@@ -80,7 +81,7 @@ class Variant(Enum):
 
     WP1 = "wp1"  # complementarity: x_t * y_t = 0
     WP2 = "wp2"  # sales limited by opening stock: y_t <= s_{t-1}
-    WP3 = "wp3"  # wp1 shape with zero lower trade bounds and fixed costs
+    WP3 = "wp3"  # wp1, Lx = Ly = 0, no fixed or holding cost, Ls <= s0 <= Us
 
 
 def _coerce_variant(value) -> Variant:

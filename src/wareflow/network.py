@@ -16,6 +16,8 @@ maxima plus the no-trade arc, and a forward pass decodes the plan through
 the same arc rule (_wp1_candidates) the network uses.  build_network is
 kept for the DOT dump, the LP formulation and lift check, and the direct
 wp2 route; solve_with_network decodes from it and so witnesses solve.
+search_instance is the one route to the searched instance: it validates,
+moves wp2 onto the doubled horizon, and returns the map back.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import Infeasible, WrongVariant
 from .model import (
@@ -334,45 +337,43 @@ def _solve_windows(inst: Instance) -> Solution:
     return _walk(layers, _window_suffix(inst, layers), outgoing)
 
 
-def _solve_network(inst: Instance) -> Solution:
-    levels = gen_stock_levels(inst)
-    net = build_network(inst, levels)
-    return _decode(net)
+def search_instance(inst: Instance) -> tuple[Instance, Callable]:
+    """Validate an instance and return the one the solvers search.
+
+    wp2 is rewritten onto its doubled, one-side-per-period horizon and the
+    returned map restores a T-period solution; wp1 and wp3 pass through
+    unchanged with the identity map.
+    """
+    validate_instance(inst)
+    if inst.variant is Variant.WP2:
+        doubled = double_horizon(inst)
+        return doubled.instance, doubled.map_back
+    return inst, lambda sol: sol
 
 
 def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
     """Solve an instance on its built network and return both.
 
-    For wp2 the returned network is the doubled-horizon one actually
-    searched, while the solution is mapped back to the original periods.
-    Decoding from the network's own longest path keeps this an independent
-    witness for solve; the two return equal solutions.  Raises Infeasible
-    when no plan exists.
+    The network is built on search_instance(inst), so for wp2 it is the
+    doubled-horizon one while the solution is mapped back.  Decoding from
+    the network's own longest path keeps this an independent witness for
+    solve; the two return equal solutions.  Raises Infeasible when no plan
+    exists.
     """
-    validate_instance(inst)
-    if inst.variant is Variant.WP2:
-        doubled = double_horizon(inst)
-        levels = gen_stock_levels(doubled.instance)
-        net = build_network(doubled.instance, levels)
-        return doubled.map_back(_decode(net)), net
-    levels = gen_stock_levels(inst)
-    net = build_network(inst, levels)
-    return _decode(net), net
+    base, back = search_instance(inst)
+    net = build_network(base, gen_stock_levels(base))
+    return back(_decode(net)), net
 
 
 def solve(inst: Instance) -> Solution:
     """Solve an instance exactly by the window DP over its level sets.
 
-    wp2 instances are rewritten onto the doubled horizon first and the
-    2T-period plan is mapped back, so the single wp1 arc rule serves all
+    Runs on search_instance(inst), so the single wp1 arc rule serves all
     variants.  Agrees with solve_with_network in plan and objective.
     Raises Infeasible when no plan exists.
     """
-    validate_instance(inst)
-    if inst.variant is Variant.WP2:
-        doubled = double_horizon(inst)
-        return doubled.map_back(_solve_windows(doubled.instance))
-    return _solve_windows(inst)
+    base, back = search_instance(inst)
+    return back(_solve_windows(base))
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:
@@ -384,7 +385,7 @@ def solve_wp2_direct(inst: Instance) -> Solution:
     validate_instance(inst)
     if inst.variant is not Variant.WP2:
         raise WrongVariant("solve_wp2_direct applies to wp2 instances only")
-    return _solve_network(inst)
+    return _decode(build_network(inst, gen_stock_levels(inst)))
 
 
 def to_dot(net: LayeredNetwork) -> str:

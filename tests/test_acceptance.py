@@ -338,8 +338,6 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         (["reduce", "partition", "--numbers", "3,1,4,1,5"], None, None),
         (["reduce", "lotsizing", "--input", str(ls_path)], None, None),
         (["bench", "--dir", str(bench_dir)], strip_timing, None),
-        (["bench", "--dir", str(bench_dir), "--jobs", "2"],
-         strip_timing, None),
         (["solve", "--input", str(inst_path), "--dot", "DOTFILE"],
          None, "net.dot"),
     ]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import wareflow.cli
 import wareflow.network
 from wareflow import (
     check_solution,
@@ -12,6 +13,8 @@ from wareflow import (
     parse_solution,
     serialize_instance,
     serialize_lotsizing,
+    serialize_solution,
+    solve,
 )
 from wareflow.cli import run
 from helpers import two_period_trade, wp2_mixed
@@ -181,6 +184,27 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
         run(["solve", "--input", str(path), "--dot", str(tmp_path / "n.dot")])
 
 
+@pytest.mark.parametrize("command", ["emit-lp", "levels", "check"])
+@pytest.mark.parametrize("defect", [
+    {"Lx": [3, 0], "Ux": [1, 5]},  # Lx[1] = 3 exceeds Ux[1] = 1
+    {"Uy": [5]},  # one entry for T = 2
+], ids=["lower-exceeds-upper", "short-vector"])
+def test_invalid_instance_exits_two(command, defect, tmp_path, capsys):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(serialize_solution(solve(two_period_trade())))
+    data = json.loads(serialize_instance(two_period_trade()))
+    data.update(defect)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--input", str(path)]
+    if command == "check":
+        argv += ["--solution", str(sol_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_check_reports_tampering(instance_file, tmp_path, capsys):
     sol_path = tmp_path / "sol.json"
     assert run(["solve", "--input", instance_file,
@@ -284,11 +308,26 @@ def test_bench_csv(tmp_path, capsys):
     assert rows[1]["T"] == "2" and rows[1]["S_size"] == "3"
     assert all(r["wall_ms"].isdigit() for r in rows)
 
-    assert run(["bench", "--dir", str(bench_dir), "--jobs", "2"]) == 0
-    parallel = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_ms"}
-                        for r in rs]
-    assert strip(parallel) == strip(rows)
+
+def test_bench_builds_one_network_per_row(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = wareflow.network.build_network
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wareflow.network, "build_network", counted)
+    monkeypatch.setattr(wareflow.cli, "build_network", counted)
+    stuck = replace(two_period_trade(), s0=0, Ls=(8, 8), Us=(8, 8),
+                    Ux=(1, 1))
+    (tmp_path / "a_stuck.json").write_text(serialize_instance(stuck))
+    (tmp_path / "b_trade.json").write_text(
+        serialize_instance(two_period_trade()))
+    assert run(["bench", "--dir", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["objective"] for r in rows] == ["infeasible", "10"]
+    assert len(builds) == 2
 
 
 def test_bench_empty_dir_exits_two(tmp_path, capsys):

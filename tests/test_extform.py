@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from wareflow import (
     Instance,
+    LowerExceedsUpper,
     NotAPath,
     assemble_solution,
     build_extended_formulation,
@@ -170,3 +172,9 @@ def test_emit_lp_doubles_wp2_horizon():
     assert "balance_4" in text
     assert "x_4" in text
     assert "x_5" not in text
+
+
+def test_emit_lp_validates_the_instance():
+    bad = replace(two_period_trade(), Lx=(3, 0), Ux=(1, 5))
+    with pytest.raises(LowerExceedsUpper):
+        emit_lp(bad)

@@ -1,13 +1,17 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import wareflow.network
 from wareflow import (
     Infeasible,
     Instance,
+    LowerExceedsUpper,
     Variant,
     WrongVariant,
+    WrongVectorLength,
     arc_candidates,
     build_network,
     check_solution,
@@ -23,8 +27,13 @@ from wareflow import (
     solve_wp2_direct,
     to_dot,
 )
-from wareflow.network import _longest_path, _window_suffix
-from helpers import blocked_by_fixed_cost, two_period_trade, wp2_mixed
+from wareflow.network import _longest_path, _window_suffix, search_instance
+from helpers import (
+    blocked_by_fixed_cost,
+    buy_then_sell,
+    two_period_trade,
+    wp2_mixed,
+)
 
 
 def test_arc_purchase_is_single_candidate():
@@ -223,15 +232,44 @@ def test_to_dot_lists_every_node_and_arc():
     assert dot.endswith("}\n")
 
 
+def test_search_instance_doubles_wp2_and_maps_back():
+    inst = wp2_mixed()
+    base, back = search_instance(inst)
+    assert base == double_horizon(inst).instance
+    assert base.variant is Variant.WP1 and base.T == 2 * inst.T
+    sol = back(solve_with_network(base)[0])
+    assert len(sol.x) == inst.T
+    assert sol == solve(inst)
+
+
+@pytest.mark.parametrize("make", [two_period_trade, buy_then_sell])
+def test_search_instance_passes_wp1_and_wp3_through(make):
+    inst = make()
+    base, back = search_instance(inst)
+    assert base is inst
+    sol = solve(inst)
+    assert back(sol) is sol
+
+
+def test_search_instance_validates_before_doubling(monkeypatch):
+    def no_doubling(inst):
+        raise AssertionError("doubled an invalid instance")
+
+    monkeypatch.setattr(wareflow.network, "double_horizon", no_doubling)
+    bad = replace(wp2_mixed(), Lx=(3, 0), Ux=(1, 3))
+    with pytest.raises(LowerExceedsUpper):
+        search_instance(bad)
+    with pytest.raises(WrongVectorLength):
+        search_instance(replace(wp2_mixed(), Uy=(2,)))
+
+
 def _window_dp_matches_network(inst) -> bool:
     """Compare the window DP with the network it replaces on one instance.
 
     Asserts equal suffix tables on the searched instance (wp2 doubled) and
     an equal Solution, or the same Infeasible message; returns feasibility.
     """
-    base = inst
-    if inst.variant is Variant.WP2:
-        base = double_horizon(inst).instance
+    base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
     assert _window_suffix(base, net.layers) == _longest_path(net)[0]
     try:
