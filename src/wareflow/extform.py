@@ -16,6 +16,8 @@ The constraint families:
 
 Indicators stay continuous; integrality comes from the polytope itself.
 The module only builds, lifts, and prints the model; no LP solver is run.
+The printer renders the model once; on the first number with no exact
+decimal literal it rescales the instance to integers and renders again.
 """
 
 from __future__ import annotations
@@ -327,6 +329,8 @@ def lift_and_check(
 
 def _decimal_or_none(value: Exact) -> str | None:
     """Exact decimal literal for a rational, or None when impossible."""
+    if type(value) is int:  # not isinstance: a bool must not print as True
+        return str(value)
     v = Fraction(value)
     rest = v.denominator
     twos = fives = 0
@@ -347,18 +351,8 @@ def _decimal_or_none(value: Exact) -> str | None:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-def _model_numbers(model: LPModel):
-    for _, coeff in model.objective:
-        yield coeff
-    for row in model.rows:
-        yield row.rhs
-        for _, coeff in row.coeffs:
-            yield coeff
-    for var in model.variables:
-        if var.lower is not None:
-            yield var.lower
-        if var.upper is not None:
-            yield var.upper
+class _NotDecimal(Exception):
+    """A model number has no exact decimal literal."""
 
 
 def _scale_instance(inst: Instance, factor: int) -> Instance:
@@ -370,7 +364,8 @@ def _scale_instance(inst: Instance, factor: int) -> Instance:
 def _render(model: LPModel, comments: tuple[str, ...]) -> str:
     def num(value: Exact) -> str:
         text = _decimal_or_none(value)
-        assert text is not None, "caller guarantees decimal-exact numbers"
+        if text is None:
+            raise _NotDecimal(value)
         return text
 
     def expr(terms) -> str:
@@ -414,22 +409,25 @@ def emit_lp(inst: Instance) -> str:
 
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  Every
-    number must print as an exact decimal; when the data makes that
-    impossible, all instance data is scaled up by one integer factor first
-    and a comment line records the factor.
+    number must print as an exact decimal.  The model is rendered once; on
+    the first number that has no decimal literal, all instance data is
+    scaled up by one integer factor, the model is rebuilt and rendered
+    again, and a comment line records the factor.
     """
     base = search_instance(inst)[0]
-    comments = ["extended formulation over the trading network"]
+    comments = ("extended formulation over the trading network",)
+    try:
+        return _render(build_extended_formulation(base, _network_for(base)), comments)
+    except _NotDecimal:
+        pass
+    numbers = [base.s0]
+    for name in _VECTOR_FIELDS:
+        numbers.extend(getattr(base, name))
+    factor = math.lcm(*(Fraction(v).denominator for v in numbers))
+    base = _scale_instance(base, factor)
     model = build_extended_formulation(base, _network_for(base))
-    if any(_decimal_or_none(v) is None for v in _model_numbers(model)):
-        numbers = [base.s0]
-        for name in _VECTOR_FIELDS:
-            numbers.extend(getattr(base, name))
-        factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-        base = _scale_instance(base, factor)
-        model = build_extended_formulation(base, _network_for(base))
-        comments.append(f"all instance data scaled by {factor}")
-    return _render(model, tuple(comments))
+    # integer data makes every number integral, so this render cannot fail
+    return _render(model, comments + (f"all instance data scaled by {factor}",))
 
 
 def _network_for(inst: Instance) -> LayeredNetwork:

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from wareflow import (
     Instance,
     LotSizingInstance,
     Solution,
     assemble_solution,
+    build_extended_formulation,
+    build_network,
+    gen_stock_levels,
     normalize_terminal,
 )
+from wareflow.extform import _scale_instance
+from wareflow.model import _VECTOR_FIELDS
+from wareflow.network import search_instance
 
 
 def two_period_trade() -> Instance:
@@ -183,3 +191,105 @@ def solution_with(sol: Solution, **overrides) -> Solution:
     }
     fields.update(overrides)
     return Solution(**fields)
+
+
+def reference_decimal_or_none(value):
+    """Exact decimal literal for a rational, or None: the rational path
+    that extform._decimal_or_none took for every value, ints included."""
+    v = Fraction(value)
+    rest = v.denominator
+    twos = fives = 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    exp = max(twos, fives)
+    scaled = abs(v.numerator) * (10**exp // v.denominator)
+    sign = "-" if v < 0 else ""
+    if exp == 0:
+        return f"{sign}{scaled}"
+    digits = str(scaled).rjust(exp + 1, "0")
+    return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
+
+
+def _reference_model_numbers(model):
+    for _, coeff in model.objective:
+        yield coeff
+    for row in model.rows:
+        yield row.rhs
+        for _, coeff in row.coeffs:
+            yield coeff
+    for var in model.variables:
+        if var.lower is not None:
+            yield var.lower
+        if var.upper is not None:
+            yield var.upper
+
+
+def _reference_render(model, comments) -> str:
+    def num(value) -> str:
+        text = reference_decimal_or_none(value)
+        assert text is not None, "caller guarantees decimal-exact numbers"
+        return text
+
+    def expr(terms) -> str:
+        parts = []
+        for name, coeff in terms:
+            if coeff == 0:
+                continue
+            sign = "-" if coeff < 0 else "+"
+            mag = num(abs(coeff))
+            piece = name if mag == "1" else f"{mag} {name}"
+            parts.append(f"{sign} {piece}")
+        if not parts:
+            return "0 "
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else text
+
+    lines = [f"\\ {c}" for c in comments]
+    lines.append("Maximize")
+    lines.append(f" obj: {expr(model.objective)}")
+    lines.append("Subject To")
+    for row in model.rows:
+        lines.append(f" {row.name}: {expr(row.coeffs)} {row.sense} {num(row.rhs)}")
+    lines.append("Bounds")
+    for var in model.variables:
+        if var.lower == 0 and var.upper is None:
+            continue
+        if var.lower is None and var.upper is None:
+            lines.append(f" {var.name} free")
+        elif var.lower is None:
+            lines.append(f" -inf <= {var.name} <= {num(var.upper)}")
+        elif var.upper is None:
+            lines.append(f" {var.name} >= {num(var.lower)}")
+        else:
+            lines.append(f" {num(var.lower)} <= {var.name} <= {num(var.upper)}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def reference_emit_lp(inst: Instance) -> str:
+    """LP text by the two-pass emitter that extform.emit_lp replaced: scan
+    every model number first, scale the instance when one is not decimal,
+    then render."""
+    def model_for(base):
+        net = build_network(base, gen_stock_levels(base))
+        return build_extended_formulation(base, net)
+
+    base = search_instance(inst)[0]
+    comments = ["extended formulation over the trading network"]
+    model = model_for(base)
+    if any(reference_decimal_or_none(v) is None
+           for v in _reference_model_numbers(model)):
+        numbers = [base.s0]
+        for name in _VECTOR_FIELDS:
+            numbers.extend(getattr(base, name))
+        factor = math.lcm(*(Fraction(v).denominator for v in numbers))
+        base = _scale_instance(base, factor)
+        model = model_for(base)
+        comments.append(f"all instance data scaled by {factor}")
+    return _reference_render(model, tuple(comments))

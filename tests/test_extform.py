@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wareflow import (
+    Infeasible,
     Instance,
     LowerExceedsUpper,
     NotAPath,
@@ -11,13 +12,24 @@ from wareflow import (
     build_extended_formulation,
     build_network,
     emit_lp,
+    fptas_params,
     gen_random,
     gen_stock_levels,
     lift_and_check,
     lift_solution,
+    scale_trade_bounds,
+    solve,
     solve_with_network,
 )
-from helpers import solution_with, two_period_trade, wp2_mixed
+from wareflow import extform
+from wareflow.extform import _decimal_or_none
+from helpers import (
+    reference_decimal_or_none,
+    reference_emit_lp,
+    solution_with,
+    two_period_trade,
+    wp2_mixed,
+)
 
 
 def model_for(inst):
@@ -178,3 +190,76 @@ def test_emit_lp_validates_the_instance():
     bad = replace(two_period_trade(), Lx=(3, 0), Ux=(1, 5))
     with pytest.raises(LowerExceedsUpper):
         emit_lp(bad)
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, 10**30, -10**30, True,
+    Fraction(7, 1), Fraction(-12, 1),
+    Fraction(1, 2), Fraction(-3, 8), Fraction(7, 40),
+    Fraction(1, 3), Fraction(-2, 7),
+])
+def test_decimal_fast_path_matches_rational_path(value):
+    text = _decimal_or_none(value)
+    assert text == reference_decimal_or_none(value)
+    assert (text is None) == (value in (Fraction(1, 3), Fraction(-2, 7)))
+
+
+def _rounded_wp3(seed: int, epsilon: Fraction) -> Instance:
+    inst = gen_random(seed, 4, "wp3", 12)
+    return scale_trade_bounds(inst, fptas_params(inst, epsilon))
+
+
+def test_emit_lp_matches_reference_emitter():
+    cases = [gen_random(seed, T, variant, 3 * T)
+             for variant in ("wp1", "wp2", "wp3")
+             for T in (2, 3, 5)
+             for seed in range(4)]
+    cases += [_rounded_wp3(seed, eps)
+              for seed in range(6)
+              for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))]
+    scaled = decimal = infeasible = 0
+    for inst in cases:
+        text = emit_lp(inst)
+        assert text == reference_emit_lp(inst)
+        scaled += "scaled by" in text
+        decimal += "scaled by" not in text and "." in text
+        try:
+            solve(inst)
+        except Infeasible:
+            infeasible += 1
+    # the cases reach both branches of the emitter and infeasible data
+    assert scaled and decimal and infeasible
+
+
+def test_emit_lp_skips_scaling_for_numbers_outside_the_model():
+    # Us_1 = 1/3 only caps the stock; with no trade the one level is s0 = 0
+    inst = Instance(
+        variant="wp1", T=1, s0=0,
+        Ls=(0,), Us=(Fraction(1, 3),), Lx=(0,), Ux=(0,), Ly=(0,), Uy=(0,),
+        revenue=(1,), cost=(1,), holding=(1,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    text = emit_lp(inst)
+    assert "scaled" not in text
+    assert text == reference_emit_lp(inst)
+
+
+@pytest.mark.parametrize("s0, builds", [(Fraction(1, 2), 1), (Fraction(1, 3), 2)])
+def test_emit_lp_builds_the_formulation_once_unless_it_scales(
+    monkeypatch, s0, builds
+):
+    calls = []
+
+    def counted(inst, net):
+        calls.append(inst)
+        return build_extended_formulation(inst, net)
+
+    monkeypatch.setattr(extform, "build_extended_formulation", counted)
+    inst = Instance(
+        variant="wp1", T=1, s0=s0,
+        Ls=(0,), Us=(s0,), Lx=(0,), Ux=(0,), Ly=(0,), Uy=(0,),
+        revenue=(1,), cost=(1,), holding=(1,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    emit_lp(inst)
+    assert len(calls) == builds
