@@ -42,6 +42,7 @@ from .fptas import (
     FptasParams,
     balanced_flow_decompose,
     fptas_params,
+    fptas_scale,
     fptas_solve,
     normalize_terminal,
     reassemble,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import Infeasible, WarehouseError
 from .extform import emit_lp
-from .fptas import fptas_params, fptas_solve, scale_trade_bounds
+from .fptas import fptas_scale
 from .generators import (
     gen_random,
     parse_lotsizing,
@@ -81,11 +81,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fptas(args) -> int:
+    """fptas_solve, spelled out so K and the scaled instance are computed
+    once and reported.  The level sets are still generated twice, inside
+    solve and again for S_size, since solve does not return them."""
     inst = parse_instance(_read(args.input))
-    epsilon = parse_exact(args.epsilon)
-    sol = fptas_solve(inst, epsilon)
-    params = fptas_params(inst, epsilon)
-    scaled = scale_trade_bounds(inst, params)
+    params, scaled = fptas_scale(inst, parse_exact(args.epsilon))
+    sol = solve(scaled)
     print(f"K: {format_exact(params.K)}", file=sys.stderr)
     print(f"S_size: {gen_stock_levels(scaled).S_size}", file=sys.stderr)
     print(f"objective: {format_exact(sol.objective)}")

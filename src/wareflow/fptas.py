@@ -199,20 +199,29 @@ def scale_trade_bounds(inst: Instance, params: FptasParams) -> Instance:
     return replace(inst, Ux=ux, Uy=uy)
 
 
-def fptas_solve(inst: Instance, epsilon) -> Solution:
-    """Approximate a wp3 instance to within a factor of (1 - epsilon).
+def fptas_scale(inst: Instance, epsilon) -> tuple[FptasParams, Instance]:
+    """Validate a wp3 instance and round its trade bounds for the FPTAS.
 
-    Rounds the trade bounds down to multiples of K = epsilon * U_min and
-    solves the rounded instance exactly.  The result is feasible for the
-    original instance and its objective is at least (1 - epsilon) times
-    the optimum; the guarantee needs the zero holding costs that wp3
-    validation enforces.  The rounded
-    network has polynomially many stock levels in T and 1/epsilon when
-    U_max / U_min is bounded.
+    Returns the scaling params and the instance with every upper trade
+    bound rounded down to a multiple of K = epsilon * U_min.  Raises the
+    validation errors first, then WrongVariant, then the fptas_params ones.
     """
     validate_instance(inst)
     if inst.variant is not Variant.WP3:
         raise WrongVariant("fptas_solve applies to wp3 instances only")
     params = fptas_params(inst, epsilon)
-    scaled = scale_trade_bounds(inst, params)
-    return solve(scaled)
+    return params, scale_trade_bounds(inst, params)
+
+
+def fptas_solve(inst: Instance, epsilon) -> Solution:
+    """Approximate a wp3 instance to within a factor of (1 - epsilon).
+
+    Rounds the trade bounds down to multiples of K = epsilon * U_min
+    (fptas_scale) and solves the rounded instance exactly.  The result is
+    feasible for the original instance and its objective is at least
+    (1 - epsilon) times the optimum; the guarantee needs the zero holding
+    costs that wp3 validation enforces.  The rounded network has
+    polynomially many stock levels in T and 1/epsilon when U_max / U_min is
+    bounded.
+    """
+    return solve(fptas_scale(inst, epsilon)[1])

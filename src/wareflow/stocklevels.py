@@ -1,9 +1,9 @@
 """Candidate stock levels covering every extreme-point trajectory.
 
 An optimal extreme plan always pins the stock to a bound at certain periods
-and trades at a bound (or not at all) in between.  The candidate set for
-period t therefore collects every value reachable from an anchor by a run of
-per-period bound-sized moves:
+(its anchors) and trades at a bound (or not at all) in between.  The
+candidate set for period t therefore collects every value reachable from an
+anchor by a run of per-period bound-sized moves:
 
 * forward values: an anchor (t0, K), with K = s0 at t0 = 0 and K in
   {Ls_{t0}, Us_{t0}} at t0 >= 1, plus one move per period i in t0+1..t drawn
@@ -12,9 +12,15 @@ per-period bound-sized moves:
   t1 > t, plus one move per period i in t+1..t1 drawn from
   {0, -Lx_i, -Ux_i, +Ly_i, +Uy_i}.
 
-The union is clipped to [Ls_t, Us_t], deduplicated, and sorted.  Both sweeps
-expand layer by layer over value sets, so the work is proportional to the
-number of distinct values rather than the number of move selections.
+Each layer is clipped to [Ls_t, Us_t] as it is built, before the next
+layer expands from it.  This loses no extreme plan: the values along a run
+from an anchor to t are the plan's own stocks s_{t0}, ..., s_t (or s_t,
+..., s_{t1} backward), and a feasible plan keeps every stock inside its
+bounds, so no run that an extreme plan follows ever passes through a
+clipped value.  The union of the two clipped sets is deduplicated and
+sorted.  Both sweeps expand layer by layer over value sets, so the work is
+proportional to the number of distinct in-bound values rather than the
+number of move selections.
 
 For wp2 instances the computation runs on the purchases/sales-split doubled
 horizon (see double_horizon) and projects the even layers back, which adds
@@ -106,13 +112,25 @@ def double_horizon(inst: Instance) -> DoubledHorizon:
     return DoubledHorizon(instance=doubled, source=inst)
 
 
+def _shifted(values, moves, lo, hi) -> set:
+    """Every v + d with v in values and d in moves that lies in [lo, hi]."""
+    out = set()
+    for v in values:
+        for d in moves:
+            moved = v + d
+            if lo <= moved <= hi:
+                out.add(moved)
+    return out
+
+
 def _forward_sets(inst: Instance) -> list[set]:
-    """values[t] = anchors at or before t pushed forward by bound moves."""
+    """values[t] = anchors at or before t pushed forward by bound moves,
+    each layer clipped to [Ls_t, Us_t]."""
     values: list[set] = [{inst.s0}]
     for t in inst.periods:
         i = t - 1
         moves = {0, inst.Lx[i], inst.Ux[i], -inst.Ly[i], -inst.Uy[i]}
-        layer = {v + d for v in values[t - 1] for d in moves}
+        layer = _shifted(values[t - 1], moves, inst.Ls[i], inst.Us[i])
         layer.add(inst.Ls[i])  # anchors at t enter unmoved
         layer.add(inst.Us[i])
         values.append(layer)
@@ -120,13 +138,14 @@ def _forward_sets(inst: Instance) -> list[set]:
 
 
 def _backward_sets(inst: Instance) -> list[set]:
-    """values[t] = anchors after t pulled back by undoing bound moves."""
+    """values[t] = anchors after t pulled back by undoing bound moves,
+    each layer clipped to [Ls_t, Us_t]; values[0] is left empty."""
     values: list[set] = [set() for _ in range(inst.T + 1)]
-    for t in range(inst.T - 1, -1, -1):
+    for t in range(inst.T - 1, 0, -1):
         i = t  # period t+1 has vector index t
         moves = {0, -inst.Lx[i], -inst.Ux[i], inst.Ly[i], inst.Uy[i]}
         seed = values[t + 1] | {inst.Ls[i], inst.Us[i]}
-        values[t] = {v + d for v in seed for d in moves}
+        values[t] = _shifted(seed, moves, inst.Ls[t - 1], inst.Us[t - 1])
     return values
 
 
@@ -144,14 +163,9 @@ def gen_stock_levels(inst: Instance) -> StockLevels:
         return StockLevels(levels=levels, S_size=size)
     forward = _forward_sets(inst)
     backward = _backward_sets(inst)
-    levels = []
-    for t in inst.periods:
-        i = t - 1
-        pool = forward[t] | backward[t]
-        clipped = sorted(v for v in pool if inst.Ls[i] <= v <= inst.Us[i])
-        levels.append(tuple(clipped))
+    levels = tuple(tuple(sorted(forward[t] | backward[t])) for t in inst.periods)
     size = max((len(lv) for lv in levels), default=0)
-    return StockLevels(levels=tuple(levels), S_size=size)
+    return StockLevels(levels=levels, S_size=size)
 
 
 def _ceil_div(num: int, den: int) -> int:

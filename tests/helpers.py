@@ -11,9 +11,12 @@ from wareflow import (
     Instance,
     LotSizingInstance,
     Solution,
+    StockLevels,
+    Variant,
     assemble_solution,
     build_extended_formulation,
     build_network,
+    double_horizon,
     gen_stock_levels,
     normalize_terminal,
 )
@@ -293,3 +296,45 @@ def reference_emit_lp(inst: Instance) -> str:
         model = model_for(base)
         comments.append(f"all instance data scaled by {factor}")
     return _reference_render(model, tuple(comments))
+
+
+def _reference_forward_sets(inst: Instance) -> list[set]:
+    values: list[set] = [{inst.s0}]
+    for t in inst.periods:
+        i = t - 1
+        moves = {0, inst.Lx[i], inst.Ux[i], -inst.Ly[i], -inst.Uy[i]}
+        layer = {v + d for v in values[t - 1] for d in moves}
+        layer.add(inst.Ls[i])
+        layer.add(inst.Us[i])
+        values.append(layer)
+    return values
+
+
+def _reference_backward_sets(inst: Instance) -> list[set]:
+    values: list[set] = [set() for _ in range(inst.T + 1)]
+    for t in range(inst.T - 1, -1, -1):
+        i = t
+        moves = {0, -inst.Lx[i], -inst.Ux[i], inst.Ly[i], inst.Uy[i]}
+        seed = values[t + 1] | {inst.Ls[i], inst.Us[i]}
+        values[t] = {v + d for v in seed for d in moves}
+    return values
+
+
+def reference_stock_levels(inst: Instance) -> StockLevels:
+    """Level sets by the sweeps that stocklevels.gen_stock_levels replaced:
+    carry every value through every layer unclipped, and clip to
+    [Ls_t, Us_t] only at the end."""
+    if inst.variant is Variant.WP2:
+        inner = reference_stock_levels(double_horizon(inst).instance)
+        levels = tuple(inner.levels[2 * t - 1] for t in inst.periods)
+        return StockLevels(levels=levels, S_size=max(map(len, levels)))
+    forward = _reference_forward_sets(inst)
+    backward = _reference_backward_sets(inst)
+    levels = []
+    for t in inst.periods:
+        i = t - 1
+        pool = forward[t] | backward[t]
+        levels.append(tuple(sorted(
+            v for v in pool if inst.Ls[i] <= v <= inst.Us[i]
+        )))
+    return StockLevels(levels=tuple(levels), S_size=max(map(len, levels)))

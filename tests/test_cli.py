@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import wareflow.cli
+import wareflow.fptas
 import wareflow.network
 from wareflow import (
     check_solution,
@@ -116,6 +117,27 @@ def test_fptas_reports_unit_on_stderr(tmp_path, capsys):
     assert out.out.startswith("objective: ")
     assert "K: 2" in out.err
     assert "S_size:" in out.err
+
+
+def test_fptas_scales_the_instance_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = wareflow.fptas.scale_trade_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patched wherever a caller could bind it, the CLI included
+    monkeypatch.setattr(wareflow.fptas, "scale_trade_bounds", counted)
+    monkeypatch.setattr(wareflow.cli, "scale_trade_bounds", counted,
+                        raising=False)
+    data = json.loads(serialize_instance(two_period_trade()))
+    data["variant"] = "wp3"
+    path = tmp_path / "wp3.json"
+    path.write_text(json.dumps(data))
+    assert run(["fptas", "--input", str(path), "--epsilon", "2/5"]) == 0
+    assert "K: 2" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_fptas_wrong_variant_exits_two(instance_file, capsys):

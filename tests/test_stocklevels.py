@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,18 @@ from wareflow import (
     Instance,
     WrongVariant,
     bound_S,
+    build_network,
     double_horizon,
+    fptas_params,
     gen_random,
     gen_stock_levels,
     oracle_solve,
     reduce_partition,
+    scale_trade_bounds,
     solve,
 )
-from helpers import two_period_trade, wp2_mixed
+from wareflow.network import _decode, search_instance
+from helpers import reference_stock_levels, two_period_trade, wp2_mixed
 
 
 def test_levels_two_period_trade():
@@ -229,3 +234,92 @@ def test_bound_S_wp2_uses_doubled_horizon():
     )
     assert bound_S(inst) == math.ceil(3 * (2 * 2 + 1) ** 4 / 4)
     assert gen_stock_levels(inst).S_size <= bound_S(inst)
+
+
+def _divided(inst, d):
+    """The instance with every stock and trade bound divided by d."""
+    def div(vec):
+        return tuple(Fraction(v, d) for v in vec)
+
+    return replace(inst, s0=Fraction(inst.s0, d),
+                   Ls=div(inst.Ls), Us=div(inst.Us), Lx=div(inst.Lx),
+                   Ux=div(inst.Ux), Ly=div(inst.Ly), Uy=div(inst.Uy))
+
+
+def _seeded_instances():
+    """Seeded wp1/wp2/wp3 instances, infeasible ones among them, plus
+    fractional-bound copies of wp1/wp2 and FPTAS-rounded wp3 bounds."""
+    out = []
+    for seed in range(36):
+        T = 2 + seed % 6
+        for variant in ("wp1", "wp2", "wp3"):
+            out.append(gen_random(seed, T=T, variant=variant,
+                                  max_bound=4 + seed % 5))
+        for variant in ("wp1", "wp2"):
+            inst = gen_random(100 + seed, T=2 + seed % 4, variant=variant,
+                              max_bound=6)
+            out.append(_divided(inst, 2 + seed % 2))
+        inst = gen_random(200 + seed, T=T, variant="wp3", max_bound=9)
+        epsilon = (Fraction(1, 3), Fraction(2, 7))[seed % 2]
+        out.append(scale_trade_bounds(inst, fptas_params(inst, epsilon)))
+    return out
+
+
+def test_clipped_levels_are_subsets_of_the_unclipped_ones():
+    shrunk = 0
+    for inst in _seeded_instances():
+        new = gen_stock_levels(inst).levels
+        old = reference_stock_levels(inst).levels
+        assert len(new) == len(old)
+        for layer, ref in zip(new, old):
+            assert set(layer) <= set(ref)
+            shrunk += len(layer) < len(ref)
+    assert shrunk > 0
+
+
+def test_solve_matches_the_network_over_unclipped_levels():
+    outcomes = []
+    for inst in _seeded_instances():
+        base, back = search_instance(inst)
+        net = build_network(base, reference_stock_levels(base))
+        try:
+            expected = back(_decode(net))
+        except Infeasible as err:
+            with pytest.raises(Infeasible, match=str(err)):
+                solve(inst)
+            outcomes.append(False)
+            continue
+        assert solve(inst) == expected
+        outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_oracle_plans_land_on_levels():
+    solved = 0
+    for seed in range(90):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(300 + seed, T=2 + seed % 5, variant=variant,
+                          max_bound=6)
+        try:
+            sol = oracle_solve(inst)
+        except Infeasible:
+            continue
+        solved += 1
+        levels = gen_stock_levels(inst).levels
+        for t in range(inst.T):
+            assert sol.s[t] in levels[t]
+    assert solved > 30
+
+
+def test_clipping_drops_values_reached_only_out_of_bounds():
+    # 5 and 9 at period 2 need stock 5 after period 1, above Us_1 = 3
+    inst = Instance(
+        variant="wp1", T=2, s0=0,
+        Ls=(0, 0), Us=(3, 10), Lx=(0, 0), Ux=(5, 4), Ly=(0, 0), Uy=(0, 0),
+        revenue=(0, 0), cost=(0, 0), holding=(0, 0),
+        fixed_purchase=(0, 0), fixed_sale=(0, 0),
+    )
+    assert reference_stock_levels(inst).levels == (
+        (0, 3), (0, 3, 4, 5, 7, 9, 10),
+    )
+    assert gen_stock_levels(inst).levels == ((0, 3), (0, 3, 4, 7, 10))
