@@ -75,9 +75,11 @@ from .model import (
     format_exact,
     instance_from_json_dict,
     instance_to_json_dict,
+    integral_instance,
     parse_exact,
     parse_instance,
     parse_solution,
+    scale_instance,
     serialize_instance,
     serialize_solution,
     solution_from_json_dict,
@@ -87,6 +89,7 @@ from .model import (
 from .network import (
     ArcDecision,
     LayeredNetwork,
+    SolveTrace,
     arc_candidates,
     build_network,
     solve,

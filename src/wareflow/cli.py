@@ -37,6 +37,7 @@ from .model import (
     validate_instance,
 )
 from .network import (
+    SolveTrace,
     build_network,
     search_instance,
     solve,
@@ -81,14 +82,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fptas(args) -> int:
-    """fptas_solve, spelled out so K and the scaled instance are computed
-    once and reported.  The level sets are still generated twice, inside
-    solve and again for S_size, since solve does not return them."""
+    """fptas_solve, spelled out to report K and the widest level set the
+    solve searched."""
     inst = parse_instance(_read(args.input))
     params, scaled = fptas_scale(inst, parse_exact(args.epsilon))
-    sol = solve(scaled)
+    trace = SolveTrace()
+    sol = solve(scaled, trace)
     print(f"K: {format_exact(params.K)}", file=sys.stderr)
-    print(f"S_size: {gen_stock_levels(scaled).S_size}", file=sys.stderr)
+    print(f"S_size: {trace.S_size}", file=sys.stderr)
     print(f"objective: {format_exact(sol.objective)}")
     if args.output:
         _emit(serialize_solution(sol), args.output)

@@ -23,7 +23,7 @@ decimal literal it rescales the instance to integers and renders again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAPath
@@ -34,6 +34,7 @@ from .model import (
     Instance,
     Solution,
     exact,
+    scale_instance,
 )
 from .network import LayeredNetwork, build_network, search_instance
 from .stocklevels import gen_stock_levels
@@ -355,12 +356,6 @@ class _NotDecimal(Exception):
     """A model number has no exact decimal literal."""
 
 
-def _scale_instance(inst: Instance, factor: int) -> Instance:
-    scaled = {name: tuple(exact(v * factor) for v in getattr(inst, name))
-              for name in _VECTOR_FIELDS}
-    return replace(inst, s0=exact(inst.s0 * factor), **scaled)
-
-
 def _render(model: LPModel, comments: tuple[str, ...]) -> str:
     def num(value: Exact) -> str:
         text = _decimal_or_none(value)
@@ -424,7 +419,7 @@ def emit_lp(inst: Instance) -> str:
     for name in _VECTOR_FIELDS:
         numbers.extend(getattr(base, name))
     factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-    base = _scale_instance(base, factor)
+    base = scale_instance(base, factor, factor, factor)
     model = build_extended_formulation(base, _network_for(base))
     # integer data makes every number integral, so this render cannot fail
     return _render(model, comments + (f"all instance data scaled by {factor}",))

@@ -17,10 +17,11 @@ at the boundary so no feasibility or optimality decision rests on rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import (
     LowerExceedsUpper,
@@ -93,10 +94,10 @@ def _coerce_variant(value) -> Variant:
         raise ValueError(f"unknown variant: {value!r}") from err
 
 
-_VECTOR_FIELDS = (
-    "Ls", "Us", "Lx", "Ux", "Ly", "Uy",
-    "revenue", "cost", "holding", "fixed_purchase", "fixed_sale",
-)
+_BOUND_FIELDS = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")
+_PRICE_FIELDS = ("revenue", "cost", "holding")
+_FIXED_FIELDS = ("fixed_purchase", "fixed_sale")
+_VECTOR_FIELDS = _BOUND_FIELDS + _PRICE_FIELDS + _FIXED_FIELDS
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,13 @@ class Instance:
     def bounds_integral(self) -> bool:
         """True when s0 and every bound vector hold integers only."""
         values = [self.s0]
-        for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy"):
+        for name in _BOUND_FIELDS:
             values.extend(getattr(self, name))
         return all(isinstance(v, int) for v in values)
 
     def bounds_time_independent(self) -> bool:
         """True when each of the six bound vectors is constant over time."""
-        for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy"):
+        for name in _BOUND_FIELDS:
             vec = getattr(self, name)
             if any(v != vec[0] for v in vec):
                 return False
@@ -274,6 +275,49 @@ def compute_objective(inst: Instance, x, y, s, w, z) -> Exact:
         i = t - 1
         total += evaluate_payoff(inst, t, x[i], y[i], s[i], w[i], z[i])
     return exact(total)
+
+
+def scale_instance(inst: Instance, quantity: int, price: int,
+                   fixed: int) -> Instance:
+    """Multiply s0 and the six bound vectors by quantity, the unit prices
+    (revenue, cost, holding) by price and the fixed costs by fixed."""
+    fields = {}
+    for names, factor in ((_BOUND_FIELDS, quantity), (_PRICE_FIELDS, price),
+                          (_FIXED_FIELDS, fixed)):
+        for name in names:
+            fields[name] = tuple(v * factor for v in getattr(inst, name))
+    return replace(inst, s0=inst.s0 * quantity, **fields)
+
+
+def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
+    """An all-integer copy of an instance, and the map of its plans back.
+
+    s0 and the bounds are multiplied by L, the LCM of their denominators;
+    the unit prices by M, the LCM of the price and fixed-cost denominators;
+    the fixed costs by L*M.  A plan (x, y, s, w, z) of inst is then a plan
+    (L*x, L*y, L*s, w, z) of the copy worth L*M times as much, so both
+    instances rank their plans alike.  The map back divides x, y and s by
+    L and recomputes the objective on inst.  All-integer data returns inst
+    itself with the identity map.
+    """
+    quantities = [inst.s0]
+    for name in _BOUND_FIELDS:
+        quantities.extend(getattr(inst, name))
+    prices = []
+    for name in _PRICE_FIELDS + _FIXED_FIELDS:
+        prices.extend(getattr(inst, name))
+    if all(type(v) is int for v in quantities + prices):
+        return inst, lambda sol: sol
+    L = math.lcm(*(v.denominator for v in quantities))
+    M = math.lcm(*(v.denominator for v in prices))
+
+    def back(sol: Solution) -> Solution:
+        x, y, s = (tuple(Fraction(v, L) for v in vec)
+                   for vec in (sol.x, sol.y, sol.s))
+        objective = compute_objective(inst, x, y, s, sol.w, sol.z)
+        return Solution(x=x, y=y, s=s, w=sol.w, z=sol.z, objective=objective)
+
+    return scale_instance(inst, L, M, L * M), back
 
 
 def assemble_solution(inst: Instance, x, y, w=None, z=None) -> Solution:

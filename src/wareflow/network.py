@@ -19,6 +19,17 @@ wp2 route; solve_with_network decodes from it and so witnesses solve.
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
+solve searches in integers.  It multiplies the searched instance's
+quantities by the LCM L of their denominators, its unit prices by the LCM M
+of the price and fixed-cost denominators and its fixed costs by L*M
+(model.integral_instance), so no level, window key or payoff is a Fraction.
+Every plan's objective scales by the same positive L*M and every stock by
+L, so all comparisons and equalities come out as before: the level sets
+keep their sizes, and the window maxima, the ascending-head decode and
+with them the tie-break below choose the same plan, which is divided back
+by L.  build_network and solve_with_network work on the searched instance
+as it is, so the DOT dump and the LP print its own numbers.
+
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
 paths the lexicographically smallest stock sequence wins.
@@ -37,6 +48,7 @@ from .model import (
     Solution,
     Variant,
     evaluate_payoff,
+    integral_instance,
     validate_instance,
 )
 from .stocklevels import StockLevels, double_horizon, gen_stock_levels
@@ -54,6 +66,23 @@ class ArcDecision:
 
 
 Arc = tuple  # (tail index in layer t-1, head index in layer t, ArcDecision)
+
+
+@dataclass
+class SolveTrace:
+    """What solve records about its search when it is handed one.
+
+    layer_sizes[t-1] counts the candidate stock levels searched in period
+    t.  They are counted on the searched instance, so a wp2 trace covers
+    the 2T periods of the doubled horizon; the integer scaling keeps every
+    size.  S_size is their maximum, as in StockLevels.
+    """
+
+    layer_sizes: tuple[int, ...] = ()
+
+    @property
+    def S_size(self) -> int:
+        return max(self.layer_sizes, default=0)
 
 
 @dataclass(frozen=True)
@@ -320,12 +349,14 @@ def _window_suffix(inst: Instance, layers) -> list[list]:
     return suffix
 
 
-def _solve_windows(inst: Instance) -> Solution:
+def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
     """Window DP, then a forward decode through the wp1 arc rule.
 
     inst must not be wp2 (solve its doubled horizon instead).
     """
     levels = gen_stock_levels(inst)
+    if trace is not None:
+        trace.layer_sizes = tuple(map(len, levels.levels))
     layers = ((inst.s0,),) + tuple(levels.levels)
 
     def outgoing(t, node):
@@ -365,15 +396,21 @@ def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
     return back(_decode(net)), net
 
 
-def solve(inst: Instance) -> Solution:
+def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     """Solve an instance exactly by the window DP over its level sets.
 
     Runs on search_instance(inst), so the single wp1 arc rule serves all
-    variants.  Agrees with solve_with_network in plan and objective.
-    Raises Infeasible when no plan exists.
+    variants, scaled to integer data by model.integral_instance.  The
+    scaling multiplies every objective by one positive factor and every
+    stock by another, so it changes no comparison and the plan found is
+    the one the rational search finds, divided back.  Agrees with
+    solve_with_network, which searches in rationals, in plan and
+    objective.  A given trace records the sizes of the level sets
+    searched.  Raises Infeasible when no plan exists.
     """
     base, back = search_instance(inst)
-    return back(_solve_windows(base))
+    searched, unscale = integral_instance(base)
+    return back(unscale(_solve_windows(searched, trace)))
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from wareflow import (
@@ -20,8 +21,7 @@ from wareflow import (
     gen_stock_levels,
     normalize_terminal,
 )
-from wareflow.extform import _scale_instance
-from wareflow.model import _VECTOR_FIELDS
+from wareflow.model import _VECTOR_FIELDS, exact
 from wareflow.network import search_instance
 
 
@@ -275,6 +275,14 @@ def _reference_render(model, comments) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_scale_instance(inst: Instance, factor: int) -> Instance:
+    """Every number of the instance times one factor, as the emitter that
+    emit_lp replaced scaled it (kept apart from model.scale_instance)."""
+    scaled = {name: tuple(exact(v * factor) for v in getattr(inst, name))
+              for name in _VECTOR_FIELDS}
+    return replace(inst, s0=exact(inst.s0 * factor), **scaled)
+
+
 def reference_emit_lp(inst: Instance) -> str:
     """LP text by the two-pass emitter that extform.emit_lp replaced: scan
     every model number first, scale the instance when one is not decimal,
@@ -292,7 +300,7 @@ def reference_emit_lp(inst: Instance) -> str:
         for name in _VECTOR_FIELDS:
             numbers.extend(getattr(base, name))
         factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-        base = _scale_instance(base, factor)
+        base = _reference_scale_instance(base, factor)
         model = model_for(base)
         comments.append(f"all instance data scaled by {factor}")
     return _reference_render(model, tuple(comments))

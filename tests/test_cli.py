@@ -140,6 +140,27 @@ def test_fptas_scales_the_instance_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fptas_generates_the_level_sets_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = wareflow.network.gen_stock_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patched wherever a caller could bind it, the CLI included
+    monkeypatch.setattr(wareflow.network, "gen_stock_levels", counted)
+    monkeypatch.setattr(wareflow.cli, "gen_stock_levels", counted,
+                        raising=False)
+    data = json.loads(serialize_instance(two_period_trade()))
+    data["variant"] = "wp3"
+    path = tmp_path / "wp3.json"
+    path.write_text(json.dumps(data))
+    assert run(["fptas", "--input", str(path), "--epsilon", "1/3"]) == 0
+    assert capsys.readouterr().err == "K: 5/3\nS_size: 3\n"
+    assert len(calls) == 1
+
+
 def test_fptas_wrong_variant_exits_two(instance_file, capsys):
     assert run(["fptas", "--input", instance_file, "--epsilon", "1/2"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -19,9 +19,11 @@ from wareflow import (
     exact,
     format_exact,
     gen_random,
+    integral_instance,
     parse_exact,
     parse_instance,
     parse_solution,
+    scale_instance,
     serialize_instance,
     serialize_solution,
     validate_instance,
@@ -213,3 +215,34 @@ def test_no_floats_survive_construction():
                           max_bound=6)
         values = [inst.s0, *inst.Ls, *inst.Us, *inst.revenue, *inst.cost]
         assert all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def test_integral_instance_returns_integer_data_unchanged():
+    inst = gen_random(3, 5, "wp2", 9)
+    same, back = integral_instance(inst)
+    assert same is inst
+    sol = assemble_solution(inst, (0,) * 5, (0,) * 5)
+    assert back(sol) is sol
+
+
+def test_integral_instance_scales_by_L_and_M():
+    inst = Instance(
+        variant="wp1", T=2, s0=Fraction(1, 2),
+        Ls=(0, 0), Us=(3, Fraction(7, 3)), Lx=(0, 0), Ux=(1, 1),
+        Ly=(0, 0), Uy=(Fraction(2, 3), 1),
+        revenue=(Fraction(3, 5), 2), cost=(1, 1), holding=(0, 1),
+        fixed_purchase=(Fraction(1, 2), 0), fixed_sale=(0, 1),
+    )
+    scaled, back = integral_instance(inst)
+    # L = lcm(2, 3) = 6 over the quantities, M = lcm(5, 2) = 10 over the
+    # prices and fixed costs, and the fixed costs take L*M = 60
+    assert scaled == scale_instance(inst, 6, 10, 60)
+    assert scaled.s0 == 3 and scaled.Us == (18, 14) and scaled.Uy == (4, 6)
+    assert scaled.revenue == (6, 20) and scaled.holding == (0, 10)
+    assert scaled.fixed_purchase == (30, 0) and scaled.fixed_sale == (0, 60)
+    numbers = serialize_instance(scaled)
+    assert "/" not in numbers  # every number is an integer
+    plan = assemble_solution(inst, (1, 0), (0, Fraction(2, 3)))
+    image = assemble_solution(scaled, (6, 0), (0, 4))
+    assert image.objective == 60 * plan.objective
+    assert repr(back(image)) == repr(plan)

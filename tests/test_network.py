@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from wareflow import (
     Infeasible,
     Instance,
     LowerExceedsUpper,
+    SolveTrace,
     Variant,
     WrongVariant,
     WrongVectorLength,
@@ -19,6 +21,7 @@ from wareflow import (
     fptas_params,
     gen_random,
     gen_stock_levels,
+    integral_instance,
     oracle_solve,
     reduce_partition,
     scale_trade_bounds,
@@ -267,7 +270,9 @@ def _window_dp_matches_network(inst) -> bool:
     """Compare the window DP with the network it replaces on one instance.
 
     Asserts equal suffix tables on the searched instance (wp2 doubled) and
-    an equal Solution, or the same Infeasible message; returns feasibility.
+    an equal Solution repr, or the same Infeasible message; returns
+    feasibility.  solve searches an integer copy of fractional data while
+    the network is built on the data as given.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
@@ -278,7 +283,7 @@ def _window_dp_matches_network(inst) -> bool:
         with pytest.raises(Infeasible, match=f"^{re.escape(str(err))}$"):
             solve(inst)
         return False
-    assert solve(inst) == expected
+    assert repr(solve(inst)) == repr(expected)
     return True
 
 
@@ -324,9 +329,101 @@ def test_window_dp_matches_network_on_fptas_scaled_bounds():
     for seed in range(40):
         inst = gen_random(500 + seed, T=2 + seed % 5, variant="wp3",
                           max_bound=9)
-        for epsilon in (Fraction(1, 3), Fraction(2, 7)):
+        for epsilon in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
             scaled = scale_trade_bounds(inst, fptas_params(inst, epsilon))
             fractional += any(isinstance(v, Fraction)
                               for v in scaled.Ux + scaled.Uy)
             _window_dp_matches_network(scaled)
     assert fractional > 0
+
+
+def _trace(inst) -> SolveTrace:
+    trace = SolveTrace()
+    try:
+        solve(inst, trace)
+    except Infeasible:
+        pass
+    return trace
+
+
+@pytest.mark.parametrize("variant", ["wp1", "wp3"])
+def test_trace_records_the_level_set_sizes(variant):
+    for seed in range(40):
+        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
+                          max_bound=4 + seed % 5)
+        trace = _trace(inst)
+        levels = gen_stock_levels(inst)
+        assert trace.layer_sizes == tuple(map(len, levels.levels))
+        assert trace.S_size == levels.S_size
+
+
+def test_trace_keeps_the_sizes_of_fractional_levels():
+    # the search runs on an integer copy; its levels are as many
+    for seed in range(20):
+        inst = gen_random(700 + seed, T=2 + seed % 6, variant="wp3",
+                          max_bound=12)
+        scaled = scale_trade_bounds(inst, fptas_params(inst, Fraction(2, 7)))
+        assert _trace(scaled).layer_sizes == tuple(
+            map(len, gen_stock_levels(scaled).levels))
+
+
+def test_wp2_trace_covers_the_doubled_horizon():
+    inst = wp2_mixed()
+    trace = _trace(inst)
+    doubled = gen_stock_levels(double_horizon(inst).instance)
+    assert len(trace.layer_sizes) == 2 * inst.T
+    assert trace.layer_sizes == tuple(map(len, doubled.levels))
+
+
+def _divided(inst, d, p):
+    """Every stock and trade bound divided by d, unit prices by p."""
+    def div(vec, by):
+        return tuple(Fraction(v, by) for v in vec)
+
+    return replace(inst, s0=Fraction(inst.s0, d), Ls=div(inst.Ls, d),
+                   Us=div(inst.Us, d), Lx=div(inst.Lx, d), Ux=div(inst.Ux, d),
+                   Ly=div(inst.Ly, d), Uy=div(inst.Uy, d),
+                   revenue=div(inst.revenue, p), cost=div(inst.cost, p),
+                   holding=div(inst.holding, p))
+
+
+def _coprime(seed: int) -> Instance:
+    """A feasible wp1 instance (s0 = 0 may stay put) whose bounds lie over
+    3, 7 and 11, revenues over 13 and fixed costs over 5, so the integer
+    copy multiplies bounds by L = 231 and fixed costs by L*M = 15015."""
+    rng = random.Random(seed)
+    T = 5
+
+    def over(lo, hi, dens):
+        return tuple(Fraction(rng.randint(lo, hi), dens[i % len(dens)])
+                     for i in range(T))
+
+    zero = (0,) * T
+    return Instance(
+        variant="wp1", T=T, s0=0, Ls=zero, Us=over(10, 20, (3, 7, 11)),
+        Lx=over(1, 3, (7, 11, 3)), Ux=over(4, 9, (7, 11, 3)),
+        Ly=zero, Uy=over(4, 9, (11, 3, 7)),
+        revenue=over(-20, 40, (13,)), cost=over(-5, 20, (1,)),
+        holding=over(0, 2, (1,)), fixed_purchase=over(0, 30, (5,)),
+        fixed_sale=over(0, 6, (1,)),
+    )
+
+
+def test_window_dp_matches_network_on_fractional_data():
+    cases = []
+    for seed in range(30):
+        for variant in ("wp1", "wp2"):
+            inst = gen_random(900 + seed, T=2 + seed % 4, variant=variant,
+                              max_bound=7)
+            cases.append(_divided(inst, (2, 3, 7)[seed % 3], 5))
+    cases += [_coprime(seed) for seed in range(4)]
+    for inst in cases:  # every case is searched on a scaled copy
+        base = search_instance(inst)[0]
+        assert integral_instance(base)[0] is not base
+    outcomes = [_window_dp_matches_network(inst) for inst in cases]
+    assert outcomes[-4:] == [True] * 4 and not all(outcomes)
+    inst = cases[-1]
+    scaled = integral_instance(inst)[0]
+    assert scaled.Us == tuple(231 * v for v in inst.Us)
+    assert scaled.fixed_purchase == tuple(15015 * v
+                                          for v in inst.fixed_purchase)

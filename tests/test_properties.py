@@ -1,5 +1,8 @@
 """Property tests on small generated instances of every variant."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
+    check_solution,
     gen_stock_levels,
     oracle_solve,
     solve,
@@ -78,3 +82,63 @@ def test_levels_are_subsets_of_the_unclipped_levels(inst):
     assert len(new) == len(old)
     for layer, ref in zip(new, old):
         assert set(layer) <= set(ref)
+
+
+def _rescaled(inst, quantity, price):
+    """Quantities times quantity, unit prices times price and fixed costs
+    times both; the factors may be Fractions."""
+    def times(vec, factor):
+        return tuple(v * factor for v in vec)
+
+    bounds = {name: times(getattr(inst, name), quantity)
+              for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")}
+    return replace(
+        inst, s0=inst.s0 * quantity, **bounds,
+        revenue=times(inst.revenue, price), cost=times(inst.cost, price),
+        holding=times(inst.holding, price),
+        fixed_purchase=times(inst.fixed_purchase, quantity * price),
+        fixed_sale=times(inst.fixed_sale, quantity * price),
+    )
+
+
+def _plan(sol):
+    return sol.x, sol.y, sol.s, sol.w, sol.z
+
+
+def _times(plan, L):
+    x, y, s, w, z = plan
+    return (tuple(L * v for v in x), tuple(L * v for v in y),
+            tuple(L * v for v in s), w, z)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.integers(1, 3))
+def test_scaling_scales_the_objective_and_the_plan(inst, L, M):
+    big = _rescaled(inst, L, M)
+    try:
+        expected = oracle_solve(inst)
+    except Infeasible:
+        for solver in (solve, oracle_solve):
+            with pytest.raises(Infeasible):
+                solver(big)
+        return
+    assert oracle_solve(big).objective == L * M * expected.objective
+    sol, scaled = solve(inst), solve(big)
+    assert scaled.objective == L * M * sol.objective
+    assert _plan(scaled) == _times(_plan(sol), L)
+
+
+@SETTINGS
+@given(instances(), st.integers(2, 5), st.integers(1, 4))
+def test_fractional_data_solves_as_its_integer_multiple(inst, L, M):
+    small = _rescaled(inst, Fraction(1, L), Fraction(1, M))
+    try:
+        expected = oracle_solve(inst)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve(small)
+        return
+    sol = solve(small)
+    assert sol.objective * L * M == expected.objective
+    assert _times(_plan(sol), L) == _plan(solve(inst))
+    assert check_solution(small, sol).feasible
