@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -184,7 +185,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run:
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wareflow",
         description="Exact and approximate solvers for warehouse trading plans.",

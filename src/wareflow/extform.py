@@ -405,9 +405,11 @@ def emit_lp(inst: Instance) -> str:
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  Every
     number must print as an exact decimal.  The model is rendered once; on
-    the first number that has no decimal literal, all instance data is
-    scaled up by one integer factor, the model is rebuilt and rendered
-    again, and a comment line records the factor.
+    the first number that has no decimal literal, s0, the bounds and the
+    unit prices are scaled up by one integer factor F and the fixed costs
+    by F*F, the model is rebuilt and rendered again, and a comment line
+    records F.  Every plan's objective then grows by F*F, linear payoff
+    and fixed costs alike, so the LP ranks plans as the instance does.
     """
     base = search_instance(inst)[0]
     comments = ("extended formulation over the trading network",)
@@ -419,7 +421,7 @@ def emit_lp(inst: Instance) -> str:
     for name in _VECTOR_FIELDS:
         numbers.extend(getattr(base, name))
     factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-    base = scale_instance(base, factor, factor, factor)
+    base = scale_instance(base, factor, factor, factor * factor)
     model = build_extended_formulation(base, _network_for(base))
     # integer data makes every number integral, so this render cannot fail
     return _render(model, comments + (f"all instance data scaled by {factor}",))

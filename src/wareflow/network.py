@@ -9,13 +9,15 @@ path, so a longest path is an optimal plan.
 
 solve never materializes the O(T*S^2) arcs.  On wp1, wp3 and the doubled
 wp2 horizon a purchase arc s -> s' pays c*s - fp + [suf(s') - (c+h)*s'] and
-its heads form the window [s+Lx, s+Ux] minus s itself, which slides upward
-with the tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So
-each layer's suffix values follow in O(S) from two monotone-deque window
-maxima plus the no-trade arc, and a forward pass decodes the plan through
-the same arc rule (_wp1_candidates) the network uses.  build_network is
-kept for the DOT dump, the LP formulation and lift check, and the direct
-wp2 route; solve_with_network decodes from it and so witnesses solve.
+its heads form the window [s+Lx, s+Ux], which slides upward with the
+tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So each
+layer's suffix values follow in O(S) from two monotone-deque window
+arg-maxima plus the no-trade arc, and every node keeps the smallest head
+that attains its value.  The plan is read off those heads in one forward
+pass: the stock moves give x and y, and model.assemble_solution adds the
+minimal indicators and the objective.  build_network is kept for the DOT
+dump, the LP formulation and lift check, and the direct wp2 route;
+solve_with_network decodes from it and so witnesses solve.
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
@@ -25,10 +27,10 @@ of the price and fixed-cost denominators and its fixed costs by L*M
 (model.integral_instance), so no level, window key or payoff is a Fraction.
 Every plan's objective scales by the same positive L*M and every stock by
 L, so all comparisons and equalities come out as before: the level sets
-keep their sizes, and the window maxima, the ascending-head decode and
-with them the tie-break below choose the same plan, which is divided back
-by L.  build_network and solve_with_network work on the searched instance
-as it is, so the DOT dump and the LP print its own numbers.
+keep their sizes, and the window arg-maxima and with them the tie-break
+below choose the same plan, which is divided back by L.  build_network and
+solve_with_network work on the searched instance as it is, so the DOT dump
+and the LP print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
@@ -47,6 +49,7 @@ from .model import (
     Instance,
     Solution,
     Variant,
+    assemble_solution,
     evaluate_payoff,
     integral_instance,
     validate_instance,
@@ -236,13 +239,15 @@ def _longest_path(net: LayeredNetwork):
     return suffix, adjacency
 
 
-def _walk(layers, suffix, outgoing) -> Solution:
-    """Decode a longest path forward from its suffix table.
+def _decode(net: LayeredNetwork) -> Solution:
+    """Decode a longest path of net forward from its suffix table.
 
-    outgoing(t, node) yields the (head, ArcDecision) pairs of the node's
-    period-t arcs in ascending head order, so the first head that attains
-    the node's suffix value gives the lexicographically smallest plan.
+    Each node's arcs are scanned in ascending head order, so the first head
+    that attains the node's suffix value gives the lexicographically
+    smallest plan.
     """
+    suffix, adjacency = _longest_path(net)
+    layers = net.layers
     if not layers[-1] or suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")
     x, y, w, z, stocks = [], [], [], [], []
@@ -251,7 +256,7 @@ def _walk(layers, suffix, outgoing) -> Solution:
     for t in range(1, len(layers)):
         target = suffix[t - 1][node]
         chosen = None
-        for head, dec in outgoing(t, node):
+        for head, dec in sorted(adjacency[t - 1].get(node, ())):
             if suffix[t][head] is None:
                 continue
             if dec.payoff + suffix[t][head] == target:
@@ -270,52 +275,46 @@ def _walk(layers, suffix, outgoing) -> Solution:
                     w=tuple(w), z=tuple(z), objective=total)
 
 
-def _decode(net: LayeredNetwork) -> Solution:
-    suffix, adjacency = _longest_path(net)
-    return _walk(net.layers, suffix,
-                 lambda t, node: sorted(adjacency[t - 1].get(node, ())))
-
-
-def _window_maxima(tails, heads, keys, lo, hi, open_lo, open_hi) -> list:
-    """Per tail s, the max of keys[j] over live heads in the window s+lo..s+hi.
+def _window_argmax(tails, heads, keys, lo, hi) -> list:
+    """Per tail s, the index of the leftmost maximum of keys[j] over the
+    live heads in the window s+lo..s+hi, or None when none is live.
 
     Tails and heads ascend, so both window ends only move up and a deque
-    of head indices with decreasing keys yields every maximum in O(S).  A
-    head with key None is dead and never enters.  open_lo / open_hi make
-    that end of the window strict.
+    of head indices with non-increasing keys yields every maximum in O(S).
+    Only strictly smaller keys are popped, so among equal keys the front
+    is the smallest head.  A head with key None is dead and never enters.
     """
     out = []
     window: deque = deque()
     nxt = 0
     for s in tails:
         top = s + hi
-        while nxt < len(heads) and (
-            heads[nxt] < top if open_hi else heads[nxt] <= top
-        ):
+        while nxt < len(heads) and heads[nxt] <= top:
             key = keys[nxt]
             if key is not None:
-                while window and keys[window[-1]] <= key:
+                while window and keys[window[-1]] < key:
                     window.pop()
                 window.append(nxt)
             nxt += 1
         bottom = s + lo
-        while window and (
-            heads[window[0]] <= bottom if open_lo else heads[window[0]] < bottom
-        ):
+        while window and heads[window[0]] < bottom:
             window.popleft()
-        out.append(keys[window[0]] if window else None)
+        out.append(window[0] if window else None)
     return out
 
 
-def _window_suffix(inst: Instance, layers) -> list[list]:
-    """Best payoff to the last layer from every node, without building arcs.
+def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
+    """Best payoff to the last layer from every node, and the head that
+    attains it, without building arcs.
 
-    Equals the suffix table _longest_path computes on build_network(inst,
-    ...) over the same layers; inst must not be wp2 (solve its doubled
-    horizon instead).
+    suffix equals the table _longest_path computes on build_network(inst,
+    ...) over the same layers.  choice[t-1][k] indexes the smallest head in
+    layer t that attains suffix[t-1][k], or is None with it.  inst must not
+    be wp2 (solve its doubled horizon instead).
     """
     T = inst.T
     suffix: list[list] = [[None] * len(layer) for layer in layers]
+    choice: list[list] = [[None] * len(layer) for layer in layers[:-1]]
     suffix[T] = [0] * len(layers[T])
     for t in range(T, 0, -1):
         i = t - 1
@@ -325,32 +324,36 @@ def _window_suffix(inst: Instance, layers) -> list[list]:
                     for s, v in zip(heads, after)]
         sell_keys = [None if v is None else v - (r + h) * s
                      for s, v in zip(heads, after)]
-        # purchases: s' in [s+Lx, s+Ux] with s' > s; sales: s' in
-        # [s-Uy, s-Ly] with s' < s; the stay arc s' = s is always allowed
-        buys = _window_maxima(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i],
-                              inst.Lx[i] == 0, False)
-        sells = _window_maxima(tails, heads, sell_keys, -inst.Uy[i],
-                               -inst.Ly[i], False, inst.Ly[i] == 0)
+        # purchases: s' in [s+Lx, s+Ux]; sales: s' in [s-Uy, s-Ly].  With
+        # a zero lower bound a window holds s itself, worth the stay arc
+        # less a nonnegative fixed cost, so it never beats the stay arc
+        # and on a tie names the same head.
+        buys = _window_argmax(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i])
+        sells = _window_argmax(tails, heads, sell_keys, -inst.Uy[i],
+                               -inst.Ly[i])
         position = {s: j for j, s in enumerate(heads)}
         for k, s in enumerate(tails):
+            # sell heads lie at or below s and buy heads at or above it,
+            # so the first best option in this order is the smallest head
+            options = (
+                (sells[k], r * s - inst.fixed_sale[i], sell_keys),
+                (position.get(s), -h * s, after),
+                (buys[k], c * s - inst.fixed_purchase[i], buy_keys),
+            )
             best = None
-            j = position.get(s)
-            if j is not None and after[j] is not None:
-                best = after[j] - h * s
-            if buys[k] is not None:
-                value = c * s - inst.fixed_purchase[i] + buys[k]
+            for j, tail_part, keys in options:
+                if j is None or keys[j] is None:
+                    continue
+                value = tail_part + keys[j]
                 if best is None or value > best:
                     best = value
-            if sells[k] is not None:
-                value = r * s - inst.fixed_sale[i] + sells[k]
-                if best is None or value > best:
-                    best = value
+                    choice[t - 1][k] = j
             suffix[t - 1][k] = best
-    return suffix
+    return suffix, choice
 
 
 def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
-    """Window DP, then a forward decode through the wp1 arc rule.
+    """Window DP, then a forward pass along the chosen heads.
 
     inst must not be wp2 (solve its doubled horizon instead).
     """
@@ -358,14 +361,18 @@ def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
     if trace is not None:
         trace.layer_sizes = tuple(map(len, levels.levels))
     layers = ((inst.s0,),) + tuple(levels.levels)
-
-    def outgoing(t, node):
-        s_prev = layers[t - 1][node]
-        for head, s_next in enumerate(layers[t]):
-            for dec in _wp1_candidates(inst, t, s_prev, s_next):
-                yield head, dec
-
-    return _walk(layers, _window_suffix(inst, layers), outgoing)
+    suffix, choice = _window_suffix(inst, layers)
+    if suffix[0][0] is None:
+        raise Infeasible("no feasible trading plan")
+    x, y = [], []
+    node, s_prev = 0, inst.s0
+    for t in inst.periods:
+        node = choice[t - 1][node]
+        s = layers[t][node]
+        x.append(max(s - s_prev, 0))
+        y.append(max(s_prev - s, 0))
+        s_prev = s
+    return assemble_solution(inst, x, y)
 
 
 def search_instance(inst: Instance) -> tuple[Instance, Callable]:

@@ -276,9 +276,12 @@ def _reference_render(model, comments) -> str:
 
 
 def _reference_scale_instance(inst: Instance, factor: int) -> Instance:
-    """Every number of the instance times one factor, as the emitter that
-    emit_lp replaced scaled it (kept apart from model.scale_instance)."""
-    scaled = {name: tuple(exact(v * factor) for v in getattr(inst, name))
+    """Every number of the instance times one factor, the fixed costs
+    times its square, so every plan's objective grows by factor**2 (kept
+    apart from model.scale_instance)."""
+    fixed = ("fixed_purchase", "fixed_sale")
+    scaled = {name: tuple(exact(v * factor ** (2 if name in fixed else 1))
+                          for v in getattr(inst, name))
               for name in _VECTOR_FIELDS}
     return replace(inst, s0=exact(inst.s0 * factor), **scaled)
 

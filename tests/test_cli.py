@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,39 @@ def test_bad_arguments_exit_two(capsys):
     assert run(["solve"]) == 2
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_runs_after_bad_arguments_match_fresh_processes(
+    instance_file, capsys, monkeypatch
+):
+    # run reuses one parser; a run that fails on its arguments must leave
+    # nothing in it that a later run in the same process would see
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["solve"],
+        ["solve", "--input", instance_file],
+        ["no-such-command"],
+        ["levels", "--input", instance_file],
+        ["fptas", "--input", instance_file],
+        ["fptas", "--input", instance_file, "--epsilon", "1/3"],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = run(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wareflow.cli.__file__).parents[1]))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from wareflow.cli import main; main()",
+             *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 2, 2]
 
 
 def test_help_exits_zero(capsys):

@@ -179,6 +179,24 @@ def test_emit_lp_scales_away_repeating_fractions():
                for line in text.splitlines())
 
 
+def test_emit_lp_scales_fixed_costs_with_the_payoffs():
+    # buying 1/3 at fixed cost 1 to sell it at revenue 2 loses 1/3, so the
+    # optimum is no trade; scaled by 3, the sale pays 2*3 per 3 units and
+    # the fixed cost must cost 9, not 3, or the LP would prefer the trade
+    inst = Instance(
+        variant="wp1", T=2, s0=0,
+        Ls=(0, 0), Us=(1, 1), Lx=(0, 0), Ux=(Fraction(1, 3), 0),
+        Ly=(0, 0), Uy=(0, 1),
+        revenue=(0, 2), cost=(0, 0), holding=(0, 0),
+        fixed_purchase=(1, 0), fixed_sale=(0, 0),
+    )
+    assert solve(inst).objective == 0
+    text = emit_lp(inst)
+    assert "\\ all instance data scaled by 3\n" in text
+    assert " obj: - 9 w_1 + 6 y_2\n" in text
+    assert text == reference_emit_lp(inst)
+
+
 def test_emit_lp_doubles_wp2_horizon():
     text = emit_lp(wp2_mixed())
     assert "balance_4" in text

@@ -266,6 +266,18 @@ def test_search_instance_validates_before_doubling(monkeypatch):
         search_instance(replace(wp2_mixed(), Uy=(2,)))
 
 
+def test_solve_derives_no_arcs(monkeypatch):
+    # the window DP's chosen heads give the plan, so no arc is worked out
+    cases = [two_period_trade(), wp2_mixed(), buy_then_sell()]
+    expected = [repr(solve_with_network(inst)[0]) for inst in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arc decision derived")
+
+    monkeypatch.setattr(wareflow.network, "_wp1_candidates", refuse)
+    assert [repr(solve(inst)) for inst in cases] == expected
+
+
 def _window_dp_matches_network(inst) -> bool:
     """Compare the window DP with the network it replaces on one instance.
 
@@ -276,7 +288,7 @@ def _window_dp_matches_network(inst) -> bool:
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
-    assert _window_suffix(base, net.layers) == _longest_path(net)[0]
+    assert _window_suffix(base, net.layers)[0] == _longest_path(net)[0]
     try:
         expected = solve_with_network(inst)[0]
     except Infeasible as err:

@@ -11,11 +11,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
+    build_extended_formulation,
     check_solution,
     gen_stock_levels,
+    lift_and_check,
+    lift_solution,
     oracle_solve,
     solve,
+    solve_with_network,
+    solve_wp2_direct,
 )
+from wareflow.network import search_instance  # noqa: E402
 from helpers import reference_stock_levels  # noqa: E402
 
 SETTINGS = settings(
@@ -72,6 +78,48 @@ def test_solve_matches_oracle_objective(inst):
             solve(inst)
         return
     assert solve(inst).objective == expected
+
+
+@SETTINGS
+@given(instances())
+def test_solve_matches_the_network_witness(inst):
+    try:
+        expected = solve_with_network(inst)[0]
+    except Infeasible as err:
+        with pytest.raises(Infeasible) as raised:
+            solve(inst)
+        assert str(raised.value) == str(err)
+        return
+    sol = solve(inst)
+    assert repr(sol) == repr(expected)
+    assert check_solution(inst, sol).feasible
+
+
+@SETTINGS
+@given(instances())
+def test_direct_wp2_route_matches_solve(inst):
+    inst = replace(inst, variant="wp2")
+    try:
+        expected = solve(inst).objective
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_wp2_direct(inst)
+        return
+    assert solve_wp2_direct(inst).objective == expected
+
+
+@SETTINGS
+@given(instances())
+def test_network_plan_lifts_into_the_formulation(inst):
+    base = search_instance(inst)[0]
+    try:
+        sol, net = solve_with_network(base)
+    except Infeasible:
+        return
+    report = lift_and_check(base, net, sol)
+    assert report.feasible, report.violations
+    model = build_extended_formulation(base, net)
+    assert model.eval_objective(lift_solution(net, sol)) == sol.objective
 
 
 @SETTINGS
