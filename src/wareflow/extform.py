@@ -16,8 +16,14 @@ The constraint families:
 
 Indicators stay continuous; integrality comes from the polytope itself.
 The module only builds, lifts, and prints the model; no LP solver is run.
-The printer renders the model once; on the first number with no exact
-decimal literal it rescales the instance to integers and renders again.
+
+Emitting costs about one pass over the arcs.  network.build_network looks
+only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
+doubled wp2 horizon every pair it checks is an arc; the formulation walks
+each period's arcs once for all the rows they enter; and the printer
+writes int coefficients inline.  It renders the model once; on the first
+number with no exact decimal literal it rescales the instance to integers
+and renders again.
 """
 
 from __future__ import annotations
@@ -88,26 +94,78 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
     The instance must be the one the network was built from.  Constraint
     (iii) is carried by the flow variables' lower bounds; every other family
     appears as rows (families (vi)..(ix) only for the periods they govern).
+    Each period's arcs are walked once, collecting their variables, their
+    conservation terms and their trade and indicator terms together.
     """
     T = inst.T
-    variables: list[LPVariable] = []
-    arc_names: list[list[str]] = []
-    for t in range(1, T + 1):
-        names = []
-        for tail, head, _ in net.arcs[t - 1]:
-            name = _arc_name(t, tail, head)
-            names.append(name)
-            variables.append(LPVariable(name, 0, None, "continuous"))
-        arc_names.append(names)
-    for t in range(1, T + 1):
-        for prefix in ("x", "y", "s"):
-            variables.append(LPVariable(f"{prefix}_{t}", None, None, "continuous"))
-        variables.append(LPVariable(f"w_{t}", None, None, "binary-relaxed"))
-        variables.append(LPVariable(f"z_{t}", None, None, "binary-relaxed"))
+    arc_vars: list[LPVariable] = []
+    source: tuple[Term, ...] = ()
+    flows: list[LPRow] = []
+    trades: list[LPRow] = []
+    couplings: list[LPRow] = []
+    into_prev: list[list[Term]] = []
+    for t, period in enumerate(net.arcs, start=1):
+        i = t - 1
+        # arc names a_t_tail_head, from per-node prefix and suffix strings
+        prefixes = [f"a_{t}_{k}" for k in range(len(net.layers[i]))]
+        suffixes = [f"_{k}" for k in range(len(net.layers[t]))]
+        into: list[list[Term]] = [[] for _ in suffixes]
+        out_of: list[list[Term]] = [[] for _ in prefixes]
+        x_terms: list[Term] = []
+        y_terms: list[Term] = []
+        purchase: list[Term] = [(f"w_{t}", 1)]
+        sale: list[Term] = [(f"z_{t}", 1)]
+        for tail, head, dec in period:
+            name = prefixes[tail] + suffixes[head]
+            # straight into __dict__, as in network._wp1_decision
+            var = object.__new__(LPVariable)
+            var.__dict__.update(name=name, lower=0, upper=None,
+                                kind="continuous")
+            arc_vars.append(var)
+            into[head].append((name, 1))
+            leaving = (name, -1)
+            out_of[tail].append(leaving)
+            # arc trades are nonnegative, so nonzero means purchasing/selling
+            if dec.x:
+                x_terms.append((name, dec.x))
+                purchase.append(leaving)
+            if dec.y:
+                y_terms.append((name, dec.y))
+                sale.append(leaving)
+        if t == 1:
+            # (ii) the source, layer 0's one node, emits one unit of flow
+            source = tuple((name, 1) for name, _ in out_of[0])
+        else:
+            # (i) conservation at the interior nodes of layer t-1
+            for node, leaving in enumerate(out_of):
+                coeffs = into_prev[node] + leaving
+                if coeffs:
+                    flows.append(LPRow(f"flow_{i}_{node}", "i", i,
+                                       tuple(coeffs), "=", 0))
+        into_prev = into
+        # (iv) trade amounts are flow-weighted arc decisions
+        trades.append(LPRow(f"def_x_{t}", "iv", t,
+                            tuple(x_terms) + ((f"x_{t}", -1),), "=", 0))
+        trades.append(LPRow(f"def_y_{t}", "iv", t,
+                            tuple(y_terms) + ((f"y_{t}", -1),), "=", 0))
+        # (vi)-(ix) indicator coupling through arc flows
+        family, sense = ("vi", "=") if inst.Lx[i] > 0 else ("vii", ">=")
+        couplings.append(LPRow(f"w_couple_{t}", family, t, tuple(purchase),
+                               sense, 0))
+        family, sense = ("viii", "=") if inst.Ly[i] > 0 else ("ix", ">=")
+        couplings.append(LPRow(f"z_couple_{t}", family, t, tuple(sale),
+                               sense, 0))
 
+    period_vars: list[LPVariable] = []
     objective: list[Term] = []
+    balances: list[LPRow] = []
+    ceilings: list[LPRow] = []
     for t in range(1, T + 1):
         i = t - 1
+        for prefix in ("x", "y", "s"):
+            period_vars.append(LPVariable(f"{prefix}_{t}", None, None, "continuous"))
+        period_vars.append(LPVariable(f"w_{t}", None, None, "binary-relaxed"))
+        period_vars.append(LPVariable(f"z_{t}", None, None, "binary-relaxed"))
         objective.extend(
             [
                 (f"y_{t}", inst.revenue[i]),
@@ -117,145 +175,22 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
                 (f"z_{t}", -inst.fixed_sale[i]),
             ]
         )
-
-    rows: list[LPRow] = []
-    # (ii) the source emits one unit of flow
-    rows.append(
-        LPRow(
-            name="unit_source",
-            family="ii",
-            period=0,
-            coeffs=tuple((name, 1) for name in arc_names[0]),
-            sense="=",
-            rhs=1,
-        )
-    )
-    # (i) conservation at interior nodes
-    for t in range(1, T):
-        incoming: dict[int, list[str]] = {}
-        outgoing: dict[int, list[str]] = {}
-        for (tail, head, _), name in zip(net.arcs[t - 1], arc_names[t - 1]):
-            incoming.setdefault(head, []).append(name)
-        for (tail, head, _), name in zip(net.arcs[t], arc_names[t]):
-            outgoing.setdefault(tail, []).append(name)
-        for node in range(len(net.layers[t])):
-            coeffs = [(name, 1) for name in incoming.get(node, [])]
-            coeffs += [(name, -1) for name in outgoing.get(node, [])]
-            if not coeffs:
-                continue
-            rows.append(
-                LPRow(
-                    name=f"flow_{t}_{node}",
-                    family="i",
-                    period=t,
-                    coeffs=tuple(coeffs),
-                    sense="=",
-                    rhs=0,
-                )
-            )
-    # (iv) trade amounts are flow-weighted arc decisions
-    for t in range(1, T + 1):
-        x_terms = [
-            (name, dec.x)
-            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
-            if dec.x != 0
-        ]
-        rows.append(
-            LPRow(
-                name=f"def_x_{t}",
-                family="iv",
-                period=t,
-                coeffs=tuple(x_terms) + ((f"x_{t}", -1),),
-                sense="=",
-                rhs=0,
-            )
-        )
-        y_terms = [
-            (name, dec.y)
-            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
-            if dec.y != 0
-        ]
-        rows.append(
-            LPRow(
-                name=f"def_y_{t}",
-                family="iv",
-                period=t,
-                coeffs=tuple(y_terms) + ((f"y_{t}", -1),),
-                sense="=",
-                rhs=0,
-            )
-        )
-    # (v) stock balance
-    for t in range(1, T + 1):
+        # (v) stock balance
         coeffs = [(f"s_{t}", 1), (f"y_{t}", 1), (f"x_{t}", -1)]
         rhs = 0
         if t == 1:
             rhs = inst.s0
         else:
             coeffs.append((f"s_{t - 1}", -1))
-        rows.append(
-            LPRow(
-                name=f"balance_{t}",
-                family="v",
-                period=t,
-                coeffs=tuple(coeffs),
-                sense="=",
-                rhs=rhs,
-            )
-        )
-    # (vi)-(ix) indicator coupling through arc flows
-    for t in range(1, T + 1):
-        i = t - 1
-        purchase = [
-            (name, -1)
-            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
-            if dec.x > 0
-        ]
-        family, sense = ("vi", "=") if inst.Lx[i] > 0 else ("vii", ">=")
-        rows.append(
-            LPRow(
-                name=f"w_couple_{t}",
-                family=family,
-                period=t,
-                coeffs=((f"w_{t}", 1),) + tuple(purchase),
-                sense=sense,
-                rhs=0,
-            )
-        )
-        sale = [
-            (name, -1)
-            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
-            if dec.y > 0
-        ]
-        family, sense = ("viii", "=") if inst.Ly[i] > 0 else ("ix", ">=")
-        rows.append(
-            LPRow(
-                name=f"z_couple_{t}",
-                family=family,
-                period=t,
-                coeffs=((f"z_{t}", 1),) + tuple(sale),
-                sense=sense,
-                rhs=0,
-            )
-        )
-    # (x) indicator ceilings
-    for t in range(1, T + 1):
-        rows.append(
-            LPRow(
-                name=f"w_ub_{t}", family="x", period=t,
-                coeffs=((f"w_{t}", 1),), sense="<=", rhs=1,
-            )
-        )
-        rows.append(
-            LPRow(
-                name=f"z_ub_{t}", family="x", period=t,
-                coeffs=((f"z_{t}", 1),), sense="<=", rhs=1,
-            )
-        )
+        balances.append(LPRow(f"balance_{t}", "v", t, tuple(coeffs), "=", rhs))
+        # (x) indicator ceilings
+        ceilings.append(LPRow(f"w_ub_{t}", "x", t, ((f"w_{t}", 1),), "<=", 1))
+        ceilings.append(LPRow(f"z_ub_{t}", "x", t, ((f"z_{t}", 1),), "<=", 1))
+    unit_source = LPRow("unit_source", "ii", 0, source, "=", 1)
     return LPModel(
-        variables=tuple(variables),
+        variables=tuple(arc_vars + period_vars),
         objective=tuple(objective),
-        rows=tuple(rows),
+        rows=(unit_source, *flows, *trades, *balances, *couplings, *ceilings),
     )
 
 
@@ -366,6 +301,16 @@ def _render(model: LPModel, comments: tuple[str, ...]) -> str:
     def expr(terms) -> str:
         parts = []
         for name, coeff in terms:
+            if type(coeff) is int:  # Fractions and bools take the general path
+                if coeff == 1:
+                    parts.append(f"+ {name}")
+                elif coeff == -1:
+                    parts.append(f"- {name}")
+                elif coeff > 0:
+                    parts.append(f"+ {coeff} {name}")
+                elif coeff < 0:
+                    parts.append(f"- {-coeff} {name}")
+                continue
             if coeff == 0:
                 continue
             sign = "-" if coeff < 0 else "+"
@@ -408,8 +353,9 @@ def emit_lp(inst: Instance) -> str:
     the first number that has no decimal literal, s0, the bounds and the
     unit prices are scaled up by one integer factor F and the fixed costs
     by F*F, the model is rebuilt and rendered again, and a comment line
-    records F.  Every plan's objective then grows by F*F, linear payoff
-    and fixed costs alike, so the LP ranks plans as the instance does.
+    records both factors.  Every plan's objective then grows by F*F,
+    linear payoff and fixed costs alike, so the LP ranks plans as the
+    instance does.
     """
     base = search_instance(inst)[0]
     comments = ("extended formulation over the trading network",)
@@ -424,7 +370,9 @@ def emit_lp(inst: Instance) -> str:
     base = scale_instance(base, factor, factor, factor * factor)
     model = build_extended_formulation(base, _network_for(base))
     # integer data makes every number integral, so this render cannot fail
-    return _render(model, comments + (f"all instance data scaled by {factor}",))
+    return _render(model, comments + (
+        f"quantities and unit prices scaled by {factor}, "
+        f"fixed costs by {factor * factor}",))
 
 
 def _network_for(inst: Instance) -> LayeredNetwork:

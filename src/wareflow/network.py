@@ -17,7 +17,12 @@ that attains its value.  The plan is read off those heads in one forward
 pass: the stock moves give x and y, and model.assemble_solution adds the
 minimal indicators and the objective.  build_network is kept for the DOT
 dump, the LP formulation and lift check, and the direct wp2 route;
-solve_with_network decodes from it and so witnesses solve.
+solve_with_network decodes from it and so witnesses solve.  It enumerates
+the same windows: each tail's heads are its sell window, the tail's own
+value and its buy window, three slices of the ascending next layer found
+by bisection, so on wp1/wp3 (and the doubled wp2 horizon) every pair it
+checks is an arc and the work is proportional to the arcs.  On a wp2
+instance's own horizon a tail s tries the heads in [s-Uy, s+Ux].
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
@@ -39,8 +44,10 @@ paths the lexicographically smallest stock sequence wins.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from .errors import Infeasible, WrongVariant
@@ -118,23 +125,32 @@ def _indicator(amount) -> int:
     return 1 if amount > 0 else 0
 
 
+def _wp1_decision(inst: Instance, t: int, s_prev, s_next) -> ArcDecision:
+    """The one trade of a wp1 arc whose stock change the caller has checked
+    against the period's trade bounds."""
+    delta = s_next - s_prev
+    if delta > 0:
+        x, y, w, z = delta, 0, 1, 0
+    elif delta < 0:
+        x, y, w, z = 0, -delta, 0, 1
+    else:
+        x, y, w, z = 0, 0, 0, 0
+    payoff = evaluate_payoff(inst, t, x, y, s_next, w, z)
+    # the fields go straight into __dict__: a frozen dataclass __init__
+    # sets each one through object.__setattr__, and there is one per arc
+    dec = object.__new__(ArcDecision)
+    dec.__dict__.update(x=x, y=y, w=w, z=z, payoff=payoff)
+    return dec
+
+
 def _wp1_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
     i = t - 1
     delta = s_next - s_prev
-    if delta > 0:
-        x, y = delta, 0
-        if not inst.Lx[i] <= x <= inst.Ux[i]:
-            return []
-    elif delta < 0:
-        x, y = 0, -delta
-        if not inst.Ly[i] <= y <= inst.Uy[i]:
-            return []
-    else:
-        x, y = 0, 0
-    w = _indicator(x)
-    z = _indicator(y)
-    payoff = evaluate_payoff(inst, t, x, y, s_next, w, z)
-    return [ArcDecision(x=x, y=y, w=w, z=z, payoff=payoff)]
+    if delta > 0 and not inst.Lx[i] <= delta <= inst.Ux[i]:
+        return []
+    if delta < 0 and not inst.Ly[i] <= -delta <= inst.Uy[i]:
+        return []
+    return [_wp1_decision(inst, t, s_prev, s_next)]
 
 
 def _wp2_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
@@ -189,29 +205,68 @@ def arc_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
     return _wp1_candidates(inst, t, s_prev, s_next)
 
 
+def _wp1_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
+    """The period-t arcs of a wp1/wp3 network, tail by tail.
+
+    A tail s reaches the heads of its sell window [s-Uy, s-Ly] below s,
+    s itself, and the heads of its buy window [s+Lx, s+Ux] above s.  Heads
+    ascend, so each window is a slice found by bisection, the three come
+    out in ascending head order, and no other pair is looked at.
+    """
+    i = t - 1
+    lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
+    arcs = []
+    for k, s in enumerate(tails):
+        below = bisect_left(heads, s)
+        above = bisect_right(heads, s, below)
+        sells = range(bisect_left(heads, s - uy, 0, below),
+                      bisect_right(heads, s - ly, 0, below))
+        buys = range(bisect_left(heads, s + lx, above),
+                     bisect_right(heads, s + ux, above))
+        for j in chain(sells, range(below, above), buys):
+            arcs.append((k, j, _wp1_decision(inst, t, s, heads[j])))
+    return arcs
+
+
+def _wp2_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
+    """The period-t arcs of a wp2 network on its own horizon.
+
+    Any wp2 trade moves the stock by x - y in [-Uy, Ux], so a tail s only
+    tries the heads in [s-Uy, s+Ux].  Each arc keeps its payoff-maximizing
+    candidate (ties: smaller x, then w, then z).
+    """
+    i = t - 1
+    arcs = []
+    for k, s in enumerate(tails):
+        for j in range(bisect_left(heads, s - inst.Uy[i]),
+                       bisect_right(heads, s + inst.Ux[i])):
+            cands = arc_candidates(inst, t, s, heads[j])
+            if not cands:
+                continue
+            if len(cands) == 1:
+                best = cands[0]
+            else:
+                best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+            arcs.append((k, j, best))
+    return arcs
+
+
 def build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
     """Assemble the layered network over the given candidate stock values.
 
-    For each ordered node pair in adjacent layers the payoff-maximizing
-    candidate is kept (ties: smaller x, then w, then z).  The network is not
-    pruned: nodes with no incoming or outgoing arcs stay, and infeasibility
-    surfaces as the absence of any source-to-sink path.
+    Each tail tries only the heads its period's trade bounds can reach:
+    on wp1/wp3 (and so on the doubled wp2 horizon) the sell window, the
+    stay and the buy window, every one of which is an arc; on a wp2
+    instance the heads within [s-Uy, s+Ux].  Arcs are listed by tail, then
+    ascending head.  The network is not pruned: nodes with no incoming or
+    outgoing arcs stay, and infeasibility surfaces as the absence of any
+    source-to-sink path.
     """
     layers = ((inst.s0,),) + tuple(levels.levels)
-    all_arcs = []
-    for t in inst.periods:
-        period_arcs = []
-        tails = layers[t - 1]
-        heads = layers[t]
-        for ti, s_prev in enumerate(tails):
-            for hi, s_next in enumerate(heads):
-                cands = arc_candidates(inst, t, s_prev, s_next)
-                if not cands:
-                    continue
-                best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
-                period_arcs.append((ti, hi, best))
-        all_arcs.append(tuple(period_arcs))
-    return LayeredNetwork(layers=layers, arcs=tuple(all_arcs))
+    period_arcs = _wp2_arcs if inst.variant is Variant.WP2 else _wp1_arcs
+    arcs = tuple(tuple(period_arcs(inst, t, layers[t - 1], layers[t]))
+                 for t in inst.periods)
+    return LayeredNetwork(layers=layers, arcs=arcs)
 
 
 def _longest_path(net: LayeredNetwork):

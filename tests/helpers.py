@@ -11,18 +11,21 @@ from fractions import Fraction
 from wareflow import (
     Instance,
     LotSizingInstance,
+    LPModel,
+    LPRow,
+    LPVariable,
     Solution,
     StockLevels,
     Variant,
+    arc_candidates,
     assemble_solution,
-    build_extended_formulation,
-    build_network,
     double_horizon,
     gen_stock_levels,
     normalize_terminal,
 )
+from wareflow.extform import Term
 from wareflow.model import _VECTOR_FIELDS, exact
-from wareflow.network import search_instance
+from wareflow.network import LayeredNetwork, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -286,13 +289,208 @@ def _reference_scale_instance(inst: Instance, factor: int) -> Instance:
     return replace(inst, s0=exact(inst.s0 * factor), **scaled)
 
 
+def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
+    """The network by the pairwise loop that network.build_network replaced:
+    every (tail, head) pair of adjacent layers goes through arc_candidates,
+    and each arc keeps its payoff-maximizing candidate (ties: smaller x,
+    then w, then z)."""
+    layers = ((inst.s0,),) + tuple(levels.levels)
+    all_arcs = []
+    for t in inst.periods:
+        period_arcs = []
+        tails = layers[t - 1]
+        heads = layers[t]
+        for ti, s_prev in enumerate(tails):
+            for hi, s_next in enumerate(heads):
+                cands = arc_candidates(inst, t, s_prev, s_next)
+                if not cands:
+                    continue
+                best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+                period_arcs.append((ti, hi, best))
+        all_arcs.append(tuple(period_arcs))
+    return LayeredNetwork(layers=layers, arcs=tuple(all_arcs))
+
+
+def reference_build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
+    """The LP model by the builder that extform.build_extended_formulation
+    replaced: one pass over the arcs per constraint family."""
+    T = inst.T
+    variables: list[LPVariable] = []
+    arc_names: list[list[str]] = []
+    for t in range(1, T + 1):
+        names = []
+        for tail, head, _ in net.arcs[t - 1]:
+            name = f"a_{t}_{tail}_{head}"
+            names.append(name)
+            variables.append(LPVariable(name, 0, None, "continuous"))
+        arc_names.append(names)
+    for t in range(1, T + 1):
+        for prefix in ("x", "y", "s"):
+            variables.append(LPVariable(f"{prefix}_{t}", None, None, "continuous"))
+        variables.append(LPVariable(f"w_{t}", None, None, "binary-relaxed"))
+        variables.append(LPVariable(f"z_{t}", None, None, "binary-relaxed"))
+
+    objective: list[Term] = []
+    for t in range(1, T + 1):
+        i = t - 1
+        objective.extend(
+            [
+                (f"y_{t}", inst.revenue[i]),
+                (f"x_{t}", -inst.cost[i]),
+                (f"s_{t}", -inst.holding[i]),
+                (f"w_{t}", -inst.fixed_purchase[i]),
+                (f"z_{t}", -inst.fixed_sale[i]),
+            ]
+        )
+
+    rows: list[LPRow] = []
+    # (ii) the source emits one unit of flow
+    rows.append(
+        LPRow(
+            name="unit_source",
+            family="ii",
+            period=0,
+            coeffs=tuple((name, 1) for name in arc_names[0]),
+            sense="=",
+            rhs=1,
+        )
+    )
+    # (i) conservation at interior nodes
+    for t in range(1, T):
+        incoming: dict[int, list[str]] = {}
+        outgoing: dict[int, list[str]] = {}
+        for (tail, head, _), name in zip(net.arcs[t - 1], arc_names[t - 1]):
+            incoming.setdefault(head, []).append(name)
+        for (tail, head, _), name in zip(net.arcs[t], arc_names[t]):
+            outgoing.setdefault(tail, []).append(name)
+        for node in range(len(net.layers[t])):
+            coeffs = [(name, 1) for name in incoming.get(node, [])]
+            coeffs += [(name, -1) for name in outgoing.get(node, [])]
+            if not coeffs:
+                continue
+            rows.append(
+                LPRow(
+                    name=f"flow_{t}_{node}",
+                    family="i",
+                    period=t,
+                    coeffs=tuple(coeffs),
+                    sense="=",
+                    rhs=0,
+                )
+            )
+    # (iv) trade amounts are flow-weighted arc decisions
+    for t in range(1, T + 1):
+        x_terms = [
+            (name, dec.x)
+            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
+            if dec.x != 0
+        ]
+        rows.append(
+            LPRow(
+                name=f"def_x_{t}",
+                family="iv",
+                period=t,
+                coeffs=tuple(x_terms) + ((f"x_{t}", -1),),
+                sense="=",
+                rhs=0,
+            )
+        )
+        y_terms = [
+            (name, dec.y)
+            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
+            if dec.y != 0
+        ]
+        rows.append(
+            LPRow(
+                name=f"def_y_{t}",
+                family="iv",
+                period=t,
+                coeffs=tuple(y_terms) + ((f"y_{t}", -1),),
+                sense="=",
+                rhs=0,
+            )
+        )
+    # (v) stock balance
+    for t in range(1, T + 1):
+        coeffs = [(f"s_{t}", 1), (f"y_{t}", 1), (f"x_{t}", -1)]
+        rhs = 0
+        if t == 1:
+            rhs = inst.s0
+        else:
+            coeffs.append((f"s_{t - 1}", -1))
+        rows.append(
+            LPRow(
+                name=f"balance_{t}",
+                family="v",
+                period=t,
+                coeffs=tuple(coeffs),
+                sense="=",
+                rhs=rhs,
+            )
+        )
+    # (vi)-(ix) indicator coupling through arc flows
+    for t in range(1, T + 1):
+        i = t - 1
+        purchase = [
+            (name, -1)
+            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
+            if dec.x > 0
+        ]
+        family, sense = ("vi", "=") if inst.Lx[i] > 0 else ("vii", ">=")
+        rows.append(
+            LPRow(
+                name=f"w_couple_{t}",
+                family=family,
+                period=t,
+                coeffs=((f"w_{t}", 1),) + tuple(purchase),
+                sense=sense,
+                rhs=0,
+            )
+        )
+        sale = [
+            (name, -1)
+            for (_, _, dec), name in zip(net.arcs[t - 1], arc_names[t - 1])
+            if dec.y > 0
+        ]
+        family, sense = ("viii", "=") if inst.Ly[i] > 0 else ("ix", ">=")
+        rows.append(
+            LPRow(
+                name=f"z_couple_{t}",
+                family=family,
+                period=t,
+                coeffs=((f"z_{t}", 1),) + tuple(sale),
+                sense=sense,
+                rhs=0,
+            )
+        )
+    # (x) indicator ceilings
+    for t in range(1, T + 1):
+        rows.append(
+            LPRow(
+                name=f"w_ub_{t}", family="x", period=t,
+                coeffs=((f"w_{t}", 1),), sense="<=", rhs=1,
+            )
+        )
+        rows.append(
+            LPRow(
+                name=f"z_ub_{t}", family="x", period=t,
+                coeffs=((f"z_{t}", 1),), sense="<=", rhs=1,
+            )
+        )
+    return LPModel(
+        variables=tuple(variables),
+        objective=tuple(objective),
+        rows=tuple(rows),
+    )
+
+
 def reference_emit_lp(inst: Instance) -> str:
     """LP text by the two-pass emitter that extform.emit_lp replaced: scan
     every model number first, scale the instance when one is not decimal,
     then render."""
     def model_for(base):
-        net = build_network(base, gen_stock_levels(base))
-        return build_extended_formulation(base, net)
+        net = reference_build_network(base, gen_stock_levels(base))
+        return reference_build_extended_formulation(base, net)
 
     base = search_instance(inst)[0]
     comments = ["extended formulation over the trading network"]
@@ -305,7 +503,8 @@ def reference_emit_lp(inst: Instance) -> str:
         factor = math.lcm(*(Fraction(v).denominator for v in numbers))
         base = _reference_scale_instance(base, factor)
         model = model_for(base)
-        comments.append(f"all instance data scaled by {factor}")
+        comments.append(f"quantities and unit prices scaled by {factor}, "
+                        f"fixed costs by {factor * factor}")
     return _reference_render(model, tuple(comments))
 
 

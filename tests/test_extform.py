@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,9 @@ from wareflow import (
     Infeasible,
     Instance,
     LowerExceedsUpper,
+    LPModel,
+    LPRow,
+    LPVariable,
     NotAPath,
     assemble_solution,
     build_extended_formulation,
@@ -22,8 +25,11 @@ from wareflow import (
     solve_with_network,
 )
 from wareflow import extform
-from wareflow.extform import _decimal_or_none
+from wareflow.extform import _decimal_or_none, _render
+from wareflow.network import search_instance
 from helpers import (
+    _reference_render,
+    reference_build_extended_formulation,
     reference_decimal_or_none,
     reference_emit_lp,
     solution_with,
@@ -172,7 +178,7 @@ def test_emit_lp_scales_away_repeating_fractions():
         fixed_purchase=(0,), fixed_sale=(0,),
     )
     text = emit_lp(inst)
-    assert "\\ all instance data scaled by 3\n" in text
+    assert "\\ quantities and unit prices scaled by 3, fixed costs by 9\n" in text
     assert "/" not in text
     # the scaled balance row pins s_1 to the scaled initial stock
     assert any("balance_1" in line and "= 1" in line
@@ -192,7 +198,7 @@ def test_emit_lp_scales_fixed_costs_with_the_payoffs():
     )
     assert solve(inst).objective == 0
     text = emit_lp(inst)
-    assert "\\ all instance data scaled by 3\n" in text
+    assert "\\ quantities and unit prices scaled by 3, fixed costs by 9\n" in text
     assert " obj: - 9 w_1 + 6 y_2\n" in text
     assert text == reference_emit_lp(inst)
 
@@ -247,6 +253,44 @@ def test_emit_lp_matches_reference_emitter():
             infeasible += 1
     # the cases reach both branches of the emitter and infeasible data
     assert scaled and decimal and infeasible
+
+
+def test_formulation_matches_the_reference_builder():
+    cases = [gen_random(seed, T, variant, 2 * T + seed)
+             for variant in ("wp1", "wp2", "wp3")
+             for T in (1, 2, 4, 7)
+             for seed in range(3)]
+    cases += [_rounded_wp3(seed, Fraction(1, 3)) for seed in range(3)]
+    for inst in cases:
+        base = search_instance(inst)[0]
+        net = build_network(base, gen_stock_levels(base))
+        model = build_extended_formulation(base, net)
+        # repr covers what the text omits: row families and periods,
+        # variable kinds
+        assert repr(model) == repr(reference_build_extended_formulation(base, net))
+    # the flow variables are filled in directly, not by the constructor
+    var = model.variables[0]
+    assert var.name.startswith("a_")
+    built = LPVariable(var.name, 0, None, "continuous")
+    assert var == built and hash(var) == hash(built)
+    with pytest.raises(FrozenInstanceError):
+        var.lower = 1
+
+
+def test_render_matches_the_reference_on_ints_and_bools():
+    terms = (("a", 1), ("b", -1), ("c", 7), ("d", -12), ("e", 0),
+             ("f", 10**30), ("g", True), ("h", False), ("i", Fraction(3, 1)),
+             ("j", Fraction(-1, 2)))
+    model = LPModel(
+        variables=(LPVariable("a", 0, None, "continuous"),
+                   LPVariable("b", None, 1, "binary-relaxed")),
+        objective=terms,
+        rows=(LPRow("r", "i", 1, terms, "=", -3),
+              LPRow("z", "ii", 0, (("a", 0),), "<=", True)),
+    )
+    text = _render(model, ("c",))
+    assert text == _reference_render(model, ("c",))
+    assert " obj: a - b + 7 c - 12 d + 1000000000000000000000000000000 f + g" in text
 
 
 def test_emit_lp_skips_scaling_for_numbers_outside_the_model():

@@ -1,12 +1,13 @@
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
 import wareflow.network
 from wareflow import (
+    ArcDecision,
     Infeasible,
     Instance,
     LowerExceedsUpper,
@@ -34,6 +35,7 @@ from wareflow.network import _longest_path, _window_suffix, search_instance
 from helpers import (
     blocked_by_fixed_cost,
     buy_then_sell,
+    reference_build_network,
     two_period_trade,
     wp2_mixed,
 )
@@ -439,3 +441,69 @@ def test_window_dp_matches_network_on_fractional_data():
     assert scaled.Us == tuple(231 * v for v in inst.Us)
     assert scaled.fixed_purchase == tuple(15015 * v
                                           for v in inst.fixed_purchase)
+
+
+def test_build_network_matches_the_pairwise_reference():
+    seeded = [gen_random(seed, T=T, variant=variant, max_bound=2 * T + seed)
+              for variant in ("wp1", "wp2", "wp3")
+              for T in range(2, 11)
+              for seed in range(2)]
+    wp2 = [inst for inst in seeded if inst.variant is Variant.WP2]
+    cases = [inst for inst in seeded if inst.variant is not Variant.WP2]
+    cases += [search_instance(inst)[0] for inst in wp2]  # doubled horizon
+    cases += wp2  # the direct route of solve_wp2_direct
+    cases += [_divided(inst, (2, 3, 7)[k % 3], 5)
+              for k, inst in enumerate(seeded[::3])]
+    cases += [scale_trade_bounds(inst, fptas_params(inst, epsilon))
+              for inst in seeded if inst.variant is Variant.WP3
+              for epsilon in (Fraction(1, 3), Fraction(2, 7))]
+    for inst in cases:  # layers, arc order, decisions and payoff types
+        levels = gen_stock_levels(inst)
+        assert repr(build_network(inst, levels)) == repr(
+            reference_build_network(inst, levels))
+
+
+def test_build_network_checks_only_window_pairs(monkeypatch):
+    # positive lower trade bounds leave gaps between the sell window, the
+    # stay and the buy window, and the wide layers hold many pairs outside
+    inst = Instance(
+        variant="wp1", T=4, s0=20,
+        Ls=(0, 0, 0, 0), Us=(40, 40, 40, 40),
+        Lx=(3, 2, 4, 3), Ux=(7, 5, 9, 6), Ly=(2, 3, 1, 4), Uy=(6, 8, 5, 7),
+        revenue=(3, 1, 4, 2), cost=(1, 2, 1, 3), holding=(0, 1, 0, 1),
+        fixed_purchase=(2, 0, 1, 1), fixed_sale=(0, 1, 2, 0),
+    )
+    checked = []
+    decide = wareflow.network._wp1_decision
+
+    def counted(inst, t, s_prev, s_next):
+        checked.append((t, s_prev, s_next))
+        return decide(inst, t, s_prev, s_next)
+
+    monkeypatch.setattr(wareflow.network, "_wp1_decision", counted)
+    net = build_network(inst, gen_stock_levels(inst))
+    for t, s_prev, s_next in checked:
+        i = t - 1
+        move = s_next - s_prev
+        assert (move == 0 or inst.Lx[i] <= move <= inst.Ux[i]
+                or inst.Ly[i] <= -move <= inst.Uy[i])
+    assert len(set(checked)) == len(checked) == net.arc_count
+    sizes = [len(layer) for layer in net.layers]
+    pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+    assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
+
+
+def test_arc_decisions_behave_as_constructed():
+    # the wp1 arc loop fills each decision's fields directly; the result
+    # must be indistinguishable from the dataclass constructor's
+    base = search_instance(wp2_mixed())[0]
+    net = build_network(base, gen_stock_levels(base))
+    decisions = [dec for period in net.arcs for _, _, dec in period]
+    assert {dec.w for dec in decisions} == {dec.z for dec in decisions} == {0, 1}
+    for dec in decisions:
+        built = ArcDecision(x=dec.x, y=dec.y, w=dec.w, z=dec.z,
+                            payoff=dec.payoff)
+        assert dec == built and hash(dec) == hash(built)
+        assert repr(dec) == repr(built)
+    with pytest.raises(FrozenInstanceError):
+        decisions[0].x = 1

@@ -12,6 +12,7 @@ from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
     build_extended_formulation,
+    build_network,
     check_solution,
     gen_stock_levels,
     lift_and_check,
@@ -22,7 +23,10 @@ from wareflow import (  # noqa: E402
     solve_wp2_direct,
 )
 from wareflow.network import search_instance  # noqa: E402
-from helpers import reference_stock_levels  # noqa: E402
+from helpers import (  # noqa: E402
+    reference_build_network,
+    reference_stock_levels,
+)
 
 SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None
@@ -120,6 +124,17 @@ def test_network_plan_lifts_into_the_formulation(inst):
     assert report.feasible, report.violations
     model = build_extended_formulation(base, net)
     assert model.eval_objective(lift_solution(net, sol)) == sol.objective
+
+
+@SETTINGS
+@given(instances())
+def test_network_matches_the_pairwise_reference(inst):
+    # wp2 twice: on the doubled horizon it is searched on, and on its own
+    # horizon as solve_wp2_direct builds it
+    for base in {search_instance(inst)[0], inst}:
+        levels = gen_stock_levels(base)
+        assert repr(build_network(base, levels)) == repr(
+            reference_build_network(base, levels))
 
 
 @SETTINGS
