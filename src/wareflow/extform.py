@@ -84,8 +84,19 @@ class LPModel:
         return exact(sum(c * values.get(n, 0) for n, c in self.objective))
 
 
+# An arc's variable is named a_{t}_{tail}_{head}: the builder joins one
+# prefix per tail node with one suffix per head node, lift_solution names
+# single arcs, and both go through these two helpers.
+def _arc_prefix(t: int, tail: int) -> str:
+    return f"a_{t}_{tail}"
+
+
+def _arc_suffix(head: int) -> str:
+    return f"_{head}"
+
+
 def _arc_name(t: int, tail: int, head: int) -> str:
-    return f"a_{t}_{tail}_{head}"
+    return _arc_prefix(t, tail) + _arc_suffix(head)
 
 
 def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
@@ -106,9 +117,8 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
     into_prev: list[list[Term]] = []
     for t, period in enumerate(net.arcs, start=1):
         i = t - 1
-        # arc names a_t_tail_head, from per-node prefix and suffix strings
-        prefixes = [f"a_{t}_{k}" for k in range(len(net.layers[i]))]
-        suffixes = [f"_{k}" for k in range(len(net.layers[t]))]
+        prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
+        suffixes = [_arc_suffix(k) for k in range(len(net.layers[t]))]
         into: list[list[Term]] = [[] for _ in suffixes]
         out_of: list[list[Term]] = [[] for _ in prefixes]
         x_terms: list[Term] = []
@@ -117,11 +127,7 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
         sale: list[Term] = [(f"z_{t}", 1)]
         for tail, head, dec in period:
             name = prefixes[tail] + suffixes[head]
-            # straight into __dict__, as in network._wp1_decision
-            var = object.__new__(LPVariable)
-            var.__dict__.update(name=name, lower=0, upper=None,
-                                kind="continuous")
-            arc_vars.append(var)
+            arc_vars.append(LPVariable(name, 0, None, "continuous"))
             into[head].append((name, 1))
             leaving = (name, -1)
             out_of[tail].append(leaving)

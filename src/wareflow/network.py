@@ -136,11 +136,7 @@ def _wp1_decision(inst: Instance, t: int, s_prev, s_next) -> ArcDecision:
     else:
         x, y, w, z = 0, 0, 0, 0
     payoff = evaluate_payoff(inst, t, x, y, s_next, w, z)
-    # the fields go straight into __dict__: a frozen dataclass __init__
-    # sets each one through object.__setattr__, and there is one per arc
-    dec = object.__new__(ArcDecision)
-    dec.__dict__.update(x=x, y=y, w=w, z=z, payoff=payoff)
-    return dec
+    return ArcDecision(x=x, y=y, w=w, z=z, payoff=payoff)
 
 
 def _wp1_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
@@ -243,10 +239,7 @@ def _wp2_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
             cands = arc_candidates(inst, t, s, heads[j])
             if not cands:
                 continue
-            if len(cands) == 1:
-                best = cands[0]
-            else:
-                best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+            best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
             arcs.append((k, j, best))
     return arcs
 

@@ -1,13 +1,12 @@
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import wareflow.network
 from wareflow import (
-    ArcDecision,
     Infeasible,
     Instance,
     LowerExceedsUpper,
@@ -492,18 +491,3 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
     pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
     assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
 
-
-def test_arc_decisions_behave_as_constructed():
-    # the wp1 arc loop fills each decision's fields directly; the result
-    # must be indistinguishable from the dataclass constructor's
-    base = search_instance(wp2_mixed())[0]
-    net = build_network(base, gen_stock_levels(base))
-    decisions = [dec for period in net.arcs for _, _, dec in period]
-    assert {dec.w for dec in decisions} == {dec.z for dec in decisions} == {0, 1}
-    for dec in decisions:
-        built = ArcDecision(x=dec.x, y=dec.y, w=dec.w, z=dec.z,
-                            payoff=dec.payoff)
-        assert dec == built and hash(dec) == hash(built)
-        assert repr(dec) == repr(built)
-    with pytest.raises(FrozenInstanceError):
-        decisions[0].x = 1
