@@ -21,9 +21,11 @@ Emitting costs about one pass over the arcs.  network.build_network looks
 only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
 doubled wp2 horizon every pair it checks is an arc; the formulation walks
 each period's arcs once for all the rows they enter; and the printer
-writes int coefficients inline.  It renders the model once; on the first
-number with no exact decimal literal it rescales the instance to integers
-and renders again.
+writes int coefficients inline.  Whether the model needs rescaling to
+print in decimals is read off the instance's prices and the arcs' trade
+amounts before the formulation is built, and rescaling multiplies the one
+network built by the factor instead of building it again, so the levels,
+the network, the formulation and the text are each made once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from fractions import Fraction
 
 from .errors import NotAPath
 from .model import (
-    _VECTOR_FIELDS,
+    _BOUND_FIELDS,
+    _FIXED_FIELDS,
+    _PRICE_FIELDS,
     Exact,
     FeasibilityReport,
     Instance,
@@ -42,7 +46,7 @@ from .model import (
     exact,
     scale_instance,
 )
-from .network import LayeredNetwork, build_network, search_instance
+from .network import ArcDecision, LayeredNetwork, build_network, search_instance
 from .stocklevels import gen_stock_levels
 
 Term = tuple  # (variable name, coefficient)
@@ -293,15 +297,11 @@ def _decimal_or_none(value: Exact) -> str | None:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-class _NotDecimal(Exception):
-    """A model number has no exact decimal literal."""
-
-
 def _render(model: LPModel, comments: tuple[str, ...]) -> str:
     def num(value: Exact) -> str:
         text = _decimal_or_none(value)
-        if text is None:
-            raise _NotDecimal(value)
+        if text is None:  # emit_lp scales such numbers away beforehand
+            raise ValueError(f"{value} has no decimal literal")
         return text
 
     def expr(terms) -> str:
@@ -355,32 +355,62 @@ def emit_lp(inst: Instance) -> str:
 
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  Every
-    number must print as an exact decimal.  The model is rendered once; on
-    the first number that has no decimal literal, s0, the bounds and the
-    unit prices are scaled up by one integer factor F and the fixed costs
-    by F*F, the model is rebuilt and rendered again, and a comment line
-    records both factors.  Every plan's objective then grows by F*F,
+    number must print as an exact decimal.  When some number of the model
+    has no decimal literal, s0, the bounds and the unit prices are scaled
+    up by one integer factor F and the fixed costs by F*F, and a comment
+    line records both factors.  Every plan's objective then grows by F*F,
     linear payoff and fixed costs alike, so the LP ranks plans as the
-    instance does.
+    instance does.  The network is built once, on the unscaled instance.
     """
     base = search_instance(inst)[0]
+    net = build_network(base, gen_stock_levels(base))
     comments = ("extended formulation over the trading network",)
-    try:
-        return _render(build_extended_formulation(base, _network_for(base)), comments)
-    except _NotDecimal:
-        pass
-    numbers = [base.s0]
-    for name in _VECTOR_FIELDS:
-        numbers.extend(getattr(base, name))
-    factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-    base = scale_instance(base, factor, factor, factor * factor)
-    model = build_extended_formulation(base, _network_for(base))
-    # integer data makes every number integral, so this render cannot fail
-    return _render(model, comments + (
-        f"quantities and unit prices scaled by {factor}, "
-        f"fixed costs by {factor * factor}",))
+    factor = _scale_factor(base, net)
+    if factor != 1:
+        base = scale_instance(base, factor, factor, factor * factor)
+        net = _scaled_network(net, factor)
+        comments += (f"quantities and unit prices scaled by {factor}, "
+                     f"fixed costs by {factor * factor}",)
+    return _render(build_extended_formulation(base, net), comments)
 
 
-def _network_for(inst: Instance) -> LayeredNetwork:
-    return build_network(inst, gen_stock_levels(inst))
+def _scale_factor(inst: Instance, net: LayeredNetwork) -> int:
+    """1 when every number the model of (inst, net) prints has a decimal
+    literal, else the LCM of the denominators of all of inst's data.
 
+    A rational has a decimal literal iff its denominator is 2^a * 5^b.  The
+    model prints s0, the prices and fixed costs, and the arcs' trade
+    amounts, which are differences of levels.  The levels are sums and
+    differences of s0 and the bounds, so the arcs need a look only when a
+    bound or s0 is not decimal.
+    """
+    def decimal(values) -> bool:
+        return all(type(v) is int or _decimal_or_none(v) is not None
+                   for v in values)
+
+    numbers = [inst.s0]
+    for name in _PRICE_FIELDS + _FIXED_FIELDS:
+        numbers.extend(getattr(inst, name))
+    bounds = [v for name in _BOUND_FIELDS for v in getattr(inst, name)]
+    if decimal(numbers) and (decimal(bounds) or decimal(
+            amount for period in net.arcs for _, _, dec in period
+            for amount in (dec.x, dec.y))):
+        return 1
+    return math.lcm(*(Fraction(v).denominator for v in numbers + bounds))
+
+
+def _scaled_network(net: LayeredNetwork, factor: int) -> LayeredNetwork:
+    """The network that build_network makes on the instance with s0, the
+    bounds and the unit prices times factor and the fixed costs times its
+    square: every level and trade amount times factor and every payoff
+    times its square, in the same order."""
+    def arc(tail, head, dec):
+        return tail, head, ArcDecision(
+            x=exact(dec.x * factor), y=exact(dec.y * factor), w=dec.w,
+            z=dec.z, payoff=exact(dec.payoff * factor * factor))
+
+    return LayeredNetwork(
+        layers=tuple(tuple(exact(v * factor) for v in layer)
+                     for layer in net.layers),
+        arcs=tuple(tuple(arc(*a) for a in period) for period in net.arcs),
+    )

@@ -1,13 +1,28 @@
-"""Brute-force ground truth: dynamic programming over integer stock states.
+"""Integer ground truth: dynamic programming over every integer stock state.
 
 Requires integral bound data.  States are (period, stock) with the stock
-ranging over every integer in [Ls_t, Us_t]; transitions enumerate every
-integral trade allowed by the variant.  No candidate-level or network
+ranging over every integer in [Ls_t, Us_t].  No candidate-level or network
 machinery is used, so this solver is an independent witness for the exact
 solver's objective values.
+
+The value table costs O(T*R) for a stock range of R integers.  A period's
+payoff is linear in the trade, so from opening stock s a purchase closing
+at u is worth c*s - fp + [best(u) - (c+h)*u] and a sale closing at u is
+worth r*s - fs + [best(u) - (r+h)*u].  Their closing stocks form the
+windows [s+Lx, s+Ux] and [s-Uy, s-Ly] (Lx and Ly taken as at least 1: a
+zero trade is the no-trade move), which slide upward with s, so each
+period's values follow from two monotone-deque window maxima plus the
+no-trade move.  On wp2 a purchase follows the sale, so the buy window runs
+first over the stock m the sale leaves, and the sale window then runs over
+those values at m in [s-Uy, s-Ly], m >= 0.  The table holds values only;
+the plan is decoded from it by brute force, trying every integral trade
+in each period along the plan: O(T*U) payoff evaluations for a trade bound
+U (O(T*U^2) on wp2).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import Infeasible, NonIntegralData
 from .model import (
@@ -62,12 +77,82 @@ def _transitions(inst: Instance, t: int, s_prev: int):
             yield s_next, 0, y, 0, 1
 
 
+def _window_max(keys: dict, states, lo: int, hi: int) -> list:
+    """Per state s, the largest keys[u] over the u in s+lo..s+hi, or None
+    when no key lies there.
+
+    keys lists its stocks u ascending and the states ascend, so both window
+    ends only move up and a deque of (u, key) pairs with decreasing keys
+    yields every maximum in O(len(keys) + len(states)).  A stock missing
+    from keys never enters a window.
+    """
+    items = list(keys.items())
+    out = []
+    window: deque = deque()
+    nxt = 0
+    for s in states:
+        top = s + hi
+        while nxt < len(items) and items[nxt][0] <= top:
+            item = items[nxt]
+            while window and window[-1][1] <= item[1]:
+                window.pop()
+            window.append(item)
+            nxt += 1
+        bottom = s + lo
+        while window and window[0][0] < bottom:
+            window.popleft()
+        out.append(window[0][1] if window else None)
+    return out
+
+
+def _period_values(inst: Instance, t: int, states, after: dict) -> dict:
+    """best[t-1] from best[t] = after: the value of each opening stock in
+    states (ascending) that has a feasible move in period t."""
+    i = t - 1
+    r, c, h = inst.revenue[i], inst.cost[i], inst.holding[i]
+    fp, fs = inst.fixed_purchase[i], inst.fixed_sale[i]
+    hold = {u: v - h * u for u, v in after.items()}  # closing at u
+    if inst.variant is Variant.WP2:
+        # the purchase starts from the stock m >= 0 that the sale leaves
+        mids = range(max(states[0] - inst.Uy[i], 0), states[-1] + 1)
+    else:
+        mids = states
+    buys = _window_max({u: v - c * u for u, v in hold.items()}, mids,
+                       max(inst.Lx[i], 1), inst.Ux[i])
+    kept = {}  # best over no purchase and every purchase from m
+    for m, buy in zip(mids, buys):
+        value = hold.get(m)
+        if buy is not None:
+            buy += c * m - fp
+            if value is None or buy > value:
+                value = buy
+        if value is not None:
+            kept[m] = value
+    # a wp1 sale closes the period; a wp2 sale may be followed by a purchase
+    landing = kept if inst.variant is Variant.WP2 else hold
+    sells = _window_max({m: v - r * m for m, v in landing.items()}, states,
+                        -inst.Uy[i], -max(inst.Ly[i], 1))
+    values = {}
+    for s, sell in zip(states, sells):
+        value = kept.get(s)
+        if sell is not None:
+            sell += r * s - fs
+            if value is None or sell > value:
+                value = sell
+        if value is not None:
+            values[s] = value
+    return values
+
+
 def oracle_solve(inst: Instance) -> Solution:
     """Exhaustive integral optimum with deterministic tie-breaking.
 
-    Equal-value plans resolve toward the lexicographically smallest stock
-    sequence, then the smallest x, w, z per period.  Raises Infeasible when
-    no integral plan exists and NonIntegralData on fractional bounds.
+    The value table is built from window maxima in O(T*R) for a stock
+    range of R integers; the plan is then decoded by brute force, trying
+    every integral trade in each period.  Equal-value plans resolve toward the
+    lexicographically smallest stock sequence, then the smallest x, w, z
+    per period.  Raises Infeasible when no integral plan exists and
+    NonIntegralData on fractional bounds.
     """
     validate_instance(inst)
     _require_integral(inst)
@@ -81,17 +166,7 @@ def oracle_solve(inst: Instance) -> Solution:
             states = [inst.s0]
         else:
             states = range(inst.Ls[t - 2], inst.Us[t - 2] + 1)
-        for s_prev in states:
-            value = None
-            for s_next, x, y, w, z in _transitions(inst, t, s_prev):
-                tail = best[t].get(s_next)
-                if tail is None:
-                    continue
-                total = evaluate_payoff(inst, t, x, y, s_next, w, z) + tail
-                if value is None or total > value:
-                    value = total
-            if value is not None:
-                best[t - 1][s_prev] = value
+        best[t - 1] = _period_values(inst, t, states, best[t])
     if inst.s0 not in best[0]:
         raise Infeasible("no feasible integral trading plan")
     xs, ys, ws, zs, stocks = [], [], [], [], []

@@ -9,11 +9,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 from wareflow import (
+    Infeasible,
     Instance,
     LotSizingInstance,
     LPModel,
     LPRow,
     LPVariable,
+    NonIntegralData,
     Solution,
     StockLevels,
     Variant,
@@ -24,7 +26,12 @@ from wareflow import (
     normalize_terminal,
 )
 from wareflow.extform import Term
-from wareflow.model import _VECTOR_FIELDS, exact
+from wareflow.model import (
+    _VECTOR_FIELDS,
+    evaluate_payoff,
+    exact,
+    validate_instance,
+)
 from wareflow.network import LayeredNetwork, search_instance
 
 
@@ -548,3 +555,122 @@ def reference_stock_levels(inst: Instance) -> StockLevels:
             v for v in pool if inst.Ls[i] <= v <= inst.Us[i]
         )))
     return StockLevels(levels=tuple(levels), S_size=max(map(len, levels)))
+
+
+def fractional_payoffs(inst: Instance, d: int) -> Instance:
+    """Unit prices over d and fixed costs over d + 1 (Fractions even where
+    they divide evenly)."""
+    def over(name, by):
+        return tuple(Fraction(v, by) for v in getattr(inst, name))
+
+    return replace(inst, revenue=over("revenue", d), cost=over("cost", d),
+                   holding=over("holding", d),
+                   fixed_purchase=over("fixed_purchase", d + 1),
+                   fixed_sale=over("fixed_sale", d + 1))
+
+
+def _brute_transitions(inst: Instance, t: int, s_prev: int):
+    """Yield (s_next, x, y, w, z) for every integral trade at state s_prev.
+
+    Indicators take their minimal consistent values; with nonnegative fixed
+    costs any other choice is dominated, and the tie-break prefers them.
+    """
+    i = t - 1
+    lo, hi = inst.Ls[i], inst.Us[i]
+    if inst.variant is Variant.WP2:
+        x_values = [0] + list(range(max(inst.Lx[i], 1), inst.Ux[i] + 1))
+        y_values = [0] + [
+            y
+            for y in range(max(inst.Ly[i], 1), inst.Uy[i] + 1)
+            if y <= s_prev
+        ]
+        for x in x_values:
+            for y in y_values:
+                s_next = s_prev - y + x
+                if lo <= s_next <= hi:
+                    yield s_next, x, y, (1 if x else 0), (1 if y else 0)
+        return
+    # complementarity: trade on one side only
+    if lo <= s_prev <= hi:
+        yield s_prev, 0, 0, 0, 0
+    for x in range(max(inst.Lx[i], 1), inst.Ux[i] + 1):
+        s_next = s_prev + x
+        if s_next > hi:
+            break
+        if s_next >= lo:
+            yield s_next, x, 0, 1, 0
+    for y in range(max(inst.Ly[i], 1), inst.Uy[i] + 1):
+        s_next = s_prev - y
+        if s_next < lo:
+            break
+        if s_next <= hi:
+            yield s_next, 0, y, 0, 1
+
+
+def brute_oracle_solve(inst: Instance) -> Solution:
+    """oracle_solve as it was before its table became window maxima: one
+    payoff call per (stock, trade) pair in the backward pass as well as in
+    the decode.
+
+    Exhaustive integral optimum with deterministic tie-breaking.
+
+    Equal-value plans resolve toward the lexicographically smallest stock
+    sequence, then the smallest x, w, z per period.  Raises Infeasible when
+    no integral plan exists and NonIntegralData on fractional bounds.
+    """
+    validate_instance(inst)
+    if not inst.bounds_integral():
+        raise NonIntegralData("oracle_solve requires integral bound data")
+    # best[t][s] = payoff achievable over periods t+1..T starting at stock s
+    best: list[dict] = [dict() for _ in range(inst.T + 1)]
+    best[inst.T] = {
+        s: 0 for s in range(inst.Ls[inst.T - 1], inst.Us[inst.T - 1] + 1)
+    }
+    for t in range(inst.T, 0, -1):
+        if t == 1:
+            states = [inst.s0]
+        else:
+            states = range(inst.Ls[t - 2], inst.Us[t - 2] + 1)
+        for s_prev in states:
+            value = None
+            for s_next, x, y, w, z in _brute_transitions(inst, t, s_prev):
+                tail = best[t].get(s_next)
+                if tail is None:
+                    continue
+                total = evaluate_payoff(inst, t, x, y, s_next, w, z) + tail
+                if value is None or total > value:
+                    value = total
+            if value is not None:
+                best[t - 1][s_prev] = value
+    if inst.s0 not in best[0]:
+        raise Infeasible("no feasible integral trading plan")
+    xs, ys, ws, zs, stocks = [], [], [], [], []
+    s_prev = inst.s0
+    for t in range(1, inst.T + 1):
+        target = best[t - 1][s_prev]
+        choice = None
+        for s_next, x, y, w, z in _brute_transitions(inst, t, s_prev):
+            tail = best[t].get(s_next)
+            if tail is None:
+                continue
+            if evaluate_payoff(inst, t, x, y, s_next, w, z) + tail != target:
+                continue
+            key = (s_next, x, w, z)
+            if choice is None or key < choice[0]:
+                choice = (key, (s_next, x, y, w, z))
+        assert choice is not None, "table values promise a continuation"
+        s_next, x, y, w, z = choice[1]
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+        zs.append(z)
+        stocks.append(s_next)
+        s_prev = s_next
+    return Solution(
+        x=tuple(xs),
+        y=tuple(ys),
+        s=tuple(stocks),
+        w=tuple(ws),
+        z=tuple(zs),
+        objective=best[0][inst.s0],
+    )

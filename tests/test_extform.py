@@ -25,7 +25,13 @@ from wareflow import (
     solve_with_network,
 )
 from wareflow import extform
-from wareflow.extform import _decimal_or_none, _render
+from wareflow.extform import (
+    _decimal_or_none,
+    _render,
+    _scale_factor,
+    _scaled_network,
+)
+from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_instance
 from wareflow.network import search_instance
 from helpers import (
     _reference_render,
@@ -299,22 +305,52 @@ def test_emit_lp_skips_scaling_for_numbers_outside_the_model():
     assert text == reference_emit_lp(inst)
 
 
-@pytest.mark.parametrize("s0, builds", [(Fraction(1, 2), 1), (Fraction(1, 3), 2)])
-def test_emit_lp_builds_the_formulation_once_unless_it_scales(
-    monkeypatch, s0, builds
-):
+@pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(1, 3)])
+def test_emit_lp_builds_one_network_and_one_formulation(monkeypatch, s0):
+    # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3
     calls = []
 
-    def counted(inst, net):
-        calls.append(inst)
-        return build_extended_formulation(inst, net)
+    def counted(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        monkeypatch.setattr(extform, name, wrapper)
 
-    monkeypatch.setattr(extform, "build_extended_formulation", counted)
+    for name in ("gen_stock_levels", "build_network",
+                 "build_extended_formulation"):
+        counted(name, getattr(extform, name))
     inst = Instance(
-        variant="wp1", T=1, s0=s0,
-        Ls=(0,), Us=(s0,), Lx=(0,), Ux=(0,), Ly=(0,), Uy=(0,),
-        revenue=(1,), cost=(1,), holding=(1,),
-        fixed_purchase=(0,), fixed_sale=(0,),
+        variant="wp1", T=2, s0=s0,
+        Ls=(0, 0), Us=(3 * s0, 3 * s0), Lx=(0, s0), Ux=(s0, 2 * s0),
+        Ly=(0, 0), Uy=(s0, 3 * s0),
+        revenue=(1, 2), cost=(1, 1), holding=(1, 0),
+        fixed_purchase=(0, 1), fixed_sale=(1, 0),
     )
-    emit_lp(inst)
-    assert len(calls) == builds
+    text = emit_lp(inst)
+    assert ("scaled by" in text) == (s0.denominator == 3)
+    assert text == reference_emit_lp(inst)
+    assert sorted(calls) == ["build_extended_formulation", "build_network",
+                             "gen_stock_levels"]
+
+
+def test_scaled_network_is_the_network_of_the_scaled_instance():
+    # bounds over 3 and prices over 2 keep the wp3 shape
+    cases = [gen_random(seed, T, variant, 3 * T)
+             for variant in ("wp1", "wp2", "wp3")
+             for T in (2, 4)
+             for seed in range(3)]
+    cases = [replace(inst, s0=Fraction(inst.s0, 3),
+                     **{name: tuple(Fraction(v, d) for v in getattr(inst, name))
+                        for names, d in ((_BOUND_FIELDS, 3), (_PRICE_FIELDS, 2))
+                        for name in names})
+             for inst in cases]
+    factors = set()
+    for inst in cases:
+        base = search_instance(inst)[0]
+        net = build_network(base, gen_stock_levels(base))
+        factors.add(_scale_factor(base, net))
+        big = scale_instance(base, 6, 6, 36)
+        assert repr(_scaled_network(net, 6)) == repr(
+            build_network(big, gen_stock_levels(big)))
+    # some networks only move the stock by whole units and print as they are
+    assert factors == {1, 6}

@@ -1,3 +1,5 @@
+import ast
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +14,13 @@ from wareflow import (
     oracle_solve,
     reduce_partition,
 )
-from helpers import blocked_by_fixed_cost, two_period_trade
+from wareflow import oracle
+from helpers import (
+    blocked_by_fixed_cost,
+    brute_oracle_solve,
+    fractional_payoffs,
+    two_period_trade,
+)
 
 
 def test_oracle_known_objectives():
@@ -80,3 +88,53 @@ def test_oracle_monotone_under_widened_upper_bounds():
             vec[t] += 1
             wider = replace(inst, **{field: tuple(vec)})
             assert oracle_solve(wider).objective >= base
+
+
+def _outcome(solver, inst):
+    try:
+        return repr(solver(inst))
+    except Infeasible as err:
+        return f"Infeasible({err})"
+
+
+def test_oracle_matches_the_brute_force_oracle():
+    # gen_random draws positive lower trade bounds, fixed costs and
+    # holding costs on wp1 and wp2
+    seeded = [gen_random(seed, T=T, variant=variant, max_bound=2 * T + seed)
+              for variant in ("wp1", "wp2", "wp3")
+              for T in range(1, 8)
+              for seed in range(6)]
+    cases = seeded + [fractional_payoffs(inst, 2 + k % 5)
+                      for k, inst in enumerate(seeded)]
+    # Fraction fixed sale costs alone: the table mixes ints and Fractions
+    cases += [replace(inst, fixed_sale=tuple(Fraction(v, 3)
+                                             for v in inst.fixed_sale))
+              for inst in seeded]
+    outcomes = [_outcome(oracle_solve, inst) for inst in cases]
+    for inst, outcome in zip(cases, outcomes):
+        assert outcome == _outcome(brute_oracle_solve, inst)
+    # the cases reach infeasible data, Fraction objectives and every trade
+    # bound shape
+    assert sum(o.startswith("Infeasible") for o in outcomes) > 20
+    assert sum("objective=Fraction" in o for o in outcomes) > 20
+    assert any(inst.variant.value == "wp2" and min(inst.Lx) > 0
+               and min(inst.Ly) > 0 for inst in cases)
+
+
+def test_oracle_imports_no_solver_module():
+    # the witness must not share the level sets, the network, the
+    # approximation scheme or the formulation with what it checks
+    forbidden = {"stocklevels", "network", "fptas", "extform"}
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    names = {part for name in imported for part in name.split(".")}
+    assert not names & forbidden, sorted(names & forbidden)
+    homes = {getattr(value, "__module__", None)
+             or getattr(value, "__name__", "")
+             for value in vars(oracle).values()}
+    assert not {name.rpartition(".")[2] for name in homes} & forbidden

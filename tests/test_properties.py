@@ -24,6 +24,8 @@ from wareflow import (  # noqa: E402
 )
 from wareflow.network import search_instance  # noqa: E402
 from helpers import (  # noqa: E402
+    brute_oracle_solve,
+    fractional_payoffs,
     reference_build_network,
     reference_stock_levels,
 )
@@ -82,6 +84,20 @@ def test_solve_matches_oracle_objective(inst):
             solve(inst)
         return
     assert solve(inst).objective == expected
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 4))
+def test_oracle_matches_the_brute_force_oracle(inst, d):
+    inst = fractional_payoffs(inst, d)
+    try:
+        expected = brute_oracle_solve(inst)
+    except Infeasible as err:
+        with pytest.raises(Infeasible) as raised:
+            oracle_solve(inst)
+        assert str(raised.value) == str(err)
+        return
+    assert repr(oracle_solve(inst)) == repr(expected)
 
 
 @SETTINGS
