@@ -19,13 +19,16 @@ The module only builds, lifts, and prints the model; no LP solver is run.
 
 Emitting costs about one pass over the arcs.  network.build_network looks
 only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
-doubled wp2 horizon every pair it checks is an arc; the formulation walks
-each period's arcs once for all the rows they enter; and the printer
-writes int coefficients inline.  Whether the model needs rescaling to
-print in decimals is read off the instance's prices and the arcs' trade
-amounts before the formulation is built, and rescaling multiplies the one
-network built by the factor instead of building it again, so the levels,
-the network, the formulation and the text are each made once.
+doubled wp2 horizon every pair it checks is an arc, priced per window; the
+formulation walks each period's arcs once for all the rows they enter; and
+the printer writes int coefficients inline.  The per-arc records, the
+network's ArcDecision and the LPVariable and LPRow made here, are named
+tuples, which cost less to make than frozen dataclasses and are just as
+immutable.  Whether the model needs rescaling to print in decimals is read
+off the instance's prices and the arcs' trade amounts before the
+formulation is built, and rescaling multiplies the one network built by
+the factor instead of building it again, so the levels, the network, the
+formulation and the text are each made once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotAPath
 from .model import (
@@ -52,16 +56,14 @@ from .stocklevels import gen_stock_levels
 Term = tuple  # (variable name, coefficient)
 
 
-@dataclass(frozen=True)
-class LPVariable:
+class LPVariable(NamedTuple):
     name: str
     lower: Exact | None
     upper: Exact | None
     kind: str  # "continuous" or "binary-relaxed"
 
 
-@dataclass(frozen=True)
-class LPRow:
+class LPRow(NamedTuple):
     """One linear constraint: sum of coeffs (sense) rhs."""
 
     name: str

@@ -21,8 +21,12 @@ solve_with_network decodes from it and so witnesses solve.  It enumerates
 the same windows: each tail's heads are its sell window, the tail's own
 value and its buy window, three slices of the ascending next layer found
 by bisection, so on wp1/wp3 (and the doubled wp2 horizon) every pair it
-checks is an arc and the work is proportional to the arcs.  On a wp2
-instance's own horizon a tail s tries the heads in [s-Uy, s+Ux].
+checks is an arc and the work is proportional to the arcs.  Each slice
+fixes the trade side, so its arcs are priced in one loop over the period's
+hoisted prices; arc_candidates keeps the pair-by-pair rule as the
+reference.  An arc's ArcDecision is a named tuple, cheap to make and
+immutable.  On a wp2 instance's own horizon a tail s tries the heads in
+[s-Uy, s+Ux].
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
@@ -47,8 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import Infeasible, WrongVariant
 from .model import (
@@ -64,8 +67,7 @@ from .model import (
 from .stocklevels import StockLevels, double_horizon, gen_stock_levels
 
 
-@dataclass(frozen=True)
-class ArcDecision:
+class ArcDecision(NamedTuple):
     """The trade carried by one arc: amounts, indicators, and payoff."""
 
     x: Exact
@@ -125,28 +127,27 @@ def _indicator(amount) -> int:
     return 1 if amount > 0 else 0
 
 
-def _wp1_decision(inst: Instance, t: int, s_prev, s_next) -> ArcDecision:
-    """The one trade of a wp1 arc whose stock change the caller has checked
-    against the period's trade bounds."""
+def _wp1_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
+    """The one trade of a wp1 arc, or none when the stock change breaks the
+    period's trade bounds.
+
+    Prices the pair through evaluate_payoff, apart from _wp1_arcs, so the
+    pairwise reference network built on it checks build_network.
+    """
+    i = t - 1
     delta = s_next - s_prev
     if delta > 0:
+        if not inst.Lx[i] <= delta <= inst.Ux[i]:
+            return []
         x, y, w, z = delta, 0, 1, 0
     elif delta < 0:
+        if not inst.Ly[i] <= -delta <= inst.Uy[i]:
+            return []
         x, y, w, z = 0, -delta, 0, 1
     else:
         x, y, w, z = 0, 0, 0, 0
     payoff = evaluate_payoff(inst, t, x, y, s_next, w, z)
-    return ArcDecision(x=x, y=y, w=w, z=z, payoff=payoff)
-
-
-def _wp1_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
-    i = t - 1
-    delta = s_next - s_prev
-    if delta > 0 and not inst.Lx[i] <= delta <= inst.Ux[i]:
-        return []
-    if delta < 0 and not inst.Ly[i] <= -delta <= inst.Uy[i]:
-        return []
-    return [_wp1_decision(inst, t, s_prev, s_next)]
+    return [ArcDecision(x=x, y=y, w=w, z=z, payoff=payoff)]
 
 
 def _wp2_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
@@ -207,20 +208,36 @@ def _wp1_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
     A tail s reaches the heads of its sell window [s-Uy, s-Ly] below s,
     s itself, and the heads of its buy window [s+Lx, s+Ux] above s.  Heads
     ascend, so each window is a slice found by bisection, the three come
-    out in ascending head order, and no other pair is looked at.
+    out in ascending head order, and no other pair is looked at.  Each
+    slice fixes its trade side, so its decisions are priced in one loop
+    with evaluate_payoff's terms in its order: the zero terms are
+    constants, and keeping them keeps each payoff's int or Fraction type.
     """
     i = t - 1
     lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
+    r, c, h = inst.revenue[i], inst.cost[i], inst.holding[i]
+    fp, fs = inst.fixed_purchase[i], inst.fixed_sale[i]
+    r0, c0, fp0, fs0 = r * 0, c * 0, fp * 0, fs * 0
     arcs = []
     for k, s in enumerate(tails):
         below = bisect_left(heads, s)
         above = bisect_right(heads, s, below)
-        sells = range(bisect_left(heads, s - uy, 0, below),
-                      bisect_right(heads, s - ly, 0, below))
-        buys = range(bisect_left(heads, s + lx, above),
-                     bisect_right(heads, s + ux, above))
-        for j in chain(sells, range(below, above), buys):
-            arcs.append((k, j, _wp1_decision(inst, t, s, heads[j])))
+        for j in range(bisect_left(heads, s - uy, 0, below),
+                       bisect_right(heads, s - ly, 0, below)):
+            v = heads[j]
+            y = s - v
+            arcs.append((k, j, ArcDecision(0, y, 0, 1,
+                                           r * y - c0 - h * v - fp0 - fs)))
+        for j in range(below, above):
+            v = heads[j]
+            arcs.append((k, j, ArcDecision(0, 0, 0, 0,
+                                           r0 - c0 - h * v - fp0 - fs0)))
+        for j in range(bisect_left(heads, s + lx, above),
+                       bisect_right(heads, s + ux, above)):
+            v = heads[j]
+            x = v - s
+            arcs.append((k, j, ArcDecision(x, 0, 1, 0,
+                                           r0 - c * x - h * v - fp - fs0)))
     return arcs
 
 

@@ -1,9 +1,11 @@
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from wareflow import (
+    ArcDecision,
     Infeasible,
     Instance,
     LowerExceedsUpper,
@@ -290,6 +292,26 @@ def test_render_matches_the_reference_on_ints_and_bools():
     text = _render(model, ("c",))
     assert text == _reference_render(model, ("c",))
     assert " obj: a - b + 7 c - 12 d + 1000000000000000000000000000000 f + g" in text
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: ArcDecision(x=0, y=2, w=0, z=1, payoff=5),
+     "ArcDecision(x=0, y=2, w=0, z=1, payoff=5)"),
+    (lambda: LPVariable("a_1_0_2", 0, None, "continuous"),
+     "LPVariable(name='a_1_0_2', lower=0, upper=None, kind='continuous')"),
+    (lambda: LPRow("def_x_1", "iv", 1, (("a_1_0_2", Fraction(1, 2)),
+                                        ("x_1", -1)), "=", 0),
+     "LPRow(name='def_x_1', family='iv', period=1, coeffs=(('a_1_0_2', "
+     "Fraction(1, 2)), ('x_1', -1)), sense='=', rhs=0)"),
+], ids=["ArcDecision", "LPVariable", "LPRow"])
+def test_per_arc_records_are_frozen_hashable_values(make, text):
+    record, twin = make(), make()
+    assert record is not twin and record == twin
+    assert hash(record) == hash(twin) and len({record, twin}) == 1
+    for name in inspect.signature(type(record)).parameters:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert repr(record) == text
 
 
 def test_emit_lp_skips_scaling_for_numbers_outside_the_model():

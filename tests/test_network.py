@@ -456,6 +456,13 @@ def test_build_network_matches_the_pairwise_reference():
     cases += [scale_trade_bounds(inst, fptas_params(inst, epsilon))
               for inst in seeded if inst.variant is Variant.WP3
               for epsilon in (Fraction(1, 3), Fraction(2, 7))]
+    # one price vector of Fractions makes every payoff a Fraction, even
+    # through the terms whose amount or indicator is 0
+    cases += [replace(inst, **{name: tuple(Fraction(v, 3)
+                                           for v in getattr(inst, name))})
+              for inst in cases[::4]
+              for name in ("revenue", "cost", "holding", "fixed_purchase",
+                           "fixed_sale")]
     for inst in cases:  # layers, arc order, decisions and payoff types
         levels = gen_stock_levels(inst)
         assert repr(build_network(inst, levels)) == repr(
@@ -472,22 +479,27 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
         revenue=(3, 1, 4, 2), cost=(1, 2, 1, 3), holding=(0, 1, 0, 1),
         fixed_purchase=(2, 0, 1, 1), fixed_sale=(0, 1, 2, 0),
     )
-    checked = []
-    decide = wareflow.network._wp1_decision
+    made = []
+    make = wareflow.network.ArcDecision
 
-    def counted(inst, t, s_prev, s_next):
-        checked.append((t, s_prev, s_next))
-        return decide(inst, t, s_prev, s_next)
+    def counted(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(wareflow.network, "_wp1_decision", counted)
+    monkeypatch.setattr(wareflow.network, "ArcDecision", counted)
     net = build_network(inst, gen_stock_levels(inst))
-    for t, s_prev, s_next in checked:
+    arcs = [(t, net.layers[t - 1][tail], net.layers[t][head], dec)
+            for t, period in enumerate(net.arcs, start=1)
+            for tail, head, dec in period]
+    # every decision made is one arc's, so no other pair was priced
+    assert len(made) == len(arcs) == net.arc_count
+    for made_dec, (t, s_prev, s_next, dec) in zip(made, arcs):
+        assert made_dec is dec
         i = t - 1
         move = s_next - s_prev
+        assert dec.x - dec.y == move
         assert (move == 0 or inst.Lx[i] <= move <= inst.Ux[i]
                 or inst.Ly[i] <= -move <= inst.Uy[i])
-    assert len(set(checked)) == len(checked) == net.arc_count
     sizes = [len(layer) for layer in net.layers]
     pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
     assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
-

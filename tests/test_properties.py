@@ -14,6 +14,7 @@ from wareflow import (  # noqa: E402
     build_extended_formulation,
     build_network,
     check_solution,
+    emit_lp,
     gen_stock_levels,
     lift_and_check,
     lift_solution,
@@ -27,6 +28,7 @@ from helpers import (  # noqa: E402
     brute_oracle_solve,
     fractional_payoffs,
     reference_build_network,
+    reference_emit_lp,
     reference_stock_levels,
 )
 
@@ -221,3 +223,14 @@ def test_fractional_data_solves_as_its_integer_multiple(inst, L, M):
     assert sol.objective * L * M == expected.objective
     assert _times(_plan(sol), L) == _plan(solve(inst))
     assert check_solution(small, sol).feasible
+
+
+@SETTINGS
+@given(instances())
+def test_emit_lp_matches_the_reference_emitter(inst):
+    # s0 and the bounds over 3 leave trade amounts that are not decimal,
+    # so the copy takes the rescaling branch whenever it trades
+    thirds = _rescaled(inst, Fraction(1, 3), 1)
+    for case in (inst, replace(thirds, fixed_purchase=inst.fixed_purchase,
+                               fixed_sale=inst.fixed_sale)):
+        assert emit_lp(case) == reference_emit_lp(case)
