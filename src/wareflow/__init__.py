@@ -30,7 +30,6 @@ from .errors import (
 from .extform import (
     LPModel,
     LPRow,
-    LPVariable,
     build_extended_formulation,
     emit_lp,
     lift_and_check,

@@ -42,7 +42,6 @@ from .network import (
     build_network,
     search_instance,
     solve,
-    solve_with_network,
     to_dot,
 )
 from .oracle import oracle_solve
@@ -62,11 +61,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
+    sol = solve(inst)
     if args.dot:
-        sol, net = solve_with_network(inst)
-        _emit(to_dot(net), args.dot)
-    else:
-        sol = solve(inst)
+        base = search_instance(inst)[0]
+        _emit(to_dot(build_network(base, gen_stock_levels(base))), args.dot)
     print(f"objective: {format_exact(sol.objective)}")
     if args.output:
         _emit(serialize_solution(sol), args.output)

@@ -5,7 +5,7 @@ The constraint families:
 
   (i)    flow conservation at every interior node,
   (ii)   unit outflow from the source,
-  (iii)  nonnegative arc flows (kept as variable lower bounds),
+  (iii)  nonnegative arc flows (the LP format's default bound),
   (iv)   x_t and y_t equal the flow-weighted arc trade amounts,
   (v)    stock balance s_t = s_{t-1} - y_t + x_t,
   (vi)   w_t equals the flow on purchasing arcs when Lx_t > 0,
@@ -14,15 +14,16 @@ The constraint families:
   (ix)   z_t at least that flow when Ly_t = 0,
   (x)    w_t <= 1 and z_t <= 1.
 
-Indicators stay continuous; integrality comes from the polytope itself.
+The period variables are free, the indicators w and z included: they are
+relaxed binaries, and integrality comes from the polytope itself.
 The module only builds, lifts, and prints the model; no LP solver is run.
 
 Emitting costs about one pass over the arcs.  network.build_network looks
 only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
 doubled wp2 horizon every pair it checks is an arc, priced per window; the
 formulation walks each period's arcs once for all the rows they enter; and
-the printer writes int coefficients inline.  The per-arc records, the
-network's ArcDecision and the LPVariable and LPRow made here, are named
+the printer writes int coefficients inline.  An arc's flow variable is
+just its name; the network's ArcDecision and the LPRow made here are named
 tuples, which cost less to make than frozen dataclasses and are just as
 immutable.  Whether the model needs rescaling to print in decimals is read
 off the instance's prices and the arcs' trade amounts before the
@@ -56,13 +57,6 @@ from .stocklevels import gen_stock_levels
 Term = tuple  # (variable name, coefficient)
 
 
-class LPVariable(NamedTuple):
-    name: str
-    lower: Exact | None
-    upper: Exact | None
-    kind: str  # "continuous" or "binary-relaxed"
-
-
 class LPRow(NamedTuple):
     """One linear constraint: sum of coeffs (sense) rhs."""
 
@@ -76,14 +70,24 @@ class LPRow(NamedTuple):
 
 @dataclass(frozen=True)
 class LPModel:
-    variables: tuple[LPVariable, ...]
+    """The LP by variable names: flows are the arc variables, in arc order,
+    each >= 0 (family (iii)); free are x_t, y_t, s_t, w_t, z_t for t = 1..T,
+    unbounded, with w and z relaxed binaries that rows (vi)..(x) hold in
+    [0, 1]."""
+
+    flows: tuple[str, ...]
+    free: tuple[str, ...]
     objective: tuple[Term, ...]  # maximized
     rows: tuple[LPRow, ...]
 
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.flows + self.free
+
     def families(self) -> set[str]:
         present = {row.family for row in self.rows}
-        if any(v.name.startswith("a_") for v in self.variables):
-            present.add("iii")  # carried by the flow variable lower bounds
+        if self.flows:
+            present.add("iii")  # carried by the flows' sign
         return present
 
     def eval_objective(self, values: dict) -> Exact:
@@ -109,13 +113,13 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
     """Write the arc-flow polytope of a network as an explicit LP model.
 
     The instance must be the one the network was built from.  Constraint
-    (iii) is carried by the flow variables' lower bounds; every other family
-    appears as rows (families (vi)..(ix) only for the periods they govern).
+    (iii) is carried by the flows' sign; every other family appears as rows
+    (families (vi)..(ix) only for the periods they govern).
     Each period's arcs are walked once, collecting their variables, their
     conservation terms and their trade and indicator terms together.
     """
     T = inst.T
-    arc_vars: list[LPVariable] = []
+    arc_vars: list[str] = []
     source: tuple[Term, ...] = ()
     flows: list[LPRow] = []
     trades: list[LPRow] = []
@@ -133,7 +137,7 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
         sale: list[Term] = [(f"z_{t}", 1)]
         for tail, head, dec in period:
             name = prefixes[tail] + suffixes[head]
-            arc_vars.append(LPVariable(name, 0, None, "continuous"))
+            arc_vars.append(name)
             into[head].append((name, 1))
             leaving = (name, -1)
             out_of[tail].append(leaving)
@@ -168,16 +172,13 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
         couplings.append(LPRow(f"z_couple_{t}", family, t, tuple(sale),
                                sense, 0))
 
-    period_vars: list[LPVariable] = []
+    period_vars: list[str] = []
     objective: list[Term] = []
     balances: list[LPRow] = []
     ceilings: list[LPRow] = []
     for t in range(1, T + 1):
         i = t - 1
-        for prefix in ("x", "y", "s"):
-            period_vars.append(LPVariable(f"{prefix}_{t}", None, None, "continuous"))
-        period_vars.append(LPVariable(f"w_{t}", None, None, "binary-relaxed"))
-        period_vars.append(LPVariable(f"z_{t}", None, None, "binary-relaxed"))
+        period_vars.extend(f"{prefix}_{t}" for prefix in "xyswz")
         objective.extend(
             [
                 (f"y_{t}", inst.revenue[i]),
@@ -200,7 +201,8 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
         ceilings.append(LPRow(f"z_ub_{t}", "x", t, ((f"z_{t}", 1),), "<=", 1))
     unit_source = LPRow("unit_source", "ii", 0, source, "=", 1)
     return LPModel(
-        variables=tuple(arc_vars + period_vars),
+        flows=tuple(arc_vars),
+        free=tuple(period_vars),
         objective=tuple(objective),
         rows=(unit_source, *flows, *trades, *balances, *couplings, *ceilings),
     )
@@ -254,12 +256,10 @@ def lift_and_check(
     model = build_extended_formulation(inst, net)
     values = lift_solution(net, sol)
     bad = []
-    for var in model.variables:
-        v = values.get(var.name, 0)
-        if var.lower is not None and v < var.lower:
-            bad.append((0, f"iii_{var.name}", v, var.lower))
-        if var.upper is not None and v > var.upper:
-            bad.append((0, f"ub_{var.name}", v, var.upper))
+    for name in model.flows:
+        v = values.get(name, 0)
+        if v < 0:
+            bad.append((0, f"iii_{name}", v, 0))
     for row in model.rows:
         lhs = exact(sum(c * values.get(n, 0) for n, c in row.coeffs))
         ok = (
@@ -337,17 +337,8 @@ def _render(model: LPModel, comments: tuple[str, ...]) -> str:
     for row in model.rows:
         lines.append(f" {row.name}: {expr(row.coeffs)} {row.sense} {num(row.rhs)}")
     lines.append("Bounds")
-    for var in model.variables:
-        if var.lower == 0 and var.upper is None:
-            continue  # the format's default bounds
-        if var.lower is None and var.upper is None:
-            lines.append(f" {var.name} free")
-        elif var.lower is None:
-            lines.append(f" -inf <= {var.name} <= {num(var.upper)}")
-        elif var.upper is None:
-            lines.append(f" {var.name} >= {num(var.lower)}")
-        else:
-            lines.append(f" {num(var.lower)} <= {var.name} <= {num(var.upper)}")
+    # the flows keep the format's default bounds, >= 0
+    lines.extend(f" {name} free" for name in model.free)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

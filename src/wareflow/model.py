@@ -320,20 +320,18 @@ def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
     return scale_instance(inst, L, M, L * M), back
 
 
-def assemble_solution(inst: Instance, x, y, w=None, z=None) -> Solution:
+def assemble_solution(inst: Instance, x, y) -> Solution:
     """Build a Solution from trade amounts, deriving stocks and objective.
 
-    Indicators default to the minimal assignment (on iff the amount is
+    The indicators are the minimal assignment (on iff the amount is
     positive), which is payoff-maximal under nonnegative fixed costs.
     """
     x = exact_vector(x)
     y = exact_vector(y)
     if len(x) != inst.T or len(y) != inst.T:
         raise WrongVectorLength("x and y must have length T")
-    if w is None:
-        w = tuple(1 if v > 0 else 0 for v in x)
-    if z is None:
-        z = tuple(1 if v > 0 else 0 for v in y)
+    w = tuple(1 if v > 0 else 0 for v in x)
+    z = tuple(1 if v > 0 else 0 for v in y)
     stocks = []
     s_prev = inst.s0
     for i in range(inst.T):

@@ -15,10 +15,11 @@ layer's suffix values follow in O(S) from two monotone-deque window
 arg-maxima plus the no-trade arc, and every node keeps the smallest head
 that attains its value.  The plan is read off those heads in one forward
 pass: the stock moves give x and y, and model.assemble_solution adds the
-minimal indicators and the objective.  build_network is kept for the DOT
-dump, the LP formulation and lift check, and the direct wp2 route;
-solve_with_network decodes from it and so witnesses solve.  It enumerates
-the same windows: each tail's heads are its sell window, the tail's own
+minimal indicators and the objective.  build_network is kept for the
+consumers of its arcs: the DOT dump of solve --dot (whose answer still
+comes from solve), the LP formulation and lift check, and the direct wp2
+route; solve_with_network decodes from it and so witnesses solve in the
+tests.  build_network enumerates the same windows: each tail's heads are its sell window, the tail's own
 value and its buy window, three slices of the ascending next layer found
 by bisection, so on wp1/wp3 (and the doubled wp2 horizon) every pair it
 checks is an arc and the work is proportional to the arcs.  Each slice

@@ -5,16 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from wareflow import (
+    Exact,
     Infeasible,
     Instance,
     LotSizingInstance,
-    LPModel,
     LPRow,
-    LPVariable,
     NonIntegralData,
     Solution,
     StockLevels,
@@ -229,6 +229,23 @@ def reference_decimal_or_none(value):
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
+class ReferenceVariable(NamedTuple):
+    """A variable with its bounds, as the reference builder and printer
+    record it; extform.LPModel lists its variables by name instead."""
+
+    name: str
+    lower: Exact | None
+    upper: Exact | None
+    kind: str  # "continuous" or "binary-relaxed"
+
+
+@dataclass(frozen=True)
+class ReferenceModel:
+    variables: tuple[ReferenceVariable, ...]
+    objective: tuple[Term, ...]  # maximized
+    rows: tuple[LPRow, ...]
+
+
 def _reference_model_numbers(model):
     for _, coeff in model.objective:
         yield coeff
@@ -318,24 +335,26 @@ def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwo
     return LayeredNetwork(layers=layers, arcs=tuple(all_arcs))
 
 
-def reference_build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
+def reference_build_extended_formulation(
+    inst: Instance, net: LayeredNetwork
+) -> ReferenceModel:
     """The LP model by the builder that extform.build_extended_formulation
     replaced: one pass over the arcs per constraint family."""
     T = inst.T
-    variables: list[LPVariable] = []
+    variables: list[ReferenceVariable] = []
     arc_names: list[list[str]] = []
     for t in range(1, T + 1):
         names = []
         for tail, head, _ in net.arcs[t - 1]:
             name = f"a_{t}_{tail}_{head}"
             names.append(name)
-            variables.append(LPVariable(name, 0, None, "continuous"))
+            variables.append(ReferenceVariable(name, 0, None, "continuous"))
         arc_names.append(names)
     for t in range(1, T + 1):
         for prefix in ("x", "y", "s"):
-            variables.append(LPVariable(f"{prefix}_{t}", None, None, "continuous"))
-        variables.append(LPVariable(f"w_{t}", None, None, "binary-relaxed"))
-        variables.append(LPVariable(f"z_{t}", None, None, "binary-relaxed"))
+            variables.append(ReferenceVariable(f"{prefix}_{t}", None, None, "continuous"))
+        variables.append(ReferenceVariable(f"w_{t}", None, None, "binary-relaxed"))
+        variables.append(ReferenceVariable(f"z_{t}", None, None, "binary-relaxed"))
 
     objective: list[Term] = []
     for t in range(1, T + 1):
@@ -484,7 +503,7 @@ def reference_build_extended_formulation(inst: Instance, net: LayeredNetwork) ->
                 coeffs=((f"z_{t}", 1),), sense="<=", rhs=1,
             )
         )
-    return LPModel(
+    return ReferenceModel(
         variables=tuple(variables),
         objective=tuple(objective),
         rows=tuple(rows),

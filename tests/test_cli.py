@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,17 @@ import wareflow.fptas
 import wareflow.network
 from wareflow import (
     check_solution,
+    fptas_params,
     gen_random,
     parse_instance,
     parse_solution,
     serialize_instance,
     serialize_lotsizing,
     serialize_solution,
+    scale_trade_bounds,
     solve,
+    solve_with_network,
+    to_dot,
 )
 from wareflow.cli import run
 from helpers import two_period_trade, wp2_mixed
@@ -56,6 +61,22 @@ def test_solve_writes_dot_file(instance_file, tmp_path, capsys):
     text = dot_path.read_text()
     assert text.startswith("digraph")
     assert "->" in text
+
+
+def test_solve_dot_file_is_the_dot_of_the_solved_network(tmp_path, capsys):
+    wp3 = gen_random(0, 4, "wp3", 12)
+    fractional = scale_trade_bounds(wp3, fptas_params(wp3, Fraction(1, 3)))
+    assert fractional.Ux[0] == Fraction(20, 3)
+    instances = [gen_random(0, 4, "wp1", 6), gen_random(0, 4, "wp2", 6),
+                 fractional]
+    dot_path = tmp_path / "net.dot"
+    for k, inst in enumerate(instances):
+        path = tmp_path / f"inst{k}.json"
+        path.write_text(serialize_instance(inst))
+        assert run(["solve", "--input", str(path), "--dot", str(dot_path)]) == 0
+        capsys.readouterr()
+        assert dot_path.read_bytes() == to_dot(
+            solve_with_network(inst)[1]).encode()
 
 
 def test_solve_infeasible_exits_one(tmp_path, capsys):
@@ -246,6 +267,7 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
         raise AssertionError("build_network called")
 
     monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    monkeypatch.setattr(wareflow.cli, "build_network", refuse)
     inst = two_period_trade()
     path = tmp_path / "trade.json"
     path.write_text(serialize_instance(inst))

@@ -11,7 +11,6 @@ from wareflow import (
     LowerExceedsUpper,
     LPModel,
     LPRow,
-    LPVariable,
     NotAPath,
     assemble_solution,
     build_extended_formulation,
@@ -36,6 +35,8 @@ from wareflow.extform import (
 from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_instance
 from wareflow.network import search_instance
 from helpers import (
+    ReferenceModel,
+    ReferenceVariable,
     _reference_render,
     reference_build_extended_formulation,
     reference_decimal_or_none,
@@ -53,14 +54,15 @@ def model_for(inst):
 
 def test_model_shape_two_period_trade():
     model, net = model_for(two_period_trade())
-    arc_vars = [v for v in model.variables if v.name.startswith("a_")]
-    period_vars = [v for v in model.variables if not v.name.startswith("a_")]
-    assert len(arc_vars) == net.arc_count == 9
-    assert len(period_vars) == 10
-    assert all(v.lower == 0 and v.upper is None for v in arc_vars)
-    assert [v.name for v in period_vars[:5]] == ["x_1", "y_1", "s_1", "w_1", "z_1"]
-    assert {v.kind for v in period_vars} == {"continuous", "binary-relaxed"}
-    assert sum(v.kind == "binary-relaxed" for v in period_vars) == 4
+    assert len(model.flows) == net.arc_count == 9
+    assert all(name.startswith("a_") for name in model.flows)
+    assert model.free == ("x_1", "y_1", "s_1", "w_1", "z_1",
+                          "x_2", "y_2", "s_2", "w_2", "z_2")
+    assert model.variables == model.flows + model.free
+    # the relaxed binaries w and z are held below 1 by the (x) rows
+    ceilings = [row.coeffs for row in model.rows if row.family == "x"]
+    assert ceilings == [(("w_1", 1),), (("z_1", 1),),
+                        (("w_2", 1),), (("z_2", 1),)]
 
 
 def test_families_follow_lower_trade_bounds():
@@ -273,37 +275,44 @@ def test_formulation_matches_the_reference_builder():
         base = search_instance(inst)[0]
         net = build_network(base, gen_stock_levels(base))
         model = build_extended_formulation(base, net)
-        # repr covers what the text omits: row families and periods,
-        # variable kinds
-        assert repr(model) == repr(reference_build_extended_formulation(base, net))
+        reference = reference_build_extended_formulation(base, net)
+        # the rows' repr covers what the text omits: families and periods
+        assert repr(model.rows) == repr(reference.rows)
+        assert repr(model.objective) == repr(reference.objective)
+        assert model.flows == tuple(v.name for v in reference.variables
+                                    if (v.lower, v.upper) == (0, None))
+        assert model.free == tuple(v.name for v in reference.variables
+                                   if (v.lower, v.upper) == (None, None))
+        assert len(model.variables) == len(reference.variables)
 
 
 def test_render_matches_the_reference_on_ints_and_bools():
     terms = (("a", 1), ("b", -1), ("c", 7), ("d", -12), ("e", 0),
              ("f", 10**30), ("g", True), ("h", False), ("i", Fraction(3, 1)),
              ("j", Fraction(-1, 2)))
-    model = LPModel(
-        variables=(LPVariable("a", 0, None, "continuous"),
-                   LPVariable("b", None, 1, "binary-relaxed")),
+    rows = (LPRow("r", "i", 1, terms, "=", -3),
+            LPRow("z", "ii", 0, (("a", 0),), "<=", True))
+    model = LPModel(flows=("a",), free=("b",), objective=terms, rows=rows)
+    reference = ReferenceModel(
+        variables=(ReferenceVariable("a", 0, None, "continuous"),
+                   ReferenceVariable("b", None, None, "binary-relaxed")),
         objective=terms,
-        rows=(LPRow("r", "i", 1, terms, "=", -3),
-              LPRow("z", "ii", 0, (("a", 0),), "<=", True)),
+        rows=rows,
     )
     text = _render(model, ("c",))
-    assert text == _reference_render(model, ("c",))
+    assert text == _reference_render(reference, ("c",))
     assert " obj: a - b + 7 c - 12 d + 1000000000000000000000000000000 f + g" in text
+    assert text.endswith("Bounds\n b free\nEnd\n")
 
 
 @pytest.mark.parametrize("make, text", [
     (lambda: ArcDecision(x=0, y=2, w=0, z=1, payoff=5),
      "ArcDecision(x=0, y=2, w=0, z=1, payoff=5)"),
-    (lambda: LPVariable("a_1_0_2", 0, None, "continuous"),
-     "LPVariable(name='a_1_0_2', lower=0, upper=None, kind='continuous')"),
     (lambda: LPRow("def_x_1", "iv", 1, (("a_1_0_2", Fraction(1, 2)),
                                         ("x_1", -1)), "=", 0),
      "LPRow(name='def_x_1', family='iv', period=1, coeffs=(('a_1_0_2', "
      "Fraction(1, 2)), ('x_1', -1)), sense='=', rhs=0)"),
-], ids=["ArcDecision", "LPVariable", "LPRow"])
+], ids=["ArcDecision", "LPRow"])
 def test_per_arc_records_are_frozen_hashable_values(make, text):
     record, twin = make(), make()
     assert record is not twin and record == twin
