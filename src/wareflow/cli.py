@@ -59,25 +59,25 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _answer(sol, args) -> int:
+    """Print a solver's objective and write its plan to --output, if given."""
+    print(f"objective: {format_exact(sol.objective)}")
+    if args.output:
+        _emit(serialize_solution(sol), args.output)
+    return 0
+
+
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
     sol = solve(inst)
     if args.dot:
         base = search_instance(inst)[0]
         _emit(to_dot(build_network(base, gen_stock_levels(base))), args.dot)
-    print(f"objective: {format_exact(sol.objective)}")
-    if args.output:
-        _emit(serialize_solution(sol), args.output)
-    return 0
+    return _answer(sol, args)
 
 
 def _cmd_oracle(args) -> int:
-    inst = parse_instance(_read(args.input))
-    sol = oracle_solve(inst)
-    print(f"objective: {format_exact(sol.objective)}")
-    if args.output:
-        _emit(serialize_solution(sol), args.output)
-    return 0
+    return _answer(oracle_solve(parse_instance(_read(args.input))), args)
 
 
 def _cmd_fptas(args) -> int:
@@ -89,10 +89,7 @@ def _cmd_fptas(args) -> int:
     sol = solve(scaled, trace)
     print(f"K: {format_exact(params.K)}", file=sys.stderr)
     print(f"S_size: {trace.S_size}", file=sys.stderr)
-    print(f"objective: {format_exact(sol.objective)}")
-    if args.output:
-        _emit(serialize_solution(sol), args.output)
-    return 0
+    return _answer(sol, args)
 
 
 def _cmd_emit_lp(args) -> int:
@@ -193,9 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_io(p, output_help, need_input=True):
-        if need_input:
-            p.add_argument("--input", required=True, help="instance JSON file")
+    def with_io(p, output_help):
+        p.add_argument("--input", required=True, help="instance JSON file")
         p.add_argument("--output", default=None, help=output_help)
 
     p = sub.add_parser("solve", help="exact network solver")

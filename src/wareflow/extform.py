@@ -115,15 +115,20 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
     The instance must be the one the network was built from.  Constraint
     (iii) is carried by the flows' sign; every other family appears as rows
     (families (vi)..(ix) only for the periods they govern).
-    Each period's arcs are walked once, collecting their variables, their
-    conservation terms and their trade and indicator terms together.
+    One loop over the periods walks each period's arcs once, collecting
+    their variables, conservation, trade and indicator terms, and adds the
+    period's own variables, objective terms and rows.  Rows are gathered
+    per family and listed family by family.
     """
-    T = inst.T
     arc_vars: list[str] = []
+    period_vars: list[str] = []
+    objective: list[Term] = []
     source: tuple[Term, ...] = ()
     flows: list[LPRow] = []
     trades: list[LPRow] = []
+    balances: list[LPRow] = []
     couplings: list[LPRow] = []
+    ceilings: list[LPRow] = []
     into_prev: list[list[Term]] = []
     for t, period in enumerate(net.arcs, start=1):
         i = t - 1
@@ -171,13 +176,6 @@ def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
         family, sense = ("viii", "=") if inst.Ly[i] > 0 else ("ix", ">=")
         couplings.append(LPRow(f"z_couple_{t}", family, t, tuple(sale),
                                sense, 0))
-
-    period_vars: list[str] = []
-    objective: list[Term] = []
-    balances: list[LPRow] = []
-    ceilings: list[LPRow] = []
-    for t in range(1, T + 1):
-        i = t - 1
         period_vars.extend(f"{prefix}_{t}" for prefix in "xyswz")
         objective.extend(
             [
@@ -232,16 +230,12 @@ def lift_solution(net: LayeredNetwork, sol: Solution) -> dict:
             tail == node and h == head for tail, h, _ in net.arcs[t - 1]
         ):
             raise NotAPath(f"no arc for period {t} stock move")
-        # the path is located by stocks alone; trades attach verbatim below,
-        # so a tampered trade surfaces as a row violation, not NotAPath
+        # the path is located by stocks alone; trades attach verbatim, so a
+        # tampered trade surfaces as a row violation, not NotAPath
         values[_arc_name(t, node, head)] = 1
         node = head
-    for t in range(1, T + 1):
-        values[f"x_{t}"] = sol.x[t - 1]
-        values[f"y_{t}"] = sol.y[t - 1]
-        values[f"s_{t}"] = sol.s[t - 1]
-        values[f"w_{t}"] = sol.w[t - 1]
-        values[f"z_{t}"] = sol.z[t - 1]
+        for prefix in "xyswz":
+            values[f"{prefix}_{t}"] = getattr(sol, prefix)[t - 1]
     return values
 
 

@@ -15,19 +15,23 @@ layer's suffix values follow in O(S) from two monotone-deque window
 arg-maxima plus the no-trade arc, and every node keeps the smallest head
 that attains its value.  The plan is read off those heads in one forward
 pass: the stock moves give x and y, and model.assemble_solution adds the
-minimal indicators and the objective.  build_network is kept for the
-consumers of its arcs: the DOT dump of solve --dot (whose answer still
-comes from solve), the LP formulation and lift check, and the direct wp2
-route; solve_with_network decodes from it and so witnesses solve in the
-tests.  build_network enumerates the same windows: each tail's heads are its sell window, the tail's own
-value and its buy window, three slices of the ascending next layer found
-by bisection, so on wp1/wp3 (and the doubled wp2 horizon) every pair it
-checks is an arc and the work is proportional to the arcs.  Each slice
-fixes the trade side, so its arcs are priced in one loop over the period's
-hoisted prices; arc_candidates keeps the pair-by-pair rule as the
-reference.  An arc's ArcDecision is a named tuple, cheap to make and
-immutable.  On a wp2 instance's own horizon a tail s tries the heads in
-[s-Uy, s+Ux].
+minimal indicators and the objective.
+
+build_network is kept for the consumers of its arcs: the DOT dump of
+solve --dot (whose answer still comes from solve), the LP formulation and
+lift check, and the direct wp2 route; solve_with_network decodes from it
+and so witnesses solve in the tests.  It enumerates the same windows: each
+tail's heads are its sell window, the tail's own value and its buy window,
+three slices of the ascending next layer found by bisection.  So on
+wp1/wp3 (and the doubled wp2 horizon) every pair it checks is an arc, and
+the work is proportional to the arcs.  Each slice fixes the trade side, so
+its arcs are priced in one loop over the period's hoisted prices;
+arc_candidates keeps the pair-by-pair rule as the reference.  An arc's
+ArcDecision is a named tuple, cheap to make and immutable.  On a wp2
+instance's own horizon a tail s tries the heads in [s-Uy, s+Ux].  Either
+way the arcs are listed by tail, then by ascending head, and _decode
+relies on that order to read off the smallest plan.
+
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
@@ -280,63 +284,47 @@ def build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
     return LayeredNetwork(layers=layers, arcs=arcs)
 
 
-def _longest_path(net: LayeredNetwork):
-    """Best payoff to the last layer from every node, plus adjacency lists."""
+def _longest_path(net: LayeredNetwork) -> tuple[list[list], list[list]]:
+    """Best payoff to the last layer from every node, and the (head,
+    decision) of the first arc, in arc order, that attains it."""
     T = len(net.arcs)
-    adjacency = []
-    for t in range(1, T + 1):
-        adj: dict[int, list] = {}
-        for tail, head, dec in net.arcs[t - 1]:
-            adj.setdefault(tail, []).append((head, dec))
-        adjacency.append(adj)
     suffix: list[list] = [[None] * len(layer) for layer in net.layers]
+    choice: list[list] = [[None] * len(layer) for layer in net.layers[:-1]]
     suffix[T] = [0] * len(net.layers[T])
     for t in range(T, 0, -1):
-        for tail, outgoing in adjacency[t - 1].items():
-            best = None
-            for head, dec in outgoing:
-                tail_value = suffix[t][head]
-                if tail_value is None:
-                    continue
-                total = dec.payoff + tail_value
-                if best is None or total > best:
-                    best = total
-            suffix[t - 1][tail] = best
-    return suffix, adjacency
+        after, best, picks = suffix[t], suffix[t - 1], choice[t - 1]
+        for tail, head, dec in net.arcs[t - 1]:
+            if after[head] is None:
+                continue
+            total = dec.payoff + after[head]
+            if best[tail] is None or total > best[tail]:
+                best[tail] = total
+                picks[tail] = (head, dec)
+    return suffix, choice
 
 
 def _decode(net: LayeredNetwork) -> Solution:
-    """Decode a longest path of net forward from its suffix table.
+    """Decode a longest path of net forward along its chosen arcs.
 
-    Each node's arcs are scanned in ascending head order, so the first head
-    that attains the node's suffix value gives the lexicographically
-    smallest plan.
+    build_network lists each node's arcs by ascending head, so each node's
+    choice is its smallest attaining head and the plan is the
+    lexicographically smallest.
     """
-    suffix, adjacency = _longest_path(net)
+    suffix, choice = _longest_path(net)
     layers = net.layers
     if not layers[-1] or suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")
     x, y, w, z, stocks = [], [], [], [], []
     node = 0
     total = 0
-    for t in range(1, len(layers)):
-        target = suffix[t - 1][node]
-        chosen = None
-        for head, dec in sorted(adjacency[t - 1].get(node, ())):
-            if suffix[t][head] is None:
-                continue
-            if dec.payoff + suffix[t][head] == target:
-                chosen = (head, dec)
-                break
-        assert chosen is not None, "suffix values promise a continuation"
-        head, dec = chosen
+    for t, picks in enumerate(choice, start=1):
+        node, dec = picks[node]
         x.append(dec.x)
         y.append(dec.y)
         w.append(dec.w)
         z.append(dec.z)
-        stocks.append(layers[t][head])
+        stocks.append(layers[t][node])
         total += dec.payoff
-        node = head
     return Solution(x=tuple(x), y=tuple(y), s=tuple(stocks),
                     w=tuple(w), z=tuple(z), objective=total)
 

@@ -18,9 +18,14 @@ from an anchor to t are the plan's own stocks s_{t0}, ..., s_t (or s_t,
 ..., s_{t1} backward), and a feasible plan keeps every stock inside its
 bounds, so no run that an extreme plan follows ever passes through a
 clipped value.  The union of the two clipped sets is deduplicated and
-sorted.  Both sweeps expand layer by layer over value sets, so the work is
-proportional to the number of distinct in-bound values rather than the
-number of move selections.
+sorted.
+
+A layer's anchors are exactly its clip bounds Ls_t and Us_t, so one sweep
+runs both ways: each layer is the previous one moved by every move,
+clipped to [Ls_t, Us_t], plus Ls_t and Us_t.  Forward it starts from {s0};
+backward from {Ls_T, Us_T}, with the negated moves of period t+1 for
+layer t.  The work is proportional to the number of distinct in-bound
+values rather than the number of move selections.
 
 For wp2 instances the computation runs on the purchases/sales-split doubled
 horizon (see double_horizon) and projects the even layers back, which adds
@@ -44,7 +49,10 @@ class StockLevels:
     """
 
     levels: tuple[tuple[Exact, ...], ...]
-    S_size: int
+
+    @property
+    def S_size(self) -> int:
+        return max(map(len, self.levels), default=0)
 
 
 @dataclass(frozen=True)
@@ -112,41 +120,21 @@ def double_horizon(inst: Instance) -> DoubledHorizon:
     return DoubledHorizon(instance=doubled, source=inst)
 
 
-def _shifted(values, moves, lo, hi) -> set:
-    """Every v + d with v in values and d in moves that lies in [lo, hi]."""
-    out = set()
-    for v in values:
-        for d in moves:
-            moved = v + d
-            if lo <= moved <= hi:
-                out.add(moved)
-    return out
-
-
-def _forward_sets(inst: Instance) -> list[set]:
-    """values[t] = anchors at or before t pushed forward by bound moves,
-    each layer clipped to [Ls_t, Us_t]."""
-    values: list[set] = [{inst.s0}]
-    for t in inst.periods:
-        i = t - 1
-        moves = {0, inst.Lx[i], inst.Ux[i], -inst.Ly[i], -inst.Uy[i]}
-        layer = _shifted(values[t - 1], moves, inst.Ls[i], inst.Us[i])
-        layer.add(inst.Ls[i])  # anchors at t enter unmoved
-        layer.add(inst.Us[i])
-        values.append(layer)
-    return values
-
-
-def _backward_sets(inst: Instance) -> list[set]:
-    """values[t] = anchors after t pulled back by undoing bound moves,
-    each layer clipped to [Ls_t, Us_t]; values[0] is left empty."""
-    values: list[set] = [set() for _ in range(inst.T + 1)]
-    for t in range(inst.T - 1, 0, -1):
-        i = t  # period t+1 has vector index t
-        moves = {0, -inst.Lx[i], -inst.Ux[i], inst.Ly[i], inst.Uy[i]}
-        seed = values[t + 1] | {inst.Ls[i], inst.Us[i]}
-        values[t] = _shifted(seed, moves, inst.Ls[t - 1], inst.Us[t - 1])
-    return values
+def _sweep(start: set, steps) -> list[set]:
+    """start, then one layer per step (moves, lo, hi): the previous layer
+    moved by every move, clipped to [lo, hi], with lo and hi added."""
+    layers = [start]
+    for moves, lo, hi in steps:
+        layer = set()
+        for v in layers[-1]:
+            for d in moves:
+                moved = v + d
+                if lo <= moved <= hi:
+                    layer.add(moved)
+        layer.add(lo)
+        layer.add(hi)
+        layers.append(layer)
+    return layers
 
 
 def gen_stock_levels(inst: Instance) -> StockLevels:
@@ -156,16 +144,20 @@ def gen_stock_levels(inst: Instance) -> StockLevels:
     expanded and its even layers are projected back.
     """
     if inst.variant is Variant.WP2:
-        doubled = double_horizon(inst).instance
-        inner = gen_stock_levels(doubled)
-        levels = tuple(inner.levels[2 * t - 1] for t in inst.periods)
-        size = max((len(lv) for lv in levels), default=0)
-        return StockLevels(levels=levels, S_size=size)
-    forward = _forward_sets(inst)
-    backward = _backward_sets(inst)
-    levels = tuple(tuple(sorted(forward[t] | backward[t])) for t in inst.periods)
-    size = max((len(lv) for lv in levels), default=0)
-    return StockLevels(levels=levels, S_size=size)
+        inner = gen_stock_levels(double_horizon(inst).instance)
+        return StockLevels(levels=inner.levels[1::2])
+    Ls, Us = inst.Ls, inst.Us
+    Lx, Ux, Ly, Uy = inst.Lx, inst.Ux, inst.Ly, inst.Uy
+    forward = _sweep({inst.s0}, (
+        ({0, Lx[i], Ux[i], -Ly[i], -Uy[i]}, Ls[i], Us[i])
+        for i in range(inst.T)))
+    # the layer after period i+1 undoes the moves of period i+2
+    backward = _sweep({Ls[-1], Us[-1]}, (
+        ({0, -Lx[i + 1], -Ux[i + 1], Ly[i + 1], Uy[i + 1]}, Ls[i], Us[i])
+        for i in range(inst.T - 2, -1, -1)))
+    return StockLevels(levels=tuple(
+        tuple(sorted(ahead | behind))
+        for ahead, behind in zip(forward[1:], reversed(backward))))
 
 
 def _ceil_div(num: int, den: int) -> int:

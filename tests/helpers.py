@@ -563,7 +563,7 @@ def reference_stock_levels(inst: Instance) -> StockLevels:
     if inst.variant is Variant.WP2:
         inner = reference_stock_levels(double_horizon(inst).instance)
         levels = tuple(inner.levels[2 * t - 1] for t in inst.periods)
-        return StockLevels(levels=levels, S_size=max(map(len, levels)))
+        return StockLevels(levels=levels)
     forward = _reference_forward_sets(inst)
     backward = _reference_backward_sets(inst)
     levels = []
@@ -573,7 +573,109 @@ def reference_stock_levels(inst: Instance) -> StockLevels:
         levels.append(tuple(sorted(
             v for v in pool if inst.Ls[i] <= v <= inst.Us[i]
         )))
-    return StockLevels(levels=tuple(levels), S_size=max(map(len, levels)))
+    return StockLevels(levels=tuple(levels))
+
+
+def _reference_shifted(values, moves, lo, hi) -> set:
+    out = set()
+    for v in values:
+        for d in moves:
+            moved = v + d
+            if lo <= moved <= hi:
+                out.add(moved)
+    return out
+
+
+def _reference_clipped_forward_sets(inst: Instance) -> list[set]:
+    values: list[set] = [{inst.s0}]
+    for t in inst.periods:
+        i = t - 1
+        moves = {0, inst.Lx[i], inst.Ux[i], -inst.Ly[i], -inst.Uy[i]}
+        layer = _reference_shifted(values[t - 1], moves, inst.Ls[i],
+                                   inst.Us[i])
+        layer.add(inst.Ls[i])
+        layer.add(inst.Us[i])
+        values.append(layer)
+    return values
+
+
+def _reference_clipped_backward_sets(inst: Instance) -> list[set]:
+    values: list[set] = [set() for _ in range(inst.T + 1)]
+    for t in range(inst.T - 1, 0, -1):
+        i = t
+        moves = {0, -inst.Lx[i], -inst.Ux[i], inst.Ly[i], inst.Uy[i]}
+        seed = values[t + 1] | {inst.Ls[i], inst.Us[i]}
+        values[t] = _reference_shifted(seed, moves, inst.Ls[t - 1],
+                                       inst.Us[t - 1])
+    return values
+
+
+def reference_clipped_stock_levels(inst: Instance) -> StockLevels:
+    """Level sets by the two mirrored sweeps that stocklevels._sweep
+    replaced: a forward and a backward pass, each layer clipped to
+    [Ls_t, Us_t] as it is built, the backward one seeded per layer with the
+    next period's anchors."""
+    if inst.variant is Variant.WP2:
+        inner = reference_clipped_stock_levels(double_horizon(inst).instance)
+        return StockLevels(levels=tuple(inner.levels[2 * t - 1]
+                                        for t in inst.periods))
+    forward = _reference_clipped_forward_sets(inst)
+    backward = _reference_clipped_backward_sets(inst)
+    return StockLevels(levels=tuple(tuple(sorted(forward[t] | backward[t]))
+                                    for t in inst.periods))
+
+
+def reference_decode(net: LayeredNetwork) -> Solution:
+    """Decode a longest path of net as network._decode did before it
+    followed its recorded choices: per-tail adjacency dicts, a suffix
+    table, then a forward pass that sorts each node's arcs and takes the
+    first head attaining the node's suffix value."""
+    T = len(net.arcs)
+    adjacency = []
+    for t in range(1, T + 1):
+        adj: dict[int, list] = {}
+        for tail, head, dec in net.arcs[t - 1]:
+            adj.setdefault(tail, []).append((head, dec))
+        adjacency.append(adj)
+    suffix: list[list] = [[None] * len(layer) for layer in net.layers]
+    suffix[T] = [0] * len(net.layers[T])
+    for t in range(T, 0, -1):
+        for tail, outgoing in adjacency[t - 1].items():
+            best = None
+            for head, dec in outgoing:
+                tail_value = suffix[t][head]
+                if tail_value is None:
+                    continue
+                total = dec.payoff + tail_value
+                if best is None or total > best:
+                    best = total
+            suffix[t - 1][tail] = best
+    layers = net.layers
+    if not layers[-1] or suffix[0][0] is None:
+        raise Infeasible("no feasible trading plan")
+    x, y, w, z, stocks = [], [], [], [], []
+    node = 0
+    total = 0
+    for t in range(1, len(layers)):
+        target = suffix[t - 1][node]
+        chosen = None
+        for head, dec in sorted(adjacency[t - 1].get(node, ())):
+            if suffix[t][head] is None:
+                continue
+            if dec.payoff + suffix[t][head] == target:
+                chosen = (head, dec)
+                break
+        assert chosen is not None, "suffix values promise a continuation"
+        head, dec = chosen
+        x.append(dec.x)
+        y.append(dec.y)
+        w.append(dec.w)
+        z.append(dec.z)
+        stocks.append(layers[t][head])
+        total += dec.payoff
+        node = head
+    return Solution(x=tuple(x), y=tuple(y), s=tuple(stocks),
+                    w=tuple(w), z=tuple(z), objective=total)
 
 
 def fractional_payoffs(inst: Instance, d: int) -> Instance:

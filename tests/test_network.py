@@ -30,11 +30,19 @@ from wareflow import (
     solve_wp2_direct,
     to_dot,
 )
-from wareflow.network import _longest_path, _window_suffix, search_instance
+from wareflow.network import (
+    ArcDecision,
+    LayeredNetwork,
+    _decode,
+    _longest_path,
+    _window_suffix,
+    search_instance,
+)
 from helpers import (
     blocked_by_fixed_cost,
     buy_then_sell,
     reference_build_network,
+    reference_decode,
     two_period_trade,
     wp2_mixed,
 )
@@ -503,3 +511,61 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
     sizes = [len(layer) for layer in net.layers]
     pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
     assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
+
+
+def _decodes_like_the_reference(net) -> bool:
+    """Assert _decode and reference_decode give an equal Solution repr, or
+    the same Infeasible message; return feasibility."""
+    try:
+        expected = reference_decode(net)
+    except Infeasible as err:
+        with pytest.raises(Infeasible, match=f"^{re.escape(str(err))}$"):
+            _decode(net)
+        return False
+    assert repr(_decode(net)) == repr(expected)
+    return True
+
+
+def test_decode_matches_the_adjacency_reference():
+    # wp1/wp3 and doubled wp2 networks, wp2 own-horizon networks (the route
+    # of solve_wp2_direct), Fraction data and FPTAS-rounded wp3 bounds
+    seeded = [gen_random(seed, T=T, variant=variant, max_bound=2 * T + seed)
+              for variant in ("wp1", "wp2", "wp3")
+              for T in range(2, 9)
+              for seed in range(3)]
+    cases = [search_instance(inst)[0] for inst in seeded]
+    cases += [inst for inst in seeded if inst.variant is Variant.WP2]
+    cases += [_divided(inst, (2, 3, 7)[k % 3], 5)
+              for k, inst in enumerate(seeded[::2])]
+    cases += [scale_trade_bounds(inst, fptas_params(inst, Fraction(1, 3)))
+              for inst in seeded if inst.variant is Variant.WP3]
+    outcomes = [
+        _decodes_like_the_reference(build_network(inst, gen_stock_levels(inst)))
+        for inst in cases
+    ]
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_decode_takes_the_smaller_of_two_equal_heads():
+    # from s0 = 0, the paths through stock 1 and stock 2 both total 5 and
+    # the one through 3 totals 4; the arcs list heads in ascending order,
+    # as build_network does, so the smaller head keeps its choice
+    net = LayeredNetwork(
+        layers=((0,), (1, 2, 3), (2,)),
+        arcs=(
+            ((0, 0, ArcDecision(1, 0, 1, 0, 3)),
+             (0, 1, ArcDecision(2, 0, 1, 0, 1)),
+             (0, 2, ArcDecision(3, 0, 1, 0, 4))),
+            ((0, 0, ArcDecision(1, 0, 1, 0, 2)),
+             (1, 0, ArcDecision(0, 0, 0, 0, 4)),
+             (2, 0, ArcDecision(0, 1, 0, 1, 0))),
+        ),
+    )
+    suffix, choice = _longest_path(net)
+    assert suffix[1] == [2, 4, 0] and suffix[0] == [5]
+    assert choice[0][0][0] == 0
+    sol = _decode(net)
+    assert (sol.x, sol.y, sol.s, sol.w, sol.z) == (
+        (1, 1), (0, 0), (1, 2), (1, 1), (0, 0))
+    assert sol.objective == 5
+    assert sol == reference_decode(net)

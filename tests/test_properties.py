@@ -11,23 +11,28 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
+    Variant,
     build_extended_formulation,
     build_network,
     check_solution,
     emit_lp,
+    fptas_params,
     gen_stock_levels,
     lift_and_check,
     lift_solution,
     oracle_solve,
+    scale_trade_bounds,
     solve,
     solve_with_network,
     solve_wp2_direct,
 )
-from wareflow.network import search_instance  # noqa: E402
+from wareflow.network import _decode, search_instance  # noqa: E402
 from helpers import (  # noqa: E402
     brute_oracle_solve,
     fractional_payoffs,
     reference_build_network,
+    reference_clipped_stock_levels,
+    reference_decode,
     reference_emit_lp,
     reference_stock_levels,
 )
@@ -163,6 +168,35 @@ def test_levels_are_subsets_of_the_unclipped_levels(inst):
     assert len(new) == len(old)
     for layer, ref in zip(new, old):
         assert set(layer) <= set(ref)
+
+
+@SETTINGS
+@given(instances(), st.integers(2, 5))
+def test_levels_match_the_two_sweep_reference(inst, d):
+    # as given, with every bound over d, and FPTAS-rounded for wp3
+    cases = [inst, _rescaled(inst, Fraction(1, d), 1)]
+    if inst.variant is Variant.WP3 and any(inst.Ux + inst.Uy):
+        cases.append(scale_trade_bounds(
+            inst, fptas_params(inst, Fraction(1, d))))
+    for case in cases:
+        assert gen_stock_levels(case) == reference_clipped_stock_levels(case)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 4))
+def test_decode_matches_the_adjacency_reference(inst, d):
+    # Fraction payoffs; wp2 on its doubled and on its own horizon
+    inst = fractional_payoffs(inst, d)
+    for base in {search_instance(inst)[0], inst}:
+        net = build_network(base, gen_stock_levels(base))
+        try:
+            expected = reference_decode(net)
+        except Infeasible as err:
+            with pytest.raises(Infeasible) as raised:
+                _decode(net)
+            assert str(raised.value) == str(err)
+            continue
+        assert repr(_decode(net)) == repr(expected)
 
 
 def _rescaled(inst, quantity, price):

@@ -21,7 +21,12 @@ from wareflow import (
     solve,
 )
 from wareflow.network import _decode, search_instance
-from helpers import reference_stock_levels, two_period_trade, wp2_mixed
+from helpers import (
+    reference_clipped_stock_levels,
+    reference_stock_levels,
+    two_period_trade,
+    wp2_mixed,
+)
 
 
 def test_levels_two_period_trade():
@@ -275,6 +280,13 @@ def test_clipped_levels_are_subsets_of_the_unclipped_ones():
             assert set(layer) <= set(ref)
             shrunk += len(layer) < len(ref)
     assert shrunk > 0
+
+
+def test_one_sweep_matches_the_two_mirrored_sweeps():
+    # the backward sweep now adds each layer's own anchors, which the
+    # forward layer already holds, so every union is unchanged
+    for inst in _seeded_instances():
+        assert gen_stock_levels(inst) == reference_clipped_stock_levels(inst)
 
 
 def test_solve_matches_the_network_over_unclipped_levels():
