@@ -98,7 +98,6 @@ from .network import (
 )
 from .oracle import oracle_solve
 from .stocklevels import (
-    DoubledHorizon,
     StockLevels,
     bound_S,
     double_horizon,

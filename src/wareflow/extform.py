@@ -23,18 +23,15 @@ only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
 doubled wp2 horizon every pair it checks is an arc, priced per window; the
 formulation walks each period's arcs once for all the rows they enter; and
 the printer writes int coefficients inline.  An arc's flow variable is
-just its name; the network's ArcDecision and the LPRow made here are named
-tuples, which cost less to make than frozen dataclasses and are just as
-immutable.  Whether the model needs rescaling to print in decimals is read
-off the instance's prices and the arcs' trade amounts before the
-formulation is built, and rescaling multiplies the one network built by
-the factor instead of building it again, so the levels, the network, the
-formulation and the text are each made once.
+just its name.  Whether the model prints in decimals is read off the
+instance's prices and the arcs' trade amounts before the formulation is
+built; if not, the one network built is rescaled by model.scale_factor,
+so the levels, the network, the formulation and the text are each made
+once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -49,6 +46,7 @@ from .model import (
     Instance,
     Solution,
     exact,
+    scale_factor,
     scale_instance,
 )
 from .network import ArcDecision, LayeredNetwork, build_network, search_instance
@@ -344,32 +342,32 @@ def emit_lp(inst: Instance) -> str:
     so wp2 lands on its doubled horizon, matching how it is solved.  Every
     number must print as an exact decimal.  When some number of the model
     has no decimal literal, s0, the bounds and the unit prices are scaled
-    up by one integer factor F and the fixed costs by F*F, and a comment
-    line records both factors.  Every plan's objective then grows by F*F,
-    linear payoff and fixed costs alike, so the LP ranks plans as the
-    instance does.  The network is built once, on the unscaled instance.
+    up by F = model.scale_factor, the factor solve searches with, and the
+    fixed costs by F*F, and a comment line records both factors.  Every
+    plan's objective then grows by F*F, linear payoff and fixed costs
+    alike, so the LP ranks plans as the instance does.  The network is
+    built once, on the unscaled instance.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
     comments = ("extended formulation over the trading network",)
-    factor = _scale_factor(base, net)
-    if factor != 1:
-        base = scale_instance(base, factor, factor, factor * factor)
+    if not _prints_in_decimals(base, net):
+        factor = scale_factor(base)
+        base = scale_instance(base, factor)
         net = _scaled_network(net, factor)
         comments += (f"quantities and unit prices scaled by {factor}, "
                      f"fixed costs by {factor * factor}",)
     return _render(build_extended_formulation(base, net), comments)
 
 
-def _scale_factor(inst: Instance, net: LayeredNetwork) -> int:
-    """1 when every number the model of (inst, net) prints has a decimal
-    literal, else the LCM of the denominators of all of inst's data.
+def _prints_in_decimals(inst: Instance, net: LayeredNetwork) -> bool:
+    """Whether every number the model of (inst, net) prints has a decimal
+    literal.
 
-    A rational has a decimal literal iff its denominator is 2^a * 5^b.  The
-    model prints s0, the prices and fixed costs, and the arcs' trade
-    amounts, which are differences of levels.  The levels are sums and
-    differences of s0 and the bounds, so the arcs need a look only when a
-    bound or s0 is not decimal.
+    A rational has one iff its denominator is 2^a * 5^b.  The model prints
+    s0, the prices and fixed costs, and the arcs' trade amounts, which are
+    differences of levels.  The levels are sums and differences of s0 and
+    the bounds, so the arcs need a look only when a bound is not decimal.
     """
     def decimal(values) -> bool:
         return all(type(v) is int or _decimal_or_none(v) is not None
@@ -379,11 +377,9 @@ def _scale_factor(inst: Instance, net: LayeredNetwork) -> int:
     for name in _PRICE_FIELDS + _FIXED_FIELDS:
         numbers.extend(getattr(inst, name))
     bounds = [v for name in _BOUND_FIELDS for v in getattr(inst, name)]
-    if decimal(numbers) and (decimal(bounds) or decimal(
-            amount for period in net.arcs for _, _, dec in period
-            for amount in (dec.x, dec.y))):
-        return 1
-    return math.lcm(*(Fraction(v).denominator for v in numbers + bounds))
+    return decimal(numbers) and (decimal(bounds) or decimal(
+        amount for period in net.arcs for _, _, dec in period
+        for amount in (dec.x, dec.y)))
 
 
 def _scaled_network(net: LayeredNetwork, factor: int) -> LayeredNetwork:

@@ -223,8 +223,9 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
     costs that wp3 validation enforces.  The rounded network has
     polynomially many stock levels in T and 1/epsilon when U_max / U_min is
     bounded.  A fractional K makes the rounded bounds fractional; solve
-    then searches a copy whose quantities are multiplied by the LCM of
-    their denominators, which keeps the order of every stock and payoff
-    and so returns the plan the rational search would.
+    then searches a copy with s0, the bounds and the prices multiplied by
+    F, the LCM of every denominator of the data (model.integral_instance),
+    which keeps the order of every stock and payoff and so returns the plan
+    the rational search would.
     """
     return solve(fptas_scale(inst, epsilon)[1])

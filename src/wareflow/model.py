@@ -140,10 +140,10 @@ class Instance:
 
     def bounds_integral(self) -> bool:
         """True when s0 and every bound vector hold integers only."""
-        values = [self.s0]
-        for name in _BOUND_FIELDS:
-            values.extend(getattr(self, name))
-        return all(isinstance(v, int) for v in values)
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        return all(type(sum(vec, self.s0)) is int
+                   for vec in (self.Ls, self.Us, self.Lx, self.Ux, self.Ly,
+                               self.Uy))
 
     def bounds_time_independent(self) -> bool:
         """True when each of the six bound vectors is constant over time."""
@@ -277,47 +277,51 @@ def compute_objective(inst: Instance, x, y, s, w, z) -> Exact:
     return exact(total)
 
 
-def scale_instance(inst: Instance, quantity: int, price: int,
-                   fixed: int) -> Instance:
-    """Multiply s0 and the six bound vectors by quantity, the unit prices
-    (revenue, cost, holding) by price and the fixed costs by fixed."""
-    fields = {}
-    for names, factor in ((_BOUND_FIELDS, quantity), (_PRICE_FIELDS, price),
-                          (_FIXED_FIELDS, fixed)):
-        for name in names:
-            fields[name] = tuple(v * factor for v in getattr(inst, name))
-    return replace(inst, s0=inst.s0 * quantity, **fields)
+def scale_instance(inst: Instance, factor: int) -> Instance:
+    """Multiply s0, the six bound vectors and the unit prices by factor
+    and the fixed costs by factor**2, so every plan's stocks and trades
+    grow by factor and its objective by factor**2."""
+    fixed = factor * factor
+    fields = {name: tuple(v * factor for v in getattr(inst, name))
+              for name in _BOUND_FIELDS + _PRICE_FIELDS}
+    for name in _FIXED_FIELDS:
+        fields[name] = tuple(v * fixed for v in getattr(inst, name))
+    return replace(inst, s0=inst.s0 * factor, **fields)
+
+
+def _data(inst: Instance) -> list[Exact]:
+    values = [inst.s0]
+    for name in _VECTOR_FIELDS:
+        values.extend(getattr(inst, name))
+    return values
+
+
+def scale_factor(inst: Instance) -> int:
+    """F, the LCM of the denominators of s0 and every vector datum: the
+    least factor that makes scale_instance(inst, F) all-integer."""
+    return math.lcm(*(v.denominator for v in _data(inst)))
 
 
 def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
     """An all-integer copy of an instance, and the map of its plans back.
 
-    s0 and the bounds are multiplied by L, the LCM of their denominators;
-    the unit prices by M, the LCM of the price and fixed-cost denominators;
-    the fixed costs by L*M.  A plan (x, y, s, w, z) of inst is then a plan
-    (L*x, L*y, L*s, w, z) of the copy worth L*M times as much, so both
-    instances rank their plans alike.  The map back divides x, y and s by
-    L and recomputes the objective on inst.  All-integer data returns inst
+    The copy is scale_instance(inst, F) with F = scale_factor(inst), the
+    factor emit-lp prints, so a plan's stocks and trades grow by F and its
+    objective by F**2.  The map back divides x, y and s by F and
+    recomputes the objective on inst.  All-integer data returns inst
     itself with the identity map.
     """
-    quantities = [inst.s0]
-    for name in _BOUND_FIELDS:
-        quantities.extend(getattr(inst, name))
-    prices = []
-    for name in _PRICE_FIELDS + _FIXED_FIELDS:
-        prices.extend(getattr(inst, name))
-    if all(type(v) is int for v in quantities + prices):
+    if all(type(v) is int for v in _data(inst)):
         return inst, lambda sol: sol
-    L = math.lcm(*(v.denominator for v in quantities))
-    M = math.lcm(*(v.denominator for v in prices))
+    F = scale_factor(inst)
 
     def back(sol: Solution) -> Solution:
-        x, y, s = (tuple(Fraction(v, L) for v in vec)
+        x, y, s = (tuple(Fraction(v, F) for v in vec)
                    for vec in (sol.x, sol.y, sol.s))
         objective = compute_objective(inst, x, y, s, sol.w, sol.z)
         return Solution(x=x, y=y, s=s, w=sol.w, z=sol.z, objective=objective)
 
-    return scale_instance(inst, L, M, L * M), back
+    return scale_instance(inst, F), back
 
 
 def assemble_solution(inst: Instance, x, y) -> Solution:

@@ -35,16 +35,16 @@ relies on that order to read off the smallest plan.
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
 
-solve searches in integers.  It multiplies the searched instance's
-quantities by the LCM L of their denominators, its unit prices by the LCM M
-of the price and fixed-cost denominators and its fixed costs by L*M
-(model.integral_instance), so no level, window key or payoff is a Fraction.
-Every plan's objective scales by the same positive L*M and every stock by
-L, so all comparisons and equalities come out as before: the level sets
-keep their sizes, and the window arg-maxima and with them the tie-break
-below choose the same plan, which is divided back by L.  build_network and
-solve_with_network work on the searched instance as it is, so the DOT dump
-and the LP print its own numbers.
+solve searches in integers.  model.integral_instance multiplies the
+searched instance's s0, bounds and unit prices by F, the LCM of the
+denominators of all its data, and its fixed costs by F*F, the rule emit-lp
+prints, so no level, window key or payoff is a Fraction.  Every plan's
+objective scales by the same F*F and every stock by F, so all comparisons
+and equalities come out as before: the level sets keep their sizes, and
+the window arg-maxima and with them the tie-break below choose the same
+plan, which is divided back by F.  build_network and solve_with_network
+work on the searched instance as it is, so the DOT dump and the LP print
+its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
@@ -438,8 +438,7 @@ def search_instance(inst: Instance) -> tuple[Instance, Callable]:
     """
     validate_instance(inst)
     if inst.variant is Variant.WP2:
-        doubled = double_horizon(inst)
-        return doubled.instance, doubled.map_back
+        return double_horizon(inst)
     return inst, lambda sol: sol
 
 
@@ -462,12 +461,12 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
 
     Runs on search_instance(inst), so the single wp1 arc rule serves all
     variants, scaled to integer data by model.integral_instance.  The
-    scaling multiplies every objective by one positive factor and every
-    stock by another, so it changes no comparison and the plan found is
-    the one the rational search finds, divided back.  Agrees with
-    solve_with_network, which searches in rationals, in plan and
-    objective.  A given trace records the sizes of the level sets
-    searched.  Raises Infeasible when no plan exists.
+    scaling multiplies every stock by one factor F and every objective by
+    F*F, so it changes no comparison and the plan found is the one the
+    rational search finds, divided back.  Agrees with solve_with_network,
+    which searches in rationals, in plan and objective.  A given trace
+    records the sizes of the level sets searched.  Raises Infeasible when
+    no plan exists.
     """
     base, back = search_instance(inst)
     searched, unscale = integral_instance(base)

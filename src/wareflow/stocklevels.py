@@ -35,6 +35,7 @@ zero as an anchor value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import WrongVariant
 from .model import Exact, Instance, Solution, Variant, compute_objective
@@ -55,41 +56,18 @@ class StockLevels:
         return max(map(len, self.levels), default=0)
 
 
-@dataclass(frozen=True)
-class DoubledHorizon:
-    """A wp2 instance recast over 2T periods with one trade side per period.
-
-    Odd periods 2t-1 carry only the sales of original period t, even periods
-    2t only its purchases.  Stock bounds are [0, Us_t] after an odd period
-    and [Ls_t, Us_t] after an even one, which encodes y_t <= s_{t-1} while
-    keeping plain complementarity (each period trades on one side only).
-    map_back restores a T-period solution via x_t = x'_{2t}, y_t = y'_{2t-1},
-    s_t = s'_{2t}, w_t = w'_{2t}, z_t = z'_{2t-1}.
-    """
-
-    instance: Instance
-    source: Instance
-
-    def map_back(self, sol: Solution) -> Solution:
-        T = self.source.T
-        if len(sol.x) != 2 * T:
-            raise ValueError(
-                f"expected a {2 * T}-period solution, got {len(sol.x)}"
-            )
-        x = sol.x[1::2]
-        y = sol.y[0::2]
-        s = sol.s[1::2]
-        w = sol.w[1::2]
-        z = sol.z[0::2]
-        objective = compute_objective(self.source, x, y, s, w, z)
-        return Solution(x=x, y=y, s=s, w=w, z=z, objective=objective)
-
-
-def double_horizon(inst: Instance) -> DoubledHorizon:
+def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
     """Split every wp2 period into a sales half then a purchases half.
 
-    The doubled instance is a wp1 instance over 2T periods whose feasible
-    plans correspond one to one with the wp2 plans, with equal objective.
+    Returns the doubled instance and the map of its plans back.  The
+    doubled instance is a wp1 instance over 2T periods: odd period 2t-1
+    carries only the sales of period t, even period 2t only its purchases.
+    Its stock bounds are [0, Us_t] after an odd period and [Ls_t, Us_t]
+    after an even one, which encodes y_t <= s_{t-1} under plain
+    complementarity, so its feasible plans correspond one to one with the
+    wp2 plans, with equal objective.  The map back takes x_t = x'_{2t},
+    y_t = y'_{2t-1}, s_t = s'_{2t}, w_t = w'_{2t}, z_t = z'_{2t-1} and
+    recomputes the objective on inst.
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("double_horizon applies to wp2 instances only")
@@ -117,7 +95,18 @@ def double_horizon(inst: Instance) -> DoubledHorizon:
         fixed_purchase=interleave((0,) * inst.T, inst.fixed_purchase),
         fixed_sale=interleave(inst.fixed_sale, (0,) * inst.T),
     )
-    return DoubledHorizon(instance=doubled, source=inst)
+
+    def back(sol: Solution) -> Solution:
+        if len(sol.x) != 2 * inst.T:
+            raise ValueError(
+                f"expected a {2 * inst.T}-period solution, got {len(sol.x)}"
+            )
+        x, y, s = sol.x[1::2], sol.y[0::2], sol.s[1::2]
+        w, z = sol.w[1::2], sol.z[0::2]
+        objective = compute_objective(inst, x, y, s, w, z)
+        return Solution(x=x, y=y, s=s, w=w, z=z, objective=objective)
+
+    return doubled, back
 
 
 def _sweep(start: set, steps) -> list[set]:
@@ -141,10 +130,11 @@ def gen_stock_levels(inst: Instance) -> StockLevels:
     """Compute the candidate stock values for every period.
 
     The instance is assumed validated.  For wp2 the doubled horizon is
-    expanded and its even layers are projected back.
+    expanded and its even layers are projected back.  A whole level is
+    always an int, also when the bounds hold Fractions.
     """
     if inst.variant is Variant.WP2:
-        inner = gen_stock_levels(double_horizon(inst).instance)
+        inner = gen_stock_levels(double_horizon(inst)[0])
         return StockLevels(levels=inner.levels[1::2])
     Ls, Us = inst.Ls, inst.Us
     Lx, Ux, Ly, Uy = inst.Lx, inst.Ux, inst.Ly, inst.Uy
@@ -155,9 +145,14 @@ def gen_stock_levels(inst: Instance) -> StockLevels:
     backward = _sweep({Ls[-1], Us[-1]}, (
         ({0, -Lx[i + 1], -Ux[i + 1], Ly[i + 1], Uy[i + 1]}, Ls[i], Us[i])
         for i in range(inst.T - 2, -1, -1)))
-    return StockLevels(levels=tuple(
-        tuple(sorted(ahead | behind))
-        for ahead, behind in zip(forward[1:], reversed(backward))))
+    layers = (sorted(ahead | behind)
+              for ahead, behind in zip(forward[1:], reversed(backward)))
+    if not inst.bounds_integral():
+        # a whole sum of Fractions stays a Fraction, and a set keeps
+        # whichever of 1 and Fraction(1, 1) it met first: make them ints
+        layers = ([v.numerator if v.denominator == 1 else v for v in layer]
+                  for layer in layers)
+    return StockLevels(levels=tuple(map(tuple, layers)))
 
 
 def _ceil_div(num: int, den: int) -> int:

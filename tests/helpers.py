@@ -561,7 +561,7 @@ def reference_stock_levels(inst: Instance) -> StockLevels:
     carry every value through every layer unclipped, and clip to
     [Ls_t, Us_t] only at the end."""
     if inst.variant is Variant.WP2:
-        inner = reference_stock_levels(double_horizon(inst).instance)
+        inner = reference_stock_levels(double_horizon(inst)[0])
         levels = tuple(inner.levels[2 * t - 1] for t in inst.periods)
         return StockLevels(levels=levels)
     forward = _reference_forward_sets(inst)
@@ -616,7 +616,7 @@ def reference_clipped_stock_levels(inst: Instance) -> StockLevels:
     [Ls_t, Us_t] as it is built, the backward one seeded per layer with the
     next period's anchors."""
     if inst.variant is Variant.WP2:
-        inner = reference_clipped_stock_levels(double_horizon(inst).instance)
+        inner = reference_clipped_stock_levels(double_horizon(inst)[0])
         return StockLevels(levels=tuple(inner.levels[2 * t - 1]
                                         for t in inst.periods))
     forward = _reference_clipped_forward_sets(inst)

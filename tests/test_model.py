@@ -225,7 +225,7 @@ def test_integral_instance_returns_integer_data_unchanged():
     assert back(sol) is sol
 
 
-def test_integral_instance_scales_by_L_and_M():
+def test_integral_instance_scales_by_one_factor():
     inst = Instance(
         variant="wp1", T=2, s0=Fraction(1, 2),
         Ls=(0, 0), Us=(3, Fraction(7, 3)), Lx=(0, 0), Ux=(1, 1),
@@ -234,15 +234,14 @@ def test_integral_instance_scales_by_L_and_M():
         fixed_purchase=(Fraction(1, 2), 0), fixed_sale=(0, 1),
     )
     scaled, back = integral_instance(inst)
-    # L = lcm(2, 3) = 6 over the quantities, M = lcm(5, 2) = 10 over the
-    # prices and fixed costs, and the fixed costs take L*M = 60
-    assert scaled == scale_instance(inst, 6, 10, 60)
-    assert scaled.s0 == 3 and scaled.Us == (18, 14) and scaled.Uy == (4, 6)
-    assert scaled.revenue == (6, 20) and scaled.holding == (0, 10)
-    assert scaled.fixed_purchase == (30, 0) and scaled.fixed_sale == (0, 60)
+    # F = lcm(2, 3, 5) = 30 over every datum; the fixed costs take F*F = 900
+    assert scaled == scale_instance(inst, 30)
+    assert scaled.s0 == 15 and scaled.Us == (90, 70) and scaled.Uy == (20, 30)
+    assert scaled.revenue == (18, 60) and scaled.holding == (0, 30)
+    assert scaled.fixed_purchase == (450, 0) and scaled.fixed_sale == (0, 900)
     numbers = serialize_instance(scaled)
     assert "/" not in numbers  # every number is an integer
     plan = assemble_solution(inst, (1, 0), (0, Fraction(2, 3)))
-    image = assemble_solution(scaled, (6, 0), (0, 4))
-    assert image.objective == 60 * plan.objective
+    image = assemble_solution(scaled, (30, 0), (0, 20))
+    assert image.objective == 900 * plan.objective
     assert repr(back(image)) == repr(plan)

@@ -247,7 +247,7 @@ def test_to_dot_lists_every_node_and_arc():
 def test_search_instance_doubles_wp2_and_maps_back():
     inst = wp2_mixed()
     base, back = search_instance(inst)
-    assert base == double_horizon(inst).instance
+    assert base == double_horizon(inst)[0]
     assert base.variant is Variant.WP1 and base.T == 2 * inst.T
     sol = back(solve_with_network(base)[0])
     assert len(sol.x) == inst.T
@@ -391,7 +391,7 @@ def test_trace_keeps_the_sizes_of_fractional_levels():
 def test_wp2_trace_covers_the_doubled_horizon():
     inst = wp2_mixed()
     trace = _trace(inst)
-    doubled = gen_stock_levels(double_horizon(inst).instance)
+    doubled = gen_stock_levels(double_horizon(inst)[0])
     assert len(trace.layer_sizes) == 2 * inst.T
     assert trace.layer_sizes == tuple(map(len, doubled.levels))
 
@@ -411,7 +411,7 @@ def _divided(inst, d, p):
 def _coprime(seed: int) -> Instance:
     """A feasible wp1 instance (s0 = 0 may stay put) whose bounds lie over
     3, 7 and 11, revenues over 13 and fixed costs over 5, so the integer
-    copy multiplies bounds by L = 231 and fixed costs by L*M = 15015."""
+    copy multiplies bounds and prices by F = 15015 and fixed costs by F*F."""
     rng = random.Random(seed)
     T = 5
 
@@ -445,8 +445,8 @@ def test_window_dp_matches_network_on_fractional_data():
     assert outcomes[-4:] == [True] * 4 and not all(outcomes)
     inst = cases[-1]
     scaled = integral_instance(inst)[0]
-    assert scaled.Us == tuple(231 * v for v in inst.Us)
-    assert scaled.fixed_purchase == tuple(15015 * v
+    assert scaled.Us == tuple(15015 * v for v in inst.Us)
+    assert scaled.fixed_purchase == tuple(15015 ** 2 * v
                                           for v in inst.fixed_purchase)
 
 

@@ -70,7 +70,7 @@ def test_double_horizon_bounds():
         revenue=(7,), cost=(2,), holding=(1,),
         fixed_purchase=(4,), fixed_sale=(6,),
     )
-    doubled = double_horizon(inst).instance
+    doubled = double_horizon(inst)[0]
     assert doubled.variant.value == "wp1"
     assert doubled.T == 2
     assert (doubled.Lx, doubled.Ux) == ((0, 0), (0, 2))
@@ -91,7 +91,7 @@ def test_double_horizon_all_zero():
         revenue=(0,), cost=(0,), holding=(0,),
         fixed_purchase=(0,), fixed_sale=(0,),
     )
-    doubled = double_horizon(inst).instance
+    doubled = double_horizon(inst)[0]
     assert doubled.T == 2
     assert all(v == 0 for v in doubled.Us + doubled.Ux + doubled.Uy)
 
@@ -106,23 +106,23 @@ def test_double_horizon_objective_preserved():
     fixtures += [gen_random(seed, T=2 + seed % 2, variant="wp2", max_bound=5)
                  for seed in range(25)]
     for inst in fixtures:
-        doubled = double_horizon(inst)
+        doubled, back = double_horizon(inst)
         try:
             direct = oracle_solve(inst).objective
         except Infeasible:
             with pytest.raises(Infeasible):
-                oracle_solve(doubled.instance)
+                oracle_solve(doubled)
             continue
-        inner = oracle_solve(doubled.instance)
+        inner = oracle_solve(doubled)
         assert inner.objective == direct
-        assert doubled.map_back(inner).objective == direct
+        assert back(inner).objective == direct
 
 
 def test_map_back_reindexes():
     inst = wp2_mixed()
-    doubled = double_horizon(inst)
-    inner = oracle_solve(doubled.instance)
-    outer = doubled.map_back(inner)
+    doubled, back = double_horizon(inst)
+    inner = oracle_solve(doubled)
+    outer = back(inner)
     assert outer.x == inner.x[1::2]
     assert outer.y == inner.y[0::2]
     assert outer.s == inner.s[1::2]
@@ -221,7 +221,7 @@ def test_widening_one_period_grows_levels():
 def test_wp2_levels_project_even_layers():
     inst = wp2_mixed()
     outer = gen_stock_levels(inst)
-    inner = gen_stock_levels(double_horizon(inst).instance)
+    inner = gen_stock_levels(double_horizon(inst)[0])
     assert len(outer.levels) == inst.T
     assert len(inner.levels) == 2 * inst.T
     for t in range(inst.T):
@@ -287,6 +287,30 @@ def test_one_sweep_matches_the_two_mirrored_sweeps():
     # forward layer already holds, so every union is unchanged
     for inst in _seeded_instances():
         assert gen_stock_levels(inst) == reference_clipped_stock_levels(inst)
+
+
+def _halved(inst: Instance) -> Instance:
+    """s0 and every stock and trade bound over 2."""
+    return replace(inst, s0=Fraction(inst.s0, 2),
+                   **{name: tuple(Fraction(v, 2) for v in getattr(inst, name))
+                      for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")})
+
+
+def test_whole_levels_are_ints_on_fractional_bounds():
+    # a set keeps whichever of 1 and Fraction(1, 1) it meets first, so
+    # without normalising, the reprs of levels, networks and LP models
+    # would follow the set order
+    cases = [_halved(gen_random(6, 8, "wp2", 9))]
+    cases += [_halved(gen_random(seed, 6, variant, 9))
+              for variant in ("wp1", "wp2", "wp3") for seed in range(30)]
+    fractional = 0
+    for inst in cases:
+        base = search_instance(inst)[0]
+        net = build_network(base, gen_stock_levels(base))
+        for layer in gen_stock_levels(inst).levels + net.layers:
+            assert all(type(v) is int for v in layer if v.denominator == 1)
+            fractional += any(type(v) is not int for v in layer)
+    assert fractional > 0
 
 
 def test_solve_matches_the_network_over_unclipped_levels():
