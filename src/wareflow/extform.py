@@ -18,20 +18,19 @@ The period variables are free, the indicators w and z included: they are
 relaxed binaries, and integrality comes from the polytope itself.
 The module only builds, lifts, and prints the model; no LP solver is run.
 
-Emitting costs about one pass over the arcs.  network.build_network looks
-only at each tail's sell window, stay and buy window, so on wp1/wp3 and the
-doubled wp2 horizon every pair it checks is an arc, priced per window; the
-formulation walks each period's arcs once for all the rows they enter; and
-the printer writes int coefficients inline.  An arc's flow variable is
-just its name.  Whether the model prints in decimals is read off the
-instance's prices and the arcs' trade amounts before the formulation is
-built; if not, the one network built is rescaled by model.scale_factor,
-so the levels, the network, the formulation and the text are each made
+emit_lp streams the text straight from the arcs, in one walk that makes
+each arc's name once and joins every row from the names; it builds no
+LPModel.  build_extended_formulation makes the model for lift_and_check
+and the size criteria, and its rows are exactly the rows emit_lp prints.
+Whether the text prints in decimals is read off the instance's prices and
+the arcs' trade amounts; if not, the one network built is rescaled by
+model.scale_factor, so the levels, the network and the text are each made
 once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -291,47 +290,74 @@ def _decimal_or_none(value: Exact) -> str | None:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-def _render(model: LPModel, comments: tuple[str, ...]) -> str:
-    def num(value: Exact) -> str:
-        text = _decimal_or_none(value)
-        if text is None:  # emit_lp scales such numbers away beforehand
-            raise ValueError(f"{value} has no decimal literal")
-        return text
+def _times(value: Exact) -> str:
+    """A coefficient's magnitude as it leads a variable's name: nothing
+    for 1, else its decimal literal and a space."""
+    text = _decimal_or_none(value)
+    if text is None:  # emit_lp scales such numbers away beforehand
+        raise ValueError(f"{value} has no decimal literal")
+    return "" if text == "1" else text + " "
 
-    def expr(terms) -> str:
-        parts = []
-        for name, coeff in terms:
-            if type(coeff) is int:  # Fractions and bools take the general path
-                if coeff == 1:
-                    parts.append(f"+ {name}")
-                elif coeff == -1:
-                    parts.append(f"- {name}")
-                elif coeff > 0:
-                    parts.append(f"+ {coeff} {name}")
-                elif coeff < 0:
-                    parts.append(f"- {-coeff} {name}")
-                continue
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = num(abs(coeff))
-            piece = name if mag == "1" else f"{mag} {name}"
-            parts.append(f"{sign} {piece}")
-        if not parts:
-            return "0 "
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
 
+def _expr(plus, minus=()) -> str:
+    """The terms in plus less the names in minus, as the LP text writes
+    them: with no plus term it opens with "- ", and with none at all it
+    is 0."""
+    return " - ".join([" + ".join(plus), *minus]).lstrip() or "0 "
+
+
+def _lp_text(inst: Instance, net: LayeredNetwork,
+             comments: tuple[str, ...]) -> str:
+    """The text of build_extended_formulation(inst, net), in one walk over
+    the arcs.  Each arc's name is made once and joins its head's incoming
+    and its tail's outgoing list, which make the conservation rows; every
+    row's text is joined from names, and rows are gathered per family."""
+    objective, source, flows, trades, balances, couplings = (
+        [[] for _ in range(6)])
+    into_prev: list[list[str]] = []
+    times = functools.cache(_times)  # few distinct amounts and prices recur
+    for t, period in enumerate(net.arcs, start=1):
+        i = t - 1
+        prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
+        suffixes = [_arc_suffix(k) for k in range(len(net.layers[t]))]
+        into, out_of = [[] for _ in suffixes], [[] for _ in prefixes]
+        x_terms, y_terms, buys, sells = [], [], [], []
+        for tail, head, dec in period:
+            name = prefixes[tail] + suffixes[head]
+            into[head].append(name)
+            out_of[tail].append(name)
+            if dec.x:
+                x_terms.append(times(dec.x) + name)
+                buys.append(name)
+            if dec.y:
+                y_terms.append(times(dec.y) + name)
+                sells.append(name)
+        if t == 1:
+            source = out_of[0]
+        flows += [f" flow_{i}_{node}: {_expr(entering, out_of[node])} = 0"
+                  for node, entering in enumerate(into_prev)
+                  if entering or out_of[node]]
+        into_prev = into
+        trades += [f" def_x_{t}: {_expr(x_terms, [f'x_{t}'])} = 0",
+                   f" def_y_{t}: {_expr(y_terms, [f'y_{t}'])} = 0"]
+        rest = f"- s_{i} = 0" if i else f"= {_decimal_or_none(inst.s0)}"
+        balances.append(f" balance_{t}: s_{t} + y_{t} - x_{t} {rest}")
+        for v, arcs, low in (("w", buys, inst.Lx[i]), ("z", sells, inst.Ly[i])):
+            couplings.append(f" {v}_couple_{t}: {_expr([f'{v}_{t}'], arcs)} "
+                             f"{'=' if low > 0 else '>='} 0")
+        prices = (inst.revenue[i], -inst.cost[i], -inst.holding[i],
+                  -inst.fixed_purchase[i], -inst.fixed_sale[i])
+        objective += [("- " if c < 0 else "+ ") + times(abs(c)) + f"{v}_{t}"
+                      for v, c in zip("yxswz", prices) if c]
+    periods = range(1, len(net.arcs) + 1)
     lines = [f"\\ {c}" for c in comments]
-    lines.append("Maximize")
-    lines.append(f" obj: {expr(model.objective)}")
-    lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {expr(row.coeffs)} {row.sense} {num(row.rhs)}")
-    lines.append("Bounds")
-    # the flows keep the format's default bounds, >= 0
-    lines.extend(f" {name} free" for name in model.free)
-    lines.append("End")
+    lines += ["Maximize",
+              f" obj: {' '.join(objective).removeprefix('+ ') or '0 '}",
+              "Subject To", f" unit_source: {_expr(source)} = 1",
+              *flows, *trades, *balances, *couplings,
+              *(f" {v}_ub_{t}: {v}_{t} <= 1" for t in periods for v in "wz"),
+              "Bounds", *(f" {v}_{t} free" for t in periods for v in "xyswz"),
+              "End"]
     return "\n".join(lines) + "\n"
 
 
@@ -339,14 +365,16 @@ def emit_lp(inst: Instance) -> str:
     """Print the extended formulation in the common LP text dialect.
 
     The instance is validated and emitted as search_instance returns it,
-    so wp2 lands on its doubled horizon, matching how it is solved.  Every
-    number must print as an exact decimal.  When some number of the model
-    has no decimal literal, s0, the bounds and the unit prices are scaled
-    up by F = model.scale_factor, the factor solve searches with, and the
-    fixed costs by F*F, and a comment line records both factors.  Every
-    plan's objective then grows by F*F, linear payoff and fixed costs
-    alike, so the LP ranks plans as the instance does.  The network is
-    built once, on the unscaled instance.
+    so wp2 lands on its doubled horizon, matching how it is solved.  The
+    text is written from the network's arcs in one walk; it is the text of
+    build_extended_formulation's model, which is kept for the lift check
+    and not built here.  Every number must print as an exact decimal.
+    When one has no decimal literal, s0, the bounds and the unit prices
+    are scaled up by F = model.scale_factor, the factor solve searches
+    with, and the fixed costs by F*F, and a comment line records both
+    factors.  Every plan's objective then grows by F*F, linear payoff and
+    fixed costs alike, so the LP ranks plans as the instance does.  The
+    network is built once, on the unscaled instance.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
@@ -357,7 +385,7 @@ def emit_lp(inst: Instance) -> str:
         net = _scaled_network(net, factor)
         comments += (f"quantities and unit prices scaled by {factor}, "
                      f"fixed costs by {factor * factor}",)
-    return _render(build_extended_formulation(base, net), comments)
+    return _lp_text(base, net, comments)
 
 
 def _prints_in_decimals(inst: Instance, net: LayeredNetwork) -> bool:

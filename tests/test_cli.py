@@ -396,6 +396,23 @@ def test_emit_lp_to_file(instance_file, tmp_path, capsys):
     assert "Maximize" in text and text.endswith("End\n")
 
 
+# emit-lp text pinned byte for byte: two_period_trade with nonzero fixed
+# costs, wp2_mixed on its doubled horizon, and the fractional instance of
+# the CI smoke run, whose LP is scaled by F = 30
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["two_period_trade", "wp2_mixed", "frac"])
+def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys):
+    source = str(GOLDEN / f"{name}.json")
+    expected = (GOLDEN / f"{name}.lp").read_bytes()
+    lp_path = tmp_path / f"{name}.lp"
+    assert run(["emit-lp", "--input", source, "--output", str(lp_path)]) == 0
+    assert lp_path.read_bytes() == expected
+    assert run(["emit-lp", "--input", source]) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
 def test_bench_csv(tmp_path, capsys):
     bench_dir = tmp_path / "instances"
     bench_dir.mkdir()

@@ -29,7 +29,6 @@ from wareflow import extform
 from wareflow.extform import (
     _decimal_or_none,
     _prints_in_decimals,
-    _render,
     _scaled_network,
 )
 from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_factor, scale_instance
@@ -38,9 +37,11 @@ from helpers import (
     ReferenceModel,
     ReferenceVariable,
     _reference_render,
+    _render,
     reference_build_extended_formulation,
     reference_decimal_or_none,
     reference_emit_lp,
+    rendered_emit_lp,
     solution_with,
     two_period_trade,
     wp2_mixed,
@@ -243,7 +244,22 @@ def _rounded_wp3(seed: int, epsilon: Fraction) -> Instance:
     return scale_trade_bounds(inst, fptas_params(inst, epsilon))
 
 
+def _dead_source() -> Instance:
+    # from s0 = 0 no purchase of at most 2 reaches Ls_1 = 4: no arc
+    # leaves the source, and no price is nonzero
+    return Instance(
+        variant="wp1", T=2, s0=0,
+        Ls=(4, 0), Us=(6, 6), Lx=(0, 0), Ux=(2, 3), Ly=(0, 0), Uy=(1, 1),
+        revenue=(0, 0), cost=(0, 0), holding=(0, 0),
+        fixed_purchase=(0, 0), fixed_sale=(0, 0),
+    )
+
+
 def test_emit_lp_matches_reference_emitter():
+    # the streamed text is also the model build_extended_formulation makes
+    # on the instance and network emit_lp prints, rendered term by term
+    halves = replace(two_period_trade(), Ux=(Fraction(1, 2), 5),
+                     cost=(Fraction(1, 4), 1))
     cases = [gen_random(seed, T, variant, 3 * T)
              for variant in ("wp1", "wp2", "wp3")
              for T in (2, 3, 5)
@@ -251,10 +267,11 @@ def test_emit_lp_matches_reference_emitter():
     cases += [_rounded_wp3(seed, eps)
               for seed in range(6)
               for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))]
+    cases += [_dead_source(), halves]
     scaled = decimal = infeasible = 0
     for inst in cases:
         text = emit_lp(inst)
-        assert text == reference_emit_lp(inst)
+        assert text == reference_emit_lp(inst) == rendered_emit_lp(inst)
         scaled += "scaled by" in text
         decimal += "scaled by" not in text and "." in text
         try:
@@ -263,6 +280,13 @@ def test_emit_lp_matches_reference_emitter():
             infeasible += 1
     # the cases reach both branches of the emitter and infeasible data
     assert scaled and decimal and infeasible
+    # an empty expression prints as 0, a coefficient of 1 as nothing
+    dead = emit_lp(_dead_source())
+    assert " obj: 0 \n" in dead and " unit_source: 0  = 1\n" in dead
+    assert " def_x_1: - x_1 = 0\n" in dead
+    text = emit_lp(halves)
+    assert " obj: 3 y_1 - 0.25 x_1 + 3 y_2 - x_2\n" in text
+    assert " def_x_1: 0.5 a_1_0_1 - x_1 = 0\n" in text
 
 
 def test_formulation_matches_the_reference_builder():
@@ -337,8 +361,9 @@ def test_emit_lp_skips_scaling_for_numbers_outside_the_model():
 
 
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(1, 3)])
-def test_emit_lp_builds_one_network_and_one_formulation(monkeypatch, s0):
-    # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3
+def test_emit_lp_builds_one_network_and_no_formulation(monkeypatch, s0):
+    # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3;
+    # the text is written from the arcs, so no LP model is built
     calls = []
 
     def counted(name, func):
@@ -360,8 +385,7 @@ def test_emit_lp_builds_one_network_and_one_formulation(monkeypatch, s0):
     text = emit_lp(inst)
     assert ("scaled by" in text) == (s0.denominator == 3)
     assert text == reference_emit_lp(inst)
-    assert sorted(calls) == ["build_extended_formulation", "build_network",
-                             "gen_stock_levels"]
+    assert sorted(calls) == ["build_network", "gen_stock_levels"]
 
 
 def test_scaled_network_is_the_network_of_the_scaled_instance():

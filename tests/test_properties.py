@@ -35,6 +35,7 @@ from helpers import (  # noqa: E402
     reference_decode,
     reference_emit_lp,
     reference_stock_levels,
+    rendered_emit_lp,
 )
 
 SETTINGS = settings(
@@ -263,8 +264,12 @@ def test_fractional_data_solves_as_its_integer_multiple(inst, L, M):
 @given(instances())
 def test_emit_lp_matches_the_reference_emitter(inst):
     # s0 and the bounds over 3 leave trade amounts that are not decimal,
-    # so the copy takes the rescaling branch whenever it trades
+    # so the copy takes the rescaling branch whenever it trades; halves and
+    # quarters print as decimals.  The text is also the rendered LP model
+    # of what emit_lp prints
     thirds = _rescaled(inst, Fraction(1, 3), 1)
     for case in (inst, replace(thirds, fixed_purchase=inst.fixed_purchase,
-                               fixed_sale=inst.fixed_sale)):
-        assert emit_lp(case) == reference_emit_lp(case)
+                               fixed_sale=inst.fixed_sale),
+                 _rescaled(inst, Fraction(1, 2), Fraction(1, 4))):
+        text = emit_lp(case)
+        assert text == reference_emit_lp(case) == rendered_emit_lp(case)
