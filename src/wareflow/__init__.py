@@ -27,14 +27,7 @@ from .errors import (
     WrongVariant,
     WrongVectorLength,
 )
-from .extform import (
-    LPModel,
-    LPRow,
-    build_extended_formulation,
-    emit_lp,
-    lift_and_check,
-    lift_solution,
-)
+from .extform import emit_lp, lift_and_check, lift_solution
 from .fptas import (
     BalancedFlow,
     FlowPair,

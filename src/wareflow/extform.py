@@ -16,14 +16,14 @@ The constraint families:
 
 The period variables are free, the indicators w and z included: they are
 relaxed binaries, and integrality comes from the polytope itself.
-The module only builds, lifts, and prints the model; no LP solver is run.
+The module only writes, lifts, and checks the model; no LP solver is run.
 
-emit_lp streams the text straight from the arcs, in one walk that makes
-each arc's name once and joins every row from the names; it builds no
-LPModel.  build_extended_formulation makes the model for lift_and_check
-and the size criteria, and its rows are exactly the rows emit_lp prints.
-Whether the text prints in decimals is read off the instance's prices and
-the arcs' trade amounts; if not, the one network built is rescaled by
+_lp_text is the one definition of the LP: it writes the text straight from
+the arcs, in one walk that makes each arc's name once and joins every row
+from the names.  emit_lp prints it with decimal numbers; lift_and_check
+writes it with exact p/q numbers and evaluates its rows on a lifted plan.
+Whether emit_lp's text prints in decimals is read off the instance's prices
+and the arcs' trade amounts; if not, the one network built is rescaled by
 model.scale_factor, so the levels, the network and the text are each made
 once.
 """
@@ -31,9 +31,7 @@ once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import NotAPath
 from .model import (
@@ -51,49 +49,9 @@ from .model import (
 from .network import ArcDecision, LayeredNetwork, build_network, search_instance
 from .stocklevels import gen_stock_levels
 
-Term = tuple  # (variable name, coefficient)
-
-
-class LPRow(NamedTuple):
-    """One linear constraint: sum of coeffs (sense) rhs."""
-
-    name: str
-    family: str  # "i", "ii", "iv", ..., "x"
-    period: int  # 0 for rows not tied to a period
-    coeffs: tuple[Term, ...]
-    sense: str  # "=", "<=", ">="
-    rhs: Exact
-
-
-@dataclass(frozen=True)
-class LPModel:
-    """The LP by variable names: flows are the arc variables, in arc order,
-    each >= 0 (family (iii)); free are x_t, y_t, s_t, w_t, z_t for t = 1..T,
-    unbounded, with w and z relaxed binaries that rows (vi)..(x) hold in
-    [0, 1]."""
-
-    flows: tuple[str, ...]
-    free: tuple[str, ...]
-    objective: tuple[Term, ...]  # maximized
-    rows: tuple[LPRow, ...]
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.flows + self.free
-
-    def families(self) -> set[str]:
-        present = {row.family for row in self.rows}
-        if self.flows:
-            present.add("iii")  # carried by the flows' sign
-        return present
-
-    def eval_objective(self, values: dict) -> Exact:
-        return exact(sum(c * values.get(n, 0) for n, c in self.objective))
-
-
-# An arc's variable is named a_{t}_{tail}_{head}: the builder joins one
-# prefix per tail node with one suffix per head node, lift_solution names
-# single arcs, and both go through these two helpers.
+# An arc's variable is named a_{t}_{tail}_{head}: _lp_text joins one prefix
+# per tail node with one suffix per head node, lift_solution names single
+# arcs, and both go through these two helpers.
 def _arc_prefix(t: int, tail: int) -> str:
     return f"a_{t}_{tail}"
 
@@ -106,114 +64,20 @@ def _arc_name(t: int, tail: int, head: int) -> str:
     return _arc_prefix(t, tail) + _arc_suffix(head)
 
 
-def build_extended_formulation(inst: Instance, net: LayeredNetwork) -> LPModel:
-    """Write the arc-flow polytope of a network as an explicit LP model.
-
-    The instance must be the one the network was built from.  Constraint
-    (iii) is carried by the flows' sign; every other family appears as rows
-    (families (vi)..(ix) only for the periods they govern).
-    One loop over the periods walks each period's arcs once, collecting
-    their variables, conservation, trade and indicator terms, and adds the
-    period's own variables, objective terms and rows.  Rows are gathered
-    per family and listed family by family.
-    """
-    arc_vars: list[str] = []
-    period_vars: list[str] = []
-    objective: list[Term] = []
-    source: tuple[Term, ...] = ()
-    flows: list[LPRow] = []
-    trades: list[LPRow] = []
-    balances: list[LPRow] = []
-    couplings: list[LPRow] = []
-    ceilings: list[LPRow] = []
-    into_prev: list[list[Term]] = []
-    for t, period in enumerate(net.arcs, start=1):
-        i = t - 1
-        prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
-        suffixes = [_arc_suffix(k) for k in range(len(net.layers[t]))]
-        into: list[list[Term]] = [[] for _ in suffixes]
-        out_of: list[list[Term]] = [[] for _ in prefixes]
-        x_terms: list[Term] = []
-        y_terms: list[Term] = []
-        purchase: list[Term] = [(f"w_{t}", 1)]
-        sale: list[Term] = [(f"z_{t}", 1)]
-        for tail, head, dec in period:
-            name = prefixes[tail] + suffixes[head]
-            arc_vars.append(name)
-            into[head].append((name, 1))
-            leaving = (name, -1)
-            out_of[tail].append(leaving)
-            # arc trades are nonnegative, so nonzero means purchasing/selling
-            if dec.x:
-                x_terms.append((name, dec.x))
-                purchase.append(leaving)
-            if dec.y:
-                y_terms.append((name, dec.y))
-                sale.append(leaving)
-        if t == 1:
-            # (ii) the source, layer 0's one node, emits one unit of flow
-            source = tuple((name, 1) for name, _ in out_of[0])
-        else:
-            # (i) conservation at the interior nodes of layer t-1
-            for node, leaving in enumerate(out_of):
-                coeffs = into_prev[node] + leaving
-                if coeffs:
-                    flows.append(LPRow(f"flow_{i}_{node}", "i", i,
-                                       tuple(coeffs), "=", 0))
-        into_prev = into
-        # (iv) trade amounts are flow-weighted arc decisions
-        trades.append(LPRow(f"def_x_{t}", "iv", t,
-                            tuple(x_terms) + ((f"x_{t}", -1),), "=", 0))
-        trades.append(LPRow(f"def_y_{t}", "iv", t,
-                            tuple(y_terms) + ((f"y_{t}", -1),), "=", 0))
-        # (vi)-(ix) indicator coupling through arc flows
-        family, sense = ("vi", "=") if inst.Lx[i] > 0 else ("vii", ">=")
-        couplings.append(LPRow(f"w_couple_{t}", family, t, tuple(purchase),
-                               sense, 0))
-        family, sense = ("viii", "=") if inst.Ly[i] > 0 else ("ix", ">=")
-        couplings.append(LPRow(f"z_couple_{t}", family, t, tuple(sale),
-                               sense, 0))
-        period_vars.extend(f"{prefix}_{t}" for prefix in "xyswz")
-        objective.extend(
-            [
-                (f"y_{t}", inst.revenue[i]),
-                (f"x_{t}", -inst.cost[i]),
-                (f"s_{t}", -inst.holding[i]),
-                (f"w_{t}", -inst.fixed_purchase[i]),
-                (f"z_{t}", -inst.fixed_sale[i]),
-            ]
-        )
-        # (v) stock balance
-        coeffs = [(f"s_{t}", 1), (f"y_{t}", 1), (f"x_{t}", -1)]
-        rhs = 0
-        if t == 1:
-            rhs = inst.s0
-        else:
-            coeffs.append((f"s_{t - 1}", -1))
-        balances.append(LPRow(f"balance_{t}", "v", t, tuple(coeffs), "=", rhs))
-        # (x) indicator ceilings
-        ceilings.append(LPRow(f"w_ub_{t}", "x", t, ((f"w_{t}", 1),), "<=", 1))
-        ceilings.append(LPRow(f"z_ub_{t}", "x", t, ((f"z_{t}", 1),), "<=", 1))
-    unit_source = LPRow("unit_source", "ii", 0, source, "=", 1)
-    return LPModel(
-        flows=tuple(arc_vars),
-        free=tuple(period_vars),
-        objective=tuple(objective),
-        rows=(unit_source, *flows, *trades, *balances, *couplings, *ceilings),
-    )
-
-
 def lift_solution(net: LayeredNetwork, sol: Solution) -> dict:
     """Map a decoded path back to a unit flow plus the period variables.
 
     The path is located by the stock sequence; the solution's trades and
-    indicators are attached as given.  Raises NotAPath when the stocks do
-    not trace arcs of the network.
+    indicators are attached as given.  Raises NotAPath when a vector of the
+    plan does not have one entry per period of the network, or when the
+    stocks do not trace arcs of the network.
     """
     values: dict = {}
     T = len(net.arcs)
-    if len(sol.s) != T:
-        raise NotAPath(f"solution has {len(sol.s)} periods, network has {T}")
+    for prefix in "sxywz":
+        periods = len(getattr(sol, prefix))
+        if periods != T:
+            raise NotAPath(f"solution has {periods} periods, network has {T}")
     node = 0
     for t in range(1, T + 1):
         layer = net.layers[t]
@@ -239,27 +103,48 @@ def lift_solution(net: LayeredNetwork, sol: Solution) -> dict:
 def lift_and_check(
     inst: Instance, net: LayeredNetwork, sol: Solution
 ) -> FeasibilityReport:
-    """Lift a solved plan into the LP and evaluate every row exactly.
+    """Lift a solved plan into the LP and evaluate each written row exactly.
 
-    Returns a report whose violations carry the row name and both sides;
-    flow-variable sign checks report under the family (iii) name.
+    The rows are read from _lp_text(inst, net) with every number printed as
+    an exact p/q, so nothing is rescaled and both sides are in the
+    instance's units.  Each violation is (period, row name, lhs, rhs), the
+    period being the first number in the row's name, 0 if it has none.  A
+    negative flow reports under the family (iii) name, and an LP objective
+    of the lift other than sol.objective as (0, "obj", LP value,
+    sol.objective).  Raises NotAPath when the plan is not a path of net.
     """
-    model = build_extended_formulation(inst, net)
     values = lift_solution(net, sol)
-    bad = []
-    for name in model.flows:
-        v = values.get(name, 0)
-        if v < 0:
-            bad.append((0, f"iii_{name}", v, 0))
-    for row in model.rows:
-        lhs = exact(sum(c * values.get(n, 0) for n, c in row.coeffs))
-        ok = (
-            lhs == row.rhs
-            if row.sense == "="
-            else lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
-        )
-        if not ok:
-            bad.append((row.period, row.name, lhs, row.rhs))
+    bad = [(0, f"iii_{name}", v, 0) for name, v in values.items()
+           if name.startswith("a_") and v < 0]
+    # all-digit literals parse as int: Fraction(str) on every term is
+    # several times slower
+    number = functools.cache(
+        lambda text: int(text) if text.isdigit() else exact(text))
+
+    def evaluate(terms) -> Exact:
+        total, sign, coeff = 0, 1, 1
+        for token in terms:
+            if token in ("+", "-"):
+                sign = -1 if token == "-" else 1
+            elif token[0].isdigit():
+                coeff = number(token)
+            else:
+                total += sign * coeff * values.get(token, 0)
+                sign, coeff = 1, 1
+        return exact(total)
+
+    lines = _lp_text(inst, net, (), literal=str).splitlines()
+    for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
+        name, _, row = line.strip().partition(": ")
+        *terms, sense, rhs = row.split()
+        lhs, rhs = evaluate(terms), number(rhs)
+        if not (lhs == rhs if sense == "=" else
+                lhs <= rhs if sense == "<=" else lhs >= rhs):
+            period = next((int(f) for f in name.split("_") if f.isdigit()), 0)
+            bad.append((period, name, lhs, rhs))
+    objective = evaluate(lines[lines.index("Maximize") + 1].split()[1:])
+    if objective != sol.objective:
+        bad.append((0, "obj", objective, sol.objective))
     return FeasibilityReport(feasible=not bad, violations=tuple(bad))
 
 
@@ -290,13 +175,13 @@ def _decimal_or_none(value: Exact) -> str | None:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-def _times(value: Exact) -> str:
-    """A coefficient's magnitude as it leads a variable's name: nothing
-    for 1, else its decimal literal and a space."""
+def _decimal(value: Exact) -> str:
+    """A number's exact decimal literal; raises ValueError when it has
+    none, as emit_lp scales such numbers away beforehand."""
     text = _decimal_or_none(value)
-    if text is None:  # emit_lp scales such numbers away beforehand
+    if text is None:
         raise ValueError(f"{value} has no decimal literal")
-    return "" if text == "1" else text + " "
+    return text
 
 
 def _expr(plus, minus=()) -> str:
@@ -306,16 +191,24 @@ def _expr(plus, minus=()) -> str:
     return " - ".join([" + ".join(plus), *minus]).lstrip() or "0 "
 
 
-def _lp_text(inst: Instance, net: LayeredNetwork,
-             comments: tuple[str, ...]) -> str:
-    """The text of build_extended_formulation(inst, net), in one walk over
-    the arcs.  Each arc's name is made once and joins its head's incoming
-    and its tail's outgoing list, which make the conservation rows; every
-    row's text is joined from names, and rows are gathered per family."""
+def _lp_text(inst: Instance, net: LayeredNetwork, comments: tuple[str, ...],
+             literal=_decimal) -> str:
+    """The LP of the network of inst as text, every number printed by
+    literal, in one walk over the arcs.  Each arc's name is made once and
+    joins its head's incoming and its tail's outgoing list, which make the
+    conservation rows; every row's text is joined from names, and rows are
+    gathered per family."""
     objective, source, flows, trades, balances, couplings = (
         [[] for _ in range(6)])
     into_prev: list[list[str]] = []
-    times = functools.cache(_times)  # few distinct amounts and prices recur
+
+    @functools.cache  # few distinct amounts and prices recur
+    def times(value: Exact) -> str:
+        """A coefficient's magnitude as it leads a variable's name: nothing
+        for 1, else its literal and a space."""
+        text = literal(value)
+        return "" if text == "1" else text + " "
+
     for t, period in enumerate(net.arcs, start=1):
         i = t - 1
         prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
@@ -340,7 +233,7 @@ def _lp_text(inst: Instance, net: LayeredNetwork,
         into_prev = into
         trades += [f" def_x_{t}: {_expr(x_terms, [f'x_{t}'])} = 0",
                    f" def_y_{t}: {_expr(y_terms, [f'y_{t}'])} = 0"]
-        rest = f"- s_{i} = 0" if i else f"= {_decimal_or_none(inst.s0)}"
+        rest = f"- s_{i} = 0" if i else f"= {literal(inst.s0)}"
         balances.append(f" balance_{t}: s_{t} + y_{t} - x_{t} {rest}")
         for v, arcs, low in (("w", buys, inst.Lx[i]), ("z", sells, inst.Ly[i])):
             couplings.append(f" {v}_couple_{t}: {_expr([f'{v}_{t}'], arcs)} "
@@ -366,9 +259,9 @@ def emit_lp(inst: Instance) -> str:
 
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  The
-    text is written from the network's arcs in one walk; it is the text of
-    build_extended_formulation's model, which is kept for the lift check
-    and not built here.  Every number must print as an exact decimal.
+    text is _lp_text's, written from the network's arcs in one walk, and
+    its rows are the ones lift_and_check evaluates.  Every number must
+    print as an exact decimal.
     When one has no decimal literal, s0, the bounds and the unit prices
     are scaled up by F = model.scale_factor, the factor solve searches
     with, and the fixed costs by F*F, and a comment line records both

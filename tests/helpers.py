@@ -14,7 +14,6 @@ from wareflow import (
     Infeasible,
     Instance,
     LotSizingInstance,
-    LPRow,
     NonIntegralData,
     Solution,
     StockLevels,
@@ -25,23 +24,13 @@ from wareflow import (
     gen_stock_levels,
     normalize_terminal,
 )
-from wareflow.extform import (
-    LPModel,
-    Term,
-    _decimal_or_none,
-    _prints_in_decimals,
-    _scaled_network,
-    build_extended_formulation,
-)
 from wareflow.model import (
     _VECTOR_FIELDS,
     evaluate_payoff,
     exact,
-    scale_factor,
-    scale_instance,
     validate_instance,
 )
-from wareflow.network import LayeredNetwork, build_network, search_instance
+from wareflow.network import LayeredNetwork, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -238,9 +227,40 @@ def reference_decimal_or_none(value):
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
+def lp_rows(text: str) -> list[str]:
+    """The row lines of an LP text, between Subject To and Bounds."""
+    lines = text.splitlines()
+    return lines[lines.index("Subject To") + 1:lines.index("Bounds")]
+
+
+def lp_sizes(text: str) -> tuple[int, int]:
+    """(rows, variables) of an LP text: the variables are the distinct arc
+    names in its rows plus its free period variables."""
+    rows = lp_rows(text)
+    arcs = {token for line in rows for token in line.split()
+            if token.startswith("a_")}
+    free = [line for line in text.splitlines() if line.endswith(" free")]
+    return len(rows), len(arcs) + len(free)
+
+
+Term = tuple  # (variable name, coefficient)
+
+
+class LPRow(NamedTuple):
+    """One linear constraint of the reference model: sum of coeffs (sense)
+    rhs."""
+
+    name: str
+    family: str  # "i", "ii", "iv", ..., "x"
+    period: int  # 0 for rows not tied to a period
+    coeffs: tuple[Term, ...]
+    sense: str  # "=", "<=", ">="
+    rhs: Exact
+
+
 class ReferenceVariable(NamedTuple):
     """A variable with its bounds, as the reference builder and printer
-    record it; extform.LPModel lists its variables by name instead."""
+    record it."""
 
     name: str
     lower: Exact | None
@@ -311,68 +331,6 @@ def _reference_render(model, comments) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(model: LPModel, comments: tuple[str, ...]) -> str:
-    """LP text of a model by the printer that walked an LPModel's terms,
-    which extform.emit_lp replaced by writing the text from the arcs."""
-    def num(value: Exact) -> str:
-        text = _decimal_or_none(value)
-        if text is None:  # emit_lp scales such numbers away beforehand
-            raise ValueError(f"{value} has no decimal literal")
-        return text
-
-    def expr(terms) -> str:
-        parts = []
-        for name, coeff in terms:
-            if type(coeff) is int:  # Fractions and bools take the general path
-                if coeff == 1:
-                    parts.append(f"+ {name}")
-                elif coeff == -1:
-                    parts.append(f"- {name}")
-                elif coeff > 0:
-                    parts.append(f"+ {coeff} {name}")
-                elif coeff < 0:
-                    parts.append(f"- {-coeff} {name}")
-                continue
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = num(abs(coeff))
-            piece = name if mag == "1" else f"{mag} {name}"
-            parts.append(f"{sign} {piece}")
-        if not parts:
-            return "0 "
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
-
-    lines = [f"\\ {c}" for c in comments]
-    lines.append("Maximize")
-    lines.append(f" obj: {expr(model.objective)}")
-    lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {expr(row.coeffs)} {row.sense} {num(row.rhs)}")
-    lines.append("Bounds")
-    # the flows keep the format's default bounds, >= 0
-    lines.extend(f" {name} free" for name in model.free)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def rendered_emit_lp(inst: Instance) -> str:
-    """emit_lp's text by rendering the LP model: the instance and network
-    emit_lp prints, rescaled by the same rule, through
-    build_extended_formulation and _render."""
-    base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
-    comments = ("extended formulation over the trading network",)
-    if not _prints_in_decimals(base, net):
-        factor = scale_factor(base)
-        base = scale_instance(base, factor)
-        net = _scaled_network(net, factor)
-        comments += (f"quantities and unit prices scaled by {factor}, "
-                     f"fixed costs by {factor * factor}",)
-    return _render(build_extended_formulation(base, net), comments)
-
-
 def _reference_scale_instance(inst: Instance, factor: int) -> Instance:
     """Every number of the instance times one factor, the fixed costs
     times its square, so every plan's objective grows by factor**2 (kept
@@ -409,8 +367,9 @@ def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwo
 def reference_build_extended_formulation(
     inst: Instance, net: LayeredNetwork
 ) -> ReferenceModel:
-    """The LP model by the builder that extform.build_extended_formulation
-    replaced: one pass over the arcs per constraint family."""
+    """The LP model by a builder that makes one pass over the arcs per
+    constraint family; reference_emit_lp renders it, and extform._lp_text
+    must write the same rows."""
     T = inst.T
     variables: list[ReferenceVariable] = []
     arc_names: list[list[str]] = []
