@@ -39,6 +39,7 @@ from .model import (
 )
 from .network import (
     SolveTrace,
+    arc_counts,
     build_network,
     search_instance,
     solve,
@@ -146,20 +147,23 @@ def _cmd_reduce_lotsizing(args) -> int:
 
 
 def _bench_one(name: str, inst) -> dict:
+    """Solve inst and describe the network over the levels it searched:
+    the counts are read off the trace, so no network is built."""
+    trace = SolveTrace()
     start = time.perf_counter()
     try:
-        objective = format_exact(solve(inst).objective)
+        objective = format_exact(solve(inst, trace).objective)
     except Infeasible:
         objective = "infeasible"
     wall_ms = int((time.perf_counter() - start) * 1000)
-    base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    searched = trace.searched
+    layers = ((searched.s0,),) + trace.levels.levels
     return {
         "instance": name,
         "T": inst.T,
-        "S_size": max(len(layer) for layer in net.layers[1:]),
-        "nodes": net.node_count,
-        "arcs": net.arc_count,
+        "S_size": trace.S_size,
+        "nodes": 1 + sum(trace.layer_sizes),
+        "arcs": sum(arc_counts(searched, layers)),
         "objective": objective,
         "wall_ms": wall_ms,
     }

@@ -108,14 +108,12 @@ def lift_and_check(
     The rows are read from _lp_text(inst, net) with every number printed as
     an exact p/q, so nothing is rescaled and both sides are in the
     instance's units.  Each violation is (period, row name, lhs, rhs), the
-    period being the first number in the row's name, 0 if it has none.  A
-    negative flow reports under the family (iii) name, and an LP objective
-    of the lift other than sol.objective as (0, "obj", LP value,
-    sol.objective).  Raises NotAPath when the plan is not a path of net.
+    period being the first number in the row's name, 0 if it has none.  An
+    LP objective of the lift other than sol.objective reports as (0, "obj",
+    LP value, sol.objective).  Raises NotAPath when the plan is not a path
+    of net.
     """
     values = lift_solution(net, sol)
-    bad = [(0, f"iii_{name}", v, 0) for name, v in values.items()
-           if name.startswith("a_") and v < 0]
     # all-digit literals parse as int: Fraction(str) on every term is
     # several times slower
     number = functools.cache(
@@ -133,6 +131,7 @@ def lift_and_check(
                 sign, coeff = 1, 1
         return exact(total)
 
+    bad = []
     lines = _lp_text(inst, net, (), literal=str).splitlines()
     for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
         name, _, row = line.strip().partition(": ")

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InvalidArgument, NonIntegralData
 from .model import (
+    _load_json,
     Exact,
     Instance,
     Variant,
@@ -98,7 +99,7 @@ def serialize_lotsizing(ls: LotSizingInstance) -> str:
 
 def parse_lotsizing(text: str) -> LotSizingInstance:
     try:
-        data = json.loads(text)
+        data = _load_json(text)
     except json.JSONDecodeError as err:
         raise InvalidArgument(f"bad JSON: {err}") from None
     return lotsizing_from_json_dict(data)

@@ -429,12 +429,21 @@ def instance_from_json_dict(data: dict) -> Instance:
     return Instance(**fields)
 
 
+def _load_json(text: str):
+    """json.loads, with nesting too deep for the decoder reported as a
+    ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def serialize_instance(inst: Instance) -> str:
     return json.dumps(instance_to_json_dict(inst), sort_keys=True, indent=2) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
-    return instance_from_json_dict(json.loads(text))
+    return instance_from_json_dict(_load_json(text))
 
 
 def solution_to_json_dict(sol: Solution) -> dict:
@@ -469,4 +478,4 @@ def serialize_solution(sol: Solution) -> str:
 
 
 def parse_solution(text: str) -> Solution:
-    return solution_from_json_dict(json.loads(text))
+    return solution_from_json_dict(_load_json(text))

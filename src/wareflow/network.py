@@ -22,9 +22,11 @@ solve --dot (whose answer still comes from solve), the LP formulation and
 lift check, and the direct wp2 route; solve_with_network decodes from it
 and so witnesses solve in the tests.  It enumerates the same windows: each
 tail's heads are its sell window, the tail's own value and its buy window,
-three slices of the ascending next layer found by bisection.  So on
-wp1/wp3 (and the doubled wp2 horizon) every pair it checks is an arc, and
-the work is proportional to the arcs.  Each slice fixes the trade side, so
+three slices of the ascending next layer found by bisection
+(_window_slices).  So on wp1/wp3 (and the doubled wp2 horizon) every pair
+it checks is an arc, and the work is proportional to the arcs; arc_counts
+sums the slice lengths, so bench counts the arcs of the levels solve
+searched without building them.  Each slice fixes the trade side, so
 its arcs are priced in one loop over the period's hoisted prices;
 arc_candidates keeps the pair-by-pair rule as the reference.  An arc's
 ArcDecision is a named tuple, cheap to make and immutable.  On a wp2
@@ -89,17 +91,25 @@ Arc = tuple  # (tail index in layer t-1, head index in layer t, ArcDecision)
 class SolveTrace:
     """What solve records about its search when it is handed one.
 
-    layer_sizes[t-1] counts the candidate stock levels searched in period
-    t.  They are counted on the searched instance, so a wp2 trace covers
-    the 2T periods of the doubled horizon; the integer scaling keeps every
-    size.  S_size is their maximum, as in StockLevels.
+    searched is the instance the window DP ran on: search_instance's
+    instance (for wp2 the doubled, 2T-period horizon) scaled to integers
+    by model.integral_instance.  levels are its StockLevels, as
+    gen_stock_levels made them for the search.  layer_sizes[t-1] counts
+    the levels of period t and S_size is their maximum; the integer
+    scaling keeps every size.  A solve that raises Infeasible has still
+    recorded both.
     """
 
-    layer_sizes: tuple[int, ...] = ()
+    searched: Instance | None = None
+    levels: StockLevels = StockLevels(levels=())
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.levels.levels))
 
     @property
     def S_size(self) -> int:
-        return max(self.layer_sizes, default=0)
+        return self.levels.S_size
 
 
 @dataclass(frozen=True)
@@ -207,16 +217,27 @@ def arc_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]:
     return _wp1_candidates(inst, t, s_prev, s_next)
 
 
+def _window_slices(heads, s, lx, ux, ly, uy) -> tuple[range, range, range]:
+    """The indices of the ascending heads a wp1 tail s reaches: its sell
+    window [s-Uy, s-Ly] below s, s itself, and its buy window [s+Lx, s+Ux]
+    above s, each found by bisection and in ascending head order."""
+    below = bisect_left(heads, s)
+    above = bisect_right(heads, s, below)
+    return (range(bisect_left(heads, s - uy, 0, below),
+                  bisect_right(heads, s - ly, 0, below)),
+            range(below, above),
+            range(bisect_left(heads, s + lx, above),
+                  bisect_right(heads, s + ux, above)))
+
+
 def _wp1_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
     """The period-t arcs of a wp1/wp3 network, tail by tail.
 
-    A tail s reaches the heads of its sell window [s-Uy, s-Ly] below s,
-    s itself, and the heads of its buy window [s+Lx, s+Ux] above s.  Heads
-    ascend, so each window is a slice found by bisection, the three come
-    out in ascending head order, and no other pair is looked at.  Each
-    slice fixes its trade side, so its decisions are priced in one loop
-    with evaluate_payoff's terms in its order: the zero terms are
-    constants, and keeping them keeps each payoff's int or Fraction type.
+    A tail's heads are its three _window_slices, so they come out in
+    ascending head order and no other pair is looked at.  Each slice
+    fixes its trade side, so its decisions are priced in one loop with
+    evaluate_payoff's terms in its order: the zero terms are constants,
+    and keeping them keeps each payoff's int or Fraction type.
     """
     i = t - 1
     lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
@@ -225,25 +246,33 @@ def _wp1_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
     r0, c0, fp0, fs0 = r * 0, c * 0, fp * 0, fs * 0
     arcs = []
     for k, s in enumerate(tails):
-        below = bisect_left(heads, s)
-        above = bisect_right(heads, s, below)
-        for j in range(bisect_left(heads, s - uy, 0, below),
-                       bisect_right(heads, s - ly, 0, below)):
+        sells, stay, buys = _window_slices(heads, s, lx, ux, ly, uy)
+        for j in sells:
             v = heads[j]
             y = s - v
             arcs.append((k, j, ArcDecision(0, y, 0, 1,
                                            r * y - c0 - h * v - fp0 - fs)))
-        for j in range(below, above):
+        for j in stay:
             v = heads[j]
             arcs.append((k, j, ArcDecision(0, 0, 0, 0,
                                            r0 - c0 - h * v - fp0 - fs0)))
-        for j in range(bisect_left(heads, s + lx, above),
-                       bisect_right(heads, s + ux, above)):
+        for j in buys:
             v = heads[j]
             x = v - s
             arcs.append((k, j, ArcDecision(x, 0, 1, 0,
                                            r0 - c * x - h * v - fp - fs0)))
     return arcs
+
+
+def arc_counts(inst: Instance, layers) -> list[int]:
+    """Per period t, the number of arcs build_network makes between
+    layers[t-1] and layers[t], counted from the same _window_slices
+    without making one.  inst must not be wp2 (count its doubled
+    horizon instead)."""
+    return [sum(len(window) for s in tails
+                for window in _window_slices(heads, s, lx, ux, ly, uy))
+            for tails, heads, lx, ux, ly, uy
+            in zip(layers, layers[1:], inst.Lx, inst.Ux, inst.Ly, inst.Uy)]
 
 
 def _wp2_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
@@ -413,7 +442,7 @@ def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
     """
     levels = gen_stock_levels(inst)
     if trace is not None:
-        trace.layer_sizes = tuple(map(len, levels.levels))
+        trace.searched, trace.levels = inst, levels
     layers = ((inst.s0,),) + tuple(levels.levels)
     suffix, choice = _window_suffix(inst, layers)
     if suffix[0][0] is None:
@@ -465,8 +494,8 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     F*F, so it changes no comparison and the plan found is the one the
     rational search finds, divided back.  Agrees with solve_with_network,
     which searches in rationals, in plan and objective.  A given trace
-    records the sizes of the level sets searched.  Raises Infeasible when
-    no plan exists.
+    records the searched instance and its levels (see SolveTrace).  Raises
+    Infeasible when no plan exists.
     """
     base, back = search_instance(inst)
     searched, unscale = integral_instance(base)

@@ -10,12 +10,17 @@ from pathlib import Path
 import pytest
 
 import wareflow.cli
+import wareflow.extform
 import wareflow.fptas
 import wareflow.network
 from wareflow import (
+    Infeasible,
+    build_network,
     check_solution,
+    format_exact,
     fptas_params,
     gen_random,
+    gen_stock_levels,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -27,6 +32,7 @@ from wareflow import (
     to_dot,
 )
 from wareflow.cli import run
+from wareflow.network import search_instance
 from helpers import two_period_trade, wp2_mixed
 
 
@@ -102,6 +108,21 @@ def test_bad_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
     assert run(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "DEEP"],
+    ["levels", "--input", "DEEP"],
+    ["check", "--input", "INSTANCE", "--solution", "DEEP"],
+    ["reduce", "lotsizing", "--input", "DEEP"],
+], ids=["solve", "levels", "check", "reduce-lotsizing"])
+def test_deeply_nested_json_exits_two(argv, instance_file, tmp_path, capsys):
+    # the JSON decoder raises RecursionError on deep nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    paths = {"DEEP": str(deep), "INSTANCE": instance_file}
+    assert run([paths.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -428,25 +449,61 @@ def test_bench_csv(tmp_path, capsys):
     assert all(r["wall_ms"].isdigit() for r in rows)
 
 
-def test_bench_builds_one_network_per_row(tmp_path, capsys, monkeypatch):
-    builds = []
-    original = wareflow.network.build_network
+def _network_bench_row(name, inst) -> dict:
+    """A bench row, apart from wall_ms, with the counts read off the network
+    built over the searched instance."""
+    try:
+        objective = str(format_exact(solve(inst).objective))
+    except Infeasible:
+        objective = "infeasible"
+    base = search_instance(inst)[0]
+    net = build_network(base, gen_stock_levels(base))
+    return {"instance": name, "T": str(inst.T),
+            "S_size": str(max(len(layer) for layer in net.layers[1:])),
+            "nodes": str(net.node_count), "arcs": str(net.arc_count),
+            "objective": objective}
+
+
+def test_bench_counts_the_searched_levels_without_a_network(
+    tmp_path, capsys, monkeypatch
+):
+    wp3 = gen_random(5, T=6, variant="wp3", max_bound=12)
+    cases = {
+        "a_stuck": replace(two_period_trade(), s0=0, Ls=(8, 8), Us=(8, 8),
+                           Ux=(1, 1)),
+        "b_trade": two_period_trade(),
+        "c_mixed": wp2_mixed(),
+        "d_frac": parse_instance((GOLDEN / "frac.json").read_text()),
+        "e_fptas": scale_trade_bounds(wp3, fptas_params(wp3, Fraction(1, 3))),
+    }
+    for seed, variant in enumerate(("wp1", "wp2", "wp3")):
+        cases[f"f_{variant}"] = gen_random(seed, T=8, variant=variant,
+                                           max_bound=20)
+    for name, inst in cases.items():
+        (tmp_path / f"{name}.json").write_text(serialize_instance(inst))
+    expected = [_network_bench_row(name, inst) for name, inst in cases.items()]
+    assert expected[0]["objective"] == "infeasible"
+    assert not cases["e_fptas"].bounds_integral()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("network built")
+
+    levels_calls = []
+    original = wareflow.network.gen_stock_levels
 
     def counted(*args, **kwargs):
-        builds.append(args[0])
+        levels_calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(wareflow.network, "build_network", counted)
-    monkeypatch.setattr(wareflow.cli, "build_network", counted)
-    stuck = replace(two_period_trade(), s0=0, Ls=(8, 8), Us=(8, 8),
-                    Ux=(1, 1))
-    (tmp_path / "a_stuck.json").write_text(serialize_instance(stuck))
-    (tmp_path / "b_trade.json").write_text(
-        serialize_instance(two_period_trade()))
+    for module in (wareflow.cli, wareflow.network, wareflow.extform):
+        monkeypatch.setattr(module, "build_network", refuse)
+    for module in (wareflow.cli, wareflow.network):
+        monkeypatch.setattr(module, "gen_stock_levels", counted)
     assert run(["bench", "--dir", str(tmp_path)]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [r["objective"] for r in rows] == ["infeasible", "10"]
-    assert len(builds) == 2
+    assert all(row.pop("wall_ms").isdigit() for row in rows)
+    assert rows == expected
+    assert len(levels_calls) == len(cases)
 
 
 def test_bench_empty_dir_exits_two(tmp_path, capsys):

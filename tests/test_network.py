@@ -36,6 +36,7 @@ from wareflow.network import (
     _decode,
     _longest_path,
     _window_suffix,
+    arc_counts,
     search_instance,
 )
 from helpers import (
@@ -293,11 +294,19 @@ def _window_dp_matches_network(inst) -> bool:
     Asserts equal suffix tables on the searched instance (wp2 doubled) and
     an equal Solution repr, or the same Infeasible message; returns
     feasibility.  solve searches an integer copy of fractional data while
-    the network is built on the data as given.
+    the network is built on the data as given.  Also asserts that
+    arc_counts gives the network's per-period arc counts, both over its
+    layers and over the integer search solve's trace records, as bench
+    reads them.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
     assert _window_suffix(base, net.layers)[0] == _longest_path(net)[0]
+    counts = [len(period) for period in net.arcs]
+    assert arc_counts(base, net.layers) == counts
+    trace = _trace(inst)
+    layers = ((trace.searched.s0,),) + trace.levels.levels
+    assert arc_counts(trace.searched, layers) == counts
     try:
         expected = solve_with_network(inst)[0]
     except Infeasible as err:
@@ -386,6 +395,19 @@ def test_trace_keeps_the_sizes_of_fractional_levels():
         scaled = scale_trade_bounds(inst, fptas_params(inst, Fraction(2, 7)))
         assert _trace(scaled).layer_sizes == tuple(
             map(len, gen_stock_levels(scaled).levels))
+
+
+def test_trace_records_the_searched_instance_and_its_levels():
+    cases = [gen_random(seed, T=2 + seed % 5, variant=variant, max_bound=9)
+             for seed in range(10) for variant in ("wp1", "wp2", "wp3")]
+    wp3 = gen_random(700, T=5, variant="wp3", max_bound=12)
+    cases.append(scale_trade_bounds(wp3, fptas_params(wp3, Fraction(2, 7))))
+    assert not cases[-1].bounds_integral()
+    for inst in cases:
+        trace = _trace(inst)
+        searched = integral_instance(search_instance(inst)[0])[0]
+        assert trace.searched == searched
+        assert trace.levels == gen_stock_levels(searched)
 
 
 def test_wp2_trace_covers_the_doubled_horizon():
@@ -511,6 +533,7 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
     sizes = [len(layer) for layer in net.layers]
     pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
     assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
+    assert arc_counts(inst, net.layers) == [len(p) for p in net.arcs]
 
 
 def _decodes_like_the_reference(net) -> bool:

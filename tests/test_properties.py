@@ -24,7 +24,12 @@ from wareflow import (  # noqa: E402
     solve_with_network,
     solve_wp2_direct,
 )
-from wareflow.network import _decode, search_instance  # noqa: E402
+from wareflow.network import (  # noqa: E402
+    SolveTrace,
+    _decode,
+    arc_counts,
+    search_instance,
+)
 from helpers import (  # noqa: E402
     brute_oracle_solve,
     fractional_payoffs,
@@ -155,6 +160,25 @@ def test_network_matches_the_pairwise_reference(inst):
         levels = gen_stock_levels(base)
         assert repr(build_network(base, levels)) == repr(
             reference_build_network(base, levels))
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3))
+def test_arc_counts_match_the_built_network(inst, d):
+    # the network over the levels as given, and the counts over the integer
+    # copy that solve searches and records, as bench reads them
+    inst = _rescaled(inst, Fraction(1, d), 1)
+    base = search_instance(inst)[0]
+    net = build_network(base, gen_stock_levels(base))
+    counts = [len(period) for period in net.arcs]
+    assert arc_counts(base, net.layers) == counts
+    trace = SolveTrace()
+    try:
+        solve(inst, trace)
+    except Infeasible:
+        pass
+    layers = ((trace.searched.s0,),) + trace.levels.levels
+    assert arc_counts(trace.searched, layers) == counts
 
 
 @SETTINGS
