@@ -155,7 +155,8 @@ def _bench_one(name: str, inst) -> dict:
         objective = format_exact(solve(inst, trace).objective)
     except Infeasible:
         objective = "infeasible"
-    wall_ms = int((time.perf_counter() - start) * 1000)
+    # three decimals: a sub-millisecond solve must not read as 0
+    wall_ms = f"{(time.perf_counter() - start) * 1000:.3f}"
     searched = trace.searched
     layers = ((searched.s0,),) + trace.levels.levels
     return {

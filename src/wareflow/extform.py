@@ -22,10 +22,10 @@ _lp_text is the one definition of the LP: it writes the text straight from
 the arcs, in one walk that makes each arc's name once and joins every row
 from the names.  emit_lp prints it with decimal numbers; lift_and_check
 writes it with exact p/q numbers and evaluates its rows on a lifted plan.
-Whether emit_lp's text prints in decimals is read off the instance's prices
-and the arcs' trade amounts; if not, the one network built is rescaled by
-model.scale_factor, so the levels, the network and the text are each made
-once.
+emit_lp writes first and rescales on failure: when a number has no decimal
+literal the write stops, and the one network built is rescaled by
+model.scale_factor and written again, so the levels and the network are
+each made once.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from fractions import Fraction
 
 from .errors import NotAPath
 from .model import (
-    _BOUND_FIELDS,
-    _FIXED_FIELDS,
-    _PRICE_FIELDS,
     Exact,
     FeasibilityReport,
     Instance,
@@ -150,8 +147,9 @@ def lift_and_check(
 # --- text emission -----------------------------------------------------------
 
 
-def _decimal_or_none(value: Exact) -> str | None:
-    """Exact decimal literal for a rational, or None when impossible."""
+def _decimal(value: Exact) -> str:
+    """A number's exact decimal literal; raises ValueError when it has
+    none, which is how emit_lp learns to rescale."""
     if type(value) is int:  # not isinstance: a bool must not print as True
         return str(value)
     v = Fraction(value)
@@ -164,7 +162,7 @@ def _decimal_or_none(value: Exact) -> str | None:
         rest //= 5
         fives += 1
     if rest != 1:
-        return None
+        raise ValueError(f"{value} has no decimal literal")
     exp = max(twos, fives)
     scaled = abs(v.numerator) * (10**exp // v.denominator)
     sign = "-" if v < 0 else ""
@@ -172,15 +170,6 @@ def _decimal_or_none(value: Exact) -> str | None:
         return f"{sign}{scaled}"
     digits = str(scaled).rjust(exp + 1, "0")
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
-
-
-def _decimal(value: Exact) -> str:
-    """A number's exact decimal literal; raises ValueError when it has
-    none, as emit_lp scales such numbers away beforehand."""
-    text = _decimal_or_none(value)
-    if text is None:
-        raise ValueError(f"{value} has no decimal literal")
-    return text
 
 
 def _expr(plus, minus=()) -> str:
@@ -259,47 +248,27 @@ def emit_lp(inst: Instance) -> str:
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  The
     text is _lp_text's, written from the network's arcs in one walk, and
-    its rows are the ones lift_and_check evaluates.  Every number must
-    print as an exact decimal.
-    When one has no decimal literal, s0, the bounds and the unit prices
-    are scaled up by F = model.scale_factor, the factor solve searches
-    with, and the fixed costs by F*F, and a comment line records both
-    factors.  Every plan's objective then grows by F*F, linear payoff and
-    fixed costs alike, so the LP ranks plans as the instance does.  The
-    network is built once, on the unscaled instance.
+    its rows are the ones lift_and_check evaluates.  Every number prints
+    as an exact decimal: emit_lp writes the text, and when a number has no
+    decimal literal it rescales and writes again.  The rescale multiplies
+    s0, the bounds and the unit prices by F = model.scale_factor, the
+    factor solve searches with, and the fixed costs by F*F, and a comment
+    line records both factors.  Every printed number is then an integer,
+    and every plan's objective grows by F*F, linear payoff and fixed costs
+    alike, so the LP ranks plans as the instance does.  The network is
+    built once, on the unscaled instance.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
     comments = ("extended formulation over the trading network",)
-    if not _prints_in_decimals(base, net):
+    try:
+        return _lp_text(base, net, comments)
+    except ValueError:
         factor = scale_factor(base)
-        base = scale_instance(base, factor)
-        net = _scaled_network(net, factor)
-        comments += (f"quantities and unit prices scaled by {factor}, "
-                     f"fixed costs by {factor * factor}",)
-    return _lp_text(base, net, comments)
-
-
-def _prints_in_decimals(inst: Instance, net: LayeredNetwork) -> bool:
-    """Whether every number the model of (inst, net) prints has a decimal
-    literal.
-
-    A rational has one iff its denominator is 2^a * 5^b.  The model prints
-    s0, the prices and fixed costs, and the arcs' trade amounts, which are
-    differences of levels.  The levels are sums and differences of s0 and
-    the bounds, so the arcs need a look only when a bound is not decimal.
-    """
-    def decimal(values) -> bool:
-        return all(type(v) is int or _decimal_or_none(v) is not None
-                   for v in values)
-
-    numbers = [inst.s0]
-    for name in _PRICE_FIELDS + _FIXED_FIELDS:
-        numbers.extend(getattr(inst, name))
-    bounds = [v for name in _BOUND_FIELDS for v in getattr(inst, name)]
-    return decimal(numbers) and (decimal(bounds) or decimal(
-        amount for period in net.arcs for _, _, dec in period
-        for amount in (dec.x, dec.y)))
+        return _lp_text(
+            scale_instance(base, factor), _scaled_network(net, factor),
+            comments + (f"quantities and unit prices scaled by {factor}, "
+                        f"fixed costs by {factor * factor}",))
 
 
 def _scaled_network(net: LayeredNetwork, factor: int) -> LayeredNetwork:

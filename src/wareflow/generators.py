@@ -84,10 +84,11 @@ def lotsizing_from_json_dict(data: dict) -> LotSizingInstance:
         )
     if not isinstance(data["T"], int) or isinstance(data["T"], bool):
         raise InvalidArgument("T must be an integer")
-    vectors = {
-        name: tuple(parse_exact(v) for v in data[name])
-        for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us")
-    }
+    vectors = {}
+    for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us"):
+        if not isinstance(data[name], list):
+            raise InvalidArgument(f"{name} must be a list")
+        vectors[name] = tuple(parse_exact(v) for v in data[name])
     ls = LotSizingInstance(T=data["T"], s0=parse_exact(data["s0"]), **vectors)
     validate_lotsizing(ls)
     return ls

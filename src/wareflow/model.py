@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -63,6 +64,12 @@ def format_exact(value: Exact) -> int | str:
     return f"{v.numerator}/{v.denominator}"
 
 
+# an optional sign, ASCII digits and an optional "/digits": no exponent,
+# decimal point, underscore or padding, so no short string stands for a
+# huge number, and Python's int-string digit limit bounds the long ones
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_exact(raw) -> Exact:
     """Parse a JSON number field: an integer or a "p/q" string."""
     if isinstance(raw, bool):
@@ -71,6 +78,8 @@ def parse_exact(raw) -> Exact:
         return raw
     if isinstance(raw, str):
         try:
+            if not _RATIONAL.fullmatch(raw):
+                raise ValueError("outside the p/q grammar")
             return exact(Fraction(raw))
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"not a rational literal: {raw!r}") from err

@@ -206,7 +206,8 @@ def solution_with(sol: Solution, **overrides) -> Solution:
 
 def reference_decimal_or_none(value):
     """Exact decimal literal for a rational, or None: the rational path
-    that extform._decimal_or_none took for every value, ints included."""
+    that extform._decimal takes for every value, ints included, with None
+    where it raises ValueError."""
     v = Fraction(value)
     rest = v.denominator
     twos = fives = 0

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -124,6 +125,20 @@ def test_deeply_nested_json_exits_two(argv, instance_file, tmp_path, capsys):
     paths = {"DEEP": str(deep), "INSTANCE": instance_file}
     assert run([paths.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["solve", "levels", "emit-lp"])
+@pytest.mark.parametrize("bound", ["1e999999999", "2.5", "1_000", " 2 "])
+def test_bound_outside_the_rational_grammar_exits_two(command, bound,
+                                                      tmp_path, capsys):
+    # "1e999999999" would make Fraction build 10**999999999
+    data = json.loads(serialize_instance(two_period_trade()))
+    data["Us"] = [bound, 10]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    assert run([command, "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: not a rational literal: {bound!r}\n")
 
 
 def test_bad_arguments_exit_two(capsys):
@@ -408,6 +423,24 @@ def test_reduce_lotsizing_command(tmp_path, capsys):
     assert capsys.readouterr().out == "objective: 18\n"
 
 
+@pytest.mark.parametrize("demand", [5, "34"], ids=["number", "string"])
+def test_reduce_lotsizing_rejects_a_vector_that_is_not_a_list(
+    demand, tmp_path, capsys
+):
+    # a string is iterable: "34" must not read as the vector [3, 4]
+    from wareflow import LotSizingInstance
+
+    ls = LotSizingInstance(T=2, s0=1, demand=(3, 4), unit_cost=(1, 1),
+                           fixed_cost=(3, 3), Ux=(2, 2), Us=(2, 2))
+    data = json.loads(serialize_lotsizing(ls))
+    data["demand"] = demand
+    ls_path = tmp_path / "ls.json"
+    ls_path.write_text(json.dumps(data))
+    assert run(["reduce", "lotsizing", "--input", str(ls_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: demand must be a list\n"
+
+
 def test_emit_lp_to_file(instance_file, tmp_path, capsys):
     lp_path = tmp_path / "model.lp"
     assert run(["emit-lp", "--input", instance_file,
@@ -418,12 +451,15 @@ def test_emit_lp_to_file(instance_file, tmp_path, capsys):
 
 
 # emit-lp text pinned byte for byte: two_period_trade with nonzero fixed
-# costs, wp2_mixed on its doubled horizon, and the fractional instance of
-# the CI smoke run, whose LP is scaled by F = 30
+# costs, wp2_mixed on its doubled horizon, the fractional instance of the
+# CI smoke run, whose LP is scaled by F = 30, decimal_halves, whose Ux 5/2
+# and cost 1/4 print unscaled as 2.5 and 0.25, and stock_third, whose
+# Us 1/3 is a level that no printed number uses, so it prints unscaled
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["two_period_trade", "wp2_mixed", "frac"])
+@pytest.mark.parametrize("name", ["two_period_trade", "wp2_mixed", "frac",
+                                  "decimal_halves", "stock_third"])
 def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys):
     source = str(GOLDEN / f"{name}.json")
     expected = (GOLDEN / f"{name}.lp").read_bytes()
@@ -446,7 +482,14 @@ def test_bench_csv(tmp_path, capsys):
     assert [r["instance"] for r in rows] == ["a_mixed", "b_trade"]
     assert rows[1]["objective"] == "10"
     assert rows[1]["T"] == "2" and rows[1]["S_size"] == "3"
-    assert all(r["wall_ms"].isdigit() for r in rows)
+    assert all(_is_wall_ms(r["wall_ms"]) for r in rows)
+    # milliseconds to three decimals: a sub-millisecond feasible solve
+    # reads above 0
+    assert float(rows[1]["wall_ms"]) > 0
+
+
+def _is_wall_ms(text: str) -> bool:
+    return re.fullmatch(r"[0-9]+\.[0-9]{3}", text) is not None
 
 
 def _network_bench_row(name, inst) -> dict:
@@ -501,7 +544,7 @@ def test_bench_counts_the_searched_levels_without_a_network(
         monkeypatch.setattr(module, "gen_stock_levels", counted)
     assert run(["bench", "--dir", str(tmp_path)]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert all(row.pop("wall_ms").isdigit() for row in rows)
+    assert all(_is_wall_ms(row.pop("wall_ms")) for row in rows)
     assert rows == expected
     assert len(levels_calls) == len(cases)
 

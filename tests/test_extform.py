@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,12 +24,8 @@ from wareflow import (
     solve_with_network,
 )
 from wareflow import extform
-from wareflow.extform import (
-    _decimal_or_none,
-    _prints_in_decimals,
-    _scaled_network,
-)
-from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_factor, scale_instance
+from wareflow.extform import _decimal, _scaled_network
+from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_instance
 from wareflow.network import search_instance
 from helpers import (
     lp_rows,
@@ -257,7 +254,11 @@ def test_emit_lp_validates_the_instance():
     Fraction(1, 3), Fraction(-2, 7),
 ])
 def test_decimal_fast_path_matches_rational_path(value):
-    text = _decimal_or_none(value)
+    # None from the reference stands for the ValueError of _decimal
+    try:
+        text = _decimal(value)
+    except ValueError:
+        text = None
     assert text == reference_decimal_or_none(value)
     assert (text is None) == (value in (Fraction(1, 3), Fraction(-2, 7)))
 
@@ -308,6 +309,17 @@ def test_emit_lp_matches_reference_emitter():
     text = emit_lp(halves)
     assert " obj: 3 y_1 - 0.25 x_1 + 3 y_2 - x_2\n" in text
     assert " def_x_1: 0.5 a_1_0_1 - x_1 = 0\n" in text
+
+
+def test_emit_lp_rescales_when_the_last_printed_number_fails():
+    # the one number with no decimal literal is the last period's fixed
+    # sale cost, the last number the text prints: the unscaled write
+    # fails at its end and the rescaled one is the whole output
+    inst = replace(two_period_trade(), fixed_sale=(1, Fraction(1, 3)))
+    text = emit_lp(inst)
+    assert "\\ quantities and unit prices scaled by 3, fixed costs by 9\n" in text
+    assert text.count("\nMaximize\n") == 1
+    assert text == reference_emit_lp(inst)
 
 
 @pytest.mark.parametrize("make, text", [
@@ -379,8 +391,8 @@ def test_scaled_network_is_the_network_of_the_scaled_instance():
     for inst in cases:
         base = search_instance(inst)[0]
         net = build_network(base, gen_stock_levels(base))
-        factors.add(1 if _prints_in_decimals(base, net)
-                    else scale_factor(base))
+        scaled = re.search(r"scaled by (\d+),", emit_lp(inst))
+        factors.add(int(scaled[1]) if scaled else 1)
         big = scale_instance(base, 6)
         assert repr(_scaled_network(net, 6)) == repr(
             build_network(big, gen_stock_levels(big)))

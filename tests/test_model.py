@@ -165,6 +165,27 @@ def test_format_parse_exact():
         parse_exact(True)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-7", -7), ("+7", 7), ("0", 0), ("6/4", Fraction(3, 2)),
+    ("-3/4", Fraction(-3, 4)), ("8/2", 4), ("0007/010", Fraction(7, 10)),
+])
+def test_parse_exact_reads_the_documented_grammar(text, value):
+    parsed = parse_exact(text)
+    assert parsed == value and type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    "2.5", "1e3", "1E3", "1_000", " 2 ", "2\n", "1/0", "3/-4", "-3/+4",
+    "1/2/3", "/2", "2/", "", "+", "inf", "nan", "\u0663",
+    "1e999999999", "9" * 5000, "1/" + "9" * 5000,
+])
+def test_parse_exact_rejects_everything_else(text):
+    # an exponent would make Fraction build 10**e; past the int-string
+    # digit limit a long literal is refused as well
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_exact(text)
+
+
 def test_assemble_solution_minimal_indicators():
     inst = two_period_trade()
     sol = assemble_solution(inst, x=(5, 0), y=(0, 5))
