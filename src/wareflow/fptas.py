@@ -12,7 +12,6 @@ which the exact solver then finds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,7 +29,9 @@ from .model import (
     Solution,
     Variant,
     assemble_solution,
+    echo,
     exact,
+    exact_quotient,
     validate_instance,
 )
 from .network import solve
@@ -176,7 +177,8 @@ def fptas_params(inst: Instance, epsilon) -> FptasParams:
     """
     epsilon = Fraction(exact(epsilon))
     if not 0 < epsilon < 1:
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise EpsilonOutOfRange(
+            f"epsilon must lie in (0, 1), got {echo(epsilon)}")
     positive = [v for v in inst.Ux + inst.Uy if v > 0]
     if not positive:
         raise NoPositiveBounds("no positive trade bound to scale against")
@@ -187,15 +189,24 @@ def fptas_params(inst: Instance, epsilon) -> FptasParams:
     )
 
 
+def _round_down(value: Exact, p: int, q: int) -> Exact:
+    """K * floor(value / K) for K = p/q > 0, in integers: value / K is
+    (a*q) / (b*p) for value = a/b, and K times its floor is p*n/q."""
+    n = value.numerator * q // (value.denominator * p)
+    return exact_quotient(p * n, q)
+
+
 def scale_trade_bounds(inst: Instance, params: FptasParams) -> Instance:
     """Round every upper trade bound down to a multiple of K.
 
-    Stock bounds, s0, and payoffs stay untouched.  No positive bound scales
-    to zero because K = epsilon * U_min < U_min.
+    The rounding is exact integer arithmetic on the numerators and
+    denominators of the bound and of K.  Stock bounds, s0, and payoffs
+    stay untouched.  No positive bound scales to zero because
+    K = epsilon * U_min < U_min.
     """
-    K = params.K
-    ux = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Ux)
-    uy = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Uy)
+    p, q = params.K.numerator, params.K.denominator
+    ux = tuple(_round_down(v, p, q) for v in inst.Ux)
+    uy = tuple(_round_down(v, p, q) for v in inst.Uy)
     return replace(inst, Ux=ux, Uy=uy)
 
 
@@ -226,6 +237,8 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
     then searches a copy with s0, the bounds and the prices multiplied by
     F, the LCM of every denominator of the data (model.integral_instance),
     which keeps the order of every stock and payoff and so returns the plan
-    the rational search would.
+    the rational search would, its trades divided by F and its objective
+    by F**2.  The rounding, the scaling and that map back are integer
+    arithmetic on numerators and denominators.
     """
     return solve(fptas_scale(inst, epsilon)[1])

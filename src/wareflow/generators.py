@@ -18,6 +18,7 @@ from .model import (
     Exact,
     Instance,
     Variant,
+    echo,
     exact,
     exact_vector,
     format_exact,
@@ -51,11 +52,12 @@ class LotSizingInstance:
 
 def validate_lotsizing(ls: LotSizingInstance) -> None:
     if ls.T < 1:
-        raise InvalidArgument(f"T must be >= 1, got {ls.T}")
+        raise InvalidArgument(f"T must be >= 1, got {echo(ls.T)}")
     for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us"):
         vec = getattr(ls, name)
         if len(vec) != ls.T:
-            raise InvalidArgument(f"{name} has length {len(vec)}, expected {ls.T}")
+            raise InvalidArgument(
+                f"{name} has length {len(vec)}, expected {echo(ls.T)}")
         if any(v < 0 for v in vec):
             raise InvalidArgument(f"{name} has a negative entry")
     if ls.s0 < 0:
@@ -80,7 +82,8 @@ def lotsizing_from_json_dict(data: dict) -> LotSizingInstance:
     keys = {"T", "s0", "demand", "unit_cost", "fixed_cost", "Ux", "Us"}
     if set(data) != keys:
         raise InvalidArgument(
-            f"lot-sizing JSON keys must be {sorted(keys)}, got {sorted(data)}"
+            f"lot-sizing JSON keys must be {sorted(keys)}, "
+            f"got {echo(sorted(data))}"
         )
     if not isinstance(data["T"], int) or isinstance(data["T"], bool):
         raise InvalidArgument("T must be an integer")

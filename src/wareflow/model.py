@@ -40,20 +40,32 @@ def exact(value) -> Exact:
 
     Accepts ints, Fractions, and strings such as "7" or "3/4".  Floats are
     rejected because they would smuggle rounding error into computations
-    that must stay exact.
+    that must stay exact.  Every Instance and Solution field passes through
+    here, so a plain int or a Fraction returns at once: a Fraction is
+    always reduced, and one with denominator 1 is its numerator.
     """
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(value, float):
         raise TypeError(f"floats are not exact: {value!r}")
-    if isinstance(value, int):
-        return value
     f = Fraction(value)
-    return int(f) if f.denominator == 1 else f
+    return f.numerator if f.denominator == 1 else f
+
+
+def exact_quotient(numerator: int, denominator: int) -> Exact:
+    """numerator / denominator in exact form, building a Fraction only
+    when the quotient is not whole."""
+    whole, rest = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if rest else whole
 
 
 def exact_vector(values: Iterable) -> tuple[Exact, ...]:
-    return tuple(exact(v) for v in values)
+    return tuple(map(exact, values))
 
 
 def format_exact(value: Exact) -> int | str:
@@ -62,6 +74,21 @@ def format_exact(value: Exact) -> int | str:
     if isinstance(v, int):
         return v
     return f"{v.numerator}/{v.denominator}"
+
+
+# an input value echoed in an error message shows at most this many
+# characters, so a 5,000-digit literal makes a short message
+_ECHO_LIMIT = 40
+
+
+def echo(value) -> str:
+    """An input value as an error message shows it: a Fraction as "p/q",
+    anything else as its repr, cut to its first 40 characters with its
+    full length named when it is longer."""
+    text = str(value) if isinstance(value, Fraction) else repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 # an optional sign, ASCII digits and an optional "/digits": no exponent,
@@ -73,7 +100,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 def parse_exact(raw) -> Exact:
     """Parse a JSON number field: an integer or a "p/q" string."""
     if isinstance(raw, bool):
-        raise ValueError(f"expected integer or 'p/q' string, got {raw!r}")
+        raise ValueError(f"expected integer or 'p/q' string, got {echo(raw)}")
     if isinstance(raw, int):
         return raw
     if isinstance(raw, str):
@@ -82,8 +109,8 @@ def parse_exact(raw) -> Exact:
                 raise ValueError("outside the p/q grammar")
             return exact(Fraction(raw))
         except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"not a rational literal: {raw!r}") from err
-    raise ValueError(f"expected integer or 'p/q' string, got {raw!r}")
+            raise ValueError(f"not a rational literal: {echo(raw)}") from err
+    raise ValueError(f"expected integer or 'p/q' string, got {echo(raw)}")
 
 
 class Variant(Enum):
@@ -100,7 +127,7 @@ def _coerce_variant(value) -> Variant:
     try:
         return Variant(str(value).lower())
     except ValueError as err:
-        raise ValueError(f"unknown variant: {value!r}") from err
+        raise ValueError(f"unknown variant: {echo(value)}") from err
 
 
 _BOUND_FIELDS = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")
@@ -216,15 +243,15 @@ def validate_instance(inst: Instance) -> None:
     LowerExceedsUpper, WrongVectorLength, or WP3ShapeViolation.
     """
     if inst.T < 1:
-        raise WrongVectorLength(f"T must be positive, got {inst.T}")
+        raise WrongVectorLength(f"T must be positive, got {echo(inst.T)}")
     for name in _VECTOR_FIELDS:
         vec = getattr(inst, name)
         if len(vec) != inst.T:
             raise WrongVectorLength(
-                f"{name} has length {len(vec)}, expected T={inst.T}"
+                f"{name} has length {len(vec)}, expected T={echo(inst.T)}"
             )
     if inst.s0 < 0:
-        raise NegativeBound(f"s0 = {inst.s0} is negative")
+        raise NegativeBound(f"s0 = {echo(inst.s0)} is negative")
     pairs = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
     for t in inst.periods:
         i = t - 1
@@ -232,17 +259,20 @@ def validate_instance(inst: Instance) -> None:
             lo = getattr(inst, lo_name)[i]
             hi = getattr(inst, hi_name)[i]
             if lo < 0:
-                raise NegativeBound(f"{lo_name}[{t}] = {lo} is negative")
+                raise NegativeBound(
+                    f"{lo_name}[{t}] = {echo(lo)} is negative")
             if hi < 0:
-                raise NegativeBound(f"{hi_name}[{t}] = {hi} is negative")
+                raise NegativeBound(
+                    f"{hi_name}[{t}] = {echo(hi)} is negative")
             if lo > hi:
                 raise LowerExceedsUpper(
-                    f"{lo_name}[{t}] = {lo} exceeds {hi_name}[{t}] = {hi}"
+                    f"{lo_name}[{t}] = {echo(lo)} exceeds "
+                    f"{hi_name}[{t}] = {echo(hi)}"
                 )
         for name in ("fixed_purchase", "fixed_sale"):
             v = getattr(inst, name)[i]
             if v < 0:
-                raise NegativeBound(f"{name}[{t}] = {v} is negative")
+                raise NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
     if inst.variant is Variant.WP3:
         for t in inst.periods:
             i = t - 1
@@ -251,12 +281,13 @@ def validate_instance(inst: Instance) -> None:
                 v = getattr(inst, name)[i]
                 if v != 0:
                     raise WP3ShapeViolation(
-                        f"wp3 requires {name}[{t}] = 0, got {v}"
+                        f"wp3 requires {name}[{t}] = 0, got {echo(v)}"
                     )
             if not inst.Ls[i] <= inst.s0 <= inst.Us[i]:
                 raise WP3ShapeViolation(
                     f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
-                    f"{inst.Ls[i]} <= {inst.s0} <= {inst.Us[i]}"
+                    f"{echo(inst.Ls[i])} <= {echo(inst.s0)} <= "
+                    f"{echo(inst.Us[i])}"
                 )
 
 
@@ -286,16 +317,30 @@ def compute_objective(inst: Instance, x, y, s, w, z) -> Exact:
     return exact(total)
 
 
+def _times(value: Exact, factor: int) -> int:
+    """value * factor, for a factor that is a multiple of value's
+    denominator, as an int product with no Fraction arithmetic."""
+    share, rest = divmod(factor, value.denominator)
+    if rest:
+        raise ValueError(f"factor {factor} leaves {value} fractional")
+    return value.numerator * share
+
+
 def scale_instance(inst: Instance, factor: int) -> Instance:
     """Multiply s0, the six bound vectors and the unit prices by factor
     and the fixed costs by factor**2, so every plan's stocks and trades
-    grow by factor and its objective by factor**2."""
+    grow by factor and its objective by factor**2.
+
+    The factor must clear every denominator, as scale_factor(inst) and its
+    multiples do, so every scaled datum is an int; another factor raises
+    ValueError.
+    """
     fixed = factor * factor
-    fields = {name: tuple(v * factor for v in getattr(inst, name))
+    fields = {name: tuple(_times(v, factor) for v in getattr(inst, name))
               for name in _BOUND_FIELDS + _PRICE_FIELDS}
     for name in _FIXED_FIELDS:
-        fields[name] = tuple(v * fixed for v in getattr(inst, name))
-    return replace(inst, s0=inst.s0 * factor, **fields)
+        fields[name] = tuple(_times(v, fixed) for v in getattr(inst, name))
+    return replace(inst, s0=_times(inst.s0, factor), **fields)
 
 
 def _data(inst: Instance) -> list[Exact]:
@@ -316,19 +361,21 @@ def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
 
     The copy is scale_instance(inst, F) with F = scale_factor(inst), the
     factor emit-lp prints, so a plan's stocks and trades grow by F and its
-    objective by F**2.  The map back divides x, y and s by F and
-    recomputes the objective on inst.  All-integer data returns inst
-    itself with the identity map.
+    objective by F**2.  The map back divides x, y and s by F and the
+    objective by F**2: every term of the objective is a quantity times a
+    unit price or an indicator times a fixed cost, each of which grew by
+    F**2, so the quotient is the plan's objective on inst exactly.
+    All-integer data returns inst itself with the identity map.
     """
     if all(type(v) is int for v in _data(inst)):
         return inst, lambda sol: sol
     F = scale_factor(inst)
 
     def back(sol: Solution) -> Solution:
-        x, y, s = (tuple(Fraction(v, F) for v in vec)
+        x, y, s = (tuple(exact_quotient(v, F) for v in vec)
                    for vec in (sol.x, sol.y, sol.s))
-        objective = compute_objective(inst, x, y, s, sol.w, sol.z)
-        return Solution(x=x, y=y, s=s, w=sol.w, z=sol.z, objective=objective)
+        return Solution(x=x, y=y, s=s, w=sol.w, z=sol.z,
+                        objective=exact_quotient(sol.objective, F * F))
 
     return scale_instance(inst, F), back
 
@@ -424,7 +471,7 @@ def instance_from_json_dict(data: dict) -> Instance:
     if missing:
         raise ValueError(f"instance JSON missing keys: {', '.join(missing)}")
     if not isinstance(data["T"], int) or isinstance(data["T"], bool):
-        raise ValueError(f"T must be an integer, got {data['T']!r}")
+        raise ValueError(f"T must be an integer, got {echo(data['T'])}")
     fields: dict = {
         "variant": _coerce_variant(data["variant"]),
         "T": data["T"],

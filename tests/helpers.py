@@ -332,10 +332,21 @@ def _reference_render(model, comments) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reference_scale_instance(inst: Instance, factor: int) -> Instance:
+def reference_scale_trade_bounds(inst: Instance, params) -> Instance:
+    """Every upper trade bound rounded down to a multiple of K in Fraction
+    arithmetic, K * floor(v / K) (kept apart from
+    fptas.scale_trade_bounds, which rounds in integers)."""
+    K = params.K
+    ux = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Ux)
+    uy = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Uy)
+    return replace(inst, Ux=ux, Uy=uy)
+
+
+def reference_scale_instance(inst: Instance, factor: int) -> Instance:
     """Every number of the instance times one factor, the fixed costs
-    times its square, so every plan's objective grows by factor**2 (kept
-    apart from model.scale_instance)."""
+    times its square, so every plan's objective grows by factor**2, as
+    Fraction products (kept apart from model.scale_instance, which
+    multiplies numerators in integers)."""
     fixed = ("fixed_purchase", "fixed_sale")
     scaled = {name: tuple(exact(v * factor ** (2 if name in fixed else 1))
                           for v in getattr(inst, name))
@@ -558,7 +569,7 @@ def reference_emit_lp(inst: Instance) -> str:
         for name in _VECTOR_FIELDS:
             numbers.extend(getattr(base, name))
         factor = math.lcm(*(Fraction(v).denominator for v in numbers))
-        base = _reference_scale_instance(base, factor)
+        base = reference_scale_instance(base, factor)
         model = model_for(base)
         comments.append(f"quantities and unit prices scaled by {factor}, "
                         f"fixed costs by {factor * factor}")

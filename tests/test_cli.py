@@ -441,6 +441,15 @@ def test_reduce_lotsizing_rejects_a_vector_that_is_not_a_list(
     assert out.out == "" and out.err == "error: demand must be a list\n"
 
 
+def test_reduce_lotsizing_cuts_a_long_key_short(tmp_path, capsys):
+    ls_path = tmp_path / "ls.json"
+    ls_path.write_text(json.dumps({"k" * 5000: 1}))
+    assert run(["reduce", "lotsizing", "--input", str(ls_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"got ['{'k' * 38}... (5004 characters)\n")
+    assert len(err.encode()) < 200
+
+
 def test_emit_lp_to_file(instance_file, tmp_path, capsys):
     lp_path = tmp_path / "model.lp"
     assert run(["emit-lp", "--input", instance_file,
@@ -468,6 +477,35 @@ def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys):
     assert lp_path.read_bytes() == expected
     assert run(["emit-lp", "--input", source]) == 0
     assert capsys.readouterr().out.encode() == expected
+
+
+def test_fptas_matches_the_golden_files(tmp_path, capsys):
+    # wp3 at epsilon = 1/3 over U_min = 2: K = 2/3 has no decimal form, so
+    # the rounded bounds, the plan and the objective are thirds
+    source = str(GOLDEN / "fptas_third.json")
+    plan = GOLDEN / "fptas_third.solution.json"
+    out_path = tmp_path / "plan.json"
+    assert run(["fptas", "--input", source, "--epsilon", "1/3",
+                "--output", str(out_path)]) == 0
+    out = capsys.readouterr()
+    assert out_path.read_bytes() == plan.read_bytes()
+    assert out.err.encode() == (GOLDEN / "fptas_third.stderr").read_bytes()
+    objective = json.loads(plan.read_text())["objective"]
+    assert out.out == f"objective: {objective}\n"
+
+
+def test_a_five_thousand_digit_bound_gives_a_short_error(tmp_path, capsys):
+    data = json.loads(serialize_instance(two_period_trade()))
+    data["Us"] = ["9" * 5000, 10]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    for command in ("solve", "levels", "emit-lp"):
+        assert run([command, "--input", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: not a rational literal: '{'9' * 39}... "
+                           "(5002 characters)\n")
+        assert len(out.err.encode()) < 200
 
 
 def test_bench_csv(tmp_path, capsys):

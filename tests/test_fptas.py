@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from wareflow import (
     fptas_solve,
     normalize_terminal,
     oracle_solve,
+    parse_exact,
     reassemble,
     reduce_flow,
     scale_trade_bounds,
@@ -29,6 +31,7 @@ from helpers import (
     buy_then_sell,
     random_settled_walk,
     random_trading_wp3,
+    reference_scale_trade_bounds,
     two_period_trade,
     wp2_mixed,
 )
@@ -220,6 +223,29 @@ def test_scale_trade_bounds_rounds_down():
     # a unit that divides every bound changes nothing
     params = fptas_params(inst, Fraction(1, 5))
     assert scale_trade_bounds(inst, params) == inst
+
+
+def test_integer_rounding_matches_the_fraction_rounding():
+    # int and "p/q" bounds, rounded under random epsilon in (0, 1): the
+    # integer K * floor(v / K) must equal the Fraction one, type included
+    rng = random.Random(18)
+
+    def bound():
+        top = rng.randint(0, 10**4)
+        return parse_exact(rng.choice((top, f"{top}/{rng.randint(1, 60)}")))
+
+    for _ in range(400):
+        T = rng.randint(1, 6)
+        inst = replace(random_trading_wp3(rng.randint(0, 10**6), T),
+                       Ux=tuple(bound() for _ in range(T)),
+                       Uy=tuple(bound() for _ in range(T - 1)) + (1,))
+        den = rng.randint(2, 1000)
+        params = fptas_params(inst, Fraction(rng.randint(1, den - 1), den))
+        assert repr(scale_trade_bounds(inst, params)) == repr(
+            reference_scale_trade_bounds(inst, params))
+        # a bound that is a multiple of K stays as it is
+        on_grid = replace(inst, Ux=(params.K * 7,) + inst.Ux[1:])
+        assert scale_trade_bounds(on_grid, params).Ux[0] == params.K * 7
 
 
 def test_fptas_on_two_period_spread():

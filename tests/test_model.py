@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from wareflow import (
     FeasibilityReport,
+    Infeasible,
     Instance,
     LowerExceedsUpper,
     NegativeBound,
@@ -18,17 +20,27 @@ from wareflow import (
     evaluate_payoff,
     exact,
     format_exact,
+    fptas_params,
     gen_random,
     integral_instance,
     parse_exact,
     parse_instance,
     parse_solution,
     scale_instance,
+    scale_trade_bounds,
     serialize_instance,
     serialize_solution,
+    solve,
     validate_instance,
 )
-from helpers import solution_with, two_period_trade, wp2_mixed
+from wareflow.model import scale_factor
+from wareflow.network import search_instance
+from helpers import (
+    reference_scale_instance,
+    solution_with,
+    two_period_trade,
+    wp2_mixed,
+)
 
 
 def tiny(variant="wp1", **overrides):
@@ -154,6 +166,18 @@ def test_exact_rejects_floats_and_bools():
     assert isinstance(exact(Fraction(4, 2)), int)
 
 
+def test_exact_returns_ints_and_reduced_fractions_as_they_are():
+    third = Fraction(2, 6)
+    assert exact(third) is third and third == Fraction(1, 3)
+    big = 10**40 + 1
+    assert exact(big) is big
+    assert exact(-Fraction(6, 3)) == -2 and type(exact(-Fraction(6, 3))) is int
+    assert exact("6/4") == Fraction(3, 2) and exact("8/4") == 2
+    for bad in (False, 2.0, float("nan")):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
 def test_format_parse_exact():
     assert format_exact(Fraction(3, 4)) == "3/4"
     assert format_exact(7) == 7
@@ -182,8 +206,31 @@ def test_parse_exact_reads_the_documented_grammar(text, value):
 def test_parse_exact_rejects_everything_else(text):
     # an exponent would make Fraction build 10**e; past the int-string
     # digit limit a long literal is refused as well
-    with pytest.raises(ValueError, match="not a rational literal"):
+    with pytest.raises(ValueError, match="not a rational literal") as err:
         parse_exact(text)
+    # the message echoes at most 40 characters of the literal
+    assert len(str(err.value)) < 100
+
+
+def test_error_messages_echo_long_values_cut_short():
+    text = "9" * 5000
+    with pytest.raises(ValueError) as err:
+        parse_exact(text)
+    assert str(err.value) == (
+        f"not a rational literal: '{'9' * 39}... (5002 characters)")
+    with pytest.raises(ValueError) as err:
+        parse_exact(["x" * 500])
+    assert str(err.value) == ("expected integer or 'p/q' string, got "
+                              f"['{'x' * 38}... (504 characters)")
+    # a number that validation echoes is cut the same way
+    huge = 10**3999
+    with pytest.raises(LowerExceedsUpper) as err:
+        validate_instance(tiny(Ls=(huge,), Us=(1,)))
+    assert str(err.value) == (
+        f"Ls[1] = 1{'0' * 39}... (4000 characters) exceeds Us[1] = 1")
+    assert str(Fraction(1, 3)) in str(
+        pytest.raises(NegativeBound, validate_instance,
+                      tiny(s0=Fraction(-1, 3))).value)
 
 
 def test_assemble_solution_minimal_indicators():
@@ -266,3 +313,58 @@ def test_integral_instance_scales_by_one_factor():
     image = assemble_solution(scaled, (30, 0), (0, 20))
     assert image.objective == 900 * plan.objective
     assert repr(back(image)) == repr(plan)
+
+
+def _fractional_cases():
+    """Instances with s0 and the bounds over 3, the prices over 2 and the
+    fixed costs over 5, and fptas-rounded wp3 instances with K = 2/7 of
+    an odd U_min; the data of each keeps its shape and validity."""
+    cases = []
+    for seed in range(30):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(seed, T=2 + seed % 4, variant=variant, max_bound=9)
+        cases.append(replace(inst, s0=Fraction(inst.s0, 3), **{
+            name: tuple(Fraction(v, d) for v in getattr(inst, name))
+            for names, d in ((("Ls", "Us", "Lx", "Ux", "Ly", "Uy"), 3),
+                             (("revenue", "cost", "holding"), 2),
+                             (("fixed_purchase", "fixed_sale"), 5))
+            for name in names}))
+        if variant == "wp3":
+            cases.append(scale_trade_bounds(
+                inst, fptas_params(inst, Fraction(2, 7))))
+    assert sum(not inst.bounds_integral() for inst in cases) > 30
+    return cases
+
+
+def test_scale_instance_matches_the_fraction_product():
+    # numerator times (factor // denominator) against the Fraction product,
+    # field by field and type by type, at F and at a multiple of F
+    for inst in _fractional_cases():
+        F = scale_factor(inst)
+        for factor in (F, 4 * F):
+            assert repr(scale_instance(inst, factor)) == repr(
+                reference_scale_instance(inst, factor))
+    with pytest.raises(ValueError, match="leaves 1/3 fractional"):
+        scale_instance(tiny(s0=Fraction(1, 3)), 2)
+
+
+def test_integral_instance_maps_the_objective_back_exactly():
+    # the searched plan's objective over F*F is the plan's objective on
+    # the original data
+    solved = 0
+    for inst in _fractional_cases():
+        base = search_instance(inst)[0]
+        searched, back = integral_instance(base)
+        assert searched is not base
+        try:
+            image = solve(searched)
+        except Infeasible:
+            continue
+        plan = back(image)
+        expected = compute_objective(base, plan.x, plan.y, plan.s, plan.w,
+                                     plan.z)
+        assert plan.objective == expected
+        assert type(plan.objective) is type(expected)
+        assert check_solution(base, plan).feasible
+        solved += 1
+    assert solved > 20

@@ -1,7 +1,14 @@
 """Property tests on small generated instances of every variant."""
 
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,18 +19,28 @@ from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
     Variant,
+    assemble_solution,
     build_network,
     check_solution,
+    compute_objective,
     emit_lp,
     fptas_params,
+    gen_random,
     gen_stock_levels,
+    integral_instance,
     lift_and_check,
     oracle_solve,
+    parse_exact,
+    scale_instance,
     scale_trade_bounds,
+    serialize_instance,
+    serialize_solution,
     solve,
     solve_with_network,
     solve_wp2_direct,
 )
+from wareflow.cli import run  # noqa: E402
+from wareflow.model import scale_factor  # noqa: E402
 from wareflow.network import (  # noqa: E402
     SolveTrace,
     _decode,
@@ -37,6 +54,8 @@ from helpers import (  # noqa: E402
     reference_clipped_stock_levels,
     reference_decode,
     reference_emit_lp,
+    reference_scale_instance,
+    reference_scale_trade_bounds,
     reference_stock_levels,
 )
 
@@ -292,3 +311,156 @@ def test_emit_lp_matches_the_reference_emitter(inst):
                  _rescaled(inst, Fraction(1, 2), Fraction(1, 4))):
         text = emit_lp(case)
         assert text == reference_emit_lp(case)
+
+
+# int and "p/q" trade bounds, and epsilon anywhere in (0, 1)
+bounds = st.one_of(
+    st.integers(0, 10**6),
+    st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**3)),
+).map(parse_exact)
+epsilons = st.fractions(0, 1, max_denominator=10**4).filter(
+    lambda e: 0 < e < 1)
+
+
+@SETTINGS
+@given(instances(), st.data(), epsilons)
+def test_integer_rounding_matches_the_fraction_rounding(inst, data, eps):
+    ux = tuple(data.draw(bounds) for _ in range(inst.T))
+    uy = tuple(data.draw(bounds) for _ in range(inst.T - 1)) + (1,)
+    wide = replace(inst, Ux=ux, Uy=uy)
+    params = fptas_params(wide, eps)
+    assert repr(scale_trade_bounds(wide, params)) == repr(
+        reference_scale_trade_bounds(wide, params))
+
+
+def _fractional_copies(inst, L, M):
+    """inst with quantities over L and prices over M, and for wp3 with a
+    positive trade bound its fptas rounding at epsilon = 2/7 as well."""
+    cases = [_rescaled(inst, Fraction(1, L), Fraction(1, M))]
+    if inst.variant is Variant.WP3 and any(inst.Ux + inst.Uy):
+        cases.append(scale_trade_bounds(inst, fptas_params(inst,
+                                                           Fraction(2, 7))))
+    return cases
+
+
+@SETTINGS
+@given(instances(), st.integers(2, 6), st.integers(1, 4), st.integers(1, 3))
+def test_scale_instance_matches_the_fraction_product(inst, L, M, k):
+    for case in _fractional_copies(inst, L, M):
+        factor = k * scale_factor(case)
+        assert repr(scale_instance(case, factor)) == repr(
+            reference_scale_instance(case, factor))
+
+
+@SETTINGS
+@given(instances(), st.integers(2, 6), st.integers(1, 4))
+def test_integral_instance_maps_the_objective_back_exactly(inst, L, M):
+    for case in _fractional_copies(inst, L, M):
+        base = search_instance(case)[0]
+        searched, back = integral_instance(base)
+        try:
+            plan = back(solve(searched))
+        except Infeasible:
+            continue
+        expected = compute_objective(base, plan.x, plan.y, plan.s, plan.w,
+                                     plan.z)
+        assert plan.objective == expected
+        assert type(plan.objective) is type(expected)
+
+
+# --- the CLI's input boundary ----------------------------------------------
+
+# every error line echoes at most 40 characters of an input value, so a
+# diagnostic stays under this many bytes however long the input
+STDERR_LINE_LIMIT = 200
+
+_INSTANCE_KEYS = ("variant", "T", "s0", "Ls", "Us", "Lx", "Ux", "Ly", "Uy",
+                  "revenue", "cost", "holding", "fixed_purchase",
+                  "fixed_sale", "extra")
+_SOLUTION_KEYS = ("x", "y", "s", "w", "z", "objective", "extra")
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-10**60, 10**60),
+        st.floats(), st.text(max_size=6),
+        st.builds("{}/{}".format, st.integers(-10**9, 10**9),
+                  st.integers(-2, 10**9)),
+        st.sampled_from(["9" * 5000, "1/" + "9" * 5000, "1e999999999",
+                         " 2 ", "wp1", "wp2", "wp3", "WP3", "wp9"]),
+    ),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _edits(keys):
+    """Edits of one JSON document: set or delete a key, set, drop or add a
+    list item, or replace the whole document."""
+    edit = st.tuples(
+        st.sampled_from(("set", "delete", "item", "drop", "append", "root")),
+        st.sampled_from(keys), st.integers(0, 9), _json_values)
+    return st.lists(edit, max_size=3)
+
+
+def _edited(doc, edits):
+    for op, key, index, value in edits:
+        if op == "root":
+            doc = value
+        elif not isinstance(doc, dict):
+            continue
+        elif op == "set":
+            doc[key] = value
+        elif op == "delete":
+            doc.pop(key, None)
+        elif isinstance(doc.get(key), list):
+            vec = doc[key]
+            if op == "append":
+                vec.append(value)
+            elif vec and op == "item":
+                vec[index % len(vec)] = value
+            elif vec and op == "drop":
+                vec.pop()
+    return doc
+
+
+def _documents(seed, variant):
+    inst = gen_random(seed, T=3, variant=variant, max_bound=9)
+    try:
+        sol = solve(inst)
+    except Infeasible:
+        sol = assemble_solution(inst, (0,) * 3, (0,) * 3)
+    return (json.loads(serialize_instance(inst)),
+            json.loads(serialize_solution(sol)))
+
+
+_BASES = [_documents(seed, variant)
+          for seed, variant in ((0, "wp1"), (1, "wp2"), (7, "wp3"))]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
+          database=None)
+@given(st.sampled_from(range(len(_BASES))), _edits(_INSTANCE_KEYS),
+       _edits(_SOLUTION_KEYS), st.none() | st.integers(0, 300))
+def test_mutated_json_exits_cleanly(base, inst_edits, sol_edits, cut):
+    inst_doc, sol_doc = copy.deepcopy(_BASES[base])
+    inst_text = json.dumps(_edited(inst_doc, inst_edits))
+    if cut is not None:
+        inst_text = inst_text[:cut]
+    sol_text = json.dumps(_edited(sol_doc, sol_edits))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, sol_path = Path(tmp) / "inst.json", Path(tmp) / "sol.json"
+        inst_path.write_text(inst_text)
+        sol_path.write_text(sol_text)
+        source = ["--input", str(inst_path)]
+        for argv in (["solve", *source], ["levels", *source],
+                     ["fptas", *source, "--epsilon", "1/3"],
+                     ["check", *source, "--solution", str(sol_path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert all(len(line.encode()) < STDERR_LINE_LIMIT
+                       for line in err.getvalue().splitlines()), (
+                argv, err.getvalue()[:300])
