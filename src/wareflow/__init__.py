@@ -33,6 +33,7 @@ from .fptas import (
     FlowPair,
     FptasParams,
     balanced_flow_decompose,
+    fptas_bound_S,
     fptas_params,
     fptas_scale,
     fptas_solve,

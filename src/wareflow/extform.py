@@ -19,31 +19,33 @@ relaxed binaries, and integrality comes from the polytope itself.
 The module only writes, lifts, and checks the model; no LP solver is run.
 
 _lp_text is the one definition of the LP: it writes the text straight from
-the arcs, in one walk that makes each arc's name once and joins every row
-from the names.  emit_lp prints it with decimal numbers; lift_and_check
-writes it with exact p/q numbers and evaluates its rows on a lifted plan.
-emit_lp writes first and rescales on failure: when a number has no decimal
-literal the write stops, and the one network built is rescaled by
-model.scale_factor and written again, so the levels and the network are
-each made once.
+the level sets, in one walk over each tail's window slices that makes each
+arc's name once and joins every row from the names.  The rows need only an
+arc's tail, head and stock change, so no network is built.  emit_lp prints
+it with decimal numbers; lift_and_check writes it with exact p/q numbers
+and evaluates its rows on a lifted plan.  emit_lp writes first and
+rescales on failure: when a number has no decimal literal the write stops
+and the levels, times model.scale_factor, are written again.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 
-from .errors import NotAPath
+from .errors import NotAPath, WrongVariant
 from .model import (
     Exact,
     FeasibilityReport,
     Instance,
     Solution,
+    Variant,
     exact,
     scale_factor,
     scale_instance,
 )
-from .network import ArcDecision, LayeredNetwork, build_network, search_instance
+from .network import LayeredNetwork, _window_slices, search_instance
 from .stocklevels import gen_stock_levels
 
 # An arc's variable is named a_{t}_{tail}_{head}: _lp_text joins one prefix
@@ -102,14 +104,20 @@ def lift_and_check(
 ) -> FeasibilityReport:
     """Lift a solved plan into the LP and evaluate each written row exactly.
 
-    The rows are read from _lp_text(inst, net) with every number printed as
-    an exact p/q, so nothing is rescaled and both sides are in the
-    instance's units.  Each violation is (period, row name, lhs, rhs), the
-    period being the first number in the row's name, 0 if it has none.  An
-    LP objective of the lift other than sol.objective reports as (0, "obj",
-    LP value, sol.objective).  Raises NotAPath when the plan is not a path
-    of net.
+    The rows are read from _lp_text(inst, net.layers) with every number
+    printed as an exact p/q, so nothing is rescaled and both sides are in
+    the instance's units.  Each violation is (period, row name, lhs, rhs),
+    the period being the first number in the row's name, 0 if it has none.
+    An LP objective of the lift other than sol.objective reports as (0,
+    "obj", LP value, sol.objective).  Raises NotAPath when the plan is not
+    a path of net.  _lp_text makes the arcs by the wp1 window rule, which
+    a wp2 instance's own-horizon network does not follow, so a wp2 inst
+    raises WrongVariant: pass search_instance(inst)[0], the instance that
+    was searched, and its network.
     """
+    if inst.variant is Variant.WP2:
+        raise WrongVariant("lift_and_check takes the searched instance: "
+                           "pass search_instance(inst)[0], not wp2")
     values = lift_solution(net, sol)
     # all-digit literals parse as int: Fraction(str) on every term is
     # several times slower
@@ -129,7 +137,7 @@ def lift_and_check(
         return exact(total)
 
     bad = []
-    lines = _lp_text(inst, net, (), literal=str).splitlines()
+    lines = _lp_text(inst, net.layers, (), literal=str).splitlines()
     for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
         name, _, row = line.strip().partition(": ")
         *terms, sense, rhs = row.split()
@@ -179,11 +187,14 @@ def _expr(plus, minus=()) -> str:
     return " - ".join([" + ".join(plus), *minus]).lstrip() or "0 "
 
 
-def _lp_text(inst: Instance, net: LayeredNetwork, comments: tuple[str, ...],
+def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
              literal=_decimal) -> str:
-    """The LP of the network of inst as text, every number printed by
-    literal, in one walk over the arcs.  Each arc's name is made once and
-    joins its head's incoming and its tail's outgoing list, which make the
+    """The LP of inst as text, every number printed by literal.  layers
+    holds (s0,) and then each period's ascending levels; inst must not be
+    wp2 (write its doubled horizon).  One walk makes the arcs from each
+    tail's network._window_slices in build_network's order, an arc's trade
+    being its stock change.  Each arc's name is made once and joins its
+    head's incoming and its tail's outgoing list, which make the
     conservation rows; every row's text is joined from names, and rows are
     gathered per family."""
     objective, source, flows, trades, balances, couplings = (
@@ -197,22 +208,25 @@ def _lp_text(inst: Instance, net: LayeredNetwork, comments: tuple[str, ...],
         text = literal(value)
         return "" if text == "1" else text + " "
 
-    for t, period in enumerate(net.arcs, start=1):
+    for t, (tails, heads) in enumerate(zip(layers, layers[1:]), start=1):
         i = t - 1
-        prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
-        suffixes = [_arc_suffix(k) for k in range(len(net.layers[t]))]
-        into, out_of = [[] for _ in suffixes], [[] for _ in prefixes]
+        lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
+        suffixes = [_arc_suffix(j) for j in range(len(heads))]
+        into, out_of = [[] for _ in heads], [[] for _ in tails]
         x_terms, y_terms, buys, sells = [], [], [], []
-        for tail, head, dec in period:
-            name = prefixes[tail] + suffixes[head]
-            into[head].append(name)
-            out_of[tail].append(name)
-            if dec.x:
-                x_terms.append(times(dec.x) + name)
-                buys.append(name)
-            if dec.y:
-                y_terms.append(times(dec.y) + name)
-                sells.append(name)
+        for k, s in enumerate(tails):
+            prefix, out = _arc_prefix(t, k), out_of[k]
+            for j in chain(*_window_slices(heads, s, lx, ux, ly, uy)):
+                name = prefix + suffixes[j]
+                into[j].append(name)
+                out.append(name)
+                move = heads[j] - s
+                if move > 0:
+                    x_terms.append(times(move) + name)
+                    buys.append(name)
+                elif move < 0:
+                    y_terms.append(times(-move) + name)
+                    sells.append(name)
         if t == 1:
             source = out_of[0]
         flows += [f" flow_{i}_{node}: {_expr(entering, out_of[node])} = 0"
@@ -223,14 +237,14 @@ def _lp_text(inst: Instance, net: LayeredNetwork, comments: tuple[str, ...],
                    f" def_y_{t}: {_expr(y_terms, [f'y_{t}'])} = 0"]
         rest = f"- s_{i} = 0" if i else f"= {literal(inst.s0)}"
         balances.append(f" balance_{t}: s_{t} + y_{t} - x_{t} {rest}")
-        for v, arcs, low in (("w", buys, inst.Lx[i]), ("z", sells, inst.Ly[i])):
+        for v, arcs, low in (("w", buys, lx), ("z", sells, ly)):
             couplings.append(f" {v}_couple_{t}: {_expr([f'{v}_{t}'], arcs)} "
                              f"{'=' if low > 0 else '>='} 0")
         prices = (inst.revenue[i], -inst.cost[i], -inst.holding[i],
                   -inst.fixed_purchase[i], -inst.fixed_sale[i])
         objective += [("- " if c < 0 else "+ ") + times(abs(c)) + f"{v}_{t}"
                       for v, c in zip("yxswz", prices) if c]
-    periods = range(1, len(net.arcs) + 1)
+    periods = range(1, len(layers))
     lines = [f"\\ {c}" for c in comments]
     lines += ["Maximize",
               f" obj: {' '.join(objective).removeprefix('+ ') or '0 '}",
@@ -247,42 +261,26 @@ def emit_lp(inst: Instance) -> str:
 
     The instance is validated and emitted as search_instance returns it,
     so wp2 lands on its doubled horizon, matching how it is solved.  The
-    text is _lp_text's, written from the network's arcs in one walk, and
-    its rows are the ones lift_and_check evaluates.  Every number prints
-    as an exact decimal: emit_lp writes the text, and when a number has no
-    decimal literal it rescales and writes again.  The rescale multiplies
-    s0, the bounds and the unit prices by F = model.scale_factor, the
-    factor solve searches with, and the fixed costs by F*F, and a comment
-    line records both factors.  Every printed number is then an integer,
-    and every plan's objective grows by F*F, linear payoff and fixed costs
-    alike, so the LP ranks plans as the instance does.  The network is
-    built once, on the unscaled instance.
+    text is _lp_text's, written from the levels in one walk with no
+    network built, and its rows are the ones lift_and_check evaluates.
+    Every number prints as an exact decimal: emit_lp writes the text, and
+    when a number has no decimal literal it rescales and writes again.
+    The rescale multiplies s0, the bounds, the unit prices and the levels
+    by F = model.scale_factor, the factor solve searches with, and the
+    fixed costs by F*F, and a comment line records both factors.  Every
+    printed number is then an integer, and every plan's objective grows by
+    F*F, linear payoff and fixed costs alike, so the LP ranks plans as the
+    instance does.
     """
     base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    layers = ((base.s0,),) + gen_stock_levels(base).levels
     comments = ("extended formulation over the trading network",)
     try:
-        return _lp_text(base, net, comments)
+        return _lp_text(base, layers, comments)
     except ValueError:
         factor = scale_factor(base)
         return _lp_text(
-            scale_instance(base, factor), _scaled_network(net, factor),
+            scale_instance(base, factor),
+            [[exact(v * factor) for v in layer] for layer in layers],
             comments + (f"quantities and unit prices scaled by {factor}, "
                         f"fixed costs by {factor * factor}",))
-
-
-def _scaled_network(net: LayeredNetwork, factor: int) -> LayeredNetwork:
-    """The network that build_network makes on the instance with s0, the
-    bounds and the unit prices times factor and the fixed costs times its
-    square: every level and trade amount times factor and every payoff
-    times its square, in the same order."""
-    def arc(tail, head, dec):
-        return tail, head, ArcDecision(
-            x=exact(dec.x * factor), y=exact(dec.y * factor), w=dec.w,
-            z=dec.z, payoff=exact(dec.payoff * factor * factor))
-
-    return LayeredNetwork(
-        layers=tuple(tuple(exact(v * factor) for v in layer)
-                     for layer in net.layers),
-        arcs=tuple(tuple(arc(*a) for a in period) for period in net.arcs),
-    )

@@ -12,6 +12,7 @@ which the exact solver then finds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -189,6 +190,28 @@ def fptas_params(inst: Instance, epsilon) -> FptasParams:
     )
 
 
+def fptas_bound_S(inst: Instance, params: FptasParams) -> int:
+    """A bound on the per-period level count of the rounded wp3 instance
+    scale_trade_bounds(inst, params): the whole part of
+    (2T+1) * (2T*rho/epsilon + 1), with rho = U_max / U_min.
+
+    Proof.  wp3 has Lx = Ly = 0, so a period's moves are 0, Ux'_t and
+    -Uy'_t, and each rounded bound is a multiple of K at most U_max.
+    gen_stock_levels makes each level of period t in one of two sweeps:
+    forward from s0, or from the anchor Ls_u or Us_u that a period u <= t
+    adds, through at most t moves; or backward from the anchor Ls_u or Us_u
+    of a period u >= t, through at most T - t negated moves.  Clipping to
+    the stock bounds only drops values.  So every level is one of the
+    at most 2T+1 anchors s0, Ls_1..Ls_T, Us_1..Us_T plus a multiple m*K of
+    K within +-T*U_max, and |m| <= T*U_max / K = T*rho/epsilon, since
+    K = epsilon * U_min.  Each anchor thus adds at most 2T*rho/epsilon + 1
+    levels, which is polynomial in T and 1/epsilon when rho is bounded.
+    """
+    rho = Fraction(params.U_max) / params.U_min
+    return math.floor((2 * inst.T + 1)
+                      * (2 * inst.T * rho / params.epsilon + 1))
+
+
 def _round_down(value: Exact, p: int, q: int) -> Exact:
     """K * floor(value / K) for K = p/q > 0, in integers: value / K is
     (a*q) / (b*p) for value = a/b, and K times its floor is p*n/q."""
@@ -233,12 +256,13 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
     (1 - epsilon) times the optimum; the guarantee needs the zero holding
     costs that wp3 validation enforces.  The rounded network has
     polynomially many stock levels in T and 1/epsilon when U_max / U_min is
-    bounded.  A fractional K makes the rounded bounds fractional; solve
-    then searches a copy with s0, the bounds and the prices multiplied by
-    F, the LCM of every denominator of the data (model.integral_instance),
-    which keeps the order of every stock and payoff and so returns the plan
-    the rational search would, its trades divided by F and its objective
-    by F**2.  The rounding, the scaling and that map back are integer
-    arithmetic on numerators and denominators.
+    bounded: at most fptas_bound_S per period.  A fractional K makes the
+    rounded bounds fractional; solve then searches a copy with s0, the
+    bounds and the prices multiplied by F, the LCM of every denominator of
+    the data (model.integral_instance), which keeps the order of every
+    stock and payoff and so returns the plan the rational search would,
+    its trades divided by F and its objective by F**2.  The rounding, the
+    scaling and that map back are integer arithmetic on numerators and
+    denominators.
     """
     return solve(fptas_scale(inst, epsilon)[1])

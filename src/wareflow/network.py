@@ -18,15 +18,17 @@ pass: the stock moves give x and y, and model.assemble_solution adds the
 minimal indicators and the objective.
 
 build_network is kept for the consumers of its arcs: the DOT dump of
-solve --dot (whose answer still comes from solve), the LP formulation and
-lift check, and the direct wp2 route; solve_with_network decodes from it
-and so witnesses solve in the tests.  It enumerates the same windows: each
-tail's heads are its sell window, the tail's own value and its buy window,
-three slices of the ascending next layer found by bisection
-(_window_slices).  So on wp1/wp3 (and the doubled wp2 horizon) every pair
-it checks is an arc, and the work is proportional to the arcs; arc_counts
-sums the slice lengths, so bench counts the arcs of the levels solve
-searched without building them.  Each slice fixes the trade side, so
+solve --dot (whose answer still comes from solve), the lift check, which
+locates a plan's path on the arcs, and the direct wp2 route;
+solve_with_network decodes from it and so witnesses solve in the tests.
+It enumerates the same windows: each tail's heads are its sell window, the
+tail's own value and its buy window, three slices of the ascending next
+layer found by bisection (_window_slices).  So on wp1/wp3 (and the doubled
+wp2 horizon) every pair it checks is an arc, and the work is proportional
+to the arcs.  The LP and bench need no network: the LP text walks the same
+slices for each arc's tail, head and stock change, and arc_counts sums
+their lengths, so bench counts the arcs of the levels solve searched
+without building them.  Each slice fixes the trade side, so
 its arcs are priced in one loop over the period's hoisted prices;
 arc_candidates keeps the pair-by-pair rule as the reference.  An arc's
 ArcDecision is a named tuple, cheap to make and immutable.  On a wp2
@@ -44,9 +46,9 @@ prints, so no level, window key or payoff is a Fraction.  Every plan's
 objective scales by the same F*F and every stock by F, so all comparisons
 and equalities come out as before: the level sets keep their sizes, and
 the window arg-maxima and with them the tie-break below choose the same
-plan, which is divided back by F.  build_network and solve_with_network
-work on the searched instance as it is, so the DOT dump and the LP print
-its own numbers.
+plan, which is divided back by F.  build_network, solve_with_network and
+the LP work on the searched instance as it is, so the DOT dump and the LP
+print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value

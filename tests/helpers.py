@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from wareflow import (
     gen_stock_levels,
     normalize_terminal,
 )
+from wareflow.extform import _arc_prefix, _arc_suffix, _expr
 from wareflow.model import (
     _VECTOR_FIELDS,
     evaluate_payoff,
@@ -574,6 +576,77 @@ def reference_emit_lp(inst: Instance) -> str:
         comments.append(f"quantities and unit prices scaled by {factor}, "
                         f"fixed costs by {factor * factor}")
     return _reference_render(model, tuple(comments))
+
+
+def reference_lp_text_from_arcs(inst: Instance, net: LayeredNetwork,
+                                comments: tuple[str, ...], literal) -> str:
+    """The LP text by the walk over a built network's arcs that
+    extform._lp_text replaced, each arc's x and y read off its
+    ArcDecision; _lp_text, walking the level sets, must write the same
+    bytes."""
+    objective, source, flows, trades, balances, couplings = (
+        [[] for _ in range(6)])
+    into_prev: list[list[str]] = []
+
+    @functools.cache  # few distinct amounts and prices recur
+    def times(value: Exact) -> str:
+        """A coefficient's magnitude as it leads a variable's name: nothing
+        for 1, else its literal and a space."""
+        text = literal(value)
+        return "" if text == "1" else text + " "
+
+    for t, period in enumerate(net.arcs, start=1):
+        i = t - 1
+        prefixes = [_arc_prefix(t, k) for k in range(len(net.layers[i]))]
+        suffixes = [_arc_suffix(k) for k in range(len(net.layers[t]))]
+        into, out_of = [[] for _ in suffixes], [[] for _ in prefixes]
+        x_terms, y_terms, buys, sells = [], [], [], []
+        for tail, head, dec in period:
+            name = prefixes[tail] + suffixes[head]
+            into[head].append(name)
+            out_of[tail].append(name)
+            if dec.x:
+                x_terms.append(times(dec.x) + name)
+                buys.append(name)
+            if dec.y:
+                y_terms.append(times(dec.y) + name)
+                sells.append(name)
+        if t == 1:
+            source = out_of[0]
+        flows += [f" flow_{i}_{node}: {_expr(entering, out_of[node])} = 0"
+                  for node, entering in enumerate(into_prev)
+                  if entering or out_of[node]]
+        into_prev = into
+        trades += [f" def_x_{t}: {_expr(x_terms, [f'x_{t}'])} = 0",
+                   f" def_y_{t}: {_expr(y_terms, [f'y_{t}'])} = 0"]
+        rest = f"- s_{i} = 0" if i else f"= {literal(inst.s0)}"
+        balances.append(f" balance_{t}: s_{t} + y_{t} - x_{t} {rest}")
+        for v, arcs, low in (("w", buys, inst.Lx[i]), ("z", sells, inst.Ly[i])):
+            couplings.append(f" {v}_couple_{t}: {_expr([f'{v}_{t}'], arcs)} "
+                             f"{'=' if low > 0 else '>='} 0")
+        prices = (inst.revenue[i], -inst.cost[i], -inst.holding[i],
+                  -inst.fixed_purchase[i], -inst.fixed_sale[i])
+        objective += [("- " if c < 0 else "+ ") + times(abs(c)) + f"{v}_{t}"
+                      for v, c in zip("yxswz", prices) if c]
+    periods = range(1, len(net.arcs) + 1)
+    lines = [f"\\ {c}" for c in comments]
+    lines += ["Maximize",
+              f" obj: {' '.join(objective).removeprefix('+ ') or '0 '}",
+              "Subject To", f" unit_source: {_expr(source)} = 1",
+              *flows, *trades, *balances, *couplings,
+              *(f" {v}_ub_{t}: {v}_{t} <= 1" for t in periods for v in "wz"),
+              "Bounds", *(f" {v}_{t} free" for t in periods for v in "xyswz"),
+              "End"]
+    return "\n".join(lines) + "\n"
+
+
+def text_or_value_error(write, *args) -> str:
+    """write(*args), or the ValueError it raises as text, so that two
+    writers can be compared on data that stops them."""
+    try:
+        return write(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
 
 
 def _reference_forward_sets(inst: Instance) -> list[set]:

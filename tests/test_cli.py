@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import wareflow.cli
-import wareflow.extform
 import wareflow.fptas
 import wareflow.network
 from wareflow import (
@@ -576,7 +575,7 @@ def test_bench_counts_the_searched_levels_without_a_network(
         levels_calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (wareflow.cli, wareflow.network, wareflow.extform):
+    for module in (wareflow.cli, wareflow.network):
         monkeypatch.setattr(module, "build_network", refuse)
     for module in (wareflow.cli, wareflow.network):
         monkeypatch.setattr(module, "gen_stock_levels", counted)

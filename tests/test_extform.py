@@ -11,6 +11,8 @@ from wareflow import (
     Instance,
     LowerExceedsUpper,
     NotAPath,
+    Variant,
+    WrongVariant,
     assemble_solution,
     build_network,
     emit_lp,
@@ -23,16 +25,19 @@ from wareflow import (
     solve,
     solve_with_network,
 )
+import wareflow.network
 from wareflow import extform
-from wareflow.extform import _decimal, _scaled_network
-from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, scale_instance
+from wareflow.extform import _decimal, _lp_text
+from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, exact, scale_instance
 from wareflow.network import search_instance
 from helpers import (
     lp_rows,
     lp_sizes,
     reference_decimal_or_none,
     reference_emit_lp,
+    reference_lp_text_from_arcs,
     solution_with,
+    text_or_value_error,
     two_period_trade,
     wp2_mixed,
 )
@@ -155,6 +160,19 @@ def test_off_network_stocks_are_not_a_path():
     with pytest.raises(NotAPath):
         lift_solution(net, solution_with(sol, s=(0,), x=(0,), y=(0,),
                                          w=(0,), z=(0,)))
+
+
+def test_lift_refuses_a_wp2_instance():
+    # the rows follow the wp1 window rule, which the network of a wp2
+    # instance on its own horizon does not: the searched instance lifts
+    inst = wp2_mixed()
+    net = build_network(inst, gen_stock_levels(inst))
+    with pytest.raises(WrongVariant, match=r"search_instance\(inst\)\[0\]"):
+        lift_and_check(inst, net, solve(inst))
+    base = search_instance(inst)[0]
+    sol, net = solve_with_network(base)
+    report = lift_and_check(base, net, sol)
+    assert report.feasible, report.violations
 
 
 @pytest.mark.parametrize("vector", ["x", "y", "w", "z"])
@@ -350,19 +368,21 @@ def test_emit_lp_skips_scaling_for_numbers_outside_the_model():
 
 
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(1, 3)])
-def test_emit_lp_builds_one_network_and_no_formulation(monkeypatch, s0):
-    # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3;
-    # the text is written from the arcs, so no LP model is built
+def test_emit_lp_builds_no_network(monkeypatch, s0):
+    # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3
+    # from the same levels: the text is written from the levels alone
     calls = []
+    original = extform.gen_stock_levels
 
-    def counted(name, func):
-        def wrapper(*args):
-            calls.append(name)
-            return func(*args)
-        monkeypatch.setattr(extform, name, wrapper)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    for name in ("gen_stock_levels", "build_network"):
-        counted(name, getattr(extform, name))
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_network called")
+
+    monkeypatch.setattr(extform, "gen_stock_levels", counted)
+    monkeypatch.setattr(wareflow.network, "build_network", refuse)
     inst = Instance(
         variant="wp1", T=2, s0=s0,
         Ls=(0, 0), Us=(3 * s0, 3 * s0), Lx=(0, s0), Ux=(s0, 2 * s0),
@@ -373,28 +393,68 @@ def test_emit_lp_builds_one_network_and_no_formulation(monkeypatch, s0):
     text = emit_lp(inst)
     assert ("scaled by" in text) == (s0.denominator == 3)
     assert text == reference_emit_lp(inst)
-    assert sorted(calls) == ["build_network", "gen_stock_levels"]
+    assert len(calls) == 1
 
 
-def test_scaled_network_is_the_network_of_the_scaled_instance():
+def _over(inst: Instance, bounds: int, prices: int = 1) -> Instance:
+    """s0 and the bounds divided by bounds, the unit prices by prices."""
+    return replace(inst, s0=Fraction(inst.s0, bounds),
+                   **{name: tuple(Fraction(v, d) for v in getattr(inst, name))
+                      for names, d in ((_BOUND_FIELDS, bounds),
+                                       (_PRICE_FIELDS, prices))
+                      for name in names})
+
+
+def test_scaled_levels_are_the_levels_of_the_scaled_instance():
     # bounds over 3 and prices over 2 keep the wp3 shape
-    cases = [gen_random(seed, T, variant, 3 * T)
+    cases = [_over(gen_random(seed, T, variant, 3 * T), 3, 2)
              for variant in ("wp1", "wp2", "wp3")
              for T in (2, 4)
              for seed in range(3)]
-    cases = [replace(inst, s0=Fraction(inst.s0, 3),
-                     **{name: tuple(Fraction(v, d) for v in getattr(inst, name))
-                        for names, d in ((_BOUND_FIELDS, 3), (_PRICE_FIELDS, 2))
-                        for name in names})
-             for inst in cases]
     factors = set()
     for inst in cases:
         base = search_instance(inst)[0]
-        net = build_network(base, gen_stock_levels(base))
+        layers = ((base.s0,),) + gen_stock_levels(base).levels
         scaled = re.search(r"scaled by (\d+),", emit_lp(inst))
         factors.add(int(scaled[1]) if scaled else 1)
         big = scale_instance(base, 6)
-        assert repr(_scaled_network(net, 6)) == repr(
-            build_network(big, gen_stock_levels(big)))
+        assert repr(tuple(tuple(exact(v * 6) for v in layer)
+                          for layer in layers)) == repr(
+            ((exact(6 * base.s0),),) + gen_stock_levels(big).levels)
     # some networks only move the stock by whole units and print as they are
     assert factors == {1, 6}
+
+
+def test_lp_text_matches_the_arc_walk():
+    cases = [gen_random(seed, T, variant, 3 * T)
+             for variant in ("wp1", "wp2", "wp3")
+             for T in (2, 3, 5)
+             for seed in range(4)]
+    cases += [_over(inst, d) for inst in cases[::2] for d in (2, 3)]
+    cases += [_dead_source(), replace(two_period_trade(), Ls=(8, 8),
+                                      Us=(8, 8), Ux=(1, 1))]
+    infeasible = 0
+    outcomes = set()
+    for inst in cases:
+        base = search_instance(inst)[0]
+        net = build_network(base, gen_stock_levels(base))
+        comments = ("a comment",)
+        for literal in (_decimal, str):
+            text = text_or_value_error(_lp_text, base, net.layers,
+                                       comments, literal)
+            assert text == text_or_value_error(
+                reference_lp_text_from_arcs, base, net, comments, literal)
+            outcomes.add((literal.__name__,
+                          "error" if text.startswith("ValueError") else
+                          "p/q" if "/" in text else
+                          "decimal" if "." in text else "whole"))
+        try:
+            solve(inst)
+        except Infeasible:
+            infeasible += 1
+    assert infeasible
+    # doubled wp2 horizons are written, and both literals meet fractions:
+    # _decimal raises on a third and prints a half, str prints p/q
+    assert any(inst.variant is Variant.WP2 for inst in cases)
+    assert {("_decimal", "error"), ("_decimal", "decimal"),
+            ("str", "p/q")} <= outcomes

@@ -16,8 +16,12 @@ from wareflow import (
     assemble_solution,
     balanced_flow_decompose,
     check_solution,
+    fptas_bound_S,
     fptas_params,
+    fptas_scale,
     fptas_solve,
+    gen_random,
+    gen_stock_levels,
     normalize_terminal,
     oracle_solve,
     parse_exact,
@@ -290,6 +294,38 @@ def test_scaled_down_optimum_fits_scaled_bounds():
             target = (1 - eps) * sol.objective
             assert reduced.objective == target
             assert fptas_solve(inst, eps).objective >= target
+
+
+def test_fptas_bound_S_value():
+    # T = 2, rho = 6/4, epsilon = 2/5: 5 * (2*2*(3/2)*(5/2) + 1) = 80
+    inst = replace(two_period_trade(), variant="wp3", Ux=(4, 6), Uy=(6, 5))
+    params = fptas_params(inst, Fraction(2, 5))
+    assert fptas_bound_S(inst, params) == 80
+    # epsilon = 1/3 gives 5 * (2*2*(3/2)*3 + 1) = 95, and 4/9 the whole
+    # part of 5 * (27/2 + 1)
+    assert fptas_bound_S(inst, fptas_params(inst, Fraction(1, 3))) == 95
+    assert fptas_bound_S(inst, fptas_params(inst, Fraction(4, 9))) == 72
+
+
+def test_fptas_levels_stay_within_the_fptas_bound():
+    instances = [gen_random(seed, T=2 + seed % 7, variant="wp3",
+                            max_bound=5 * (2 + seed % 7))
+                 for seed in range(30)]
+    instances += [random_trading_wp3(seed, T=2 + seed % 4)
+                  for seed in range(30)]
+    # wide stock bounds and trade bounds far apart: rho = 50
+    instances.append(replace(
+        random_trading_wp3(7, T=4), Ls=(0,) * 4, Us=(10**6,) * 4,
+        Ux=(1, 50, 3, 50), Uy=(50, 2, 50, 1)))
+    checked = 0
+    for inst in instances:
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                    Fraction(1, 7)):
+            params, rounded = fptas_scale(inst, eps)
+            size = gen_stock_levels(rounded).S_size
+            assert size <= fptas_bound_S(inst, params), (inst, eps, size)
+            checked += 1
+    assert checked == 4 * 61
 
 
 def test_fptas_requires_wp3():

@@ -40,6 +40,7 @@ from wareflow import (  # noqa: E402
     solve_wp2_direct,
 )
 from wareflow.cli import run  # noqa: E402
+from wareflow.extform import _decimal, _lp_text  # noqa: E402
 from wareflow.model import scale_factor  # noqa: E402
 from wareflow.network import (  # noqa: E402
     SolveTrace,
@@ -54,9 +55,11 @@ from helpers import (  # noqa: E402
     reference_clipped_stock_levels,
     reference_decode,
     reference_emit_lp,
+    reference_lp_text_from_arcs,
     reference_scale_instance,
     reference_scale_trade_bounds,
     reference_stock_levels,
+    text_or_value_error,
 )
 
 SETTINGS = settings(
@@ -311,6 +314,18 @@ def test_emit_lp_matches_the_reference_emitter(inst):
                  _rescaled(inst, Fraction(1, 2), Fraction(1, 4))):
         text = emit_lp(case)
         assert text == reference_emit_lp(case)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3))
+def test_lp_text_matches_the_arc_walk(inst, d):
+    # bounds over 3 stop the decimal write, in both, at the same number
+    base = search_instance(_rescaled(inst, Fraction(1, d), 1))[0]
+    net = build_network(base, gen_stock_levels(base))
+    for literal in (_decimal, str):
+        assert text_or_value_error(
+            _lp_text, base, net.layers, (), literal) == text_or_value_error(
+            reference_lp_text_from_arcs, base, net, (), literal)
 
 
 # int and "p/q" trade bounds, and epsilon anywhere in (0, 1)
