@@ -242,7 +242,7 @@ def fptas_scale(inst: Instance, epsilon) -> tuple[FptasParams, Instance]:
     """
     validate_instance(inst)
     if inst.variant is not Variant.WP3:
-        raise WrongVariant("fptas_solve applies to wp3 instances only")
+        raise WrongVariant("fptas applies to wp3 instances only")
     params = fptas_params(inst, epsilon)
     return params, scale_trade_bounds(inst, params)
 

@@ -11,11 +11,11 @@ solve never materializes the O(T*S^2) arcs.  On wp1, wp3 and the doubled
 wp2 horizon a purchase arc s -> s' pays c*s - fp + [suf(s') - (c+h)*s'] and
 its heads form the window [s+Lx, s+Ux], which slides upward with the
 tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So each
-layer's suffix values follow in O(S) from two monotone-deque window
-arg-maxima plus the no-trade arc, and every node keeps the smallest head
-that attains its value.  The plan is read off those heads in one forward
-pass: the stock moves give x and y, and model.assemble_solution adds the
-minimal indicators and the objective.
+layer's suffix values follow in O(S) from one monotone-deque window
+arg-max per side with a positive upper bound plus the no-trade arc, and
+every node keeps the smallest head that attains its value.  The plan is
+read off those heads in one forward pass: the stock moves give x and y,
+and model.assemble_solution adds the minimal indicators and the objective.
 
 build_network is kept for the consumers of its arcs: the DOT dump of
 solve --dot (whose answer still comes from solve), the lift check, which
@@ -388,6 +388,18 @@ def _window_argmax(tails, heads, keys, lo, hi) -> list:
     return out
 
 
+def _take_window(best, pick, tails, heads, after, h, unit, fixed, lo, hi):
+    """Give each tail s its leftmost best head in s+lo..s+hi if better."""
+    keys = [None if v is None else v - (unit + h) * s
+            for s, v in zip(heads, after)]
+    window = _window_argmax(tails, heads, keys, lo, hi)
+    for k, (s, j) in enumerate(zip(tails, window)):
+        if j is not None:
+            value = unit * s - fixed + keys[j]
+            if best[k] is None or value > best[k]:
+                best[k], pick[k] = value, j
+
+
 def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     """Best payoff to the last layer from every node, and the head that
     attains it, without building arcs.
@@ -395,45 +407,35 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     suffix equals the table _longest_path computes on build_network(inst,
     ...) over the same layers.  choice[t-1][k] indexes the smallest head in
     layer t that attains suffix[t-1][k], or is None with it.  inst must not
-    be wp2 (solve its doubled horizon instead).
+    be wp2 (solve its doubled horizon instead).  A node takes its sell
+    window (heads <= s), its stay (by a pointer walk) and its buy window
+    (heads >= s) in order, each if strictly better, so it keeps its
+    smallest best head.  A side with a zero upper bound (so Lx or Ly is 0
+    too), as on one side of each doubled wp2 half-period, makes no pass:
+    its window {s} is worth the stay less a nonnegative fixed cost, so it
+    never beats the stay and on a tie names the same head.
     """
-    T = inst.T
-    suffix: list[list] = [[None] * len(layer) for layer in layers]
-    choice: list[list] = [[None] * len(layer) for layer in layers[:-1]]
-    suffix[T] = [0] * len(layers[T])
-    for t in range(T, 0, -1):
-        i = t - 1
-        tails, heads, after = layers[t - 1], layers[t], suffix[t]
-        c, r, h = inst.cost[i], inst.revenue[i], inst.holding[i]
-        buy_keys = [None if v is None else v - (c + h) * s
-                    for s, v in zip(heads, after)]
-        sell_keys = [None if v is None else v - (r + h) * s
-                     for s, v in zip(heads, after)]
-        # purchases: s' in [s+Lx, s+Ux]; sales: s' in [s-Uy, s-Ly].  With
-        # a zero lower bound a window holds s itself, worth the stay arc
-        # less a nonnegative fixed cost, so it never beats the stay arc
-        # and on a tie names the same head.
-        buys = _window_argmax(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i])
-        sells = _window_argmax(tails, heads, sell_keys, -inst.Uy[i],
-                               -inst.Ly[i])
-        position = {s: j for j, s in enumerate(heads)}
-        for k, s in enumerate(tails):
-            # sell heads lie at or below s and buy heads at or above it,
-            # so the first best option in this order is the smallest head
-            options = (
-                (sells[k], r * s - inst.fixed_sale[i], sell_keys),
-                (position.get(s), -h * s, after),
-                (buys[k], c * s - inst.fixed_purchase[i], buy_keys),
-            )
-            best = None
-            for j, tail_part, keys in options:
-                if j is None or keys[j] is None:
-                    continue
-                value = tail_part + keys[j]
-                if best is None or value > best:
-                    best = value
-                    choice[t - 1][k] = j
-            suffix[t - 1][k] = best
+    suffix: list = [None] * inst.T + [[0] * len(layers[-1])]
+    choice: list = [None] * inst.T
+    for i in reversed(range(inst.T)):
+        tails, heads, after = layers[i], layers[i + 1], suffix[i + 1]
+        h = inst.holding[i]
+        best, pick = [None] * len(tails), [None] * len(tails)
+        if inst.Uy[i] > 0:  # sales: s' in [s-Uy, s-Ly]
+            _take_window(best, pick, tails, heads, after, h, inst.revenue[i],
+                         inst.fixed_sale[i], -inst.Uy[i], -inst.Ly[i])
+        j, n = 0, len(heads)
+        for k, s in enumerate(tails):  # the stay: s' = s
+            while j < n and heads[j] < s:
+                j += 1
+            if j < n and heads[j] == s and after[j] is not None:
+                value = after[j] - h * s
+                if best[k] is None or value > best[k]:
+                    best[k], pick[k] = value, j
+        if inst.Ux[i] > 0:  # purchases: s' in [s+Lx, s+Ux]
+            _take_window(best, pick, tails, heads, after, h, inst.cost[i],
+                         inst.fixed_purchase[i], inst.Lx[i], inst.Ux[i])
+        suffix[i], choice[i] = best, pick
     return suffix, choice
 
 

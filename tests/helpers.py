@@ -32,7 +32,7 @@ from wareflow.model import (
     exact,
     validate_instance,
 )
-from wareflow.network import LayeredNetwork, search_instance
+from wareflow.network import LayeredNetwork, _window_argmax, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -791,6 +791,51 @@ def reference_decode(net: LayeredNetwork) -> Solution:
         node = head
     return Solution(x=tuple(x), y=tuple(y), s=tuple(stocks),
                     w=tuple(w), z=tuple(z), objective=total)
+
+
+def reference_window_suffix(inst: Instance,
+                            layers) -> tuple[list[list], list[list]]:
+    """network._window_suffix as it was before it skipped a zero-width
+    trade side: per layer both window arg-maxima, a position dict for the
+    stay head, and the first best of three option tuples per tail."""
+    T = inst.T
+    suffix: list[list] = [[None] * len(layer) for layer in layers]
+    choice: list[list] = [[None] * len(layer) for layer in layers[:-1]]
+    suffix[T] = [0] * len(layers[T])
+    for t in range(T, 0, -1):
+        i = t - 1
+        tails, heads, after = layers[t - 1], layers[t], suffix[t]
+        c, r, h = inst.cost[i], inst.revenue[i], inst.holding[i]
+        buy_keys = [None if v is None else v - (c + h) * s
+                    for s, v in zip(heads, after)]
+        sell_keys = [None if v is None else v - (r + h) * s
+                     for s, v in zip(heads, after)]
+        # purchases: s' in [s+Lx, s+Ux]; sales: s' in [s-Uy, s-Ly].  With
+        # a zero lower bound a window holds s itself, worth the stay arc
+        # less a nonnegative fixed cost, so it never beats the stay arc
+        # and on a tie names the same head.
+        buys = _window_argmax(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i])
+        sells = _window_argmax(tails, heads, sell_keys, -inst.Uy[i],
+                               -inst.Ly[i])
+        position = {s: j for j, s in enumerate(heads)}
+        for k, s in enumerate(tails):
+            # sell heads lie at or below s and buy heads at or above it,
+            # so the first best option in this order is the smallest head
+            options = (
+                (sells[k], r * s - inst.fixed_sale[i], sell_keys),
+                (position.get(s), -h * s, after),
+                (buys[k], c * s - inst.fixed_purchase[i], buy_keys),
+            )
+            best = None
+            for j, tail_part, keys in options:
+                if j is None or keys[j] is None:
+                    continue
+                value = tail_part + keys[j]
+                if best is None or value > best:
+                    best = value
+                    choice[t - 1][k] = j
+            suffix[t - 1][k] = best
+    return suffix, choice
 
 
 def fractional_payoffs(inst: Instance, d: int) -> Instance:

@@ -255,8 +255,12 @@ def test_fptas_generates_the_level_sets_once(tmp_path, capsys, monkeypatch):
 
 
 def test_fptas_wrong_variant_exits_two(instance_file, capsys):
+    # instance_file holds two_period_trade, a wp1 instance; the message
+    # names the fptas command, not the library function behind it
     assert run(["fptas", "--input", instance_file, "--epsilon", "1/2"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: fptas applies to wp3 instances only\n"
 
 
 def test_fptas_rejects_wp3_holding(tmp_path, capsys):

@@ -44,6 +44,7 @@ from helpers import (
     buy_then_sell,
     reference_build_network,
     reference_decode,
+    reference_window_suffix,
     two_period_trade,
     wp2_mixed,
 )
@@ -294,19 +295,24 @@ def _window_dp_matches_network(inst) -> bool:
     Asserts equal suffix tables on the searched instance (wp2 doubled) and
     an equal Solution repr, or the same Infeasible message; returns
     feasibility.  solve searches an integer copy of fractional data while
-    the network is built on the data as given.  Also asserts that
-    arc_counts gives the network's per-period arc counts, both over its
-    layers and over the integer search solve's trace records, as bench
-    reads them.
+    the network is built on the data as given.  Over both, the DP's suffix
+    and choice tables must equal reference_window_suffix's, the DP that
+    made both window passes on every layer.  Also asserts that arc_counts
+    gives the network's per-period arc counts, both over its layers and
+    over the integer search solve's trace records, as bench reads them.
     """
     base = search_instance(inst)[0]
     net = build_network(base, gen_stock_levels(base))
-    assert _window_suffix(base, net.layers)[0] == _longest_path(net)[0]
+    tables = _window_suffix(base, net.layers)
+    assert tables[0] == _longest_path(net)[0]
+    assert tables == reference_window_suffix(base, net.layers)
     counts = [len(period) for period in net.arcs]
     assert arc_counts(base, net.layers) == counts
     trace = _trace(inst)
     layers = ((trace.searched.s0,),) + trace.levels.levels
     assert arc_counts(trace.searched, layers) == counts
+    assert _window_suffix(trace.searched, layers) == reference_window_suffix(
+        trace.searched, layers)
     try:
         expected = solve_with_network(inst)[0]
     except Infeasible as err:
@@ -352,6 +358,77 @@ def test_window_dp_matches_network_at_window_edges():
     assert [_window_dp_matches_network(c) for c in cases] == [
         True, True, True, False, True,
     ]
+
+
+def _one_period(**overrides) -> Instance:
+    fields = dict(
+        variant="wp1", T=1, s0=2, Ls=(0,), Us=(4,), Lx=(0,), Ux=(2,),
+        Ly=(0,), Uy=(2,), revenue=(0,), cost=(0,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    fields.update(overrides)
+    return Instance(**fields)
+
+
+@pytest.mark.parametrize("overrides, stocks", [
+    # all prices 0: every head ties, so the lowest sell head wins
+    (dict(), (0,)),
+    # Ly = 0 and fs = 0: the sell window's best head is s, tying the stay
+    (dict(revenue=(-1,), cost=(1,)), (2,)),
+    # Ux = 0 with fp = 0: the skipped buy window {s} ties the stay
+    (dict(revenue=(-1,), Ux=(0,), cost=(-3,)), (2,)),
+    # and so does a skipped sell window {s} with Uy = 0 and fs = 0
+    (dict(cost=(1,), Uy=(0,), revenue=(3,)), (2,)),
+    # a sell head and a buy head of equal value: the smaller one wins
+    (dict(revenue=(1,), cost=(-1,), Lx=(1,), Ux=(1,), Ly=(1,), Uy=(1,)),
+     (1,)),
+    # the same tie after a stay-only period, and before one
+    (dict(T=2, Ls=(0, 0), Us=(4, 4), Lx=(0, 1), Ux=(0, 1), Ly=(0, 1),
+          Uy=(0, 1), revenue=(0, 1), cost=(0, -1), holding=(0, 0),
+          fixed_purchase=(0, 0), fixed_sale=(0, 0)), (2, 1)),
+    (dict(T=2, Ls=(0, 0), Us=(4, 4), Lx=(1, 0), Ux=(1, 0), Ly=(1, 0),
+          Uy=(1, 0), revenue=(1, 0), cost=(-1, 0), holding=(0, 0),
+          fixed_purchase=(0, 0), fixed_sale=(0, 0)), (1, 1)),
+])
+def test_window_dp_ties_pick_the_smallest_head(overrides, stocks):
+    inst = _one_period(**overrides)
+    assert _window_dp_matches_network(inst)
+    assert solve(inst).s == stocks
+
+
+def _window_passes(monkeypatch, inst) -> list:
+    """The (lo, hi) of every window arg-max pass solve makes, in order."""
+    passes = []
+    original = wareflow.network._window_argmax
+
+    def counted(tails, heads, keys, lo, hi):
+        passes.append((lo, hi))
+        return original(tails, heads, keys, lo, hi)
+
+    monkeypatch.setattr(wareflow.network, "_window_argmax", counted)
+    solve(inst)
+    return passes
+
+
+def test_solve_makes_one_window_pass_per_doubled_wp2_half_period(
+        monkeypatch):
+    # every trade bound of wp2_mixed is positive, so each half-period of
+    # the doubled horizon trades on exactly one side; the DP runs backward
+    inst = wp2_mixed()
+    assert all(v > 0 for v in inst.Ux + inst.Uy)
+    expected = []
+    for t in reversed(inst.periods):
+        i = t - 1
+        expected.append((inst.Lx[i], inst.Ux[i]))  # purchase half 2t
+        expected.append((-inst.Uy[i], -inst.Ly[i]))  # sale half 2t-1
+    passes = _window_passes(monkeypatch, inst)
+    assert len(passes) == 2 * inst.T
+    assert passes == expected
+
+
+def test_solve_makes_both_window_passes_where_both_sides_trade(monkeypatch):
+    inst = two_period_trade()
+    assert _window_passes(monkeypatch, inst) == [(-5, 0), (0, 5)] * 2
 
 
 def test_window_dp_matches_network_on_fptas_scaled_bounds():

@@ -45,6 +45,7 @@ from wareflow.model import scale_factor  # noqa: E402
 from wareflow.network import (  # noqa: E402
     SolveTrace,
     _decode,
+    _window_suffix,
     arc_counts,
     search_instance,
 )
@@ -59,6 +60,7 @@ from helpers import (  # noqa: E402
     reference_scale_instance,
     reference_scale_trade_bounds,
     reference_stock_levels,
+    reference_window_suffix,
     text_or_value_error,
 )
 
@@ -201,6 +203,18 @@ def test_arc_counts_match_the_built_network(inst, d):
         pass
     layers = ((trace.searched.s0,),) + trace.levels.levels
     assert arc_counts(trace.searched, layers) == counts
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.integers(1, 4))
+def test_window_dp_matches_the_reference(inst, d, e):
+    # the searched instance with bounds over d and prices over e, as given
+    # and as the integer copy solve searches; wp2 on its doubled horizon
+    base = search_instance(_rescaled(inst, Fraction(1, d), Fraction(1, e)))[0]
+    for case in (base, integral_instance(base)[0]):
+        layers = ((case.s0,),) + gen_stock_levels(case).levels
+        assert _window_suffix(case, layers) == reference_window_suffix(
+            case, layers)
 
 
 @SETTINGS
