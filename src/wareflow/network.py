@@ -21,20 +21,19 @@ build_network is kept for the consumers of its arcs: the DOT dump of
 solve --dot (whose answer still comes from solve), the lift check, which
 locates a plan's path on the arcs, and the direct wp2 route;
 solve_with_network decodes from it and so witnesses solve in the tests.
-It enumerates the same windows: each tail's heads are its sell window, the
-tail's own value and its buy window, three slices of the ascending next
-layer found by bisection (_window_slices).  So on wp1/wp3 (and the doubled
-wp2 horizon) every pair it checks is an arc, and the work is proportional
-to the arcs.  The LP and bench need no network: the LP text walks the same
-slices for each arc's tail, head and stock change, and arc_counts sums
-their lengths, so bench counts the arcs of the levels solve searched
-without building them.  Each slice fixes the trade side, so
-its arcs are priced in one loop over the period's hoisted prices;
-arc_candidates keeps the pair-by-pair rule as the reference.  An arc's
-ArcDecision is a named tuple, cheap to make and immutable.  On a wp2
-instance's own horizon a tail s tries the heads in [s-Uy, s+Ux].  Either
-way the arcs are listed by tail, then by ascending head, and _decode
-relies on that order to read off the smallest plan.
+It states the arc rule once, for every variant: any trade moves the stock
+by x - y in [-Uy, Ux], so a tail s tries the heads in [s-Uy, s+Ux], and a
+pair is an arc when arc_candidates finds a trade for it.  On wp1/wp3 (and
+the doubled wp2 horizon) _wp1_candidates turns the gap pairs away before
+pricing anything, so only arcs are priced.  The arcs are listed by tail,
+then by ascending head, and _decode relies on that order to read off the
+smallest plan.  An arc's ArcDecision is a named tuple, cheap to make and
+immutable.  The LP and bench need no network: each wp1 tail's heads are
+its sell window, its own value and its buy window, three slices of the
+ascending next layer found by bisection (_window_slices).  The LP text
+walks them for each arc's tail, head and stock change, and arc_counts
+sums their lengths, so bench counts the arcs of the levels solve searched
+without building them.
 
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
@@ -148,8 +147,9 @@ def _wp1_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]
     """The one trade of a wp1 arc, or none when the stock change breaks the
     period's trade bounds.
 
-    Prices the pair through evaluate_payoff, apart from _wp1_arcs, so the
-    pairwise reference network built on it checks build_network.
+    A gap pair, whose move lies outside the stay and both windows, is
+    turned away before any pricing; an arc's trade is priced by
+    evaluate_payoff.
     """
     i = t - 1
     delta = s_next - s_prev
@@ -232,44 +232,10 @@ def _window_slices(heads, s, lx, ux, ly, uy) -> tuple[range, range, range]:
                   bisect_right(heads, s + ux, above)))
 
 
-def _wp1_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
-    """The period-t arcs of a wp1/wp3 network, tail by tail.
-
-    A tail's heads are its three _window_slices, so they come out in
-    ascending head order and no other pair is looked at.  Each slice
-    fixes its trade side, so its decisions are priced in one loop with
-    evaluate_payoff's terms in its order: the zero terms are constants,
-    and keeping them keeps each payoff's int or Fraction type.
-    """
-    i = t - 1
-    lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
-    r, c, h = inst.revenue[i], inst.cost[i], inst.holding[i]
-    fp, fs = inst.fixed_purchase[i], inst.fixed_sale[i]
-    r0, c0, fp0, fs0 = r * 0, c * 0, fp * 0, fs * 0
-    arcs = []
-    for k, s in enumerate(tails):
-        sells, stay, buys = _window_slices(heads, s, lx, ux, ly, uy)
-        for j in sells:
-            v = heads[j]
-            y = s - v
-            arcs.append((k, j, ArcDecision(0, y, 0, 1,
-                                           r * y - c0 - h * v - fp0 - fs)))
-        for j in stay:
-            v = heads[j]
-            arcs.append((k, j, ArcDecision(0, 0, 0, 0,
-                                           r0 - c0 - h * v - fp0 - fs0)))
-        for j in buys:
-            v = heads[j]
-            x = v - s
-            arcs.append((k, j, ArcDecision(x, 0, 1, 0,
-                                           r0 - c * x - h * v - fp - fs0)))
-    return arcs
-
-
 def arc_counts(inst: Instance, layers) -> list[int]:
     """Per period t, the number of arcs build_network makes between
-    layers[t-1] and layers[t], counted from the same _window_slices
-    without making one.  inst must not be wp2 (count its doubled
+    layers[t-1] and layers[t], counted from _window_slices without
+    making one.  inst must not be wp2 (count its doubled
     horizon instead)."""
     return [sum(len(window) for s in tails
                 for window in _window_slices(heads, s, lx, ux, ly, uy))
@@ -277,42 +243,30 @@ def arc_counts(inst: Instance, layers) -> list[int]:
             in zip(layers, layers[1:], inst.Lx, inst.Ux, inst.Ly, inst.Uy)]
 
 
-def _wp2_arcs(inst: Instance, t: int, tails, heads) -> list[Arc]:
-    """The period-t arcs of a wp2 network on its own horizon.
-
-    Any wp2 trade moves the stock by x - y in [-Uy, Ux], so a tail s only
-    tries the heads in [s-Uy, s+Ux].  Each arc keeps its payoff-maximizing
-    candidate (ties: smaller x, then w, then z).
-    """
-    i = t - 1
-    arcs = []
-    for k, s in enumerate(tails):
-        for j in range(bisect_left(heads, s - inst.Uy[i]),
-                       bisect_right(heads, s + inst.Ux[i])):
-            cands = arc_candidates(inst, t, s, heads[j])
-            if not cands:
-                continue
-            best = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
-            arcs.append((k, j, best))
-    return arcs
-
-
 def build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
     """Assemble the layered network over the given candidate stock values.
 
-    Each tail tries only the heads its period's trade bounds can reach:
-    on wp1/wp3 (and so on the doubled wp2 horizon) the sell window, the
-    stay and the buy window, every one of which is an arc; on a wp2
-    instance the heads within [s-Uy, s+Ux].  Arcs are listed by tail, then
+    Any trade moves the stock by x - y in [-Uy, Ux], so each tail s tries
+    only the heads in [s-Uy, s+Ux].  A pair is an arc when arc_candidates
+    finds a trade for it, and the arc keeps the payoff-maximizing one
+    (ties: smaller x, then w, then z).  Arcs are listed by tail, then
     ascending head.  The network is not pruned: nodes with no incoming or
     outgoing arcs stay, and infeasibility surfaces as the absence of any
     source-to-sink path.
     """
     layers = ((inst.s0,),) + tuple(levels.levels)
-    period_arcs = _wp2_arcs if inst.variant is Variant.WP2 else _wp1_arcs
-    arcs = tuple(tuple(period_arcs(inst, t, layers[t - 1], layers[t]))
-                 for t in inst.periods)
-    return LayeredNetwork(layers=layers, arcs=arcs)
+    arcs = []
+    for t, tails, heads in zip(inst.periods, layers, layers[1:]):
+        period = []
+        for k, s in enumerate(tails):
+            for j in range(bisect_left(heads, s - inst.Uy[t - 1]),
+                           bisect_right(heads, s + inst.Ux[t - 1])):
+                cands = arc_candidates(inst, t, s, heads[j])
+                if cands:
+                    period.append((k, j, max(
+                        cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))))
+        arcs.append(tuple(period))
+    return LayeredNetwork(layers=layers, arcs=tuple(arcs))
 
 
 def _longest_path(net: LayeredNetwork) -> tuple[list[list], list[list]]:

@@ -357,10 +357,11 @@ def reference_scale_instance(inst: Instance, factor: int) -> Instance:
 
 
 def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
-    """The network by the pairwise loop that network.build_network replaced:
-    every (tail, head) pair of adjacent layers goes through arc_candidates,
-    and each arc keeps its payoff-maximizing candidate (ties: smaller x,
-    then w, then z)."""
+    """The network with no reach bound: every (tail, head) pair of
+    adjacent layers goes through arc_candidates, and each arc keeps its
+    payoff-maximizing candidate (ties: smaller x, then w, then z).
+    network.build_network asks only about the heads in [s-Uy, s+Ux], so
+    equal networks show that the bound drops no arc."""
     layers = ((inst.s0,),) + tuple(levels.levels)
     all_arcs = []
     for t in inst.periods:

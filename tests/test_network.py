@@ -576,7 +576,7 @@ def test_build_network_matches_the_pairwise_reference():
             reference_build_network(inst, levels))
 
 
-def test_build_network_checks_only_window_pairs(monkeypatch):
+def test_build_network_prices_only_arcs(monkeypatch):
     # positive lower trade bounds leave gaps between the sell window, the
     # stay and the buy window, and the wide layers hold many pairs outside
     inst = Instance(
@@ -586,14 +586,20 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
         revenue=(3, 1, 4, 2), cost=(1, 2, 1, 3), holding=(0, 1, 0, 1),
         fixed_purchase=(2, 0, 1, 1), fixed_sale=(0, 1, 2, 0),
     )
-    made = []
+    made, asked = [], []
     make = wareflow.network.ArcDecision
+    candidates = wareflow.network.arc_candidates
 
     def counted(*args, **kwargs):
         made.append(make(*args, **kwargs))
         return made[-1]
 
+    def asking(*args):
+        asked.append(args)
+        return candidates(*args)
+
     monkeypatch.setattr(wareflow.network, "ArcDecision", counted)
+    monkeypatch.setattr(wareflow.network, "arc_candidates", asking)
     net = build_network(inst, gen_stock_levels(inst))
     arcs = [(t, net.layers[t - 1][tail], net.layers[t][head], dec)
             for t, period in enumerate(net.arcs, start=1)
@@ -607,8 +613,15 @@ def test_build_network_checks_only_window_pairs(monkeypatch):
         assert dec.x - dec.y == move
         assert (move == 0 or inst.Lx[i] <= move <= inst.Ux[i]
                 or inst.Ly[i] <= -move <= inst.Uy[i])
+    # the pairs looked at are exactly those with head in [s-Uy, s+Ux]:
+    # more than the arcs, for the gaps, and fewer than all pairs
+    reach = sum(s - uy <= v <= s + ux
+                for tails, heads, ux, uy
+                in zip(net.layers, net.layers[1:], inst.Ux, inst.Uy)
+                for s in tails for v in heads)
     sizes = [len(layer) for layer in net.layers]
     pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+    assert net.arc_count < len(asked) == reach < pairs
     assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
     assert arc_counts(inst, net.layers) == [len(p) for p in net.arcs]
 
