@@ -17,6 +17,14 @@ every node keeps the smallest head that attains its value.  The plan is
 read off those heads in one forward pass: the stock moves give x and y,
 and model.assemble_solution adds the minimal indicators and the objective.
 
+Unless s0 lies in every [Ls_t, Us_t] (then the plan that never trades is
+feasible, as validation makes it on wp3), solve first carries the exact
+stock a plan can reach, as disjoint intervals, forward through the periods
+(_reachable_hulls).  An empty period makes it raise Infeasible before any
+level is built; otherwise the DP runs on each layer cut to the hull of
+what is reachable from s0 and can still reach the last period's bounds.
+No cut level lies on an s0-to-T path, so the plan stays the same.
+
 build_network is kept for the consumers of its arcs: the DOT dump of
 solve --dot (whose answer still comes from solve), the lift check, which
 locates a plan's path on the arcs, and the direct wp2 route;
@@ -95,10 +103,10 @@ class SolveTrace:
     searched is the instance the window DP ran on: search_instance's
     instance (for wp2 the doubled, 2T-period horizon) scaled to integers
     by model.integral_instance.  levels are its StockLevels, as
-    gen_stock_levels made them for the search.  layer_sizes[t-1] counts
-    the levels of period t and S_size is their maximum; the integer
-    scaling keeps every size.  A solve that raises Infeasible has still
-    recorded both.
+    gen_stock_levels makes them, before the DP cuts them to the stock a
+    plan can reach.  layer_sizes[t-1] counts the levels of period t and
+    S_size is their maximum; the integer scaling keeps every size.  A
+    solve that raises Infeasible has still recorded both.
     """
 
     searched: Instance | None = None
@@ -325,10 +333,10 @@ def _window_argmax(tails, heads, keys, lo, hi) -> list:
     """
     out = []
     window: deque = deque()
-    nxt = 0
+    nxt, n = 0, len(heads)
     for s in tails:
         top = s + hi
-        while nxt < len(heads) and heads[nxt] <= top:
+        while nxt < n and heads[nxt] <= top:
             key = keys[nxt]
             if key is not None:
                 while window and keys[window[-1]] < key:
@@ -393,15 +401,79 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     return suffix, choice
 
 
-def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
-    """Window DP, then a forward pass along the chosen heads.
+def _reachable_hulls(inst: Instance) -> list[tuple] | None:
+    """Per period t, the hull [lo, hi] of the stocks an s0-to-T plan can
+    hold after t, or None when some period has no reachable stock.
 
-    inst must not be wp2 (solve its doubled horizon instead).
+    The forward pass carries the exact set of stocks reachable from s0 as
+    ascending disjoint intervals: [a, b] moves to itself, to [a+Lx, b+Ux]
+    when Ux > 0 and to [a-Uy, b-Ly] when Uy > 0, and the union is clipped
+    to [Ls_t, Us_t] and merged.  Trades are real, so a set is empty
+    exactly when no plan gets through its period.  Every interval end is
+    a forward level, so no set outgrows its layer.  The backward pass then
+    cuts each hull to the stocks from which the next cut hull is within
+    one move: [lo - Ux, hi + Uy].  inst must not be wp2.
     """
+    reach = [(inst.s0, inst.s0)]
+    hulls = []
+    for ls, us, lx, ux, ly, uy in zip(inst.Ls, inst.Us, inst.Lx, inst.Ux,
+                                      inst.Ly, inst.Uy):
+        moved = list(reach)
+        if ux > 0:
+            moved += [(a + lx, b + ux) for a, b in reach]
+        if uy > 0:
+            moved += [(a - uy, b - ly) for a, b in reach]
+        moved.sort()
+        reach = []
+        for a, b in moved:
+            a, b = max(a, ls), min(b, us)
+            if a > b:
+                continue
+            if reach and a <= reach[-1][1]:
+                if b > reach[-1][1]:
+                    reach[-1] = (reach[-1][0], b)
+            else:
+                reach.append((a, b))
+        if not reach:
+            return None
+        hulls.append((reach[0][0], reach[-1][1]))
+    lo, hi = hulls[-1]
+    for i in range(inst.T - 1, 0, -1):
+        lo = max(hulls[i - 1][0], lo - inst.Ux[i])
+        hi = min(hulls[i - 1][1], hi + inst.Uy[i])
+        hulls[i - 1] = (lo, hi)
+    return hulls
+
+
+def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
+    """Window DP over the reachable levels, then a forward pass along the
+    chosen heads.
+
+    When s0 lies in every [Ls_t, Us_t] the plan that never trades is
+    feasible and the DP runs on the full levels.  Otherwise
+    _reachable_hulls decides feasibility first: a period with no reachable
+    stock raises Infeasible, and no level is built unless a trace is given
+    to record them.  Else each layer is cut by two bisections to its
+    hull.  A cut level lies on no s0-to-T path, so every node on
+    the decoded path keeps its suffix value and smallest best head, and
+    the plan is the one the full levels give.  inst must not be wp2
+    (solve its doubled horizon instead).
+    """
+    hulls = None
+    if not all(ls <= inst.s0 <= us for ls, us in zip(inst.Ls, inst.Us)):
+        hulls = _reachable_hulls(inst)
+        if hulls is None:
+            if trace is not None:
+                trace.searched, trace.levels = inst, gen_stock_levels(inst)
+            raise Infeasible("no feasible trading plan")
     levels = gen_stock_levels(inst)
     if trace is not None:
         trace.searched, trace.levels = inst, levels
     layers = ((inst.s0,),) + tuple(levels.levels)
+    if hulls is not None:
+        layers = ((inst.s0,),) + tuple(
+            layer[bisect_left(layer, lo):bisect_right(layer, hi)]
+            for layer, (lo, hi) in zip(levels.levels, hulls))
     suffix, choice = _window_suffix(inst, layers)
     if suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")

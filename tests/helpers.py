@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from wareflow.model import (
     exact,
     validate_instance,
 )
-from wareflow.network import LayeredNetwork, _window_argmax, search_instance
+from wareflow.network import LayeredNetwork, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -56,6 +57,18 @@ def blocked_by_fixed_cost() -> Instance:
         Ly=base.Ly, Uy=base.Uy,
         revenue=base.revenue, cost=base.cost, holding=base.holding,
         fixed_purchase=(11, 0), fixed_sale=base.fixed_sale,
+    )
+
+
+def gap_infeasible() -> Instance:
+    """One wp1 period whose stock bounds [1, 2] fall in the gap between
+    the stay at s0 = 0 and the buy window [3, 5]: the hull [0, 5] of the
+    reachable stock meets the bounds, the reachable stock does not."""
+    return Instance(
+        variant="wp1", T=1, s0=0,
+        Ls=(1,), Us=(2,), Lx=(3,), Ux=(5,), Ly=(0,), Uy=(0,),
+        revenue=(0,), cost=(0,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
     )
 
 
@@ -794,6 +807,43 @@ def reference_decode(net: LayeredNetwork) -> Solution:
                     w=tuple(w), z=tuple(z), objective=total)
 
 
+def reference_window_argmax(tails, heads, keys, lo, hi) -> list:
+    """network._window_argmax as it was before len(heads) left its inner
+    loop, kept verbatim: per tail s, the index of the leftmost maximum of
+    keys[j] over the live heads in the window s+lo..s+hi, or None."""
+    out = []
+    window: deque = deque()
+    nxt = 0
+    for s in tails:
+        top = s + hi
+        while nxt < len(heads) and heads[nxt] <= top:
+            key = keys[nxt]
+            if key is not None:
+                while window and keys[window[-1]] < key:
+                    window.pop()
+                window.append(nxt)
+            nxt += 1
+        bottom = s + lo
+        while window and heads[window[0]] < bottom:
+            window.popleft()
+        out.append(window[0] if window else None)
+    return out
+
+
+def path_levels(net: LayeredNetwork) -> list[set]:
+    """Per period t, the levels of layer t on some s0-to-T path of net:
+    reached from s0 along arcs, and reaching layer T along arcs."""
+    ahead = [{0}]
+    for period in net.arcs:
+        ahead.append({head for tail, head, _ in period if tail in ahead[-1]})
+    behind = [set(range(len(net.layers[-1])))]
+    for period in reversed(net.arcs):
+        behind.append({tail for tail, head, _ in period if head in behind[-1]})
+    behind.reverse()
+    return [{net.layers[t][k] for k in ahead[t] & behind[t]}
+            for t in range(1, len(net.layers))]
+
+
 def reference_window_suffix(inst: Instance,
                             layers) -> tuple[list[list], list[list]]:
     """network._window_suffix as it was before it skipped a zero-width
@@ -815,9 +865,10 @@ def reference_window_suffix(inst: Instance,
         # a zero lower bound a window holds s itself, worth the stay arc
         # less a nonnegative fixed cost, so it never beats the stay arc
         # and on a tie names the same head.
-        buys = _window_argmax(tails, heads, buy_keys, inst.Lx[i], inst.Ux[i])
-        sells = _window_argmax(tails, heads, sell_keys, -inst.Uy[i],
-                               -inst.Ly[i])
+        buys = reference_window_argmax(tails, heads, buy_keys,
+                                       inst.Lx[i], inst.Ux[i])
+        sells = reference_window_argmax(tails, heads, sell_keys,
+                                        -inst.Uy[i], -inst.Ly[i])
         position = {s: j for j, s in enumerate(heads)}
         for k, s in enumerate(tails):
             # sell heads lie at or below s and buy heads at or above it,

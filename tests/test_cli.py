@@ -31,7 +31,7 @@ from wareflow import (
 )
 from wareflow.cli import run
 from wareflow.network import search_instance
-from helpers import two_period_trade, wp2_mixed
+from helpers import gap_infeasible, two_period_trade, wp2_mixed
 
 
 @pytest.fixture
@@ -159,6 +159,24 @@ def test_runs_after_bad_arguments_match_fresh_processes(
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 2, 2]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # python -m wareflow.cli must run main, not just import the module
+    gap = tmp_path / "gap.json"
+    gap.write_text(serialize_instance(gap_infeasible()))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wareflow.cli.__file__).parents[1]))
+    outcomes = [
+        subprocess.run(
+            [sys.executable, "-m", "wareflow.cli", "solve", "--input", path],
+            capture_output=True, text=True, env=env, timeout=60)
+        for path in (str(GOLDEN / "frac.json"), str(gap))
+    ]
+    assert [(p.returncode, p.stdout, p.stderr) for p in outcomes] == [
+        (0, "objective: 167/30\n", ""),
+        (1, "", "infeasible: no feasible trading plan\n"),
+    ]
 
 
 def test_help_exits_zero(capsys):

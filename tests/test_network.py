@@ -35,6 +35,8 @@ from wareflow.network import (
     LayeredNetwork,
     _decode,
     _longest_path,
+    _reachable_hulls,
+    _window_argmax,
     _window_suffix,
     arc_counts,
     search_instance,
@@ -42,8 +44,11 @@ from wareflow.network import (
 from helpers import (
     blocked_by_fixed_cost,
     buy_then_sell,
+    gap_infeasible,
+    path_levels,
     reference_build_network,
     reference_decode,
+    reference_window_argmax,
     reference_window_suffix,
     two_period_trade,
     wp2_mixed,
@@ -682,3 +687,93 @@ def test_decode_takes_the_smaller_of_two_equal_heads():
         (1, 1), (0, 0), (1, 2), (1, 1), (0, 0))
     assert sol.objective == 5
     assert sol == reference_decode(net)
+
+
+def test_window_argmax_matches_the_verbatim_reference_seeded():
+    rng = random.Random(20)
+    for _ in range(400):
+        tails = sorted(rng.sample(range(-12, 13), rng.randint(0, 8)))
+        heads = sorted(rng.sample(range(-12, 13), rng.randint(0, 10)))
+        keys = [rng.choice((None, rng.randint(-3, 3))) for _ in heads]
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(0, 6)
+        assert _window_argmax(tails, heads, keys, lo, hi) == (
+            reference_window_argmax(tails, heads, keys, lo, hi))
+
+
+def _counted_levels(monkeypatch) -> list:
+    """Record every gen_stock_levels call solve makes."""
+    calls = []
+    original = wareflow.network.gen_stock_levels
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(wareflow.network, "gen_stock_levels", counted)
+    return calls
+
+
+def test_gap_infeasible_raises_before_building_levels(monkeypatch):
+    # the hull [0, 5] of what s0 reaches meets [Ls, Us] = [1, 2]; the
+    # reachable stock {0} | [3, 5] does not
+    inst = gap_infeasible()
+    assert _reachable_hulls(inst) is None
+    calls = _counted_levels(monkeypatch)
+    with pytest.raises(Infeasible, match="^no feasible trading plan$"):
+        solve(inst)
+    assert calls == []
+    # a trace still records the full levels, for bench's counts
+    trace = SolveTrace()
+    with pytest.raises(Infeasible, match="^no feasible trading plan$"):
+        solve(inst, trace)
+    assert len(calls) == 1
+    assert trace.searched == inst
+    assert trace.levels == gen_stock_levels(inst)
+
+
+@pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
+def test_infeasible_solves_build_no_levels(monkeypatch, variant):
+    calls = _counted_levels(monkeypatch)
+    infeasible = 0
+    for seed in range(60):
+        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
+                          max_bound=4 + seed % 5)
+        before = len(calls)
+        try:
+            solve(inst)
+        except Infeasible:
+            infeasible += 1
+            assert len(calls) == before
+        else:
+            assert len(calls) == before + 1
+    assert (infeasible > 0) == (variant != "wp3")
+
+
+def test_solve_skips_the_pass_when_never_trading_is_feasible(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reachable stock computed")
+
+    cases = [two_period_trade(), buy_then_sell(), wp2_mixed()] + [
+        gen_random(seed, T=2 + seed % 6, variant="wp3", max_bound=9)
+        for seed in range(20)]
+    expected = [repr(solve(inst)) for inst in cases]
+    monkeypatch.setattr(wareflow.network, "_reachable_hulls", refuse)
+    assert [repr(solve(inst)) for inst in cases] == expected
+    with pytest.raises(AssertionError, match="reachable stock computed"):
+        solve(gap_infeasible())
+
+
+@pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
+def test_path_levels_lie_in_their_cut_layer(variant):
+    for seed in range(60):
+        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
+                          max_bound=4 + seed % 5)
+        base = search_instance(inst)[0]
+        hulls = _reachable_hulls(base)
+        on_paths = path_levels(build_network(base, gen_stock_levels(base)))
+        assert (hulls is None) == (not on_paths[-1])
+        if hulls is not None:
+            for levels, (lo, hi) in zip(on_paths, hulls):
+                assert all(lo <= v <= hi for v in levels)
+

@@ -45,6 +45,8 @@ from wareflow.model import scale_factor  # noqa: E402
 from wareflow.network import (  # noqa: E402
     SolveTrace,
     _decode,
+    _reachable_hulls,
+    _window_argmax,
     _window_suffix,
     arc_counts,
     search_instance,
@@ -52,6 +54,7 @@ from wareflow.network import (  # noqa: E402
 from helpers import (  # noqa: E402
     brute_oracle_solve,
     fractional_payoffs,
+    path_levels,
     reference_build_network,
     reference_clipped_stock_levels,
     reference_decode,
@@ -60,6 +63,7 @@ from helpers import (  # noqa: E402
     reference_scale_instance,
     reference_scale_trade_bounds,
     reference_stock_levels,
+    reference_window_argmax,
     reference_window_suffix,
     text_or_value_error,
 )
@@ -215,6 +219,55 @@ def test_window_dp_matches_the_reference(inst, d, e):
         layers = ((case.s0,),) + gen_stock_levels(case).levels
         assert _window_suffix(case, layers) == reference_window_suffix(
             case, layers)
+
+
+def _raises_infeasible(solver, inst) -> bool:
+    try:
+        solver(inst)
+    except Infeasible:
+        return True
+    return False
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3))
+def test_reachable_stock_decides_feasibility(inst, d):
+    # a period with no reachable stock <=> no path in the network <=> (on
+    # integral bounds) no integral plan; the bounds are over d
+    inst = _rescaled(inst, Fraction(1, d), 1)
+    empty = _reachable_hulls(search_instance(inst)[0]) is None
+    assert empty == _raises_infeasible(solve_with_network, inst)
+    if inst.bounds_integral():
+        assert empty == _raises_infeasible(oracle_solve, inst)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3))
+def test_path_levels_lie_in_their_cut_layer(inst, d):
+    base = search_instance(_rescaled(inst, Fraction(1, d), 1))[0]
+    hulls = _reachable_hulls(base)
+    if hulls is None:
+        return
+    on_paths = path_levels(build_network(base, gen_stock_levels(base)))
+    for levels, (lo, hi) in zip(on_paths, hulls):
+        assert all(lo <= v <= hi for v in levels)
+
+
+@st.composite
+def windows(draw):
+    """Ascending tails and heads (either may be empty), head keys with
+    None among them, and a window lo <= hi."""
+    points = st.lists(st.integers(-10, 10), max_size=8, unique=True)
+    tails, heads = sorted(draw(points)), sorted(draw(points))
+    keys = [draw(st.none() | st.integers(-3, 3)) for _ in heads]
+    lo = draw(st.integers(-6, 6))
+    return tails, heads, keys, lo, lo + draw(st.integers(0, 6))
+
+
+@SETTINGS
+@given(windows())
+def test_window_argmax_matches_the_verbatim_reference(case):
+    assert _window_argmax(*case) == reference_window_argmax(*case)
 
 
 @SETTINGS
