@@ -2,9 +2,9 @@
 
 A warehouse instance fixes per-period purchase, sale, and stock bounds,
 linear payoffs, and fixed trading costs.  The solver enumerates candidate
-stock levels, builds a layered network whose arcs carry extreme trade
-decisions, and extracts a longest path; everything runs in exact rational
-arithmetic.
+stock levels and finds a longest path through the layered network whose
+arcs carry extreme trade decisions, by a sliding-window DP over the levels
+that builds no arc; everything runs in exact rational arithmetic.
 """
 
 from .errors import (
@@ -86,7 +86,6 @@ from .network import (
     arc_candidates,
     build_network,
     solve,
-    solve_with_network,
     solve_wp2_direct,
     to_dot,
 )

@@ -37,14 +37,7 @@ from .model import (
     serialize_solution,
     validate_instance,
 )
-from .network import (
-    SolveTrace,
-    arc_counts,
-    build_network,
-    search_instance,
-    solve,
-    to_dot,
-)
+from .network import SolveTrace, arc_counts, solve, to_dot
 from .oracle import oracle_solve
 from .stocklevels import gen_stock_levels
 
@@ -72,8 +65,7 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
     sol = solve(inst)
     if args.dot:
-        base = search_instance(inst)[0]
-        _emit(to_dot(build_network(base, gen_stock_levels(base))), args.dot)
+        _emit(to_dot(inst), args.dot)
     return _answer(sol, args)
 
 

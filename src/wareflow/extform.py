@@ -21,16 +21,19 @@ The module only writes, lifts, and checks the model; no LP solver is run.
 _lp_text is the one definition of the LP: it writes the text straight from
 the level sets, in one walk over each tail's window slices that makes each
 arc's name once and joins every row from the names.  The rows need only an
-arc's tail, head and stock change, so no network is built.  emit_lp prints
+arc's tail, head and stock change, so neither the LP nor the lift builds a
+network (only network.solve_wp2_direct and the tests do).  emit_lp prints
 it with decimal numbers; lift_and_check writes it with exact p/q numbers
-and evaluates its rows on a lifted plan.  emit_lp writes first and
-rescales on failure: when a number has no decimal literal the write stops
-and the levels, times model.scale_factor, are written again.
+and evaluates its rows on a plan lifted by the same slices.  emit_lp
+writes first and rescales on failure: when a number has no decimal
+literal the write stops and the levels, times model.scale_factor, are
+written again.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
@@ -45,7 +48,7 @@ from .model import (
     scale_factor,
     scale_instance,
 )
-from .network import LayeredNetwork, _window_slices, search_instance
+from .network import _window_slices, search_instance
 from .stocklevels import gen_stock_levels
 
 # An arc's variable is named a_{t}_{tail}_{head}: _lp_text joins one prefix
@@ -63,62 +66,63 @@ def _arc_name(t: int, tail: int, head: int) -> str:
     return _arc_prefix(t, tail) + _arc_suffix(head)
 
 
-def lift_solution(net: LayeredNetwork, sol: Solution) -> dict:
-    """Map a decoded path back to a unit flow plus the period variables.
+def lift_solution(inst: Instance, layers, sol: Solution) -> dict:
+    """Map a plan to a unit flow along its stocks plus the period variables.
 
-    The path is located by the stock sequence; the solution's trades and
-    indicators are attached as given.  Raises NotAPath when a vector of the
-    plan does not have one entry per period of the network, or when the
-    stocks do not trace arcs of the network.
+    layers holds (s0,) and then each period's ascending levels, as _lp_text
+    takes them; inst must not be wp2.  Each stock is found in its layer by
+    bisection, and a stock move is an arc only when its head lies in one of
+    the tail's _window_slices, the rule the LP's arcs are written by.  The
+    solution's trades and indicators are attached as given.  Raises
+    NotAPath when a vector of the plan does not have one entry per period,
+    or when the stocks do not trace arcs.
     """
     values: dict = {}
-    T = len(net.arcs)
+    T = len(layers) - 1
     for prefix in "sxywz":
         periods = len(getattr(sol, prefix))
         if periods != T:
             raise NotAPath(f"solution has {periods} periods, network has {T}")
     node = 0
-    for t in range(1, T + 1):
-        layer = net.layers[t]
-        try:
-            head = layer.index(sol.s[t - 1])
-        except ValueError:
-            raise NotAPath(
-                f"stock {sol.s[t - 1]} after period {t} is not a node"
-            ) from None
-        if not any(
-            tail == node and h == head for tail, h, _ in net.arcs[t - 1]
-        ):
+    for t, (tails, heads) in enumerate(zip(layers, layers[1:]), start=1):
+        i = t - 1
+        stock = sol.s[i]
+        head = bisect_left(heads, stock)
+        if head == len(heads) or heads[head] != stock:
+            raise NotAPath(f"stock {stock} after period {t} is not a node")
+        slices = _window_slices(heads, tails[node], inst.Lx[i], inst.Ux[i],
+                                inst.Ly[i], inst.Uy[i])
+        if not any(head in window for window in slices):
             raise NotAPath(f"no arc for period {t} stock move")
         # the path is located by stocks alone; trades attach verbatim, so a
         # tampered trade surfaces as a row violation, not NotAPath
         values[_arc_name(t, node, head)] = 1
         node = head
         for prefix in "xyswz":
-            values[f"{prefix}_{t}"] = getattr(sol, prefix)[t - 1]
+            values[f"{prefix}_{t}"] = getattr(sol, prefix)[i]
     return values
 
 
-def lift_and_check(
-    inst: Instance, net: LayeredNetwork, sol: Solution
-) -> FeasibilityReport:
+def lift_and_check(inst: Instance, sol: Solution) -> FeasibilityReport:
     """Lift a solved plan into the LP and evaluate each written row exactly.
 
-    The rows are read from _lp_text(inst, net.layers) with every number
-    printed as an exact p/q, so nothing is rescaled and both sides are in
-    the instance's units.  Each violation is (period, row name, lhs, rhs),
-    the period being the first number in the row's name, 0 if it has none.
-    An LP objective of the lift other than sol.objective reports as (0,
-    "obj", LP value, sol.objective).  Raises NotAPath when the plan is not
-    a path of net.  _lp_text makes the arcs by the wp1 window rule, which
-    a wp2 instance's own-horizon network does not follow, so a wp2 inst
-    raises WrongVariant: pass search_instance(inst)[0], the instance that
-    was searched, and its network.
+    The levels of inst are made once and shared by the lift and the rows,
+    which are read from _lp_text with every number printed as an exact
+    p/q, so nothing is rescaled and both sides are in the instance's
+    units; no network is built.  Each violation is (period, row name, lhs,
+    rhs), the period being the first number in the row's name, 0 if it
+    has none.  An LP objective of the lift other than sol.objective
+    reports as (0, "obj", LP value, sol.objective).  Raises NotAPath when
+    the plan is not a path of the LP's arcs.  _lp_text makes the arcs by
+    the wp1 window rule, which a wp2 instance on its own horizon does not
+    follow, so a wp2 inst raises WrongVariant: pass search_instance(inst)[0],
+    the instance that was searched.
     """
     if inst.variant is Variant.WP2:
         raise WrongVariant("lift_and_check takes the searched instance: "
                            "pass search_instance(inst)[0], not wp2")
-    values = lift_solution(net, sol)
+    layers = ((inst.s0,),) + gen_stock_levels(inst).levels
+    values = lift_solution(inst, layers, sol)
     # all-digit literals parse as int: Fraction(str) on every term is
     # several times slower
     number = functools.cache(
@@ -137,7 +141,7 @@ def lift_and_check(
         return exact(total)
 
     bad = []
-    lines = _lp_text(inst, net.layers, (), literal=str).splitlines()
+    lines = _lp_text(inst, layers, (), literal=str).splitlines()
     for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
         name, _, row = line.strip().partition(": ")
         *terms, sense, rhs = row.split()

@@ -1,5 +1,5 @@
 """Exact solver by a sliding-window DP over the level sets, plus the
-layered trading network for the consumers that need its arcs.
+layered trading network, built only by the direct wp2 route and the tests.
 
 Layer 0 holds the single node s0; layer t holds the candidate stock values
 for period t.  An arc from stock s to stock s' in period t carries the best
@@ -25,23 +25,23 @@ level is built; otherwise the DP runs on each layer cut to the hull of
 what is reachable from s0 and can still reach the last period's bounds.
 No cut level lies on an s0-to-T path, so the plan stays the same.
 
-build_network is kept for the consumers of its arcs: the DOT dump of
-solve --dot (whose answer still comes from solve), the lift check, which
-locates a plan's path on the arcs, and the direct wp2 route;
-solve_with_network decodes from it and so witnesses solve in the tests.
-It states the arc rule once, for every variant: any trade moves the stock
-by x - y in [-Uy, Ux], so a tail s tries the heads in [s-Uy, s+Ux], and a
-pair is an arc when arc_candidates finds a trade for it.  On wp1/wp3 (and
-the doubled wp2 horizon) _wp1_candidates turns the gap pairs away before
-pricing anything, so only arcs are priced.  The arcs are listed by tail,
-then by ascending head, and _decode relies on that order to read off the
-smallest plan.  An arc's ArcDecision is a named tuple, cheap to make and
-immutable.  The LP and bench need no network: each wp1 tail's heads are
-its sell window, its own value and its buy window, three slices of the
-ascending next layer found by bisection (_window_slices).  The LP text
-walks them for each arc's tail, head and stock change, and arc_counts
-sums their lengths, so bench counts the arcs of the levels solve searched
-without building them.
+build_network is kept for the direct wp2 route, solve_wp2_direct, whose
+seven-case arcs follow no window rule, and for the tests, which decode a
+witness from it.  It states the arc rule once, for every variant: any
+trade moves the stock by x - y in [-Uy, Ux], so a tail s tries the heads
+in [s-Uy, s+Ux], and a pair is an arc when arc_candidates finds a trade
+for it.  On wp1/wp3 (and the doubled wp2 horizon) _wp1_candidates turns
+the gap pairs away before pricing anything, so only arcs are priced.  The
+arcs are listed by tail, then by ascending head, and _decode relies on
+that order to read off the smallest plan.  An arc's ArcDecision is a
+named tuple, cheap to make and immutable.  No output of wp1, wp3 or the
+doubled wp2 horizon builds a network: each tail's heads are its sell
+window, its own value and its buy window, three slices of the ascending
+next layer found by bisection (_window_slices).  The LP text walks them
+for each arc's tail, head and stock change, the lift check accepts a
+plan's stock move only into one of them, to_dot prices each arc they
+name by arc_candidates, and arc_counts sums their lengths, so bench
+counts the arcs of the levels solve searched without building them.
 
 search_instance is the one route to the searched instance: it validates,
 moves wp2 onto the doubled horizon, and returns the map back.
@@ -53,9 +53,8 @@ prints, so no level, window key or payoff is a Fraction.  Every plan's
 objective scales by the same F*F and every stock by F, so all comparisons
 and equalities come out as before: the level sets keep their sizes, and
 the window arg-maxima and with them the tie-break below choose the same
-plan, which is divided back by F.  build_network, solve_with_network and
-the LP work on the searched instance as it is, so the DOT dump and the LP
-print its own numbers.
+plan, which is divided back by F.  to_dot and the LP work on the searched
+instance as it is, so the DOT dump and the LP print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z; among equal-value
@@ -66,6 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -501,20 +501,6 @@ def search_instance(inst: Instance) -> tuple[Instance, Callable]:
     return inst, lambda sol: sol
 
 
-def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
-    """Solve an instance on its built network and return both.
-
-    The network is built on search_instance(inst), so for wp2 it is the
-    doubled-horizon one while the solution is mapped back.  Decoding from
-    the network's own longest path keeps this an independent witness for
-    solve; the two return equal solutions.  Raises Infeasible when no plan
-    exists.
-    """
-    base, back = search_instance(inst)
-    net = build_network(base, gen_stock_levels(base))
-    return back(_decode(net)), net
-
-
 def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     """Solve an instance exactly by the window DP over its level sets.
 
@@ -522,10 +508,10 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     variants, scaled to integer data by model.integral_instance.  The
     scaling multiplies every stock by one factor F and every objective by
     F*F, so it changes no comparison and the plan found is the one the
-    rational search finds, divided back.  Agrees with solve_with_network,
-    which searches in rationals, in plan and objective.  A given trace
-    records the searched instance and its levels (see SolveTrace).  Raises
-    Infeasible when no plan exists.
+    rational search finds, divided back.  Agrees in plan and objective
+    with the tests' witness, which decodes a longest path of build_network
+    in rationals.  A given trace records the searched instance and its
+    levels (see SolveTrace).  Raises Infeasible when no plan exists.
     """
     base, back = search_instance(inst)
     searched, unscale = integral_instance(base)
@@ -544,16 +530,27 @@ def solve_wp2_direct(inst: Instance) -> Solution:
     return _decode(build_network(inst, gen_stock_levels(inst)))
 
 
-def to_dot(net: LayeredNetwork) -> str:
-    """Render the network in DOT format for debugging."""
+def to_dot(inst: Instance) -> str:
+    """Render the network of inst in DOT format for debugging.
+
+    Like extform.emit_lp, it draws the instance search_instance returns,
+    from its levels, and builds no network: each tail's arcs are its
+    _window_slices in build_network's order, each labelled with the payoff
+    arc_candidates prices it at.
+    """
+    base = search_instance(inst)[0]
+    layers = ((base.s0,),) + gen_stock_levels(base).levels
     lines = ["digraph trading {", "  rankdir=LR;"]
-    for t, layer in enumerate(net.layers):
+    for t, layer in enumerate(layers):
         for i, stock in enumerate(layer):
             lines.append(f'  n_{t}_{i} [label="{t}:{stock}"];')
-    for t, period in enumerate(net.arcs, start=1):
-        for tail, head, dec in period:
-            lines.append(
-                f'  n_{t - 1}_{tail} -> n_{t}_{head} [label="{dec.payoff}"];'
-            )
+    for t, (tails, heads) in enumerate(zip(layers, layers[1:]), start=1):
+        bounds = base.Lx[t - 1], base.Ux[t - 1], base.Ly[t - 1], base.Uy[t - 1]
+        for tail, s in enumerate(tails):
+            for head in chain(*_window_slices(heads, s, *bounds)):
+                payoff = arc_candidates(base, t, s, heads[head])[0].payoff
+                lines.append(
+                    f'  n_{t - 1}_{tail} -> n_{t}_{head} [label="{payoff}"];'
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,23 +17,28 @@ from wareflow import (
     Instance,
     LotSizingInstance,
     NonIntegralData,
+    NotAPath,
     Solution,
     StockLevels,
     Variant,
     arc_candidates,
     assemble_solution,
+    build_network,
     double_horizon,
+    fptas_params,
+    gen_random,
     gen_stock_levels,
     normalize_terminal,
+    scale_trade_bounds,
 )
-from wareflow.extform import _arc_prefix, _arc_suffix, _expr
+from wareflow.extform import _arc_name, _arc_prefix, _arc_suffix, _expr
 from wareflow.model import (
     _VECTOR_FIELDS,
     evaluate_payoff,
     exact,
     validate_instance,
 )
-from wareflow.network import LayeredNetwork, search_instance
+from wareflow.network import LayeredNetwork, _decode, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -94,6 +99,36 @@ def wp2_mixed() -> Instance:
         revenue=(4, 5), cost=(1, 2), holding=(0, 1),
         fixed_purchase=(1, 0), fixed_sale=(0, 2),
     )
+
+
+def gap_trading() -> Instance:
+    """wp1 with Lx = Ly = 2 and Ux = Uy = 4: every trade moves the stock by
+    2 to 4, so a move of 1 lies in [s-Uy, s+Ux] but in no window."""
+    return Instance(
+        variant="wp1", T=3, s0=0,
+        Ls=(0, 0, 0), Us=(9, 9, 9), Lx=(2, 2, 2), Ux=(4, 4, 4),
+        Ly=(2, 2, 2), Uy=(4, 4, 4),
+        revenue=(1, 4, 6), cost=(2, 3, 1), holding=(0, 1, 0),
+        fixed_purchase=(1, 0, 2), fixed_sale=(0, 1, 1),
+    )
+
+
+def slice_rule_cases() -> list[Instance]:
+    """Instances on which the outputs walking network._window_slices must
+    match their references on a built network: seeded wp1, wp2 (searched
+    on its doubled horizon) and wp3, some with bounds over 3, wp3 with
+    FPTAS-rounded bounds, and gap_trading."""
+    seeded = [gen_random(seed, T, variant, 3 * T)
+              for variant in ("wp1", "wp2", "wp3")
+              for T in (2, 4, 6)
+              for seed in range(3)]
+    thirds = [replace(inst, s0=Fraction(inst.s0, 3), **{
+        name: tuple(Fraction(v, 3) for v in getattr(inst, name))
+        for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")})
+        for inst in seeded[::2]]
+    rounded = [scale_trade_bounds(inst, fptas_params(inst, Fraction(1, 3)))
+               for inst in seeded if inst.variant is Variant.WP3]
+    return seeded + thirds + rounded + [gap_trading()]
 
 
 def as_wp3(inst: Instance) -> Instance:
@@ -390,6 +425,95 @@ def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwo
                 period_arcs.append((ti, hi, best))
         all_arcs.append(tuple(period_arcs))
     return LayeredNetwork(layers=layers, arcs=tuple(all_arcs))
+
+
+def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
+    """Solve an instance on its built network and return both.
+
+    The network is built on search_instance(inst), so for wp2 it is the
+    doubled-horizon one while the solution is mapped back.  Decoding from
+    the network's own longest path keeps this an independent witness for
+    solve; the two return equal solutions.  Raises Infeasible when no plan
+    exists.
+    """
+    base, back = search_instance(inst)
+    net = build_network(base, gen_stock_levels(base))
+    return back(_decode(net)), net
+
+
+def reference_to_dot(net: LayeredNetwork) -> str:
+    """network.to_dot as it was when it drew a built network, kept
+    verbatim; to_dot(inst), walking the window slices, must write the same
+    text as this does on build_network over the searched instance."""
+    lines = ["digraph trading {", "  rankdir=LR;"]
+    for t, layer in enumerate(net.layers):
+        for i, stock in enumerate(layer):
+            lines.append(f'  n_{t}_{i} [label="{t}:{stock}"];')
+    for t, period in enumerate(net.arcs, start=1):
+        for tail, head, dec in period:
+            lines.append(
+                f'  n_{t - 1}_{tail} -> n_{t}_{head} [label="{dec.payoff}"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_lift_solution(net: LayeredNetwork, sol: Solution) -> dict:
+    """extform.lift_solution as it was when it located the path on a built
+    network's arcs, kept verbatim; lift_solution(inst, net.layers, sol)
+    must give the same dict or raise the same NotAPath."""
+    values: dict = {}
+    T = len(net.arcs)
+    for prefix in "sxywz":
+        periods = len(getattr(sol, prefix))
+        if periods != T:
+            raise NotAPath(f"solution has {periods} periods, network has {T}")
+    node = 0
+    for t in range(1, T + 1):
+        layer = net.layers[t]
+        try:
+            head = layer.index(sol.s[t - 1])
+        except ValueError:
+            raise NotAPath(
+                f"stock {sol.s[t - 1]} after period {t} is not a node"
+            ) from None
+        if not any(
+            tail == node and h == head for tail, h, _ in net.arcs[t - 1]
+        ):
+            raise NotAPath(f"no arc for period {t} stock move")
+        # the path is located by stocks alone; trades attach verbatim, so a
+        # tampered trade surfaces as a row violation, not NotAPath
+        values[_arc_name(t, node, head)] = 1
+        node = head
+        for prefix in "xyswz":
+            values[f"{prefix}_{t}"] = getattr(sol, prefix)[t - 1]
+    return values
+
+
+def perturbed_stocks(sol: Solution, layers, rng: random.Random) -> list:
+    """The plan sol, then copies with some stocks moved: each period's
+    stock to every level of its layer (trades kept, so only the path
+    changes), a stock just off its layer, and a few random walks over the
+    levels, none of them empty as sol is a plan.  Many moves land in gaps
+    or outside the trade bounds."""
+    out = [sol]
+    for t in range(len(sol.s)):
+        for level in layers[t + 1]:
+            s = sol.s[:t] + (level,) + sol.s[t + 1:]
+            out.append(replace(sol, s=s))
+        s = sol.s[:t] + (sol.s[t] + Fraction(1, 7),) + sol.s[t + 1:]
+        out.append(replace(sol, s=s))
+    for _ in range(4):
+        out.append(replace(sol, s=tuple(map(rng.choice, layers[1:]))))
+    return out
+
+
+def lift_outcome(lift, *args):
+    """lift(*args), or the message of the NotAPath it raises."""
+    try:
+        return lift(*args)
+    except NotAPath as err:
+        return f"NotAPath: {err}"
 
 
 def reference_build_extended_formulation(

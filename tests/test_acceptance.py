@@ -32,7 +32,6 @@ from wareflow import (
     serialize_instance,
     serialize_lotsizing,
     solve,
-    solve_with_network,
 )
 from wareflow.cli import run
 
@@ -43,6 +42,7 @@ from helpers import (
     lp_sizes,
     random_settled_walk,
     random_trading_wp3,
+    solve_with_network,
     two_period_trade,
     wp2_mixed,
 )
@@ -244,7 +244,7 @@ def test_criterion_7_extended_formulation_lift():
         except Infeasible:
             continue
         # feasible also means the LP objective of the lift is sol.objective
-        report = lift_and_check(base, net, sol)
+        report = lift_and_check(base, sol)
         assert report.feasible, report.violations
         assert sol.objective == solve(inst).objective
         width = max(len(layer) for layer in net.layers[1:])

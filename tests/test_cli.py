@@ -306,7 +306,7 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
         raise AssertionError("build_network called")
 
     monkeypatch.setattr(wareflow.network, "build_network", refuse)
-    monkeypatch.setattr(wareflow.cli, "build_network", refuse)
+    assert not hasattr(wareflow.cli, "build_network")
     inst = two_period_trade()
     path = tmp_path / "trade.json"
     path.write_text(serialize_instance(inst))
@@ -321,8 +321,15 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(data))
     assert run(["fptas", "--input", str(path), "--epsilon", "2/5"]) == 0
     assert capsys.readouterr().out.startswith("objective: ")
-    with pytest.raises(AssertionError, match="build_network called"):
-        run(["solve", "--input", str(path), "--dot", str(tmp_path / "n.dot")])
+    # --dot draws the arcs from the window slices of the searched instance
+    golden = sorted(GOLDEN.glob("*.dot"))
+    assert len(golden) == 6
+    for dot in golden:
+        out = tmp_path / dot.name
+        assert run(["solve", "--input", str(dot.with_suffix(".json")),
+                    "--dot", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("objective: ")
+        assert out.read_bytes() == dot.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["emit-lp", "levels", "check"])
@@ -593,8 +600,7 @@ def test_bench_counts_the_searched_levels_without_a_network(
         levels_calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (wareflow.cli, wareflow.network):
-        monkeypatch.setattr(module, "build_network", refuse)
+    monkeypatch.setattr(wareflow.network, "build_network", refuse)
     for module in (wareflow.cli, wareflow.network):
         monkeypatch.setattr(module, "gen_stock_levels", counted)
     assert run(["bench", "--dir", str(tmp_path)]) == 0

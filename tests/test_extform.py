@@ -1,4 +1,5 @@
 import inspect
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +24,6 @@ from wareflow import (
     lift_solution,
     scale_trade_bounds,
     solve,
-    solve_with_network,
 )
 import wareflow.network
 from wareflow import extform
@@ -31,12 +31,18 @@ from wareflow.extform import _decimal, _lp_text
 from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, exact, scale_instance
 from wareflow.network import search_instance
 from helpers import (
+    gap_trading,
+    lift_outcome,
     lp_rows,
     lp_sizes,
+    perturbed_stocks,
     reference_decimal_or_none,
     reference_emit_lp,
+    reference_lift_solution,
     reference_lp_text_from_arcs,
+    slice_rule_cases,
     solution_with,
+    solve_with_network,
     text_or_value_error,
     two_period_trade,
     wp2_mixed,
@@ -81,14 +87,20 @@ def test_families_follow_lower_trade_bounds():
     assert [senses[name] for name in couplings] == ["=", ">=", ">=", "="]
 
 
+def _layers(inst) -> tuple:
+    """(s0,) and then the levels of inst, as the lift and _lp_text take
+    them."""
+    return ((inst.s0,),) + gen_stock_levels(inst).levels
+
+
 def test_lift_optimal_plan_is_feasible():
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     # feasible also means the LP objective of the lift is sol.objective
-    report = lift_and_check(inst, net, sol)
+    report = lift_and_check(inst, sol)
     assert report.feasible, report.violations
     assert sol.objective == 10
-    values = lift_solution(net, sol)
+    values = lift_solution(inst, _layers(inst), sol)
     assert sum(v for n, v in values.items() if n.startswith("a_")) == inst.T
 
 
@@ -97,19 +109,19 @@ def test_lift_reads_fractional_rows_in_the_instance_units():
     # while the lift check reads the rows in p/q and does not scale
     inst = replace(two_period_trade(), Ux=(Fraction(1, 3), 5))
     assert "scaled by 3" in emit_lp(inst)
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     assert sol.x[0] == Fraction(1, 3)
-    assert lift_and_check(inst, net, sol).feasible
+    assert lift_and_check(inst, sol).feasible
     tampered = solution_with(sol, x=(Fraction(1, 6), 0))
-    violations = lift_and_check(inst, net, tampered).violations
+    violations = lift_and_check(inst, tampered).violations
     assert (1, "def_x_1", Fraction(1, 6), 0) in violations
     assert (1, "balance_1", Fraction(1, 6), 0) in violations
 
 
 def test_lift_reports_a_stale_objective_once():
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
-    report = lift_and_check(inst, net, solution_with(sol, objective=11))
+    sol = solve(inst)
+    report = lift_and_check(inst, solution_with(sol, objective=11))
     assert report.violations == ((0, "obj", 10, 11),)
 
 
@@ -125,16 +137,16 @@ def test_lift_any_walked_path():
         ys.append(dec.y)
         node = head
     sol = assemble_solution(inst, xs, ys)
-    report = lift_and_check(inst, net, sol)
+    report = lift_and_check(inst, sol)
     assert report.feasible, report.violations
 
 
 def test_tampered_indicator_breaks_one_row():
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     assert sol.x[0] == 5 and sol.w[0] == 1
     tampered = solution_with(sol, w=(0, 0))
-    report = lift_and_check(inst, net, tampered)
+    report = lift_and_check(inst, tampered)
     assert not report.feasible
     assert [v[1] for v in report.violations] == ["w_couple_1"]
     period, _, lhs, rhs = report.violations[0]
@@ -143,45 +155,75 @@ def test_tampered_indicator_breaks_one_row():
 
 def test_tampered_trade_breaks_definition_row():
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     tampered = solution_with(sol, x=(4, 0))
-    report = lift_and_check(inst, net, tampered)
+    report = lift_and_check(inst, tampered)
     names = [v[1] for v in report.violations]
     assert "def_x_1" in names
 
 
 def test_off_network_stocks_are_not_a_path():
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     with pytest.raises(NotAPath):
-        lift_and_check(inst, net, solution_with(sol, s=(7, 0)))
+        lift_and_check(inst, solution_with(sol, s=(7, 0)))
     with pytest.raises(NotAPath):  # both stocks are nodes, but no arc joins 0 to 10
-        lift_and_check(inst, net, solution_with(sol, s=(0, 10)))
+        lift_and_check(inst, solution_with(sol, s=(0, 10)))
     with pytest.raises(NotAPath):
-        lift_solution(net, solution_with(sol, s=(0,), x=(0,), y=(0,),
-                                         w=(0,), z=(0,)))
+        lift_solution(inst, _layers(inst), solution_with(
+            sol, s=(0,), x=(0,), y=(0,), w=(0,), z=(0,)))
 
 
 def test_lift_refuses_a_wp2_instance():
     # the rows follow the wp1 window rule, which the network of a wp2
     # instance on its own horizon does not: the searched instance lifts
     inst = wp2_mixed()
-    net = build_network(inst, gen_stock_levels(inst))
     with pytest.raises(WrongVariant, match=r"search_instance\(inst\)\[0\]"):
-        lift_and_check(inst, net, solve(inst))
+        lift_and_check(inst, solve(inst))
     base = search_instance(inst)[0]
-    sol, net = solve_with_network(base)
-    report = lift_and_check(base, net, sol)
+    report = lift_and_check(base, solve(base))
     assert report.feasible, report.violations
+
+
+def test_lift_solution_matches_the_network_reference():
+    # the optimal plan and perturbed stock sequences: the slice lift gives
+    # the reference's dict, or raises NotAPath with its message
+    rng = random.Random(23)
+    lifted = no_arc = 0
+    for inst in slice_rule_cases():
+        base = search_instance(inst)[0]
+        net = build_network(base, gen_stock_levels(base))
+        try:
+            sol = solve(base)
+        except Infeasible:
+            continue
+        for plan in perturbed_stocks(sol, net.layers, rng):
+            got = lift_outcome(lift_solution, base, net.layers, plan)
+            assert got == lift_outcome(reference_lift_solution, net, plan)
+            lifted += isinstance(got, dict)
+            no_arc += isinstance(got, str) and "no arc" in got
+    assert lifted and no_arc
+
+
+def test_lift_refuses_a_move_into_a_gap():
+    # Lx = Ly = 2: from 0 the stock 1 lies within Ux of s0 but in no
+    # window, so no arc reaches it, while 2 is a purchase arc
+    inst = gap_trading()
+    layers = _layers(inst)
+    assert 1 in layers[1]
+    plan = assemble_solution(inst, (2, 0, 0), (0, 0, 0))
+    assert lift_and_check(inst, plan).feasible
+    with pytest.raises(NotAPath, match="^no arc for period 1 stock move$"):
+        lift_solution(inst, layers, solution_with(plan, s=(1, 2, 2)))
 
 
 @pytest.mark.parametrize("vector", ["x", "y", "w", "z"])
 def test_lift_rejects_a_plan_vector_of_the_wrong_length(vector):
     inst = two_period_trade()
-    sol, net = solve_with_network(inst)
+    sol = solve(inst)
     short = solution_with(sol, **{vector: getattr(sol, vector)[:1]})
     with pytest.raises(NotAPath, match="solution has 1 periods, network has 2"):
-        lift_and_check(inst, net, short)
+        lift_and_check(inst, short)
 
 
 def test_model_size_stays_polynomial():

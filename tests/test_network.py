@@ -26,7 +26,6 @@ from wareflow import (
     reduce_partition,
     scale_trade_bounds,
     solve,
-    solve_with_network,
     solve_wp2_direct,
     to_dot,
 )
@@ -48,8 +47,11 @@ from helpers import (
     path_levels,
     reference_build_network,
     reference_decode,
+    reference_to_dot,
     reference_window_argmax,
     reference_window_suffix,
+    slice_rule_cases,
+    solve_with_network,
     two_period_trade,
     wp2_mixed,
 )
@@ -244,11 +246,28 @@ def test_network_size_is_bounded():
 def test_to_dot_lists_every_node_and_arc():
     inst = two_period_trade()
     _, net = solve_with_network(inst)
-    dot = to_dot(net)
+    dot = to_dot(inst)
     assert dot.startswith("digraph")
     assert dot.count("->") == net.arc_count
     assert 'n_0_0 [label="0:0"]' in dot
     assert dot.endswith("}\n")
+
+
+def test_to_dot_matches_the_network_reference(monkeypatch):
+    # drawn from the window slices of the searched instance, with no
+    # network, as the verbatim reference draws the built one
+    cases = slice_rule_cases()
+    expected = []
+    for inst in cases:
+        base = search_instance(inst)[0]
+        expected.append(reference_to_dot(
+            build_network(base, gen_stock_levels(base))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_network called")
+
+    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    assert [to_dot(inst) for inst in cases] == expected
 
 
 def test_search_instance_doubles_wp2_and_maps_back():

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -29,6 +30,7 @@ from wareflow import (  # noqa: E402
     gen_stock_levels,
     integral_instance,
     lift_and_check,
+    lift_solution,
     oracle_solve,
     parse_exact,
     scale_instance,
@@ -36,8 +38,8 @@ from wareflow import (  # noqa: E402
     serialize_instance,
     serialize_solution,
     solve,
-    solve_with_network,
     solve_wp2_direct,
+    to_dot,
 )
 from wareflow.cli import run  # noqa: E402
 from wareflow.extform import _decimal, _lp_text  # noqa: E402
@@ -54,17 +56,22 @@ from wareflow.network import (  # noqa: E402
 from helpers import (  # noqa: E402
     brute_oracle_solve,
     fractional_payoffs,
+    lift_outcome,
     path_levels,
+    perturbed_stocks,
     reference_build_network,
     reference_clipped_stock_levels,
     reference_decode,
     reference_emit_lp,
+    reference_lift_solution,
     reference_lp_text_from_arcs,
     reference_scale_instance,
     reference_scale_trade_bounds,
     reference_stock_levels,
+    reference_to_dot,
     reference_window_argmax,
     reference_window_suffix,
+    solve_with_network,
     text_or_value_error,
 )
 
@@ -171,12 +178,34 @@ def test_direct_wp2_route_matches_solve(inst):
 def test_network_plan_lifts_into_the_formulation(inst):
     base = search_instance(inst)[0]
     try:
-        sol, net = solve_with_network(base)
+        sol = solve_with_network(base)[0]
     except Infeasible:
         return
     # feasible also means the LP objective of the lift is sol.objective
-    report = lift_and_check(base, net, sol)
+    report = lift_and_check(base, sol)
     assert report.feasible, report.violations
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.booleans(), st.integers(0, 2**16))
+def test_slice_lift_and_dot_match_the_network_references(inst, d, rounded,
+                                                         seed):
+    # with the bounds over d, and wp3 maybe FPTAS-rounded: the DOT text,
+    # and the lift of the optimal plan and of perturbed stock sequences,
+    # equal dicts or equal NotAPath
+    inst = _rescaled(inst, Fraction(1, d), 1)
+    if rounded and inst.variant is Variant.WP3:
+        inst = scale_trade_bounds(inst, fptas_params(inst, Fraction(1, 3)))
+    base = search_instance(inst)[0]
+    net = build_network(base, gen_stock_levels(base))
+    assert to_dot(inst) == reference_to_dot(net)
+    try:
+        sol = solve(base)
+    except Infeasible:
+        return
+    for plan in perturbed_stocks(sol, net.layers, random.Random(seed)):
+        assert lift_outcome(lift_solution, base, net.layers, plan) == (
+            lift_outcome(reference_lift_solution, net, plan))
 
 
 @SETTINGS
