@@ -12,6 +12,9 @@ every period's stock bounds [Ls_t, Us_t].
 Every numeric datum is an exact rational, held as a plain int whenever the
 value is integral and as fractions.Fraction otherwise.  Floats are rejected
 at the boundary so no feasibility or optimality decision rests on rounding.
+A vector is checked whole: one that holds plain ints only is already exact
+and passes through the constructors and the JSON reader and writer as it
+is, and only a vector holding anything else is coerced value by value.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
+from operator import gt, lt, ne, or_
 from typing import Callable, Iterable, Union
 
 from .errors import (
@@ -40,9 +45,10 @@ def exact(value) -> Exact:
 
     Accepts ints, Fractions, and strings such as "7" or "3/4".  Floats are
     rejected because they would smuggle rounding error into computations
-    that must stay exact.  Every Instance and Solution field passes through
-    here, so a plain int or a Fraction returns at once: a Fraction is
-    always reduced, and one with denominator 1 is its numerator.
+    that must stay exact.  A plain int or a Fraction returns at once: a
+    Fraction is always reduced, and one with denominator 1 is its
+    numerator.  exact_vector sends here only the values of a vector that
+    is not all plain ints.
     """
     kind = type(value)
     if kind is int:
@@ -64,8 +70,19 @@ def exact_quotient(numerator: int, denominator: int) -> Exact:
     return Fraction(numerator, denominator) if rest else whole
 
 
+_INT = frozenset({int})
+
+
+def _all_int(values) -> bool:
+    """True when every value is a plain int: no bool, float or Fraction."""
+    return set(map(type, values)) <= _INT
+
+
 def exact_vector(values: Iterable) -> tuple[Exact, ...]:
-    return tuple(map(exact, values))
+    """The values in exact form, as a tuple.  A tuple of plain ints comes
+    back as it is; other values go through exact one by one."""
+    vec = tuple(values)
+    return vec if _all_int(vec) else tuple(map(exact, vec))
 
 
 def format_exact(value: Exact) -> int | str:
@@ -74,6 +91,12 @@ def format_exact(value: Exact) -> int | str:
     if isinstance(v, int):
         return v
     return f"{v.numerator}/{v.denominator}"
+
+
+def _format_vector(vec: tuple[Exact, ...]) -> list:
+    """An exact vector as JSON writes it, each value through format_exact;
+    plain ints are already in that form and are copied as they are."""
+    return list(vec) if _all_int(vec) else list(map(format_exact, vec))
 
 
 # an input value echoed in an error message shows at most this many
@@ -113,6 +136,12 @@ def parse_exact(raw) -> Exact:
     raise ValueError(f"expected integer or 'p/q' string, got {echo(raw)}")
 
 
+def _parse_vector(raw: list) -> tuple[Exact, ...]:
+    """A JSON list of number fields, each through parse_exact; plain ints
+    are already in exact form and are copied as they are."""
+    return tuple(raw) if _all_int(raw) else tuple(map(parse_exact, raw))
+
+
 class Variant(Enum):
     """Which coupling between purchases and sales the instance uses."""
 
@@ -134,6 +163,9 @@ _BOUND_FIELDS = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")
 _PRICE_FIELDS = ("revenue", "cost", "holding")
 _FIXED_FIELDS = ("fixed_purchase", "fixed_sale")
 _VECTOR_FIELDS = _BOUND_FIELDS + _PRICE_FIELDS + _FIXED_FIELDS
+_BOUND_PAIRS = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
+# the data wp3 holds at zero in every period
+_WP3_ZERO = ("Lx", "Ly", "fixed_purchase", "fixed_sale", "holding")
 
 
 @dataclass(frozen=True)
@@ -165,7 +197,8 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", _coerce_variant(self.variant))
-        object.__setattr__(self, "T", int(self.T))
+        if type(self.T) is not int:
+            raise TypeError(f"T must be an int, got {echo(self.T)}")
         object.__setattr__(self, "s0", exact(self.s0))
         for name in _VECTOR_FIELDS:
             object.__setattr__(self, name, exact_vector(getattr(self, name)))
@@ -236,11 +269,73 @@ class FeasibilityReport:
         }
 
 
+def _first_failure(rules: list) -> Exception:
+    """The error of the first period a rule fails in, from the first rule
+    failing there.
+
+    rules are (flags, error) pairs in the order a period is checked by
+    them: flags are true for each period the rule fails in, error(t)
+    builds its error for period t.  At least one rule fails.
+    """
+    periods = [next(compress(count(1), flags), math.inf) for flags, _ in rules]
+    first = min(periods)
+    return rules[periods.index(first)][1](first)
+
+
+def _negative(name: str, vec: tuple) -> tuple:
+    return (map(lt, vec, repeat(0)),
+            lambda t: NegativeBound(
+                f"{name}[{t}] = {echo(vec[t - 1])} is negative"))
+
+
+def _exceeds(lo_name: str, lo: tuple, hi_name: str, hi: tuple) -> tuple:
+    return (map(gt, lo, hi),
+            lambda t: LowerExceedsUpper(
+                f"{lo_name}[{t}] = {echo(lo[t - 1])} exceeds "
+                f"{hi_name}[{t}] = {echo(hi[t - 1])}"))
+
+
+def _period_rules(inst: Instance) -> list:
+    """Each bound pair's no negative end and lo <= hi, then both fixed
+    costs nonnegative, as _first_failure takes them."""
+    rules = []
+    for lo_name, hi_name in _BOUND_PAIRS:
+        lo, hi = getattr(inst, lo_name), getattr(inst, hi_name)
+        rules += (_negative(lo_name, lo), _negative(hi_name, hi),
+                  _exceeds(lo_name, lo, hi_name, hi))
+    return rules + [_negative(name, getattr(inst, name))
+                    for name in _FIXED_FIELDS]
+
+
+def _nonzero(name: str, vec: tuple) -> tuple:
+    return (map(ne, vec, repeat(0)),
+            lambda t: WP3ShapeViolation(
+                f"wp3 requires {name}[{t}] = 0, got {echo(vec[t - 1])}"))
+
+
+def _wp3_rules(inst: Instance) -> list:
+    """wp3's zero Lx, Ly, fixed and holding costs, then Ls <= s0 <= Us, as
+    _first_failure takes them."""
+    s0, Ls, Us = inst.s0, inst.Ls, inst.Us
+    return [_nonzero(name, getattr(inst, name)) for name in _WP3_ZERO] + [(
+        map(or_, map(gt, Ls, repeat(s0)), map(lt, Us, repeat(s0))),
+        lambda t: WP3ShapeViolation(
+            f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
+            f"{echo(Ls[t - 1])} <= {echo(s0)} <= {echo(Us[t - 1])}"))]
+
+
 def validate_instance(inst: Instance) -> None:
     """Check every structural invariant, reporting the first failure.
 
-    Violations are reported smallest period first.  Raises NegativeBound,
-    LowerExceedsUpper, WrongVectorLength, or WP3ShapeViolation.
+    T and the vector lengths come first, then s0 >= 0.  Then every
+    period's rules: each bound pair (Ls, Us), (Lx, Ux), (Ly, Uy) has no
+    negative end and lo <= hi, and both fixed costs are nonnegative; for
+    wp3 then every period's zero Lx, Ly, fixed and holding costs and
+    Ls <= s0 <= Us.  Each group of rules is tested over whole vectors at
+    once with min, max and any; when one fails, the smallest failing
+    period is reported, with the first rule in that order failing there.
+    Raises NegativeBound, LowerExceedsUpper, WrongVectorLength, or
+    WP3ShapeViolation.
     """
     if inst.T < 1:
         raise WrongVectorLength(f"T must be positive, got {echo(inst.T)}")
@@ -252,43 +347,15 @@ def validate_instance(inst: Instance) -> None:
             )
     if inst.s0 < 0:
         raise NegativeBound(f"s0 = {echo(inst.s0)} is negative")
-    pairs = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
-    for t in inst.periods:
-        i = t - 1
-        for lo_name, hi_name in pairs:
-            lo = getattr(inst, lo_name)[i]
-            hi = getattr(inst, hi_name)[i]
-            if lo < 0:
-                raise NegativeBound(
-                    f"{lo_name}[{t}] = {echo(lo)} is negative")
-            if hi < 0:
-                raise NegativeBound(
-                    f"{hi_name}[{t}] = {echo(hi)} is negative")
-            if lo > hi:
-                raise LowerExceedsUpper(
-                    f"{lo_name}[{t}] = {echo(lo)} exceeds "
-                    f"{hi_name}[{t}] = {echo(hi)}"
-                )
-        for name in ("fixed_purchase", "fixed_sale"):
-            v = getattr(inst, name)[i]
-            if v < 0:
-                raise NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
-    if inst.variant is Variant.WP3:
-        for t in inst.periods:
-            i = t - 1
-            for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale",
-                         "holding"):
-                v = getattr(inst, name)[i]
-                if v != 0:
-                    raise WP3ShapeViolation(
-                        f"wp3 requires {name}[{t}] = 0, got {echo(v)}"
-                    )
-            if not inst.Ls[i] <= inst.s0 <= inst.Us[i]:
-                raise WP3ShapeViolation(
-                    f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
-                    f"{echo(inst.Ls[i])} <= {echo(inst.s0)} <= "
-                    f"{echo(inst.Us[i])}"
-                )
+    lows, highs = (inst.Ls, inst.Lx, inst.Ly), (inst.Us, inst.Ux, inst.Uy)
+    # an upper bound is negative only where its lower one is or exceeds it
+    if (min(chain(*lows, inst.fixed_purchase, inst.fixed_sale)) < 0
+            or any(map(gt, chain(*lows), chain(*highs)))):
+        raise _first_failure(_period_rules(inst))
+    if inst.variant is Variant.WP3 and (
+            any(chain.from_iterable(getattr(inst, n) for n in _WP3_ZERO))
+            or not max(inst.Ls) <= inst.s0 <= min(inst.Us)):
+        raise _first_failure(_wp3_rules(inst))
 
 
 def evaluate_payoff(inst: Instance, t: int, x, y, s, w, z) -> Exact:
@@ -367,7 +434,7 @@ def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
     F**2, so the quotient is the plan's objective on inst exactly.
     All-integer data returns inst itself with the identity map.
     """
-    if all(type(v) is int for v in _data(inst)):
+    if _all_int(_data(inst)):
         return inst, lambda sol: sol
     F = scale_factor(inst)
 
@@ -460,7 +527,7 @@ def instance_to_json_dict(inst: Instance) -> dict:
     out: dict = {"variant": inst.variant.value, "T": inst.T,
                  "s0": format_exact(inst.s0)}
     for name in _VECTOR_FIELDS:
-        out[name] = [format_exact(v) for v in getattr(inst, name)]
+        out[name] = _format_vector(getattr(inst, name))
     return out
 
 
@@ -481,7 +548,7 @@ def instance_from_json_dict(data: dict) -> Instance:
         raw = data[name]
         if not isinstance(raw, list):
             raise ValueError(f"{name} must be a list")
-        fields[name] = tuple(parse_exact(v) for v in raw)
+        fields[name] = _parse_vector(raw)
     return Instance(**fields)
 
 
@@ -504,11 +571,11 @@ def parse_instance(text: str) -> Instance:
 
 def solution_to_json_dict(sol: Solution) -> dict:
     return {
-        "x": [format_exact(v) for v in sol.x],
-        "y": [format_exact(v) for v in sol.y],
-        "s": [format_exact(v) for v in sol.s],
-        "w": [format_exact(v) for v in sol.w],
-        "z": [format_exact(v) for v in sol.z],
+        "x": _format_vector(sol.x),
+        "y": _format_vector(sol.y),
+        "s": _format_vector(sol.s),
+        "w": _format_vector(sol.w),
+        "z": _format_vector(sol.z),
         "objective": format_exact(sol.objective),
     }
 
@@ -525,7 +592,7 @@ def solution_from_json_dict(data: dict) -> Solution:
         raw = data[name]
         if not isinstance(raw, list):
             raise ValueError(f"{name} must be a list")
-        vecs[name] = tuple(parse_exact(v) for v in raw)
+        vecs[name] = _parse_vector(raw)
     return Solution(objective=parse_exact(data["objective"]), **vecs)
 
 

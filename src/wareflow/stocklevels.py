@@ -73,10 +73,9 @@ def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
         raise WrongVariant("double_horizon applies to wp2 instances only")
 
     def interleave(odd, even):
-        out = []
-        for a, b in zip(odd, even):
-            out.append(a)
-            out.append(b)
+        out = [0] * (2 * inst.T)
+        out[0::2] = odd
+        out[1::2] = even
         return tuple(out)
 
     doubled = Instance(

@@ -32,10 +32,21 @@ from wareflow import (
     scale_trade_bounds,
 )
 from wareflow.extform import _arc_name, _arc_prefix, _arc_suffix, _expr
+from wareflow.errors import (
+    LowerExceedsUpper,
+    NegativeBound,
+    WP3ShapeViolation,
+    WrongVectorLength,
+)
 from wareflow.model import (
+    _INSTANCE_KEYS,
     _VECTOR_FIELDS,
+    _coerce_variant,
+    echo,
     evaluate_payoff,
     exact,
+    format_exact,
+    parse_exact,
     validate_instance,
 )
 from wareflow.network import LayeredNetwork, _decode, search_instance
@@ -1131,3 +1142,151 @@ def brute_oracle_solve(inst: Instance) -> Solution:
         z=tuple(zs),
         objective=best[0][inst.s0],
     )
+
+
+# --- the data model walked value by value ------------------------------------
+# model.py checks and converts whole vectors at once; these are its former
+# value-by-value versions, kept as the witnesses it is compared against.
+
+
+def reference_exact_vector(values) -> tuple[Exact, ...]:
+    return tuple(map(exact, values))
+
+
+def reference_validate_instance(inst: Instance) -> None:
+    """Check every structural invariant, reporting the first failure.
+
+    Violations are reported smallest period first.  Raises NegativeBound,
+    LowerExceedsUpper, WrongVectorLength, or WP3ShapeViolation.
+    """
+    if inst.T < 1:
+        raise WrongVectorLength(f"T must be positive, got {echo(inst.T)}")
+    for name in _VECTOR_FIELDS:
+        vec = getattr(inst, name)
+        if len(vec) != inst.T:
+            raise WrongVectorLength(
+                f"{name} has length {len(vec)}, expected T={echo(inst.T)}"
+            )
+    if inst.s0 < 0:
+        raise NegativeBound(f"s0 = {echo(inst.s0)} is negative")
+    pairs = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
+    for t in inst.periods:
+        i = t - 1
+        for lo_name, hi_name in pairs:
+            lo = getattr(inst, lo_name)[i]
+            hi = getattr(inst, hi_name)[i]
+            if lo < 0:
+                raise NegativeBound(
+                    f"{lo_name}[{t}] = {echo(lo)} is negative")
+            if hi < 0:
+                raise NegativeBound(
+                    f"{hi_name}[{t}] = {echo(hi)} is negative")
+            if lo > hi:
+                raise LowerExceedsUpper(
+                    f"{lo_name}[{t}] = {echo(lo)} exceeds "
+                    f"{hi_name}[{t}] = {echo(hi)}"
+                )
+        for name in ("fixed_purchase", "fixed_sale"):
+            v = getattr(inst, name)[i]
+            if v < 0:
+                raise NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
+    if inst.variant is Variant.WP3:
+        for t in inst.periods:
+            i = t - 1
+            for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale",
+                         "holding"):
+                v = getattr(inst, name)[i]
+                if v != 0:
+                    raise WP3ShapeViolation(
+                        f"wp3 requires {name}[{t}] = 0, got {echo(v)}"
+                    )
+            if not inst.Ls[i] <= inst.s0 <= inst.Us[i]:
+                raise WP3ShapeViolation(
+                    f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
+                    f"{echo(inst.Ls[i])} <= {echo(inst.s0)} <= "
+                    f"{echo(inst.Us[i])}"
+                )
+
+
+def reference_instance_from_json_dict(data: dict) -> Instance:
+    if not isinstance(data, dict):
+        raise ValueError("instance JSON must be an object")
+    missing = [k for k in _INSTANCE_KEYS if k not in data]
+    if missing:
+        raise ValueError(f"instance JSON missing keys: {', '.join(missing)}")
+    if not isinstance(data["T"], int) or isinstance(data["T"], bool):
+        raise ValueError(f"T must be an integer, got {echo(data['T'])}")
+    fields: dict = {
+        "variant": _coerce_variant(data["variant"]),
+        "T": data["T"],
+        "s0": parse_exact(data["s0"]),
+    }
+    for name in _VECTOR_FIELDS:
+        raw = data[name]
+        if not isinstance(raw, list):
+            raise ValueError(f"{name} must be a list")
+        fields[name] = tuple(parse_exact(v) for v in raw)
+    return Instance(**fields)
+
+
+def reference_solution_to_json_dict(sol: Solution) -> dict:
+    return {
+        "x": [format_exact(v) for v in sol.x],
+        "y": [format_exact(v) for v in sol.y],
+        "s": [format_exact(v) for v in sol.s],
+        "w": [format_exact(v) for v in sol.w],
+        "z": [format_exact(v) for v in sol.z],
+        "objective": format_exact(sol.objective),
+    }
+
+
+# values planted into a valid instance to break validate_instance's rules:
+# negative, positive and zero ints and Fractions and 4,000-digit ints
+PLANTED = (-1, 0, 1, 7, Fraction(-1, 3), Fraction(7, 2), -10**3999,
+           10**3999)
+
+
+def planted(inst: Instance, edits) -> Instance:
+    """inst with each edit (name, index, value) applied: value replaces
+    item index (modulo the length) of vector name, or s0 when name is
+    "s0"; the value "append" adds an item 0 to a vector and "drop"
+    removes its last one, and both leave s0 as it is."""
+    fields = {name: list(getattr(inst, name)) for name in _VECTOR_FIELDS}
+    s0 = inst.s0
+    for name, index, value in edits:
+        if name == "s0":
+            s0 = s0 if value in ("append", "drop") else value
+        elif value == "append":
+            fields[name].append(0)
+        elif value == "drop":
+            del fields[name][-1:]
+        elif fields[name]:
+            fields[name][index % len(fields[name])] = value
+    return replace(inst, s0=s0, **fields)
+
+
+class Raised(NamedTuple):
+    """The type and message of an error a call raised."""
+
+    kind: type
+    message: str
+
+
+def outcome(fn, *args):
+    """fn(*args), or the Raised of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return Raised(type(err), str(err))
+
+
+def typed(value):
+    """A value with the type of every number in it, so that 2 and
+    Fraction(2) or 1 and True compare unequal."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, (Instance, Solution)):
+        return typed(vars(value))
+    return type(value), value

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,10 +34,14 @@ from wareflow import (
     solve,
     validate_instance,
 )
-from wareflow.model import scale_factor
+from wareflow.model import _VECTOR_FIELDS, scale_factor
 from wareflow.network import search_instance
 from helpers import (
+    PLANTED,
+    outcome,
+    planted,
     reference_scale_instance,
+    reference_validate_instance,
     solution_with,
     two_period_trade,
     wp2_mixed,
@@ -56,6 +61,43 @@ def tiny(variant="wp1", **overrides):
 
 def test_validate_all_zero_ok():
     validate_instance(tiny())
+
+
+@pytest.mark.parametrize("T", [1.9, True, "1", 1.0, Fraction(1)])
+def test_instance_refuses_a_T_that_is_not_an_int(T):
+    with pytest.raises(TypeError, match="T must be an int"):
+        tiny(T=T)
+
+
+def test_validate_matches_the_period_loop_reference():
+    """One or two planted violations of every kind, in every variant:
+    validate_instance raises the error the period-by-period loop it
+    replaced raises, with the same message, or both pass."""
+    rng = random.Random(24)
+    seen = set()
+    for seed in range(600):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        T = 1 + seed % 5
+        inst = planted(gen_random(seed, T, variant, 9), [
+            (rng.choice(("s0",) + _VECTOR_FIELDS), rng.randrange(T),
+             rng.choice(PLANTED + ("append", "drop")))
+            for _ in range(rng.randint(1, 2))])
+        expected = outcome(reference_validate_instance, inst)
+        assert outcome(validate_instance, inst) == expected, (seed, inst)
+        if expected is not None:
+            # the error and the rule: "Ls" of "Ls[2] = -1 is negative"
+            seen.add((expected.kind, re.match(r"(wp3 requires )?\w+",
+                                              expected.message).group()))
+    bounds = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")
+    assert seen >= {
+        *((NegativeBound, name)
+          for name in ("s0",) + bounds + ("fixed_purchase", "fixed_sale")),
+        *((LowerExceedsUpper, name) for name in ("Ls", "Lx", "Ly")),
+        *((WP3ShapeViolation, f"wp3 requires {name}")
+          for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale",
+                       "holding", "Ls")),
+        *((WrongVectorLength, name) for name in _VECTOR_FIELDS),
+    }, seen
 
 
 def test_validate_lower_exceeds_upper():

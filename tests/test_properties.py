@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
+    Solution,
     Variant,
     assemble_solution,
     build_network,
@@ -43,7 +44,15 @@ from wareflow import (  # noqa: E402
 )
 from wareflow.cli import run  # noqa: E402
 from wareflow.extform import _decimal, _lp_text  # noqa: E402
-from wareflow.model import scale_factor  # noqa: E402
+from wareflow.model import (  # noqa: E402
+    _VECTOR_FIELDS,
+    exact_vector,
+    format_exact,
+    instance_from_json_dict,
+    scale_factor,
+    solution_to_json_dict,
+    validate_instance,
+)
 from wareflow.network import (  # noqa: E402
     SolveTrace,
     _decode,
@@ -54,25 +63,34 @@ from wareflow.network import (  # noqa: E402
     search_instance,
 )
 from helpers import (  # noqa: E402
+    PLANTED,
+    Raised,
     brute_oracle_solve,
     fractional_payoffs,
     lift_outcome,
+    outcome,
     path_levels,
+    planted,
     perturbed_stocks,
     reference_build_network,
     reference_clipped_stock_levels,
     reference_decode,
     reference_emit_lp,
+    reference_exact_vector,
+    reference_instance_from_json_dict,
     reference_lift_solution,
     reference_lp_text_from_arcs,
     reference_scale_instance,
     reference_scale_trade_bounds,
+    reference_solution_to_json_dict,
     reference_stock_levels,
     reference_to_dot,
+    reference_validate_instance,
     reference_window_argmax,
     reference_window_suffix,
     solve_with_network,
     text_or_value_error,
+    typed,
 )
 
 SETTINGS = settings(
@@ -575,3 +593,67 @@ def test_mutated_json_exits_cleanly(base, inst_edits, sol_edits, cut):
             assert all(len(line.encode()) < STDERR_LINE_LIMIT
                        for line in err.getvalue().splitlines()), (
                 argv, err.getvalue()[:300])
+
+
+# --- the data model's whole-vector paths ------------------------------------
+
+# s0 and the stock bounds drawn more often: wp3 checks s0 against both
+_planted_edits = st.lists(st.tuples(
+    st.sampled_from(("s0", "s0", "Ls", "Us") + _VECTOR_FIELDS),
+    st.integers(0, 3),
+    st.sampled_from(PLANTED + ("append", "drop")) | st.integers(-3, 9)
+    | st.fractions(-3, 9, max_denominator=4)), min_size=1, max_size=2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instances(), _planted_edits)
+def test_validate_matches_the_period_loop_reference(inst, edits):
+    inst = planted(inst, edits)
+    assert (outcome(validate_instance, inst)
+            == outcome(reference_validate_instance, inst))
+
+
+_vector_items = st.one_of(
+    st.integers(-10**60, 10**60), st.sampled_from([-10**3999, 10**3999]),
+    st.builds("{}/{}".format, st.integers(-10**9, 10**9),
+              st.integers(-2, 10**9)),
+    st.sampled_from(["7", "+7", "1e3", " 2 ", "0.5", "1/0", "x"]),
+    st.text(max_size=4), st.floats(), st.booleans(), st.none(),
+    st.fractions(), st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_vector_items, max_size=6)
+       | st.lists(st.integers(-10**6, 10**6), max_size=6)
+       | st.lists(st.integers(-99, 99) | st.builds(
+           "{}/{}".format, st.integers(-99, 99), st.integers(1, 99)),
+           max_size=6),
+       st.sampled_from(range(len(_BASES))), st.sampled_from(_VECTOR_FIELDS))
+def test_vector_paths_match_the_value_by_value_references(vec, base, name):
+    """exact_vector, the instance JSON reader and the solution JSON writer
+    give what their value-by-value versions give, each number of the same
+    type, or the same error; serialize_instance and serialize_solution
+    write the value-by-value bytes."""
+    for values in (vec, tuple(vec)):
+        converted = outcome(exact_vector, values)
+        assert typed(converted) == typed(outcome(reference_exact_vector,
+                                                 values))
+    doc = dict(_BASES[base][0], **{name: vec})
+    inst = outcome(instance_from_json_dict, doc)
+    assert typed(inst) == typed(outcome(reference_instance_from_json_dict,
+                                        doc))
+    if isinstance(inst, Instance):
+        by_value = {"variant": inst.variant.value, "T": inst.T,
+                    "s0": format_exact(inst.s0),
+                    **{field: [format_exact(v) for v in getattr(inst, field)]
+                       for field in _VECTOR_FIELDS}}
+        assert serialize_instance(inst) == json.dumps(
+            by_value, sort_keys=True, indent=2) + "\n"
+    if not isinstance(converted, Raised):
+        sol = Solution(x=converted, y=converted[::-1], s=converted,
+                       w=converted, z=converted, objective=sum(converted))
+        expected = reference_solution_to_json_dict(sol)
+        assert typed(solution_to_json_dict(sol)) == typed(expected)
+        assert serialize_solution(sol) == json.dumps(
+            expected, sort_keys=True, indent=2) + "\n"
