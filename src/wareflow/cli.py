@@ -166,7 +166,14 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise WarehouseError(f"no instance files in {args.dir}")
-    rows = [_bench_one(p.stem, parse_instance(_read(str(p)))) for p in paths]
+    rows = []
+    for p in paths:
+        try:
+            rows.append(_bench_one(p.stem, parse_instance(_read(str(p)))))
+        except (WarehouseError, ValueError) as err:
+            # the same error, naming the file it came from
+            err.args = (f"{p.name}: {err}",)
+            raise
     rows.sort(key=lambda r: r["instance"])
     fields = ["instance", "T", "S_size", "nodes", "arcs", "objective", "wall_ms"]
     buffer = io.StringIO()

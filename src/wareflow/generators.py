@@ -45,6 +45,8 @@ class LotSizingInstance:
     Us: tuple[Exact, ...]
 
     def __post_init__(self):
+        if type(self.T) is not int:
+            raise TypeError(f"T must be an int, got {echo(self.T)}")
         object.__setattr__(self, "s0", exact(self.s0))
         for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us"):
             object.__setattr__(self, name, exact_vector(getattr(self, name)))

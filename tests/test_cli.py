@@ -15,6 +15,7 @@ import wareflow.fptas
 import wareflow.network
 from wareflow import (
     Infeasible,
+    LowerExceedsUpper,
     build_network,
     check_solution,
     format_exact,
@@ -28,10 +29,16 @@ from wareflow import (
     serialize_solution,
     scale_trade_bounds,
     solve,
+    validate_instance,
 )
 from wareflow.cli import run
 from wareflow.network import search_instance
-from helpers import gap_infeasible, two_period_trade, wp2_mixed
+from helpers import (
+    gap_infeasible,
+    solve_with_network,
+    two_period_trade,
+    wp2_mixed,
+)
 
 
 @pytest.fixture
@@ -75,10 +82,14 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     data["Ux"] = [1, 1]
     path = tmp_path / "stuck.json"
     path.write_text(json.dumps(data))
-    assert run(["solve", "--input", str(path)]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("infeasible:")
+    gap = tmp_path / "gap.json"
+    gap.write_text(serialize_instance(gap_infeasible()))
+    # the oracle answers an instance no plan gets through in the same way
+    for command, source in (("solve", path), ("solve", gap), ("oracle", gap)):
+        assert run([command, "--input", str(source)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("infeasible: ")
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -185,9 +196,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_oracle_agrees_with_solver(instance_file, capsys):
+def test_oracle_agrees_with_solver(instance_file, tmp_path, capsys):
     assert run(["oracle", "--input", instance_file]) == 0
     assert capsys.readouterr().out == "objective: 10\n"
+    for seed, T, variant, bound in ((7, 8, "wp3", 40), (2, 6, "wp2", 30)):
+        path = str(tmp_path / f"{variant}.json")
+        assert run(["gen", "--seed", str(seed), "--T", str(T), "--variant",
+                    variant, "--max-bound", str(bound), "--output", path]) == 0
+        assert run(["solve", "--input", path]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("objective: ")
+        assert run(["oracle", "--input", path]) == 0
+        assert capsys.readouterr().out == line
 
 
 def test_oracle_fractional_exits_two(tmp_path, capsys):
@@ -286,7 +306,8 @@ def _solve_outputs(tmp_path, capsys, path, *extra):
 
 def test_solve_output_is_the_same_with_dot(tmp_path, capsys):
     stuck = replace(two_period_trade(), Ls=(8, 8), Us=(8, 8), Ux=(1, 1))
-    instances = [two_period_trade(), wp2_mixed(), stuck]
+    instances = [two_period_trade(), wp2_mixed(), stuck,
+                 gen_random(7, T=8, variant="wp3", max_bound=40)]
     instances += [gen_random(seed, T=4, variant=variant, max_bound=6)
                   for seed in range(4) for variant in ("wp1", "wp2", "wp3")]
     codes = set()
@@ -332,11 +353,13 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
         assert out.read_bytes() == dot.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["emit-lp", "levels", "check"])
+@pytest.mark.parametrize("command", ["emit-lp", "levels", "check", "solve"])
 @pytest.mark.parametrize("defect", [
     {"Lx": [3, 0], "Ux": [1, 5]},  # Lx[1] = 3 exceeds Ux[1] = 1
     {"Uy": [5]},  # one entry for T = 2
-], ids=["lower-exceeds-upper", "short-vector"])
+    {"Us": [1.5, 10]},  # a JSON float is no exact number
+    {"Lx": [True, 0]},  # nor is a JSON boolean
+], ids=["lower-exceeds-upper", "short-vector", "float-bound", "bool-bound"])
 def test_invalid_instance_exits_two(command, defect, tmp_path, capsys):
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(serialize_solution(solve(two_period_trade())))
@@ -375,11 +398,19 @@ def test_check_reports_tampering(instance_file, tmp_path, capsys):
     assert report["violations"]
 
 
-def test_levels_json(instance_file, capsys):
+def test_levels_json(instance_file, tmp_path, capsys):
     assert run(["levels", "--input", instance_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["S_size"] == 3
     assert payload["levels"] == [[0, 5, 10], [0, 5, 10]]
+    # a wp2 instance lists its T layers, not those of its doubled horizon
+    path = tmp_path / "wp2.json"
+    path.write_text(serialize_instance(gen_random(2, T=6, variant="wp2",
+                                                  max_bound=30)))
+    assert run(["levels", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["levels"]) == 6
+    assert payload["S_size"] == max(map(len, payload["levels"]))
 
 
 def test_gen_then_solve_pipeline(tmp_path, capsys):
@@ -470,16 +501,20 @@ def test_emit_lp_to_file(instance_file, tmp_path, capsys):
 
 
 # emit-lp text pinned byte for byte: two_period_trade with nonzero fixed
-# costs, wp2_mixed on its doubled horizon, the fractional instance of the
-# CI smoke run, whose LP is scaled by F = 30, decimal_halves, whose Ux 5/2
-# and cost 1/4 print unscaled as 2.5 and 0.25, and stock_third, whose
-# Us 1/3 is a level that no printed number uses, so it prints unscaled
+# costs, wp2_mixed on its doubled horizon, frac, whose LP is scaled by
+# F = 30, decimal_halves, whose Ux 5/2 and cost 1/4 print unscaled as 2.5
+# and 0.25, and stock_third, whose Us 1/3 is a level that no printed number
+# uses, so it prints unscaled
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["two_period_trade", "wp2_mixed", "frac",
-                                  "decimal_halves", "stock_third"])
-def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.lp")))
+def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_network called")
+
+    # the LP text is written from the levels alone
+    monkeypatch.setattr(wareflow.network, "build_network", refuse)
     source = str(GOLDEN / f"{name}.json")
     expected = (GOLDEN / f"{name}.lp").read_bytes()
     lp_path = tmp_path / f"{name}.lp"
@@ -487,6 +522,29 @@ def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys):
     assert lp_path.read_bytes() == expected
     assert run(["emit-lp", "--input", source]) == 0
     assert capsys.readouterr().out.encode() == expected
+
+
+# every committed instance: solve prints the objective line and writes the
+# plan of the tests' network witness, check finds that plan feasible, and
+# where the bounds are integral the oracle prints the same line
+@pytest.mark.parametrize("name", sorted(
+    p.name.removesuffix(".json") for p in GOLDEN.glob("*.json")
+    if not p.name.endswith(".solution.json")))
+def test_solve_matches_the_network_witness_on_the_data_files(name, tmp_path,
+                                                             capsys):
+    source = GOLDEN / f"{name}.json"
+    inst = parse_instance(source.read_text())
+    sol = solve_with_network(inst)[0]
+    plan = tmp_path / "plan.json"
+    assert run(["solve", "--input", str(source), "--output", str(plan)]) == 0
+    line = capsys.readouterr().out
+    assert line == f"objective: {format_exact(sol.objective)}\n"
+    assert plan.read_bytes() == serialize_solution(sol).encode()
+    assert run(["check", "--input", str(source), "--solution", str(plan)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    if inst.bounds_integral():
+        assert run(["oracle", "--input", str(source)]) == 0
+        assert capsys.readouterr().out == line
 
 
 def test_fptas_matches_the_golden_files(tmp_path, capsys):
@@ -540,6 +598,8 @@ def test_bench_csv(tmp_path, capsys):
     (bench_dir / "a_mixed.json").write_text(serialize_instance(wp2_mixed()))
     assert run(["bench", "--dir", str(bench_dir)]) == 0
     text = capsys.readouterr().out
+    assert text.splitlines()[0] == (
+        "instance,T,S_size,nodes,arcs,objective,wall_ms")
     rows = list(csv.DictReader(text.splitlines()))
     assert [r["instance"] for r in rows] == ["a_mixed", "b_trade"]
     assert rows[1]["objective"] == "10"
@@ -584,6 +644,8 @@ def test_bench_counts_the_searched_levels_without_a_network(
     for seed, variant in enumerate(("wp1", "wp2", "wp3")):
         cases[f"f_{variant}"] = gen_random(seed, T=8, variant=variant,
                                            max_bound=20)
+    cases["g_wp3"] = gen_random(7, T=8, variant="wp3", max_bound=40)
+    cases["h_wp2"] = gen_random(2, T=6, variant="wp2", max_bound=30)
     for name, inst in cases.items():
         (tmp_path / f"{name}.json").write_text(serialize_instance(inst))
     expected = [_network_bench_row(name, inst) for name, inst in cases.items()]
@@ -613,3 +675,25 @@ def test_bench_counts_the_searched_levels_without_a_network(
 def test_bench_empty_dir_exits_two(tmp_path, capsys):
     assert run(["bench", "--dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bench_names_the_file_it_cannot_read(tmp_path, capsys):
+    inst = two_period_trade()
+    (tmp_path / "a_trade.json").write_text(serialize_instance(inst))
+    bad = tmp_path / "b_trade.solution.json"
+    bad.write_text(serialize_solution(solve(inst)))
+    assert run(["bench", "--dir", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: b_trade.solution.json: instance JSON missing keys: variant, "
+        "T, s0, Ls, Us, Lx, Ux, Ly, Uy, revenue, cost, holding, "
+        "fixed_purchase, fixed_sale\n")
+    # an instance that parses but fails validation is named as well
+    bad.unlink()
+    invalid = replace(inst, Lx=(3, 0), Ux=(1, 5))
+    (tmp_path / "c_invalid.json").write_text(serialize_instance(invalid))
+    with pytest.raises(LowerExceedsUpper) as caught:
+        validate_instance(invalid)
+    assert run(["bench", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: c_invalid.json: {caught.value}\n"

@@ -102,6 +102,9 @@ def test_lift_optimal_plan_is_feasible():
     assert sol.objective == 10
     values = lift_solution(inst, _layers(inst), sol)
     assert sum(v for n, v in values.items() if n.startswith("a_")) == inst.T
+    wp3 = gen_random(7, 8, "wp3", 40)
+    report = lift_and_check(wp3, solve(wp3))
+    assert report.feasible, report.violations
 
 
 def test_lift_reads_fractional_rows_in_the_instance_units():
@@ -295,10 +298,16 @@ def test_emit_lp_scales_fixed_costs_with_the_payoffs():
 
 
 def test_emit_lp_doubles_wp2_horizon():
-    text = emit_lp(wp2_mixed())
-    assert "balance_4" in text
-    assert "x_4" in text
-    assert "x_5" not in text
+    for inst in (wp2_mixed(), gen_random(2, 6, "wp2", 30)):
+        text = emit_lp(inst)
+        n = 2 * inst.T
+        assert f"balance_{n}" in text
+        assert f"x_{n}" in text
+        assert f"x_{n + 1}" not in text
+        # every variable of the doubled horizon is free
+        lines = text.splitlines()
+        assert lines[lines.index("Bounds") + 1:-1] == [
+            f" {v}_{t} free" for t in range(1, n + 1) for v in "xyswz"]
 
 
 def test_emit_lp_validates_the_instance():

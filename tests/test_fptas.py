@@ -263,10 +263,12 @@ def test_fptas_on_two_period_spread():
 
 
 def test_fptas_guarantee_on_random_instances():
-    for seed in range(25):
-        inst = random_trading_wp3(seed + 900, T=2 + seed % 3)
+    cases = [(random_trading_wp3(seed + 900, T=2 + seed % 3),
+              (Fraction(1, 2), Fraction(1, 4))) for seed in range(25)]
+    cases.append((gen_random(7, 8, "wp3", 40), (Fraction(1, 3),)))
+    for inst, epsilons in cases:
         best = oracle_solve(inst).objective
-        for eps in (Fraction(1, 2), Fraction(1, 4)):
+        for eps in epsilons:
             sol = fptas_solve(inst, eps)
             assert sol.objective >= (1 - eps) * best
             assert check_solution(inst, sol).feasible

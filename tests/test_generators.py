@@ -96,6 +96,15 @@ def test_lotsizing_validation():
             Ux=(1,), Us=(1,)))
 
 
+@pytest.mark.parametrize("T", [True, 1.0, 1.5, "1"])
+def test_lotsizing_refuses_a_T_that_is_not_an_int(T):
+    # a one-period vector has length 1 == True == 1.0, so the length check
+    # of validate_lotsizing cannot catch these
+    with pytest.raises(TypeError, match=f"^T must be an int, got {T!r}$"):
+        LotSizingInstance(T=T, s0=0, demand=(1,), unit_cost=(1,),
+                          fixed_cost=(0,), Ux=(2,), Us=(3,))
+
+
 def test_lotsizing_json_roundtrip():
     ls = restocking_example()
     assert parse_lotsizing(serialize_lotsizing(ls)) == ls
