@@ -171,9 +171,7 @@ def _cmd_bench(args) -> int:
         try:
             rows.append(_bench_one(p.stem, parse_instance(_read(str(p)))))
         except (WarehouseError, ValueError) as err:
-            # the same error, naming the file it came from
-            err.args = (f"{p.name}: {err}",)
-            raise
+            raise WarehouseError(f"{p.name}: {err}") from err
     rows.sort(key=lambda r: r["instance"])
     fields = ["instance", "T", "S_size", "nodes", "arcs", "objective", "wall_ms"]
     buffer = io.StringIO()

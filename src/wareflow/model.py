@@ -15,6 +15,9 @@ at the boundary so no feasibility or optimality decision rests on rounding.
 A vector is checked whole: one that holds plain ints only is already exact
 and passes through the constructors and the JSON reader and writer as it
 is, and only a vector holding anything else is coerced value by value.
+Validation likewise runs one test over whole vectors, which every valid
+instance passes; only an instance it refuses is walked period by period
+to report its first failing rule.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import gt, lt, ne, or_
+from itertools import chain
+from operator import gt
 from typing import Callable, Iterable, Union
 
 from .errors import (
@@ -43,18 +46,22 @@ Exact = Union[int, Fraction]
 def exact(value) -> Exact:
     """Coerce a number to exact form: int when integral, Fraction otherwise.
 
-    Accepts ints, Fractions, and strings such as "7" or "3/4".  Floats are
-    rejected because they would smuggle rounding error into computations
-    that must stay exact.  A plain int or a Fraction returns at once: a
-    Fraction is always reduced, and one with denominator 1 is its
-    numerator.  exact_vector sends here only the values of a vector that
-    is not all plain ints.
+    Accepts ints, Fractions, and strings in parse_exact's grammar: an
+    optional sign, ASCII digits and an optional "/digits", such as "7" or
+    "-3/4"; any other string raises ValueError as parse_exact does.  Floats
+    are rejected because they would smuggle rounding error into
+    computations that must stay exact.  A plain int or a Fraction returns
+    at once: a Fraction is always reduced, and one with denominator 1 is
+    its numerator.  exact_vector sends here only the values of a vector
+    that is not all plain ints.
     """
     kind = type(value)
     if kind is int:
         return value
     if kind is Fraction:
         return value.numerator if value.denominator == 1 else value
+    if isinstance(value, str):
+        return parse_exact(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(value, float):
@@ -269,59 +276,37 @@ class FeasibilityReport:
         }
 
 
-def _first_failure(rules: list) -> Exception:
-    """The error of the first period a rule fails in, from the first rule
-    failing there.
-
-    rules are (flags, error) pairs in the order a period is checked by
-    them: flags are true for each period the rule fails in, error(t)
-    builds its error for period t.  At least one rule fails.
-    """
-    periods = [next(compress(count(1), flags), math.inf) for flags, _ in rules]
-    first = min(periods)
-    return rules[periods.index(first)][1](first)
-
-
-def _negative(name: str, vec: tuple) -> tuple:
-    return (map(lt, vec, repeat(0)),
-            lambda t: NegativeBound(
-                f"{name}[{t}] = {echo(vec[t - 1])} is negative"))
-
-
-def _exceeds(lo_name: str, lo: tuple, hi_name: str, hi: tuple) -> tuple:
-    return (map(gt, lo, hi),
-            lambda t: LowerExceedsUpper(
-                f"{lo_name}[{t}] = {echo(lo[t - 1])} exceeds "
-                f"{hi_name}[{t}] = {echo(hi[t - 1])}"))
-
-
-def _period_rules(inst: Instance) -> list:
-    """Each bound pair's no negative end and lo <= hi, then both fixed
-    costs nonnegative, as _first_failure takes them."""
-    rules = []
-    for lo_name, hi_name in _BOUND_PAIRS:
-        lo, hi = getattr(inst, lo_name), getattr(inst, hi_name)
-        rules += (_negative(lo_name, lo), _negative(hi_name, hi),
-                  _exceeds(lo_name, lo, hi_name, hi))
-    return rules + [_negative(name, getattr(inst, name))
-                    for name in _FIXED_FIELDS]
-
-
-def _nonzero(name: str, vec: tuple) -> tuple:
-    return (map(ne, vec, repeat(0)),
-            lambda t: WP3ShapeViolation(
-                f"wp3 requires {name}[{t}] = 0, got {echo(vec[t - 1])}"))
-
-
-def _wp3_rules(inst: Instance) -> list:
-    """wp3's zero Lx, Ly, fixed and holding costs, then Ls <= s0 <= Us, as
-    _first_failure takes them."""
-    s0, Ls, Us = inst.s0, inst.Ls, inst.Us
-    return [_nonzero(name, getattr(inst, name)) for name in _WP3_ZERO] + [(
-        map(or_, map(gt, Ls, repeat(s0)), map(lt, Us, repeat(s0))),
-        lambda t: WP3ShapeViolation(
-            f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
-            f"{echo(Ls[t - 1])} <= {echo(s0)} <= {echo(Us[t - 1])}"))]
+def _first_failure(inst: Instance) -> Exception:
+    """The error of the first rule an instance fails, walking the periods in
+    validate_instance's order: every period's bound-pair and fixed-cost
+    rules, then every period's wp3 rules.  Only an instance that fails some
+    rule gets here, and only a wp3 one gets past the first loop."""
+    for t in inst.periods:
+        i = t - 1
+        for lo_name, hi_name in _BOUND_PAIRS:
+            lo, hi = getattr(inst, lo_name)[i], getattr(inst, hi_name)[i]
+            for name, v in ((lo_name, lo), (hi_name, hi)):
+                if v < 0:
+                    return NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
+            if lo > hi:
+                return LowerExceedsUpper(f"{lo_name}[{t}] = {echo(lo)} exceeds "
+                                         f"{hi_name}[{t}] = {echo(hi)}")
+        for name in _FIXED_FIELDS:
+            v = getattr(inst, name)[i]
+            if v < 0:
+                return NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
+    s0 = inst.s0
+    for t in inst.periods:
+        i = t - 1
+        for name in _WP3_ZERO:
+            v = getattr(inst, name)[i]
+            if v != 0:
+                return WP3ShapeViolation(
+                    f"wp3 requires {name}[{t}] = 0, got {echo(v)}")
+        if not inst.Ls[i] <= s0 <= inst.Us[i]:
+            return WP3ShapeViolation(
+                f"wp3 requires Ls[{t}] <= s0 <= Us[{t}], got "
+                f"{echo(inst.Ls[i])} <= {echo(s0)} <= {echo(inst.Us[i])}")
 
 
 def validate_instance(inst: Instance) -> None:
@@ -331,9 +316,9 @@ def validate_instance(inst: Instance) -> None:
     period's rules: each bound pair (Ls, Us), (Lx, Ux), (Ly, Uy) has no
     negative end and lo <= hi, and both fixed costs are nonnegative; for
     wp3 then every period's zero Lx, Ly, fixed and holding costs and
-    Ls <= s0 <= Us.  Each group of rules is tested over whole vectors at
-    once with min, max and any; when one fails, the smallest failing
-    period is reported, with the first rule in that order failing there.
+    Ls <= s0 <= Us.  One test over whole vectors with min, max and any
+    passes every valid instance; an instance it refuses is walked period
+    by period in that order, and the first rule failing is reported.
     Raises NegativeBound, LowerExceedsUpper, WrongVectorLength, or
     WP3ShapeViolation.
     """
@@ -350,12 +335,11 @@ def validate_instance(inst: Instance) -> None:
     lows, highs = (inst.Ls, inst.Lx, inst.Ly), (inst.Us, inst.Ux, inst.Uy)
     # an upper bound is negative only where its lower one is or exceeds it
     if (min(chain(*lows, inst.fixed_purchase, inst.fixed_sale)) < 0
-            or any(map(gt, chain(*lows), chain(*highs)))):
-        raise _first_failure(_period_rules(inst))
-    if inst.variant is Variant.WP3 and (
-            any(chain.from_iterable(getattr(inst, n) for n in _WP3_ZERO))
-            or not max(inst.Ls) <= inst.s0 <= min(inst.Us)):
-        raise _first_failure(_wp3_rules(inst))
+            or any(map(gt, chain(*lows), chain(*highs)))
+            or inst.variant is Variant.WP3 and (
+                any(chain.from_iterable(getattr(inst, n) for n in _WP3_ZERO))
+                or not max(inst.Ls) <= inst.s0 <= min(inst.Us))):
+        raise _first_failure(inst)
 
 
 def evaluate_payoff(inst: Instance, t: int, x, y, s, w, z) -> Exact:

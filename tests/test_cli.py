@@ -697,3 +697,10 @@ def test_bench_names_the_file_it_cannot_read(tmp_path, capsys):
         validate_instance(invalid)
     assert run(["bench", "--dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: c_invalid.json: {caught.value}\n"
+    # so is a file that is not UTF-8, whose error text ignores its args
+    (tmp_path / "c_invalid.json").unlink()
+    (tmp_path / "d_bytes.json").write_bytes(b"\xff\xfe")
+    assert run(["bench", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: d_bytes.json: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte\n")

@@ -247,11 +247,13 @@ def test_parse_exact_reads_the_documented_grammar(text, value):
 ])
 def test_parse_exact_rejects_everything_else(text):
     # an exponent would make Fraction build 10**e; past the int-string
-    # digit limit a long literal is refused as well
-    with pytest.raises(ValueError, match="not a rational literal") as err:
-        parse_exact(text)
-    # the message echoes at most 40 characters of the literal
-    assert len(str(err.value)) < 100
+    # digit limit a long literal is refused as well.  exact reads strings
+    # by the same grammar
+    for read in (parse_exact, exact):
+        with pytest.raises(ValueError, match="not a rational literal") as err:
+            read(text)
+        # the message echoes at most 40 characters of the literal
+        assert len(str(err.value)) < 100
 
 
 def test_error_messages_echo_long_values_cut_short():
