@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InvalidArgument, NonIntegralData
 from .model import (
+    _dump_flat,
     _load_json,
     Exact,
     Instance,
@@ -100,7 +101,7 @@ def lotsizing_from_json_dict(data: dict) -> LotSizingInstance:
 
 
 def serialize_lotsizing(ls: LotSizingInstance) -> str:
-    return json.dumps(lotsizing_to_json_dict(ls), sort_keys=True, indent=2) + "\n"
+    return _dump_flat(lotsizing_to_json_dict(ls))
 
 
 def parse_lotsizing(text: str) -> LotSizingInstance:

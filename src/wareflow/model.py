@@ -15,6 +15,9 @@ at the boundary so no feasibility or optimality decision rests on rounding.
 A vector is checked whole: one that holds plain ints only is already exact
 and passes through the constructors and the JSON reader and writer as it
 is, and only a vector holding anything else is coerced value by value.
+Instance and plan files hold only scalars and lists of scalars, so
+_dump_flat writes them value by value through json's C encoder, in the
+bytes json.dumps(..., sort_keys=True, indent=2) gives, plus a newline.
 Validation likewise runs one test over whole vectors, which every valid
 instance passes; only an instance it refuses is walked period by period
 to report its first failing rule.
@@ -545,8 +548,29 @@ def _load_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
+# the C encoder, with each item of a list on its own line under its key
+_FLAT = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _dump_flat(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) plus a newline, for a
+    payload whose values are scalars and lists of scalars.
+
+    Each value goes through _FLAT, which runs in C and writes a list as
+    [a,\n    b]; a non-empty one is then opened and closed on lines of its
+    own, as the pure-Python indent=2 encoder writes it.
+    """
+    items = []
+    for key in sorted(payload):
+        text = _FLAT.encode(payload[key])
+        if text[0] == "[" and text != "[]":
+            text = f"[\n    {text[1:-1]}\n  ]"
+        items.append(f"  {_FLAT.encode(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_json_dict(inst), sort_keys=True, indent=2) + "\n"
+    return _dump_flat(instance_to_json_dict(inst))
 
 
 def parse_instance(text: str) -> Instance:
@@ -581,7 +605,7 @@ def solution_from_json_dict(data: dict) -> Solution:
 
 
 def serialize_solution(sol: Solution) -> str:
-    return json.dumps(solution_to_json_dict(sol), sort_keys=True, indent=2) + "\n"
+    return _dump_flat(solution_to_json_dict(sol))
 
 
 def parse_solution(text: str) -> Solution:

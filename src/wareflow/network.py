@@ -11,11 +11,12 @@ solve never materializes the O(T*S^2) arcs.  On wp1, wp3 and the doubled
 wp2 horizon a purchase arc s -> s' pays c*s - fp + [suf(s') - (c+h)*s'] and
 its heads form the window [s+Lx, s+Ux], which slides upward with the
 tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So each
-layer's suffix values follow in O(S) from one monotone-deque window
-arg-max per side with a positive upper bound plus the no-trade arc, and
-every node keeps the smallest head that attains its value.  The plan is
-read off those heads in one forward pass: the stock moves give x and y,
-and model.assemble_solution adds the minimal indicators and the objective.
+layer's suffix values follow in O(S) from one sweep up its tails that
+carries a monotone deque per side with a positive upper bound plus a
+pointer to the no-trade head, and every node keeps the smallest head
+that attains its value.  The plan is read off those heads in one forward
+pass: the stock moves give x and y, and model.assemble_solution adds the
+minimal indicators and the objective.
 
 Unless s0 lies in every [Ls_t, Us_t] (then the plan that never trades is
 feasible, as validation makes it on wp3), solve first carries the exact
@@ -52,8 +53,8 @@ denominators of all its data, and its fixed costs by F*F, the rule emit-lp
 prints, so no level, window key or payoff is a Fraction.  Every plan's
 objective scales by the same F*F and every stock by F, so all comparisons
 and equalities come out as before: the level sets keep their sizes, and
-the window arg-maxima and with them the tie-break below choose the same
-plan, which is divided back by F.  to_dot and the LP work on the searched
+the deque fronts and with them the tie-break below choose the same plan,
+which is divided back by F.  to_dot and the LP work on the searched
 instance as it is, so the DOT dump and the LP print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
@@ -322,46 +323,6 @@ def _decode(net: LayeredNetwork) -> Solution:
                     w=tuple(w), z=tuple(z), objective=total)
 
 
-def _window_argmax(tails, heads, keys, lo, hi) -> list:
-    """Per tail s, the index of the leftmost maximum of keys[j] over the
-    live heads in the window s+lo..s+hi, or None when none is live.
-
-    Tails and heads ascend, so both window ends only move up and a deque
-    of head indices with non-increasing keys yields every maximum in O(S).
-    Only strictly smaller keys are popped, so among equal keys the front
-    is the smallest head.  A head with key None is dead and never enters.
-    """
-    out = []
-    window: deque = deque()
-    nxt, n = 0, len(heads)
-    for s in tails:
-        top = s + hi
-        while nxt < n and heads[nxt] <= top:
-            key = keys[nxt]
-            if key is not None:
-                while window and keys[window[-1]] < key:
-                    window.pop()
-                window.append(nxt)
-            nxt += 1
-        bottom = s + lo
-        while window and heads[window[0]] < bottom:
-            window.popleft()
-        out.append(window[0] if window else None)
-    return out
-
-
-def _take_window(best, pick, tails, heads, after, h, unit, fixed, lo, hi):
-    """Give each tail s its leftmost best head in s+lo..s+hi if better."""
-    keys = [None if v is None else v - (unit + h) * s
-            for s, v in zip(heads, after)]
-    window = _window_argmax(tails, heads, keys, lo, hi)
-    for k, (s, j) in enumerate(zip(tails, window)):
-        if j is not None:
-            value = unit * s - fixed + keys[j]
-            if best[k] is None or value > best[k]:
-                best[k], pick[k] = value, j
-
-
 def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     """Best payoff to the last layer from every node, and the head that
     attains it, without building arcs.
@@ -369,34 +330,76 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     suffix equals the table _longest_path computes on build_network(inst,
     ...) over the same layers.  choice[t-1][k] indexes the smallest head in
     layer t that attains suffix[t-1][k], or is None with it.  inst must not
-    be wp2 (solve its doubled horizon instead).  A node takes its sell
-    window (heads <= s), its stay (by a pointer walk) and its buy window
-    (heads >= s) in order, each if strictly better, so it keeps its
+    be wp2 (solve its doubled horizon instead).
+
+    One sweep up each layer's ascending tails carries three pointers into
+    the ascending heads: a sell deque over [s-Uy, s-Ly] keyed by
+    suf(s') - (r+h)*s', the stay s' = s, and a buy deque over [s+Lx, s+Ux]
+    keyed by suf(s') - (c+h)*s'.  Both window ends only move up, so a head
+    enters each deque once, with its key computed then, and leaves it
+    once.  A deque keeps its keys non-increasing and pops only strictly
+    smaller ones, so its front is the leftmost maximum; a dead head (suffix
+    None) never enters.  The node takes the sell front, the stay and the
+    buy front in that order, each if strictly better, so it keeps its
     smallest best head.  A side with a zero upper bound (so Lx or Ly is 0
-    too), as on one side of each doubled wp2 half-period, makes no pass:
-    its window {s} is worth the stay less a nonnegative fixed cost, so it
-    never beats the stay and on a tie names the same head.
+    too), as on one side of each doubled wp2 half-period, lets no head
+    in: its window {s} is worth the stay less a nonnegative fixed cost, so
+    it never beats the stay and on a tie names the same head.
     """
     suffix: list = [None] * inst.T + [[0] * len(layers[-1])]
     choice: list = [None] * inst.T
     for i in reversed(range(inst.T)):
         tails, heads, after = layers[i], layers[i + 1], suffix[i + 1]
-        h = inst.holding[i]
-        best, pick = [None] * len(tails), [None] * len(tails)
-        if inst.Uy[i] > 0:  # sales: s' in [s-Uy, s-Ly]
-            _take_window(best, pick, tails, heads, after, h, inst.revenue[i],
-                         inst.fixed_sale[i], -inst.Uy[i], -inst.Ly[i])
-        j, n = 0, len(heads)
-        for k, s in enumerate(tails):  # the stay: s' = s
-            while j < n and heads[j] < s:
-                j += 1
-            if j < n and heads[j] == s and after[j] is not None:
-                value = after[j] - h * s
-                if best[k] is None or value > best[k]:
-                    best[k], pick[k] = value, j
-        if inst.Ux[i] > 0:  # purchases: s' in [s+Lx, s+Ux]
-            _take_window(best, pick, tails, heads, after, h, inst.cost[i],
-                         inst.fixed_purchase[i], inst.Lx[i], inst.Ux[i])
+        n = len(heads)
+        h, r, c = inst.holding[i], inst.revenue[i], inst.cost[i]
+        fs, fp = inst.fixed_sale[i], inst.fixed_purchase[i]
+        ly, uy, lx, ux = inst.Ly[i], inst.Uy[i], inst.Lx[i], inst.Ux[i]
+        sell_unit, buy_unit = r + h, c + h
+        sell_end = n if uy > 0 else 0
+        buy_end = n if ux > 0 else 0
+        sells: deque = deque()  # (key, head, index), keys non-increasing
+        buys: deque = deque()
+        down = stay = up = 0
+        best, pick = [], []
+        for s in tails:
+            value = head = None
+            top = s - ly  # sales: s' in [s-Uy, s-Ly]
+            while down < sell_end and heads[down] <= top:
+                if after[down] is not None:
+                    key = after[down] - sell_unit * heads[down]
+                    while sells and sells[-1][0] < key:
+                        sells.pop()
+                    sells.append((key, heads[down], down))
+                down += 1
+            bottom = s - uy
+            while sells and sells[0][1] < bottom:
+                sells.popleft()
+            if sells:
+                key, _, head = sells[0]
+                value = r * s - fs + key
+            while stay < n and heads[stay] < s:  # the stay: s' = s
+                stay += 1
+            if stay < n and heads[stay] == s and after[stay] is not None:
+                v = after[stay] - h * s
+                if value is None or v > value:
+                    value, head = v, stay
+            top = s + ux  # purchases: s' in [s+Lx, s+Ux]
+            while up < buy_end and heads[up] <= top:
+                if after[up] is not None:
+                    key = after[up] - buy_unit * heads[up]
+                    while buys and buys[-1][0] < key:
+                        buys.pop()
+                    buys.append((key, heads[up], up))
+                up += 1
+            bottom = s + lx
+            while buys and buys[0][1] < bottom:
+                buys.popleft()
+            if buys:
+                v = c * s - fp + buys[0][0]
+                if value is None or v > value:
+                    value, head = v, buys[0][2]
+            best.append(value)
+            pick.append(head)
         suffix[i], choice[i] = best, pick
     return suffix, choice
 

@@ -89,10 +89,10 @@ def _window_max(keys: dict, states, lo: int, hi: int) -> list:
     items = list(keys.items())
     out = []
     window: deque = deque()
-    nxt = 0
+    nxt, n = 0, len(items)
     for s in states:
         top = s + hi
-        while nxt < len(items) and items[nxt][0] <= top:
+        while nxt < n and items[nxt][0] <= top:
             item = items[nxt]
             while window and window[-1][1] <= item[1]:
                 window.pop()

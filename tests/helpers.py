@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -943,9 +944,11 @@ def reference_decode(net: LayeredNetwork) -> Solution:
 
 
 def reference_window_argmax(tails, heads, keys, lo, hi) -> list:
-    """network._window_argmax as it was before len(heads) left its inner
-    loop, kept verbatim: per tail s, the index of the leftmost maximum of
-    keys[j] over the live heads in the window s+lo..s+hi, or None."""
+    """The window arg-max that network._window_suffix ran once per trade
+    side before it took both windows in one sweep, as it was before
+    len(heads) left its inner loop, kept verbatim for
+    reference_window_suffix: per tail s, the index of the leftmost maximum
+    of keys[j] over the live heads in the window s+lo..s+hi, or None."""
     out = []
     window: deque = deque()
     nxt = 0
@@ -963,6 +966,62 @@ def reference_window_argmax(tails, heads, keys, lo, hi) -> list:
             window.popleft()
         out.append(window[0] if window else None)
     return out
+
+
+def reference_window_max(keys: dict, states, lo: int, hi: int) -> list:
+    """oracle._window_max as it was before len(items) left its inner loop,
+    kept verbatim: per state s, the largest keys[u] over the u in
+    s+lo..s+hi, or None when no key lies there."""
+    items = list(keys.items())
+    out = []
+    window: deque = deque()
+    nxt = 0
+    for s in states:
+        top = s + hi
+        while nxt < len(items) and items[nxt][0] <= top:
+            item = items[nxt]
+            while window and window[-1][1] <= item[1]:
+                window.pop()
+            window.append(item)
+            nxt += 1
+        bottom = s + lo
+        while window and window[0][0] < bottom:
+            window.popleft()
+        out.append(window[0][1] if window else None)
+    return out
+
+
+def window_case(pick) -> tuple[Instance, tuple]:
+    """An unvalidated wp1 instance and T+1 ascending layers of stocks in
+    -2..8, drawn by pick(lo, hi), an int in [lo, hi], for comparing
+    network._window_suffix with reference_window_suffix.
+
+    Unit prices lie in -1..1 and fixed costs in 0..1, so equal keys and
+    equal candidate values are common.  The layers have gaps, so some
+    heads reach nothing in the next layer and are dead.  A trade side's
+    upper bound is 0 with chance 1/4, and its lower bound lies in
+    0..upper.
+    """
+    T = pick(1, 4)
+
+    def bounds():
+        upper = [pick(0, 3) for _ in range(T)]
+        return tuple(pick(0, u) for u in upper), tuple(upper)
+
+    def vector(lo, hi):
+        return tuple(pick(lo, hi) for _ in range(T))
+
+    Lx, Ux = bounds()
+    Ly, Uy = bounds()
+    zero = (0,) * T
+    inst = Instance(
+        variant="wp1", T=T, s0=0, Ls=zero, Us=zero, Lx=Lx, Ux=Ux, Ly=Ly,
+        Uy=Uy, revenue=vector(-1, 1), cost=vector(-1, 1),
+        holding=vector(-1, 1), fixed_purchase=vector(0, 1),
+        fixed_sale=vector(0, 1))
+    layers = tuple(tuple(s for s in range(-2, 9) if pick(0, 1))
+                   for _ in range(T + 1))
+    return inst, layers
 
 
 def path_levels(net: LayeredNetwork) -> list[set]:
@@ -1023,6 +1082,40 @@ def reference_window_suffix(inst: Instance,
                     choice[t - 1][k] = j
             suffix[t - 1][k] = best
     return suffix, choice
+
+
+def reference_dump(payload) -> str:
+    """The pure-Python writer that model._dump_flat replaced, kept as the
+    witness of its bytes."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def flat_payloads(pick) -> tuple[Instance, Solution, LotSizingInstance]:
+    """An unvalidated instance, plan and lot-sizing instance over one
+    horizon T in 0..3, drawn by pick(lo, hi), an int in [lo, hi].  Each
+    number is a small int of either sign, a 400-digit int of either sign
+    or a "p/q" Fraction; T = 0 leaves every vector empty."""
+    T = pick(0, 3)
+
+    def number():
+        kind = pick(0, 2)
+        if kind == 0:
+            return pick(-99, 99)
+        if kind == 1:
+            return (-1) ** pick(0, 1) * (10**399 + pick(0, 10**6))
+        return Fraction(pick(-99, 99), pick(2, 9))
+
+    def vector():
+        return tuple(number() for _ in range(T))
+
+    inst = Instance(variant=("wp1", "wp2", "wp3")[pick(0, 2)], T=T,
+                    s0=number(), **{name: vector() for name in _VECTOR_FIELDS})
+    sol = Solution(x=vector(), y=vector(), s=vector(), w=vector(),
+                   z=vector(), objective=number())
+    ls = LotSizingInstance(T=T, s0=number(), demand=vector(),
+                           unit_cost=vector(), fixed_cost=vector(),
+                           Ux=vector(), Us=vector())
+    return inst, sol, ls
 
 
 def fractional_payoffs(inst: Instance, d: int) -> Instance:

@@ -2,6 +2,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from wareflow import (
     FeasibilityReport,
     Infeasible,
     Instance,
+    LotSizingInstance,
     LowerExceedsUpper,
     NegativeBound,
     PeriodOutOfRange,
@@ -22,15 +24,20 @@ from wareflow import (
     exact,
     format_exact,
     fptas_params,
+    fptas_solve,
     gen_random,
+    instance_to_json_dict,
     integral_instance,
+    lotsizing_to_json_dict,
     parse_exact,
     parse_instance,
     parse_solution,
     scale_instance,
     scale_trade_bounds,
     serialize_instance,
+    serialize_lotsizing,
     serialize_solution,
+    solution_to_json_dict,
     solve,
     validate_instance,
 )
@@ -38,8 +45,10 @@ from wareflow.model import _VECTOR_FIELDS, scale_factor
 from wareflow.network import search_instance
 from helpers import (
     PLANTED,
+    flat_payloads,
     outcome,
     planted,
+    reference_dump,
     reference_scale_instance,
     reference_validate_instance,
     solution_with,
@@ -308,6 +317,62 @@ def test_solution_roundtrip():
     inst = two_period_trade()
     sol = assemble_solution(inst, (5, 0), (0, 5))
     assert parse_solution(serialize_solution(sol)) == sol
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_flat_writers_write_the_pure_python_encoders_bytes_seeded():
+    rng = random.Random(28)
+    empty = Instance(variant="wp1", T=0, s0=0,
+                     **{name: () for name in _VECTOR_FIELDS})
+    instances, plans, lotsizings = [empty], [], []
+    for seed in range(24):
+        inst, sol, ls = flat_payloads(rng.randint)
+        instances.append(inst)
+        plans.append(sol)
+        lotsizings.append(ls)
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(seed, T=1 + seed % 4, variant=variant, max_bound=9)
+        instances.append(inst)
+        try:
+            plans.append(solve(inst))
+            if variant == "wp2":  # a plan of the doubled horizon
+                plans.append(solve(search_instance(inst)[0]))
+            if variant == "wp3":
+                plans.append(fptas_solve(inst, Fraction(1, 3)))
+        except Infeasible:
+            pass
+    assert any(inst.T == 1 for inst in instances)
+    assert any(len(sol.s) == 8 for sol in plans)  # a doubled T = 4 plan
+    for inst in instances:
+        assert serialize_instance(inst) == reference_dump(
+            instance_to_json_dict(inst))
+    for sol in plans:
+        assert serialize_solution(sol) == reference_dump(
+            solution_to_json_dict(sol))
+    for ls in lotsizings:
+        assert serialize_lotsizing(ls) == reference_dump(
+            lotsizing_to_json_dict(ls))
+
+
+_INSTANCE_FILE = (parse_instance, instance_to_json_dict, serialize_instance)
+
+
+@pytest.mark.parametrize("name, reader, payload, writer", [
+    ("fptas_third.json", *_INSTANCE_FILE),
+    ("two_period_trade.json", *_INSTANCE_FILE),
+    ("wp2_mixed.json", *_INSTANCE_FILE),
+    ("fptas_third.solution.json", parse_solution, solution_to_json_dict,
+     serialize_solution),
+])
+def test_data_files_round_trip_through_the_flat_writer(name, reader,
+                                                      payload, writer):
+    # the data files that are already in the written form, the golden
+    # FPTAS plan among them
+    text = (DATA / name).read_text()
+    value = reader(text)
+    assert writer(value) == text == reference_dump(payload(value))
 
 
 def test_parse_instance_rejects_garbage():

@@ -35,7 +35,6 @@ from wareflow.network import (
     _decode,
     _longest_path,
     _reachable_hulls,
-    _window_argmax,
     _window_suffix,
     arc_counts,
     search_instance,
@@ -48,11 +47,11 @@ from helpers import (
     reference_build_network,
     reference_decode,
     reference_to_dot,
-    reference_window_argmax,
     reference_window_suffix,
     slice_rule_cases,
     solve_with_network,
     two_period_trade,
+    window_case,
     wp2_mixed,
 )
 
@@ -420,39 +419,31 @@ def test_window_dp_ties_pick_the_smallest_head(overrides, stocks):
     assert solve(inst).s == stocks
 
 
-def _window_passes(monkeypatch, inst) -> list:
-    """The (lo, hi) of every window arg-max pass solve makes, in order."""
-    passes = []
-    original = wareflow.network._window_argmax
-
-    def counted(tails, heads, keys, lo, hi):
-        passes.append((lo, hi))
-        return original(tails, heads, keys, lo, hi)
-
-    monkeypatch.setattr(wareflow.network, "_window_argmax", counted)
-    solve(inst)
-    return passes
+def _sweep_matches_the_reference(inst) -> None:
+    """_window_suffix's tables equal reference_window_suffix's over the
+    levels of inst as given and of its integer copy."""
+    for case in (inst, integral_instance(inst)[0]):
+        layers = ((case.s0,),) + gen_stock_levels(case).levels
+        assert _window_suffix(case, layers) == reference_window_suffix(
+            case, layers)
 
 
-def test_solve_makes_one_window_pass_per_doubled_wp2_half_period(
-        monkeypatch):
+def test_window_suffix_matches_the_reference_on_doubled_wp2_mixed():
     # every trade bound of wp2_mixed is positive, so each half-period of
-    # the doubled horizon trades on exactly one side; the DP runs backward
+    # the doubled horizon trades on exactly one side and the sweep lets
+    # no head into the other side's deque
     inst = wp2_mixed()
     assert all(v > 0 for v in inst.Ux + inst.Uy)
-    expected = []
-    for t in reversed(inst.periods):
-        i = t - 1
-        expected.append((inst.Lx[i], inst.Ux[i]))  # purchase half 2t
-        expected.append((-inst.Uy[i], -inst.Ly[i]))  # sale half 2t-1
-    passes = _window_passes(monkeypatch, inst)
-    assert len(passes) == 2 * inst.T
-    assert passes == expected
+    doubled = search_instance(inst)[0]
+    assert [(ux > 0, uy > 0) for ux, uy in zip(doubled.Ux, doubled.Uy)] == (
+        [(False, True), (True, False)] * inst.T)
+    _sweep_matches_the_reference(doubled)
 
 
-def test_solve_makes_both_window_passes_where_both_sides_trade(monkeypatch):
+def test_window_suffix_matches_the_reference_where_both_sides_trade():
     inst = two_period_trade()
-    assert _window_passes(monkeypatch, inst) == [(-5, 0), (0, 5)] * 2
+    assert all(v > 0 for v in inst.Ux + inst.Uy)
+    _sweep_matches_the_reference(inst)
 
 
 def test_window_dp_matches_network_on_fptas_scaled_bounds():
@@ -708,16 +699,17 @@ def test_decode_takes_the_smaller_of_two_equal_heads():
     assert sol == reference_decode(net)
 
 
-def test_window_argmax_matches_the_verbatim_reference_seeded():
+def test_window_suffix_matches_the_reference_on_seeded_layers():
     rng = random.Random(20)
+    dead = zero_sides = 0
     for _ in range(400):
-        tails = sorted(rng.sample(range(-12, 13), rng.randint(0, 8)))
-        heads = sorted(rng.sample(range(-12, 13), rng.randint(0, 10)))
-        keys = [rng.choice((None, rng.randint(-3, 3))) for _ in heads]
-        lo = rng.randint(-6, 6)
-        hi = lo + rng.randint(0, 6)
-        assert _window_argmax(tails, heads, keys, lo, hi) == (
-            reference_window_argmax(tails, heads, keys, lo, hi))
+        inst, layers = window_case(rng.randint)
+        tables = _window_suffix(inst, layers)
+        assert tables == reference_window_suffix(inst, layers)
+        dead += sum(v is None for layer in tables[0] for v in layer)
+        zero_sides += (inst.Ux + inst.Uy).count(0)
+    # the draws hold what they are for: dead heads and zero sides
+    assert dead > 400 and zero_sides > 400
 
 
 def _counted_levels(monkeypatch) -> list:

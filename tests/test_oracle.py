@@ -1,5 +1,6 @@
 import ast
 import inspect
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from helpers import (
     blocked_by_fixed_cost,
     brute_oracle_solve,
     fractional_payoffs,
+    reference_window_max,
     two_period_trade,
 )
 
@@ -119,6 +121,23 @@ def test_oracle_matches_the_brute_force_oracle():
     assert sum("objective=Fraction" in o for o in outcomes) > 20
     assert any(inst.variant.value == "wp2" and min(inst.Lx) > 0
                and min(inst.Ly) > 0 for inst in cases)
+
+
+def test_window_max_matches_the_verbatim_reference_seeded():
+    # ascending states, key dicts over ascending stocks with gaps, and
+    # empty dicts
+    rng = random.Random(22)
+    empties = 0
+    for _ in range(400):
+        stocks = sorted(rng.sample(range(-12, 13), rng.randint(0, 10)))
+        keys = {u: rng.randint(-3, 3) for u in stocks}
+        states = sorted(rng.sample(range(-12, 13), rng.randint(0, 8)))
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(0, 6)
+        empties += not keys
+        assert oracle._window_max(keys, states, lo, hi) == (
+            reference_window_max(keys, states, lo, hi))
+    assert empties
 
 
 def test_oracle_imports_no_solver_module():

@@ -29,19 +29,23 @@ from wareflow import (  # noqa: E402
     fptas_params,
     gen_random,
     gen_stock_levels,
+    instance_to_json_dict,
     integral_instance,
     lift_and_check,
     lift_solution,
+    lotsizing_to_json_dict,
     oracle_solve,
     parse_exact,
     scale_instance,
     scale_trade_bounds,
     serialize_instance,
+    serialize_lotsizing,
     serialize_solution,
     solve,
     solve_wp2_direct,
     to_dot,
 )
+from wareflow import oracle  # noqa: E402
 from wareflow.cli import run  # noqa: E402
 from wareflow.extform import _decimal, _lp_text  # noqa: E402
 from wareflow.model import (  # noqa: E402
@@ -57,7 +61,6 @@ from wareflow.network import (  # noqa: E402
     SolveTrace,
     _decode,
     _reachable_hulls,
-    _window_argmax,
     _window_suffix,
     arc_counts,
     search_instance,
@@ -66,6 +69,7 @@ from helpers import (  # noqa: E402
     PLANTED,
     Raised,
     brute_oracle_solve,
+    flat_payloads,
     fractional_payoffs,
     lift_outcome,
     outcome,
@@ -75,6 +79,7 @@ from helpers import (  # noqa: E402
     reference_build_network,
     reference_clipped_stock_levels,
     reference_decode,
+    reference_dump,
     reference_emit_lp,
     reference_exact_vector,
     reference_instance_from_json_dict,
@@ -86,11 +91,12 @@ from helpers import (  # noqa: E402
     reference_stock_levels,
     reference_to_dot,
     reference_validate_instance,
-    reference_window_argmax,
+    reference_window_max,
     reference_window_suffix,
     solve_with_network,
     text_or_value_error,
     typed,
+    window_case,
 )
 
 SETTINGS = settings(
@@ -301,20 +307,35 @@ def test_path_levels_lie_in_their_cut_layer(inst, d):
 
 
 @st.composite
-def windows(draw):
-    """Ascending tails and heads (either may be empty), head keys with
-    None among them, and a window lo <= hi."""
-    points = st.lists(st.integers(-10, 10), max_size=8, unique=True)
-    tails, heads = sorted(draw(points)), sorted(draw(points))
-    keys = [draw(st.none() | st.integers(-3, 3)) for _ in heads]
-    lo = draw(st.integers(-6, 6))
-    return tails, heads, keys, lo, lo + draw(st.integers(0, 6))
+def window_cases(draw):
+    """helpers.window_case drawn by Hypothesis: small layers with equal
+    keys, dead heads and zero trade sides."""
+    return window_case(lambda lo, hi: draw(st.integers(lo, hi)))
 
 
 @SETTINGS
-@given(windows())
-def test_window_argmax_matches_the_verbatim_reference(case):
-    assert _window_argmax(*case) == reference_window_argmax(*case)
+@given(window_cases())
+def test_window_suffix_matches_the_reference_on_drawn_layers(case):
+    inst, layers = case
+    assert _window_suffix(inst, layers) == reference_window_suffix(
+        inst, layers)
+
+
+@st.composite
+def window_max_cases(draw):
+    """A key dict over ascending stocks with gaps (it may be empty),
+    ascending states, and a window lo <= hi."""
+    points = st.lists(st.integers(-10, 10), max_size=8, unique=True)
+    keys = {u: draw(st.integers(-3, 3)) for u in sorted(draw(points))}
+    states = sorted(draw(points))
+    lo = draw(st.integers(-6, 6))
+    return keys, states, lo, lo + draw(st.integers(0, 6))
+
+
+@SETTINGS
+@given(window_max_cases())
+def test_oracle_window_max_matches_the_verbatim_reference(case):
+    assert oracle._window_max(*case) == reference_window_max(*case)
 
 
 @SETTINGS
@@ -648,12 +669,23 @@ def test_vector_paths_match_the_value_by_value_references(vec, base, name):
                     "s0": format_exact(inst.s0),
                     **{field: [format_exact(v) for v in getattr(inst, field)]
                        for field in _VECTOR_FIELDS}}
-        assert serialize_instance(inst) == json.dumps(
-            by_value, sort_keys=True, indent=2) + "\n"
+        assert serialize_instance(inst) == reference_dump(by_value)
     if not isinstance(converted, Raised):
         sol = Solution(x=converted, y=converted[::-1], s=converted,
                        w=converted, z=converted, objective=sum(converted))
         expected = reference_solution_to_json_dict(sol)
         assert typed(solution_to_json_dict(sol)) == typed(expected)
-        assert serialize_solution(sol) == json.dumps(
-            expected, sort_keys=True, indent=2) + "\n"
+        assert serialize_solution(sol) == reference_dump(expected)
+
+
+@SETTINGS
+@given(st.data())
+def test_flat_writers_write_the_pure_python_encoders_bytes(data):
+    # negative, 400-digit and "p/q" numbers, T from 0 (empty vectors) to 3
+    inst, sol, ls = flat_payloads(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert serialize_instance(inst) == reference_dump(
+        instance_to_json_dict(inst))
+    assert serialize_solution(sol) == reference_dump(
+        solution_to_json_dict(sol))
+    assert serialize_lotsizing(ls) == reference_dump(
+        lotsizing_to_json_dict(ls))
