@@ -7,6 +7,8 @@ arcs carry extreme trade decisions, by a sliding-window DP over the levels
 that builds no arc; everything runs in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DeltaOutOfRange,
     EmptyInput,
@@ -97,5 +99,7 @@ from .stocklevels import (
     gen_stock_levels,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = sorted(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

@@ -29,13 +29,13 @@ from .generators import (
 from .model import (
     Variant,
     check_solution,
+    echo,
     format_exact,
     parse_exact,
     parse_instance,
     parse_solution,
     serialize_instance,
     serialize_solution,
-    validate_instance,
 )
 from .network import SolveTrace, arc_counts, solve, to_dot
 from .oracle import oracle_solve
@@ -93,7 +93,6 @@ def _cmd_emit_lp(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = parse_instance(_read(args.input))
-    validate_instance(inst)
     sol = parse_solution(_read(args.solution))
     report = check_solution(inst, sol)
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -103,7 +102,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_levels(args) -> int:
     inst = parse_instance(_read(args.input))
-    validate_instance(inst)
     levels = gen_stock_levels(inst)
     payload = {
         "S_size": levels.S_size,
@@ -120,10 +118,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce_partition(args) -> int:
-    try:
-        numbers = [int(v) for v in args.numbers.split(",") if v.strip()]
-    except ValueError:
-        raise WarehouseError(f"--numbers expects integers, got {args.numbers!r}")
+    numbers = []
+    for entry in filter(None, (v.strip() for v in args.numbers.split(","))):
+        try:
+            value = parse_exact(entry)
+        except ValueError:
+            value = None
+        if type(value) is not int:
+            raise WarehouseError(f"--numbers expects integers, got {echo(entry)}")
+        numbers.append(value)
     inst, target = reduce_partition(numbers)
     print(f"target: {format_exact(target)}", file=sys.stderr)
     _emit(serialize_instance(inst), args.output)

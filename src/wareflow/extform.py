@@ -263,8 +263,8 @@ def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
 def emit_lp(inst: Instance) -> str:
     """Print the extended formulation in the common LP text dialect.
 
-    The instance is validated and emitted as search_instance returns it,
-    so wp2 lands on its doubled horizon, matching how it is solved.  The
+    The instance is emitted as search_instance returns it, so wp2 lands
+    on its doubled horizon, matching how it is solved.  The
     text is _lp_text's, written from the levels in one walk with no
     network built, and its rows are the ones lift_and_check evaluates.
     Every number prints as an exact decimal: emit_lp writes the text, and

@@ -33,7 +33,6 @@ from .model import (
     echo,
     exact,
     exact_quotient,
-    validate_instance,
 )
 from .network import solve
 
@@ -234,13 +233,12 @@ def scale_trade_bounds(inst: Instance, params: FptasParams) -> Instance:
 
 
 def fptas_scale(inst: Instance, epsilon) -> tuple[FptasParams, Instance]:
-    """Validate a wp3 instance and round its trade bounds for the FPTAS.
+    """Round a wp3 instance's trade bounds for the FPTAS.
 
     Returns the scaling params and the instance with every upper trade
-    bound rounded down to a multiple of K = epsilon * U_min.  Raises the
-    validation errors first, then WrongVariant, then the fptas_params ones.
+    bound rounded down to a multiple of K = epsilon * U_min.  Raises
+    WrongVariant, then the fptas_params errors.
     """
-    validate_instance(inst)
     if inst.variant is not Variant.WP3:
         raise WrongVariant("fptas applies to wp3 instances only")
     params = fptas_params(inst, epsilon)

@@ -24,7 +24,6 @@ from .model import (
     exact_vector,
     format_exact,
     parse_exact,
-    validate_instance,
 )
 
 
@@ -34,7 +33,8 @@ class LotSizingInstance:
 
     Each period's demand is served from opening stock, then production
     (bounded by Ux, fixed cost when positive) replenishes, and closing
-    stock may not exceed Us.
+    stock may not exceed Us.  It validates itself when it is built, by
+    validate_lotsizing.
     """
 
     T: int
@@ -51,6 +51,7 @@ class LotSizingInstance:
         object.__setattr__(self, "s0", exact(self.s0))
         for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us"):
             object.__setattr__(self, name, exact_vector(getattr(self, name)))
+        validate_lotsizing(self)
 
 
 def validate_lotsizing(ls: LotSizingInstance) -> None:
@@ -95,9 +96,7 @@ def lotsizing_from_json_dict(data: dict) -> LotSizingInstance:
         if not isinstance(data[name], list):
             raise InvalidArgument(f"{name} must be a list")
         vectors[name] = tuple(parse_exact(v) for v in data[name])
-    ls = LotSizingInstance(T=data["T"], s0=parse_exact(data["s0"]), **vectors)
-    validate_lotsizing(ls)
-    return ls
+    return LotSizingInstance(T=data["T"], s0=parse_exact(data["s0"]), **vectors)
 
 
 def serialize_lotsizing(ls: LotSizingInstance) -> str:
@@ -124,7 +123,6 @@ def reduce_lotsizing(ls: LotSizingInstance) -> tuple[Instance, Exact]:
     some demand loses at least 1 unit of sales, hence at least M payoff,
     which is what makes M's size sufficient.
     """
-    validate_lotsizing(ls)
     numbers = [ls.s0, *ls.demand, *ls.unit_cost, *ls.fixed_cost, *ls.Ux, *ls.Us]
     if any(not isinstance(v, int) for v in numbers):
         raise NonIntegralData("lot-sizing reduction requires integral data")
@@ -146,7 +144,6 @@ def reduce_lotsizing(ls: LotSizingInstance) -> tuple[Instance, Exact]:
         fixed_purchase=ls.fixed_cost,
         fixed_sale=zero,
     )
-    validate_instance(inst)
     return inst, M
 
 
@@ -163,7 +160,8 @@ def reduce_partition(a) -> tuple[Instance, Exact]:
         raise EmptyInput("need at least one integer")
     for v in entries:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InvalidArgument(f"entries must be positive integers, got {v!r}")
+            raise InvalidArgument(
+                f"entries must be positive integers, got {echo(v)}")
     n = len(entries)
     A = sum(entries)
     T = n + 1
@@ -184,7 +182,6 @@ def reduce_partition(a) -> tuple[Instance, Exact]:
         fixed_purchase=zero,
         fixed_sale=zero,
     )
-    validate_instance(inst)
     return inst, exact(Fraction(3 * A, 2))
 
 
@@ -236,7 +233,7 @@ def gen_random(seed: int, T: int, variant, max_bound: int) -> Instance:
         ceiling = min(Us)
         Ls = tuple(min(v, ceiling) for v in Ls)
         s0 = min(max(s0, max(Ls)), ceiling)
-    inst = Instance(
+    return Instance(
         variant=variant,
         T=T,
         s0=s0,
@@ -252,5 +249,3 @@ def gen_random(seed: int, T: int, variant, max_bound: int) -> Instance:
         fixed_purchase=fixed_purchase,
         fixed_sale=fixed_sale,
     )
-    validate_instance(inst)
-    return inst

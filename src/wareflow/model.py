@@ -187,7 +187,8 @@ class Instance:
     amount when the purchase indicator is on, [Ly, Uy] the sale amount when
     the sale indicator is on.  revenue/cost/holding are the linear payoff
     coefficients and fixed_purchase/fixed_sale the per-period charges for
-    switching an indicator on.
+    switching an indicator on.  Every construction, replace() included,
+    runs validate_instance, so no invalid Instance exists.
     """
 
     variant: Variant
@@ -212,6 +213,7 @@ class Instance:
         object.__setattr__(self, "s0", exact(self.s0))
         for name in _VECTOR_FIELDS:
             object.__setattr__(self, name, exact_vector(getattr(self, name)))
+        validate_instance(self)
 
     @property
     def periods(self) -> range:
@@ -323,7 +325,8 @@ def validate_instance(inst: Instance) -> None:
     passes every valid instance; an instance it refuses is walked period
     by period in that order, and the first rule failing is reported.
     Raises NegativeBound, LowerExceedsUpper, WrongVectorLength, or
-    WP3ShapeViolation.
+    WP3ShapeViolation.  Instance.__post_init__ calls it on every instance
+    built, so callers need not.
     """
     if inst.T < 1:
         raise WrongVectorLength(f"T must be positive, got {echo(inst.T)}")

@@ -44,8 +44,8 @@ plan's stock move only into one of them, to_dot prices each arc they
 name by arc_candidates, and arc_counts sums their lengths, so bench
 counts the arcs of the levels solve searched without building them.
 
-search_instance is the one route to the searched instance: it validates,
-moves wp2 onto the doubled horizon, and returns the map back.
+search_instance is the one route to the searched instance: it moves wp2
+onto the doubled horizon and returns the map back.
 
 solve searches in integers.  model.integral_instance multiplies the
 searched instance's s0, bounds and unit prices by F, the LCM of the
@@ -79,7 +79,6 @@ from .model import (
     assemble_solution,
     evaluate_payoff,
     integral_instance,
-    validate_instance,
 )
 from .stocklevels import StockLevels, double_horizon, gen_stock_levels
 
@@ -492,13 +491,12 @@ def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
 
 
 def search_instance(inst: Instance) -> tuple[Instance, Callable]:
-    """Validate an instance and return the one the solvers search.
+    """The instance the solvers search, and the map of its plans back.
 
     wp2 is rewritten onto its doubled, one-side-per-period horizon and the
     returned map restores a T-period solution; wp1 and wp3 pass through
     unchanged with the identity map.
     """
-    validate_instance(inst)
     if inst.variant is Variant.WP2:
         return double_horizon(inst)
     return inst, lambda sol: sol
@@ -527,7 +525,6 @@ def solve_wp2_direct(inst: Instance) -> Solution:
     Exists as an independent route for cross-checking solve(); the two must
     agree in objective value.
     """
-    validate_instance(inst)
     if inst.variant is not Variant.WP2:
         raise WrongVariant("solve_wp2_direct applies to wp2 instances only")
     return _decode(build_network(inst, gen_stock_levels(inst)))

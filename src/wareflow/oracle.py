@@ -30,7 +30,6 @@ from .model import (
     Solution,
     Variant,
     evaluate_payoff,
-    validate_instance,
 )
 
 
@@ -154,7 +153,6 @@ def oracle_solve(inst: Instance) -> Solution:
     per period.  Raises Infeasible when no integral plan exists and
     NonIntegralData on fractional bounds.
     """
-    validate_instance(inst)
     _require_integral(inst)
     # best[t][s] = payoff achievable over periods t+1..T starting at stock s
     best: list[dict] = [dict() for _ in range(inst.T + 1)]

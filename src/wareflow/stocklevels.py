@@ -128,9 +128,9 @@ def _sweep(start: set, steps) -> list[set]:
 def gen_stock_levels(inst: Instance) -> StockLevels:
     """Compute the candidate stock values for every period.
 
-    The instance is assumed validated.  For wp2 the doubled horizon is
-    expanded and its even layers are projected back.  A whole level is
-    always an int, also when the bounds hold Fractions.
+    For wp2 the doubled horizon is expanded and its even layers are
+    projected back.  A whole level is always an int, also when the bounds
+    hold Fractions.
     """
     if inst.variant is Variant.WP2:
         inner = gen_stock_levels(double_horizon(inst)[0])

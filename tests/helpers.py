@@ -1090,11 +1090,13 @@ def reference_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def flat_payloads(pick) -> tuple[Instance, Solution, LotSizingInstance]:
-    """An unvalidated instance, plan and lot-sizing instance over one
+def flat_payloads(pick) -> tuple[dict, Solution, dict]:
+    """An instance payload, a plan and a lot-sizing payload over one
     horizon T in 0..3, drawn by pick(lo, hi), an int in [lo, hi].  Each
     number is a small int of either sign, a 400-digit int of either sign
-    or a "p/q" Fraction; T = 0 leaves every vector empty."""
+    or a "p/q" Fraction; T = 0 leaves every vector empty.  Such data fail
+    validation, so the two instances are the JSON dicts their writers
+    would make, not records."""
     T = pick(0, 3)
 
     def number():
@@ -1108,13 +1110,17 @@ def flat_payloads(pick) -> tuple[Instance, Solution, LotSizingInstance]:
     def vector():
         return tuple(number() for _ in range(T))
 
-    inst = Instance(variant=("wp1", "wp2", "wp3")[pick(0, 2)], T=T,
-                    s0=number(), **{name: vector() for name in _VECTOR_FIELDS})
+    def formatted():
+        return [format_exact(v) for v in vector()]
+
+    inst = {"variant": ("wp1", "wp2", "wp3")[pick(0, 2)], "T": T,
+            "s0": format_exact(number()),
+            **{name: formatted() for name in _VECTOR_FIELDS}}
     sol = Solution(x=vector(), y=vector(), s=vector(), w=vector(),
                    z=vector(), objective=number())
-    ls = LotSizingInstance(T=T, s0=number(), demand=vector(),
-                           unit_cost=vector(), fixed_cost=vector(),
-                           Ux=vector(), Us=vector())
+    ls = {"T": T, "s0": format_exact(number()),
+          **{name: formatted()
+             for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us")}}
     return inst, sol, ls
 
 
@@ -1246,11 +1252,14 @@ def reference_exact_vector(values) -> tuple[Exact, ...]:
     return tuple(map(exact, values))
 
 
-def reference_validate_instance(inst: Instance) -> None:
+def reference_validate_instance(inst) -> None:
     """Check every structural invariant, reporting the first failure.
 
-    Violations are reported smallest period first.  Raises NegativeBound,
-    LowerExceedsUpper, WrongVectorLength, or WP3ShapeViolation.
+    inst is any record with an Instance's fields, such as the
+    SimpleNamespace of a planted field mapping: no invalid Instance can
+    be built.  Violations are reported smallest period first.  Raises
+    NegativeBound, LowerExceedsUpper, WrongVectorLength, or
+    WP3ShapeViolation.
     """
     if inst.T < 1:
         raise WrongVectorLength(f"T must be positive, got {echo(inst.T)}")
@@ -1263,7 +1272,7 @@ def reference_validate_instance(inst: Instance) -> None:
     if inst.s0 < 0:
         raise NegativeBound(f"s0 = {echo(inst.s0)} is negative")
     pairs = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
-    for t in inst.periods:
+    for t in range(1, inst.T + 1):
         i = t - 1
         for lo_name, hi_name in pairs:
             lo = getattr(inst, lo_name)[i]
@@ -1284,7 +1293,7 @@ def reference_validate_instance(inst: Instance) -> None:
             if v < 0:
                 raise NegativeBound(f"{name}[{t}] = {echo(v)} is negative")
     if inst.variant is Variant.WP3:
-        for t in inst.periods:
+        for t in range(1, inst.T + 1):
             i = t - 1
             for name in ("Lx", "Ly", "fixed_purchase", "fixed_sale",
                          "holding"):
@@ -1339,23 +1348,26 @@ PLANTED = (-1, 0, 1, 7, Fraction(-1, 3), Fraction(7, 2), -10**3999,
            10**3999)
 
 
-def planted(inst: Instance, edits) -> Instance:
-    """inst with each edit (name, index, value) applied: value replaces
-    item index (modulo the length) of vector name, or s0 when name is
-    "s0"; the value "append" adds an item 0 to a vector and "drop"
-    removes its last one, and both leave s0 as it is."""
+def planted(inst: Instance, edits) -> dict:
+    """The fields of inst with each edit (name, index, value) applied:
+    value replaces item index (modulo the length) of vector name, or s0
+    when name is "s0"; the value "append" adds an item 0 to a vector and
+    "drop" removes its last one, and both leave s0 as it is.  The fields
+    come back as a mapping, as Instance(**fields) takes them, because an
+    edit may make them invalid."""
     fields = {name: list(getattr(inst, name)) for name in _VECTOR_FIELDS}
-    s0 = inst.s0
+    fields.update(variant=inst.variant, T=inst.T, s0=inst.s0)
     for name, index, value in edits:
         if name == "s0":
-            s0 = s0 if value in ("append", "drop") else value
+            if value not in ("append", "drop"):
+                fields["s0"] = value
         elif value == "append":
             fields[name].append(0)
         elif value == "drop":
             del fields[name][-1:]
         elif fields[name]:
             fields[name][index % len(fields[name])] = value
-    return replace(inst, s0=s0, **fields)
+    return fields
 
 
 class Raised(NamedTuple):
@@ -1365,10 +1377,10 @@ class Raised(NamedTuple):
     message: str
 
 
-def outcome(fn, *args):
-    """fn(*args), or the Raised of the error it raises."""
+def outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the Raised of the error it raises."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except Exception as err:  # noqa: BLE001 - the error is the outcome
         return Raised(type(err), str(err))
 

@@ -22,16 +22,18 @@ from wareflow import (
     fptas_params,
     gen_random,
     gen_stock_levels,
+    instance_to_json_dict,
     parse_instance,
     parse_solution,
+    reduce_partition,
     serialize_instance,
     serialize_lotsizing,
     serialize_solution,
     scale_trade_bounds,
     solve,
-    validate_instance,
 )
 from wareflow.cli import run
+from wareflow.model import echo
 from wareflow.network import search_instance
 from helpers import (
     gap_infeasible,
@@ -294,6 +296,28 @@ def test_fptas_rejects_wp3_holding(tmp_path, capsys):
     assert err.startswith("error:") and "holding[2]" in err
 
 
+def test_an_invalid_instance_is_reported_before_the_other_arguments(
+        tmp_path, capsys):
+    # the instance is refused while its file is parsed, so its own error
+    # comes before a malformed --epsilon or an unreadable --solution
+    data = dict(instance_to_json_dict(two_period_trade()), variant="wp3",
+                Lx=[3, 0], Ux=[1, 5])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{")
+    for extra in (["fptas", "--epsilon", "1.5"],
+                  ["check", "--solution", str(garbage)]):
+        assert run([*extra, "--input", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: Lx[1] = 3 exceeds Ux[1] = 1\n"
+    # with a valid instance the malformed epsilon is the error
+    path.write_text(serialize_instance(reduce_partition([1, 1])[0]))
+    assert run(["fptas", "--epsilon", "1.5", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: not a rational literal: '1.5'\n"
+
+
 def _solve_outputs(tmp_path, capsys, path, *extra):
     sol_path = tmp_path / "sol.json"
     sol_path.unlink(missing_ok=True)
@@ -449,6 +473,28 @@ def test_reduce_partition_rejects_garbage(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("numbers", ["3,1,4,1,5", "3, 1, 4"])
+def test_reduce_partition_reads_the_integer_grammar(numbers, tmp_path,
+                                                    capsys):
+    path = tmp_path / "part.json"
+    assert run(["reduce", "partition", "--numbers", numbers,
+                "--output", str(path)]) == 0
+    inst, target = reduce_partition([int(v) for v in numbers.split(",")])
+    assert capsys.readouterr().err == f"target: {format_exact(target)}\n"
+    assert path.read_text() == serialize_instance(inst)
+
+
+@pytest.mark.parametrize("entry", ["1_0", "\u0663", "1e3", "3/2", "9" * 5000],
+                         ids=["underscore", "arabic-indic", "exponent",
+                              "fraction", "5000-digits"])
+def test_reduce_partition_refuses_entries_outside_the_grammar(entry, capsys):
+    assert run(["reduce", "partition", "--numbers", f"1, {entry} ,2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --numbers expects integers, got {echo(entry)}\n"
+    assert len(out.err.encode()) < 200
+
+
 def test_reduce_lotsizing_command(tmp_path, capsys):
     from wareflow import LotSizingInstance
 
@@ -462,6 +508,17 @@ def test_reduce_lotsizing_command(tmp_path, capsys):
     assert capsys.readouterr().err == "M: 11\n"
     assert run(["solve", "--input", str(inst_path)]) == 0
     assert capsys.readouterr().out == "objective: 18\n"
+
+
+def test_reduce_lotsizing_refuses_invalid_data(tmp_path, capsys):
+    # the file parses, and the record it builds refuses its negative demand
+    ls_path = tmp_path / "ls.json"
+    ls_path.write_text(json.dumps({
+        "T": 1, "s0": 0, "demand": [-1], "unit_cost": [1], "fixed_cost": [0],
+        "Ux": [1], "Us": [1]}))
+    assert run(["reduce", "lotsizing", "--input", str(ls_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: demand has a negative entry\n"
 
 
 @pytest.mark.parametrize("demand", [5, "34"], ids=["number", "string"])
@@ -691,10 +748,10 @@ def test_bench_names_the_file_it_cannot_read(tmp_path, capsys):
         "fixed_purchase, fixed_sale\n")
     # an instance that parses but fails validation is named as well
     bad.unlink()
-    invalid = replace(inst, Lx=(3, 0), Ux=(1, 5))
-    (tmp_path / "c_invalid.json").write_text(serialize_instance(invalid))
+    invalid = dict(instance_to_json_dict(inst), Lx=[3, 0], Ux=[1, 5])
+    (tmp_path / "c_invalid.json").write_text(json.dumps(invalid))
     with pytest.raises(LowerExceedsUpper) as caught:
-        validate_instance(invalid)
+        replace(inst, Lx=(3, 0), Ux=(1, 5))
     assert run(["bench", "--dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: c_invalid.json: {caught.value}\n"
     # so is a file that is not UTF-8, whose error text ignores its args

@@ -311,9 +311,9 @@ def test_emit_lp_doubles_wp2_horizon():
 
 
 def test_emit_lp_validates_the_instance():
-    bad = replace(two_period_trade(), Lx=(3, 0), Ux=(1, 5))
+    # the Instance refuses itself, so emit_lp never sees one
     with pytest.raises(LowerExceedsUpper):
-        emit_lp(bad)
+        emit_lp(replace(two_period_trade(), Lx=(3, 0), Ux=(1, 5)))
 
 
 @pytest.mark.parametrize("value", [

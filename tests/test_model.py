@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +11,7 @@ from wareflow import (
     FeasibilityReport,
     Infeasible,
     Instance,
+    InvalidArgument,
     LotSizingInstance,
     LowerExceedsUpper,
     NegativeBound,
@@ -41,7 +43,7 @@ from wareflow import (
     solve,
     validate_instance,
 )
-from wareflow.model import _VECTOR_FIELDS, scale_factor
+from wareflow.model import _VECTOR_FIELDS, _dump_flat, scale_factor
 from wareflow.network import search_instance
 from helpers import (
     PLANTED,
@@ -80,19 +82,23 @@ def test_instance_refuses_a_T_that_is_not_an_int(T):
 
 def test_validate_matches_the_period_loop_reference():
     """One or two planted violations of every kind, in every variant:
-    validate_instance raises the error the period-by-period loop it
-    replaced raises, with the same message, or both pass."""
+    building the Instance raises the error the period-by-period loop
+    validate_instance replaced raises, with the same message, or both
+    pass."""
     rng = random.Random(24)
     seen = set()
     for seed in range(600):
         variant = ("wp1", "wp2", "wp3")[seed % 3]
         T = 1 + seed % 5
-        inst = planted(gen_random(seed, T, variant, 9), [
+        fields = planted(gen_random(seed, T, variant, 9), [
             (rng.choice(("s0",) + _VECTOR_FIELDS), rng.randrange(T),
              rng.choice(PLANTED + ("append", "drop")))
             for _ in range(rng.randint(1, 2))])
-        expected = outcome(reference_validate_instance, inst)
-        assert outcome(validate_instance, inst) == expected, (seed, inst)
+        expected = outcome(reference_validate_instance,
+                           SimpleNamespace(**fields))
+        built = outcome(Instance, **fields)
+        assert (None if isinstance(built, Instance) else built) == expected, (
+            seed, fields)
         if expected is not None:
             # the error and the rule: "Ls" of "Ls[2] = -1 is negative"
             seen.add((expected.kind, re.match(r"(wp3 requires )?\w+",
@@ -107,6 +113,16 @@ def test_validate_matches_the_period_loop_reference():
                        "holding", "Ls")),
         *((WrongVectorLength, name) for name in _VECTOR_FIELDS),
     }, seen
+
+
+def test_records_validate_themselves():
+    # replace builds through __post_init__ too, so no invalid record exists
+    with pytest.raises(LowerExceedsUpper) as err:
+        replace(two_period_trade(), Lx=(3, 0), Ux=(1, 5))
+    assert str(err.value) == "Lx[1] = 3 exceeds Ux[1] = 1"
+    with pytest.raises(InvalidArgument, match="^s0 must be nonnegative$"):
+        LotSizingInstance(T=1, s0=-1, demand=(0,), unit_cost=(0,),
+                          fixed_cost=(0,), Ux=(0,), Us=(0,))
 
 
 def test_validate_lower_exceeds_upper():
@@ -278,12 +294,11 @@ def test_error_messages_echo_long_values_cut_short():
     # a number that validation echoes is cut the same way
     huge = 10**3999
     with pytest.raises(LowerExceedsUpper) as err:
-        validate_instance(tiny(Ls=(huge,), Us=(1,)))
+        tiny(Ls=(huge,), Us=(1,))
     assert str(err.value) == (
         f"Ls[1] = 1{'0' * 39}... (4000 characters) exceeds Us[1] = 1")
     assert str(Fraction(1, 3)) in str(
-        pytest.raises(NegativeBound, validate_instance,
-                      tiny(s0=Fraction(-1, 3))).value)
+        pytest.raises(NegativeBound, tiny, s0=Fraction(-1, 3)).value)
 
 
 def test_assemble_solution_minimal_indicators():
@@ -324,17 +339,21 @@ DATA = Path(__file__).parent / "data"
 
 def test_flat_writers_write_the_pure_python_encoders_bytes_seeded():
     rng = random.Random(28)
-    empty = Instance(variant="wp1", T=0, s0=0,
-                     **{name: () for name in _VECTOR_FIELDS})
-    instances, plans, lotsizings = [empty], [], []
+    # T = 0 and negative numbers fail validation, so they reach the
+    # writer as payloads; valid records go through the serializers
+    empty = {"variant": "wp1", "T": 0, "s0": 0,
+             **{name: [] for name in _VECTOR_FIELDS}}
+    payloads, instances, plans, lotsizings = [empty], [], [], []
     for seed in range(24):
         inst, sol, ls = flat_payloads(rng.randint)
-        instances.append(inst)
+        payloads += [inst, ls]
         plans.append(sol)
-        lotsizings.append(ls)
         variant = ("wp1", "wp2", "wp3")[seed % 3]
         inst = gen_random(seed, T=1 + seed % 4, variant=variant, max_bound=9)
         instances.append(inst)
+        lotsizings.append(LotSizingInstance(
+            T=inst.T, s0=inst.s0, demand=inst.Uy, unit_cost=inst.Lx,
+            fixed_cost=inst.fixed_purchase, Ux=inst.Ux, Us=inst.Us))
         try:
             plans.append(solve(inst))
             if variant == "wp2":  # a plan of the doubled horizon
@@ -345,6 +364,8 @@ def test_flat_writers_write_the_pure_python_encoders_bytes_seeded():
             pass
     assert any(inst.T == 1 for inst in instances)
     assert any(len(sol.s) == 8 for sol in plans)  # a doubled T = 4 plan
+    for payload in payloads:
+        assert _dump_flat(payload) == reference_dump(payload)
     for inst in instances:
         assert serialize_instance(inst) == reference_dump(
             instance_to_json_dict(inst))

@@ -293,9 +293,9 @@ def test_search_instance_validates_before_doubling(monkeypatch):
         raise AssertionError("doubled an invalid instance")
 
     monkeypatch.setattr(wareflow.network, "double_horizon", no_doubling)
-    bad = replace(wp2_mixed(), Lx=(3, 0), Ux=(1, 3))
+    # the Instance refuses itself, so no invalid one is ever searched
     with pytest.raises(LowerExceedsUpper):
-        search_instance(bad)
+        search_instance(replace(wp2_mixed(), Lx=(3, 0), Ux=(1, 3)))
     with pytest.raises(WrongVectorLength):
         search_instance(replace(wp2_mixed(), Uy=(2,)))
 

@@ -3,6 +3,9 @@
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import wareflow
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "wareflow"
 
@@ -25,3 +28,13 @@ def test_the_package_imports_the_standard_library_only():
                         if name.partition(".")[0]
                         not in sys.stdlib_module_names}
     assert not outside
+
+
+def test_all_names_public_objects_and_no_module():
+    """from wareflow import * binds every name __all__ lists and no
+    submodule."""
+    assert wareflow.__all__
+    values = {name: getattr(wareflow, name) for name in wareflow.__all__}
+    assert not [name for name, value in values.items()
+                if isinstance(value, ModuleType)]
+    assert "solve" in values and "Instance" in values
