@@ -47,8 +47,6 @@ from .fptas import (
 from .generators import (
     LotSizingInstance,
     gen_random,
-    lotsizing_from_json_dict,
-    lotsizing_to_json_dict,
     parse_lotsizing,
     reduce_lotsizing,
     reduce_partition,
@@ -68,8 +66,6 @@ from .model import (
     exact,
     exact_vector,
     format_exact,
-    instance_from_json_dict,
-    instance_to_json_dict,
     integral_instance,
     parse_exact,
     parse_instance,
@@ -77,8 +73,6 @@ from .model import (
     scale_instance,
     serialize_instance,
     serialize_solution,
-    solution_from_json_dict,
-    solution_to_json_dict,
     validate_instance,
 )
 from .network import (

@@ -153,7 +153,7 @@ def lift_and_check(inst: Instance, sol: Solution) -> FeasibilityReport:
     objective = evaluate(lines[lines.index("Maximize") + 1].split()[1:])
     if objective != sol.objective:
         bad.append((0, "obj", objective, sol.objective))
-    return FeasibilityReport(feasible=not bad, violations=tuple(bad))
+    return FeasibilityReport(tuple(bad))
 
 
 # --- text emission -----------------------------------------------------------

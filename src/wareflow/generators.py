@@ -7,7 +7,6 @@ can compare solver output against independently computable targets.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,15 +14,15 @@ from fractions import Fraction
 from .errors import EmptyInput, InvalidArgument, NonIntegralData
 from .model import (
     _dump_flat,
+    _from_json_dict,
     _load_json,
+    _to_json_dict,
     Exact,
     Instance,
     Variant,
     echo,
     exact,
     exact_vector,
-    format_exact,
-    parse_exact,
 )
 
 
@@ -68,47 +67,17 @@ def validate_lotsizing(ls: LotSizingInstance) -> None:
         raise InvalidArgument("s0 must be nonnegative")
 
 
-def lotsizing_to_json_dict(ls: LotSizingInstance) -> dict:
-    return {
-        "T": ls.T,
-        "s0": format_exact(ls.s0),
-        "demand": [format_exact(v) for v in ls.demand],
-        "unit_cost": [format_exact(v) for v in ls.unit_cost],
-        "fixed_cost": [format_exact(v) for v in ls.fixed_cost],
-        "Ux": [format_exact(v) for v in ls.Ux],
-        "Us": [format_exact(v) for v in ls.Us],
-    }
-
-
-def lotsizing_from_json_dict(data: dict) -> LotSizingInstance:
-    if not isinstance(data, dict):
-        raise InvalidArgument("lot-sizing JSON must be an object")
-    keys = {"T", "s0", "demand", "unit_cost", "fixed_cost", "Ux", "Us"}
-    if set(data) != keys:
-        raise InvalidArgument(
-            f"lot-sizing JSON keys must be {sorted(keys)}, "
-            f"got {echo(sorted(data))}"
-        )
-    if not isinstance(data["T"], int) or isinstance(data["T"], bool):
-        raise InvalidArgument("T must be an integer")
-    vectors = {}
-    for name in ("demand", "unit_cost", "fixed_cost", "Ux", "Us"):
-        if not isinstance(data[name], list):
-            raise InvalidArgument(f"{name} must be a list")
-        vectors[name] = tuple(parse_exact(v) for v in data[name])
-    return LotSizingInstance(T=data["T"], s0=parse_exact(data["s0"]), **vectors)
-
-
 def serialize_lotsizing(ls: LotSizingInstance) -> str:
-    return _dump_flat(lotsizing_to_json_dict(ls))
+    return _dump_flat(_to_json_dict(ls))
 
 
 def parse_lotsizing(text: str) -> LotSizingInstance:
-    try:
-        data = _load_json(text)
-    except json.JSONDecodeError as err:
-        raise InvalidArgument(f"bad JSON: {err}") from None
-    return lotsizing_from_json_dict(data)
+    """The lot-sizing record a JSON file holds, read by the one rule set of
+    model._from_json_dict: exactly the keys T, s0, demand, unit_cost,
+    fixed_cost, Ux and Us, T an int and each vector a list of integers or
+    "p/q" strings.  Malformed JSON and a file that breaks a rule raise
+    InvalidArgument."""
+    return _from_json_dict(LotSizingInstance, _load_json(text), "lot-sizing")
 
 
 def reduce_lotsizing(ls: LotSizingInstance) -> tuple[Instance, Exact]:

@@ -1,5 +1,5 @@
 """Problem and solution data model: exact arithmetic, validation, feasibility
-checking, and JSON round-tripping.
+checking, and the JSON codec of every record file.
 
 A trading instance covers periods 1..T.  In period t the plan may purchase
 x_t and sell y_t subject to indicator-coupled bounds, and the stock evolves
@@ -15,27 +15,34 @@ at the boundary so no feasibility or optimality decision rests on rounding.
 A vector is checked whole: one that holds plain ints only is already exact
 and passes through the constructors and the JSON reader and writer as it
 is, and only a vector holding anything else is coerced value by value.
-Instance and plan files hold only scalars and lists of scalars, so
-_dump_flat writes them value by value through json's C encoder, in the
-bytes json.dumps(..., sort_keys=True, indent=2) gives, plus a newline.
 Validation likewise runs one test over whole vectors, which every valid
 instance passes; only an instance it refuses is walked period by period
 to report its first failing rule.
+
+Instance, plan and lot-sizing files are read and written by one codec,
+_to_json_dict and _from_json_dict, which walks the record's dataclass
+fields, so every file holds exactly its record's keys and one that breaks
+a rule is told so in the same words whatever its record.  The files hold
+only scalars and lists of scalars, so _dump_flat writes them value by
+value through json's C encoder, in the bytes json.dumps(..., sort_keys=True,
+indent=2) gives, plus a newline.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from operator import gt
+from operator import attrgetter, gt
 from typing import Callable, Iterable, Union
 
 from .errors import (
+    InvalidArgument,
     LowerExceedsUpper,
     NegativeBound,
     PeriodOutOfRange,
@@ -263,8 +270,11 @@ Violation = tuple  # (period, constraint name, lhs, rhs)
 class FeasibilityReport:
     """Outcome of checking a solution: feasible iff violations is empty."""
 
-    feasible: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,50 +515,87 @@ def check_solution(inst: Instance, sol: Solution) -> FeasibilityReport:
     recomputed = compute_objective(inst, sol.x, sol.y, sol.s, sol.w, sol.z)
     if recomputed != sol.objective:
         bad.append((0, "objective", sol.objective, recomputed))
-    return FeasibilityReport(feasible=not bad, violations=tuple(bad))
+    return FeasibilityReport(tuple(bad))
 
 
 # --- JSON round-tripping ---------------------------------------------------
 
-_INSTANCE_KEYS = ("variant", "T", "s0") + _VECTOR_FIELDS
+def _same(value):
+    return value
 
 
-def instance_to_json_dict(inst: Instance) -> dict:
-    out: dict = {"variant": inst.variant.value, "T": inst.T,
-                 "s0": format_exact(inst.s0)}
-    for name in _VECTOR_FIELDS:
-        out[name] = _format_vector(getattr(inst, name))
-    return out
+_VECTOR = "tuple[Exact, ...]"
+# a field's reader and writer, by its kind: its annotation as written, which
+# the modules that define records keep as a string
+_CODEC = {
+    "int": (_same, _same),  # T, checked before the fields are read
+    "Variant": (_coerce_variant, attrgetter("value")),
+    "Exact": (parse_exact, format_exact),
+    _VECTOR: (_parse_vector, _format_vector),
+}
+# a file names at most this many of its unknown keys in an error message
+_UNKNOWN_SHOWN = 3
 
 
-def instance_from_json_dict(data: dict) -> Instance:
+@functools.cache
+def _field_kinds(cls) -> tuple[tuple[str, str], ...]:
+    """(name, kind) for each field of a record class, in field order."""
+    return tuple((f.name, f.type) for f in fields(cls))
+
+
+def _to_json_dict(record) -> dict:
+    """A record as its JSON file holds it, each field through its kind's
+    writer: T as it is, the variant by its value, a number through
+    format_exact and a vector through _format_vector."""
+    return {name: _CODEC[kind][1](getattr(record, name))
+            for name, kind in _field_kinds(type(record))}
+
+
+def _from_json_dict(cls, data, kind: str):
+    """The record of class cls that a parsed JSON file holds.
+
+    One rule set reads every record: the file is an object holding exactly
+    cls's fields, T (where cls has it) is an int, and then, in field order,
+    the variant goes through _coerce_variant, a number through parse_exact
+    and a vector, which must be a list, through _parse_vector.  A file that
+    breaks a rule raises InvalidArgument, whose message names the record
+    by kind ("instance", "solution", "lot-sizing"); cls then validates the
+    record it is given.
+    """
     if not isinstance(data, dict):
-        raise ValueError("instance JSON must be an object")
-    missing = [k for k in _INSTANCE_KEYS if k not in data]
+        raise InvalidArgument(f"{kind} JSON must be an object")
+    kinds = _field_kinds(cls)
+    missing = [name for name, _ in kinds if name not in data]
     if missing:
-        raise ValueError(f"instance JSON missing keys: {', '.join(missing)}")
-    if not isinstance(data["T"], int) or isinstance(data["T"], bool):
-        raise ValueError(f"T must be an integer, got {echo(data['T'])}")
-    fields: dict = {
-        "variant": _coerce_variant(data["variant"]),
-        "T": data["T"],
-        "s0": parse_exact(data["s0"]),
-    }
-    for name in _VECTOR_FIELDS:
-        raw = data[name]
-        if not isinstance(raw, list):
-            raise ValueError(f"{name} must be a list")
-        fields[name] = _parse_vector(raw)
-    return Instance(**fields)
+        raise InvalidArgument(f"{kind} JSON missing keys: {', '.join(missing)}")
+    if len(data) > len(kinds):
+        names = {name for name, _ in kinds}
+        unknown = [key for key in data if key not in names]
+        more = len(unknown) - _UNKNOWN_SHOWN
+        raise InvalidArgument(
+            f"{kind} JSON has unknown keys: "
+            f"{', '.join(map(echo, unknown[:_UNKNOWN_SHOWN]))}"
+            + (f" and {more} more" if more > 0 else ""))
+    if "T" in data and type(data["T"]) is not int:
+        raise InvalidArgument(f"T must be an integer, got {echo(data['T'])}")
+    values = {}
+    for name, field_kind in kinds:
+        value = data[name]
+        if field_kind == _VECTOR and not isinstance(value, list):
+            raise InvalidArgument(f"{name} must be a list")
+        values[name] = _CODEC[field_kind][0](value)
+    return cls(**values)
 
 
 def _load_json(text: str):
-    """json.loads, with nesting too deep for the decoder reported as a
-    ValueError like any other malformed JSON."""
+    """json.loads, with malformed JSON raised as InvalidArgument: the
+    decoder's message, or one naming nesting too deep for the decoder."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InvalidArgument(str(err)) from None
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+        raise InvalidArgument("JSON nested too deeply") from None
 
 
 # the C encoder, with each item of a list on its own line under its key
@@ -573,43 +620,16 @@ def _dump_flat(payload: dict) -> str:
 
 
 def serialize_instance(inst: Instance) -> str:
-    return _dump_flat(instance_to_json_dict(inst))
+    return _dump_flat(_to_json_dict(inst))
 
 
 def parse_instance(text: str) -> Instance:
-    return instance_from_json_dict(_load_json(text))
-
-
-def solution_to_json_dict(sol: Solution) -> dict:
-    return {
-        "x": _format_vector(sol.x),
-        "y": _format_vector(sol.y),
-        "s": _format_vector(sol.s),
-        "w": _format_vector(sol.w),
-        "z": _format_vector(sol.z),
-        "objective": format_exact(sol.objective),
-    }
-
-
-def solution_from_json_dict(data: dict) -> Solution:
-    if not isinstance(data, dict):
-        raise ValueError("solution JSON must be an object")
-    missing = [k for k in ("x", "y", "s", "w", "z", "objective")
-               if k not in data]
-    if missing:
-        raise ValueError(f"solution JSON missing keys: {', '.join(missing)}")
-    vecs = {}
-    for name in ("x", "y", "s", "w", "z"):
-        raw = data[name]
-        if not isinstance(raw, list):
-            raise ValueError(f"{name} must be a list")
-        vecs[name] = _parse_vector(raw)
-    return Solution(objective=parse_exact(data["objective"]), **vecs)
+    return _from_json_dict(Instance, _load_json(text), "instance")
 
 
 def serialize_solution(sol: Solution) -> str:
-    return _dump_flat(solution_to_json_dict(sol))
+    return _dump_flat(_to_json_dict(sol))
 
 
 def parse_solution(text: str) -> Solution:
-    return solution_from_json_dict(_load_json(text))
+    return _from_json_dict(Solution, _load_json(text), "solution")

@@ -15,6 +15,8 @@ import wareflow.fptas
 import wareflow.network
 from wareflow import (
     Infeasible,
+    InvalidArgument,
+    LotSizingInstance,
     LowerExceedsUpper,
     build_network,
     check_solution,
@@ -22,8 +24,8 @@ from wareflow import (
     fptas_params,
     gen_random,
     gen_stock_levels,
-    instance_to_json_dict,
     parse_instance,
+    parse_lotsizing,
     parse_solution,
     reduce_partition,
     serialize_instance,
@@ -119,6 +121,71 @@ def test_deeply_nested_json_exits_two(argv, instance_file, tmp_path, capsys):
     paths = {"DEEP": str(deep), "INSTANCE": instance_file}
     assert run([paths.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# each record file: the command that reads it, its reader, a valid file and
+# one of its vectors
+_RECORDS = {
+    "instance": (["solve", "--input"], parse_instance,
+                 lambda: serialize_instance(two_period_trade()), "Uy"),
+    "solution": (["check", "--input", "INSTANCE", "--solution"],
+                 parse_solution,
+                 lambda: serialize_solution(solve(two_period_trade())), "z"),
+    "lot-sizing": (["reduce", "lotsizing", "--input"], parse_lotsizing,
+                   lambda: serialize_lotsizing(LotSizingInstance(
+                       T=2, s0=1, demand=(1, 1), unit_cost=(1, 1),
+                       fixed_cost=(3, 3), Ux=(2, 2), Us=(2, 2))), "Us"),
+}
+
+
+def _broken(case: str, text: str, vector: str) -> tuple[str, str]:
+    """A record file broken by case, and the message it must give with
+    {kind} standing for the record's kind."""
+    data = json.loads(text)
+    if case == "malformed":  # the decoder's own message
+        return "{ not json", ("Expecting property name enclosed in double "
+                              "quotes: line 1 column 3 (char 2)")
+    if case == "deep":
+        return "[" * 100_000, "JSON nested too deeply"
+    if case == "not-an-object":
+        return json.dumps([data]), "{kind} JSON must be an object"
+    if case == "missing-key":
+        del data[vector]
+        return json.dumps(data), f"{{kind}} JSON missing keys: {vector}"
+    if case == "unknown-key":
+        data["comment"] = "hi"
+        return json.dumps(data), "{kind} JSON has unknown keys: 'comment'"
+    if case == "unknown-keys":
+        data.update({f"k{i}": i for i in range(5)})
+        return json.dumps(data), (
+            "{kind} JSON has unknown keys: 'k0', 'k1', 'k2' and 2 more")
+    if case == "fractional-T":
+        # a plan has no T, so there T is an unknown key
+        has_T = "T" in data
+        data["T"] = 1.5
+        return json.dumps(data), ("T must be an integer, got 1.5" if has_T
+                                  else "{kind} JSON has unknown keys: 'T'")
+    data[vector] = "34"  # a string is iterable, but it is no vector
+    return json.dumps(data), f"{vector} must be a list"
+
+
+@pytest.mark.parametrize("case", [
+    "not-an-object", "missing-key", "unknown-key", "unknown-keys",
+    "fractional-T", "string-vector", "malformed", "deep"])
+@pytest.mark.parametrize("kind", list(_RECORDS))
+def test_every_record_file_breaks_the_same_rules_in_the_same_words(
+        kind, case, instance_file, tmp_path, capsys):
+    argv, reader, valid, vector = _RECORDS[kind]
+    text, message = _broken(case, valid(), vector)
+    message = message.format(kind=kind)
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    with pytest.raises(InvalidArgument) as raised:
+        reader(text)
+    assert str(raised.value) == message
+    paths = {"INSTANCE": instance_file}
+    assert run([*(paths.get(arg, arg) for arg in argv), str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "levels", "emit-lp"])
@@ -300,8 +367,8 @@ def test_an_invalid_instance_is_reported_before_the_other_arguments(
         tmp_path, capsys):
     # the instance is refused while its file is parsed, so its own error
     # comes before a malformed --epsilon or an unreadable --solution
-    data = dict(instance_to_json_dict(two_period_trade()), variant="wp3",
-                Lx=[3, 0], Ux=[1, 5])
+    data = dict(json.loads(serialize_instance(two_period_trade())),
+                variant="wp3", Lx=[3, 0], Ux=[1, 5])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     garbage = tmp_path / "garbage.json"
@@ -540,11 +607,15 @@ def test_reduce_lotsizing_rejects_a_vector_that_is_not_a_list(
 
 
 def test_reduce_lotsizing_cuts_a_long_key_short(tmp_path, capsys):
+    ls = LotSizingInstance(T=1, s0=0, demand=(1,), unit_cost=(1,),
+                           fixed_cost=(0,), Ux=(1,), Us=(1,))
+    data = dict(json.loads(serialize_lotsizing(ls)), **{"k" * 5000: 1})
     ls_path = tmp_path / "ls.json"
-    ls_path.write_text(json.dumps({"k" * 5000: 1}))
+    ls_path.write_text(json.dumps(data))
     assert run(["reduce", "lotsizing", "--input", str(ls_path)]) == 2
     err = capsys.readouterr().err
-    assert err.endswith(f"got ['{'k' * 38}... (5004 characters)\n")
+    assert err == (f"error: lot-sizing JSON has unknown keys: "
+                   f"'{'k' * 39}... (5002 characters)\n")
     assert len(err.encode()) < 200
 
 
@@ -748,7 +819,7 @@ def test_bench_names_the_file_it_cannot_read(tmp_path, capsys):
         "fixed_purchase, fixed_sale\n")
     # an instance that parses but fails validation is named as well
     bad.unlink()
-    invalid = dict(instance_to_json_dict(inst), Lx=[3, 0], Ux=[1, 5])
+    invalid = dict(json.loads(serialize_instance(inst)), Lx=[3, 0], Ux=[1, 5])
     (tmp_path / "c_invalid.json").write_text(json.dumps(invalid))
     with pytest.raises(LowerExceedsUpper) as caught:
         replace(inst, Lx=(3, 0), Ux=(1, 5))

@@ -28,9 +28,7 @@ from wareflow import (
     fptas_params,
     fptas_solve,
     gen_random,
-    instance_to_json_dict,
     integral_instance,
-    lotsizing_to_json_dict,
     parse_exact,
     parse_instance,
     parse_solution,
@@ -39,11 +37,15 @@ from wareflow import (
     serialize_instance,
     serialize_lotsizing,
     serialize_solution,
-    solution_to_json_dict,
     solve,
     validate_instance,
 )
-from wareflow.model import _VECTOR_FIELDS, _dump_flat, scale_factor
+from wareflow.model import (
+    _VECTOR_FIELDS,
+    _dump_flat,
+    _to_json_dict,
+    scale_factor,
+)
 from wareflow.network import search_instance
 from helpers import (
     PLANTED,
@@ -219,9 +221,13 @@ def test_check_objective_mismatch():
 
 
 def test_report_flag_matches_violations():
-    assert FeasibilityReport(feasible=True, violations=()).feasible
-    report = FeasibilityReport(feasible=False, violations=((1, "x", 0, 1),))
+    # the flag is read off the violations, so the two cannot disagree
+    assert FeasibilityReport(violations=()).feasible
+    report = FeasibilityReport(violations=((1, "x", 0, 1),))
     assert not report.feasible
+    assert report.to_json_dict()["feasible"] is False
+    with pytest.raises(TypeError):
+        FeasibilityReport(feasible=True, violations=((1, "x", 0, 1),))
 
 
 def test_exact_rejects_floats_and_bools():
@@ -367,33 +373,28 @@ def test_flat_writers_write_the_pure_python_encoders_bytes_seeded():
     for payload in payloads:
         assert _dump_flat(payload) == reference_dump(payload)
     for inst in instances:
-        assert serialize_instance(inst) == reference_dump(
-            instance_to_json_dict(inst))
+        assert serialize_instance(inst) == reference_dump(_to_json_dict(inst))
     for sol in plans:
-        assert serialize_solution(sol) == reference_dump(
-            solution_to_json_dict(sol))
+        assert serialize_solution(sol) == reference_dump(_to_json_dict(sol))
     for ls in lotsizings:
-        assert serialize_lotsizing(ls) == reference_dump(
-            lotsizing_to_json_dict(ls))
+        assert serialize_lotsizing(ls) == reference_dump(_to_json_dict(ls))
 
 
-_INSTANCE_FILE = (parse_instance, instance_to_json_dict, serialize_instance)
+_INSTANCE_FILE = (parse_instance, serialize_instance)
 
 
-@pytest.mark.parametrize("name, reader, payload, writer", [
+@pytest.mark.parametrize("name, reader, writer", [
     ("fptas_third.json", *_INSTANCE_FILE),
     ("two_period_trade.json", *_INSTANCE_FILE),
     ("wp2_mixed.json", *_INSTANCE_FILE),
-    ("fptas_third.solution.json", parse_solution, solution_to_json_dict,
-     serialize_solution),
+    ("fptas_third.solution.json", parse_solution, serialize_solution),
 ])
-def test_data_files_round_trip_through_the_flat_writer(name, reader,
-                                                      payload, writer):
+def test_data_files_round_trip_through_the_flat_writer(name, reader, writer):
     # the data files that are already in the written form, the golden
     # FPTAS plan among them
     text = (DATA / name).read_text()
     value = reader(text)
-    assert writer(value) == text == reference_dump(payload(value))
+    assert writer(value) == text == reference_dump(_to_json_dict(value))
 
 
 def test_parse_instance_rejects_garbage():

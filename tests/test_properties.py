@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from wareflow import (  # noqa: E402
     Infeasible,
     Instance,
+    LotSizingInstance,
     Solution,
     Variant,
     assemble_solution,
@@ -35,9 +36,13 @@ from wareflow import (  # noqa: E402
     lift_solution,
     oracle_solve,
     parse_exact,
+    parse_instance,
+    parse_lotsizing,
+    parse_solution,
     scale_instance,
     scale_trade_bounds,
     serialize_instance,
+    serialize_lotsizing,
     serialize_solution,
     solve,
     solve_wp2_direct,
@@ -49,11 +54,11 @@ from wareflow.extform import _decimal, _lp_text  # noqa: E402
 from wareflow.model import (  # noqa: E402
     _VECTOR_FIELDS,
     _dump_flat,
+    _from_json_dict,
+    _to_json_dict,
     exact_vector,
     format_exact,
-    instance_from_json_dict,
     scale_factor,
-    solution_to_json_dict,
 )
 from wareflow.network import (  # noqa: E402
     SolveTrace,
@@ -663,7 +668,7 @@ def test_vector_paths_match_the_value_by_value_references(vec, base, name):
         assert typed(converted) == typed(outcome(reference_exact_vector,
                                                  values))
     doc = dict(_BASES[base][0], **{name: vec})
-    inst = outcome(instance_from_json_dict, doc)
+    inst = outcome(_from_json_dict, Instance, doc, "instance")
     assert typed(inst) == typed(outcome(reference_instance_from_json_dict,
                                         doc))
     if isinstance(inst, Instance):
@@ -676,7 +681,7 @@ def test_vector_paths_match_the_value_by_value_references(vec, base, name):
         sol = Solution(x=converted, y=converted[::-1], s=converted,
                        w=converted, z=converted, objective=sum(converted))
         expected = reference_solution_to_json_dict(sol)
-        assert typed(solution_to_json_dict(sol)) == typed(expected)
+        assert typed(_to_json_dict(sol)) == typed(expected)
         assert serialize_solution(sol) == reference_dump(expected)
 
 
@@ -687,6 +692,38 @@ def test_flat_writers_write_the_pure_python_encoders_bytes(data):
     # such instances fail validation, so they reach the writer as payloads
     inst, sol, ls = flat_payloads(lambda lo, hi: data.draw(st.integers(lo, hi)))
     assert _dump_flat(inst) == reference_dump(inst)
-    assert serialize_solution(sol) == reference_dump(
-        solution_to_json_dict(sol))
+    assert serialize_solution(sol) == reference_dump(_to_json_dict(sol))
     assert _dump_flat(ls) == reference_dump(ls)
+
+
+# ints of either sign, 31-digit ones among them, and Fractions
+_numbers = st.integers(-10**30, 10**30) | st.fractions(max_denominator=50)
+_amounts = st.integers(0, 10**30) | st.fractions(0, max_denominator=50)
+
+
+@st.composite
+def plans(draw):
+    T = draw(st.integers(0, 4))
+    vector = st.lists(_numbers, min_size=T, max_size=T).map(tuple)
+    return Solution(*(draw(vector) for _ in range(5)),
+                    objective=draw(_numbers))
+
+
+@st.composite
+def lotsizings(draw):
+    T = draw(st.integers(1, 4))
+    vector = st.lists(_amounts, min_size=T, max_size=T).map(tuple)
+    return LotSizingInstance(T, draw(_amounts),
+                             *(draw(vector) for _ in range(5)))
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 4), plans(), lotsizings())
+def test_every_record_round_trips_through_its_file(inst, d, sol, ls):
+    # repr tells an int from a Fraction, so each number keeps its type
+    for record, parse, serialize in (
+            (fractional_payoffs(inst, d), parse_instance, serialize_instance),
+            (sol, parse_solution, serialize_solution),
+            (ls, parse_lotsizing, serialize_lotsizing)):
+        again = parse(serialize(record))
+        assert again == record and repr(again) == repr(record)
