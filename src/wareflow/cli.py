@@ -142,8 +142,10 @@ def _cmd_reduce_lotsizing(args) -> int:
 
 
 def _bench_one(name: str, inst) -> dict:
-    """Solve inst and describe the network over the levels it searched:
-    the counts are read off the trace, so no network is built."""
+    """Solve inst and describe the network over the full levels of the
+    searched instance, as SolveTrace records them before the solve cuts
+    each layer to its reachable hull: the counts are read off the trace,
+    so no network is built."""
     trace = SolveTrace()
     start = time.perf_counter()
     try:

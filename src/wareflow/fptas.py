@@ -53,13 +53,18 @@ class BalancedFlow:
 
 
 def balanced_flow_decompose(inst: Instance, sol: Solution) -> BalancedFlow:
-    """Pair off purchases and sales of a plan whose stock returns to s0.
+    """Pair off purchases and sales of a wp3 plan whose stock returns to s0.
 
     Walks periods in order: each purchase drains against the earliest later
     unmatched sale, then each sale drains against the earliest later
-    unmatched purchase.  Requires s_T = s0 (equal totals); raises
+    unmatched purchase.  The walk needs complementarity: a period that both
+    buys and sells has no later trade to pair with, so an instance that is
+    not wp3 raises WrongVariant.  Requires s_T = s0 (equal totals); raises
     TerminalStockMismatch otherwise.
     """
+    if inst.variant is not Variant.WP3:
+        raise WrongVariant(
+            "balanced_flow_decompose applies to wp3 instances only")
     if sol.s[-1] != inst.s0:
         raise TerminalStockMismatch(
             f"final stock {sol.s[-1]} differs from initial stock {inst.s0}"

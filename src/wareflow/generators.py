@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import EmptyInput, InvalidArgument, NonIntegralData
 from .model import (
+    _coerce_variant,
     _dump_flat,
     _from_json_dict,
     _load_json,
@@ -163,9 +164,10 @@ def gen_random(seed: int, T: int, variant, max_bound: int) -> Instance:
     revenue, cost and holding land in [-max_bound, max_bound]; fixed costs
     in [0, max_bound].  For wp3 the shape constraints are then imposed:
     lower trade bounds, fixed costs and holding drop to zero, and s0 is
-    clamped into every period's stock interval.
+    clamped into every period's stock interval.  The variant is read as
+    Instance reads it, in any letter case.
     """
-    variant = Variant(variant) if not isinstance(variant, Variant) else variant
+    variant = _coerce_variant(variant)
     if T < 1:
         raise InvalidArgument(f"T must be >= 1, got {T}")
     if max_bound < 0:

@@ -39,6 +39,7 @@ from wareflow.model import echo
 from wareflow.network import search_instance
 from helpers import (
     gap_infeasible,
+    reference_dump,
     solve_with_network,
     two_period_trade,
     wp2_mixed,
@@ -509,8 +510,12 @@ def test_gen_then_solve_pipeline(tmp_path, capsys):
     assert run(["gen", "--seed", "4", "--T", "3", "--variant", "wp1",
                 "--max-bound", "5", "--output", str(path)]) == 0
     capsys.readouterr()
-    inst = parse_instance(path.read_text())
-    assert inst.T == 3
+    # the file gen writes is the generated instance in the form that
+    # python -m json.tool --sort-keys --indent 2 prints
+    text = path.read_text()
+    inst = parse_instance(text)
+    assert inst == gen_random(4, T=3, variant="wp1", max_bound=5)
+    assert text == reference_dump(json.loads(text))
     code = run(["solve", "--input", str(path)])
     assert code in (0, 1)
     capsys.readouterr()
@@ -573,6 +578,8 @@ def test_reduce_lotsizing_command(tmp_path, capsys):
     assert run(["reduce", "lotsizing", "--input", str(ls_path),
                 "--output", str(inst_path)]) == 0
     assert capsys.readouterr().err == "M: 11\n"
+    text = inst_path.read_text()
+    assert text == reference_dump(json.loads(text))
     assert run(["solve", "--input", str(inst_path)]) == 0
     assert capsys.readouterr().out == "objective: 18\n"
 

@@ -80,6 +80,21 @@ def test_decompose_requires_settled_terminal_stock():
         balanced_flow_decompose(inst, sol)
 
 
+def test_decompose_requires_wp3():
+    # a wp2 plan that buys and sells 5 in one period returns to s0 = 5,
+    # yet neither trade has a later one to pair with
+    inst = Instance(
+        variant="wp2", T=1, s0=5,
+        Ls=(0,), Us=(10,), Lx=(0,), Ux=(5,), Ly=(0,), Uy=(5,),
+        revenue=(2,), cost=(1,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    sol = assemble_solution(inst, (5,), (5,))
+    assert check_solution(inst, sol).feasible and sol.s == (5,)
+    with pytest.raises(WrongVariant, match="wp3 instances only"):
+        balanced_flow_decompose(inst, sol)
+
+
 def test_decompose_conserves_period_totals():
     rng = random.Random(7)
     for seed in range(40):

@@ -207,8 +207,16 @@ def test_gen_random_rejects_bad_arguments():
         gen_random(0, T=0, variant="wp1", max_bound=3)
     with pytest.raises(InvalidArgument):
         gen_random(0, T=2, variant="wp1", max_bound=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown variant: 'wp9'$"):
         gen_random(0, T=2, variant="wp9", max_bound=3)
+
+
+def test_gen_random_reads_the_variant_as_instance_does():
+    # any case, as Instance(variant=...) reads it
+    for given, name in (("WP1", "wp1"), ("Wp2", "wp2"), (Variant.WP3, "wp3")):
+        inst = gen_random(3, T=2, variant=given, max_bound=5)
+        assert inst == gen_random(3, T=2, variant=name, max_bound=5)
+        assert inst.variant is Variant(name)
 
 
 def test_gen_random_solutions_check_out():

@@ -142,6 +142,9 @@ def test_validate_negative_bound():
 def test_validate_vector_length():
     with pytest.raises(WrongVectorLength):
         validate_instance(tiny(revenue=(1, 2)))
+    # T = 0 is refused before any vector length is compared with it
+    with pytest.raises(WrongVectorLength, match="^T must be positive, got 0$"):
+        tiny(T=0)
 
 
 def test_validate_wp3_shape():
@@ -218,6 +221,44 @@ def test_check_objective_mismatch():
     report = check_solution(inst, sol)
     assert not report.feasible
     assert any(v[1] == "objective" for v in report.violations)
+
+
+def _bounded_trade():
+    """wp1 with nonzero lower bounds on every side, and a feasible plan:
+    buy 3 of [2, 4] in period 1, sell 2 of [1, 3] in period 2."""
+    inst = Instance(
+        variant="wp1", T=2, s0=2,
+        Ls=(1, 1), Us=(6, 6), Lx=(2, 2), Ux=(4, 4), Ly=(1, 1), Uy=(3, 3),
+        revenue=(2, 5), cost=(1, 3), holding=(0, 1),
+        fixed_purchase=(1, 0), fixed_sale=(0, 1),
+    )
+    return inst, assemble_solution(inst, x=(3, 0), y=(0, 2))
+
+
+_TAMPERED = [
+    ("z", (0, 2), (2, "z_binary", 2, 1)),
+    ("s", (5, 4), (2, "flow_balance", 4, 3)),
+    ("s", (0, 3), (1, "stock_lower", 0, 1)),
+    ("s", (7, 3), (1, "stock_upper", 7, 6)),
+    ("x", (1, 0), (1, "purchase_lower", 1, 2)),
+    ("w", (1, 1), (2, "purchase_lower", 0, 2)),
+    ("x", (5, 0), (1, "purchase_upper", 5, 4)),
+    ("w", (0, 0), (1, "purchase_upper", 3, 0)),
+    ("y", (0, Fraction(1, 2)), (2, "sale_lower", Fraction(1, 2), 1)),
+    ("z", (1, 1), (1, "sale_lower", 0, 1)),
+    ("y", (0, 4), (2, "sale_upper", 4, 3)),
+    ("z", (0, 0), (2, "sale_upper", 2, 0)),
+]
+
+
+@pytest.mark.parametrize("field, value, violation", _TAMPERED,
+                         ids=[f"{v[1]}-{f}" for f, _, v in _TAMPERED])
+def test_check_reports_each_tampered_rule(field, value, violation):
+    inst, sol = _bounded_trade()
+    assert check_solution(inst, sol).violations == ()
+    report = check_solution(inst, solution_with(sol, **{field: value}))
+    rule = violation[1]
+    assert [v for v in report.violations if v[1] == rule] == [violation]
 
 
 def test_report_flag_matches_violations():
@@ -316,6 +357,12 @@ def test_assemble_solution_minimal_indicators():
     assert sol.objective == 10
     assert sol.objective == compute_objective(inst, sol.x, sol.y, sol.s,
                                               sol.w, sol.z)
+
+
+@pytest.mark.parametrize("x, y", [((5,), (0, 5)), ((5, 0), (0, 5, 0))])
+def test_assemble_solution_refuses_vectors_of_the_wrong_length(x, y):
+    with pytest.raises(WrongVectorLength, match="^x and y must have length T$"):
+        assemble_solution(two_period_trade(), x, y)
 
 
 def test_instance_roundtrip_seeded():

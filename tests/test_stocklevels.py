@@ -126,6 +126,10 @@ def test_map_back_reindexes():
     assert outer.x == inner.x[1::2]
     assert outer.y == inner.y[0::2]
     assert outer.s == inner.s[1::2]
+    # a plan of the wp2 horizon is not one of its doubled horizon
+    with pytest.raises(ValueError,
+                       match="^expected a 4-period solution, got 2$"):
+        back(outer)
 
 
 def test_bound_S_integral_span():
@@ -169,6 +173,10 @@ def test_bound_S_generic_cap():
         fixed_purchase=(0, 0), fixed_sale=(0, 0),
     )
     assert bound_S(inst) == (2 * 2 + 1) * 3**2
+    assert gen_stock_levels(inst).S_size <= bound_S(inst)
+    # wp2 takes the cap over its doubled horizon: (2*2T + 1) * 3**(2T)
+    inst = replace(inst, variant="wp2")
+    assert bound_S(inst) == (4 * 2 + 1) * 9**2
     assert gen_stock_levels(inst).S_size <= bound_S(inst)
 
 
