@@ -77,10 +77,8 @@ from .model import (
 )
 from .network import (
     ArcDecision,
-    LayeredNetwork,
     SolveTrace,
     arc_candidates,
-    build_network,
     solve,
     solve_wp2_direct,
     to_dot,

@@ -22,7 +22,7 @@ _lp_text is the one definition of the LP: it writes the text straight from
 the level sets, in one walk over each tail's window slices that makes each
 arc's name once and joins every row from the names.  The rows need only an
 arc's tail, head and stock change, so neither the LP nor the lift builds a
-network (only network.solve_wp2_direct and the tests do).  emit_lp prints
+network.  emit_lp prints
 it with decimal numbers; lift_and_check writes it with exact p/q numbers
 and evaluates its rows on a plan lifted by the same slices.  emit_lp
 writes first and rescales on failure: when a number has no decimal
@@ -196,8 +196,8 @@ def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
     """The LP of inst as text, every number printed by literal.  layers
     holds (s0,) and then each period's ascending levels; inst must not be
     wp2 (write its doubled horizon).  One walk makes the arcs from each
-    tail's network._window_slices in build_network's order, an arc's trade
-    being its stock change.  Each arc's name is made once and joins its
+    tail's network._window_slices, by tail, then by ascending head, an
+    arc's trade being its stock change.  Each arc's name is made once and joins its
     head's incoming and its tail's outgoing list, which make the
     conservation rows; every row's text is joined from names, and rows are
     gathered per family."""

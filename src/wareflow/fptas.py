@@ -20,6 +20,7 @@ from .errors import (
     DeltaOutOfRange,
     EpsilonOutOfRange,
     IndexOutOfRange,
+    InvalidArgument,
     NoPositiveBounds,
     TerminalStockMismatch,
     WrongVariant,
@@ -59,12 +60,21 @@ def balanced_flow_decompose(inst: Instance, sol: Solution) -> BalancedFlow:
     unmatched sale, then each sale drains against the earliest later
     unmatched purchase.  The walk needs complementarity: a period that both
     buys and sells has no later trade to pair with, so an instance that is
-    not wp3 raises WrongVariant.  Requires s_T = s0 (equal totals); raises
-    TerminalStockMismatch otherwise.
+    not wp3 raises WrongVariant.  Requires each stock to follow from the
+    trades, s_t = s_{t-1} - y_t + x_t, and raises InvalidArgument naming
+    the first period that breaks it.  Requires s_T = s0 (equal totals);
+    raises TerminalStockMismatch otherwise.
     """
     if inst.variant is not Variant.WP3:
         raise WrongVariant(
             "balanced_flow_decompose applies to wp3 instances only")
+    stock = inst.s0
+    for t, (bought, sold, held) in enumerate(zip(sol.x, sol.y, sol.s), 1):
+        stock += bought - sold
+        if held != stock:
+            raise InvalidArgument(
+                f"stock after period {t} is {held}, but the trades give "
+                f"{stock}")
     if sol.s[-1] != inst.s0:
         raise TerminalStockMismatch(
             f"final stock {sol.s[-1]} differs from initial stock {inst.s0}"

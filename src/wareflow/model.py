@@ -173,7 +173,7 @@ def _coerce_variant(value) -> Variant:
     try:
         return Variant(str(value).lower())
     except ValueError as err:
-        raise ValueError(f"unknown variant: {echo(value)}") from err
+        raise InvalidArgument(f"unknown variant: {echo(value)}") from err
 
 
 _BOUND_FIELDS = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")

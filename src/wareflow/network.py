@@ -1,5 +1,5 @@
-"""Exact solver by a sliding-window DP over the level sets, plus the
-layered trading network, built only by the direct wp2 route and the tests.
+"""Exact solver by a sliding-window DP over the level sets of the layered
+trading network, which is never built.
 
 Layer 0 holds the single node s0; layer t holds the candidate stock values
 for period t.  An arc from stock s to stock s' in period t carries the best
@@ -26,23 +26,19 @@ level is built; otherwise the DP runs on each layer cut to the hull of
 what is reachable from s0 and can still reach the last period's bounds.
 No cut level lies on an s0-to-T path, so the plan stays the same.
 
-build_network is kept for the direct wp2 route, solve_wp2_direct, whose
-seven-case arcs follow no window rule, and for the tests, which decode a
-witness from it.  It states the arc rule once, for every variant: any
-trade moves the stock by x - y in [-Uy, Ux], so a tail s tries the heads
-in [s-Uy, s+Ux], and a pair is an arc when arc_candidates finds a trade
-for it.  On wp1/wp3 (and the doubled wp2 horizon) _wp1_candidates turns
-the gap pairs away before pricing anything, so only arcs are priced.  The
-arcs are listed by tail, then by ascending head, and _decode relies on
-that order to read off the smallest plan.  An arc's ArcDecision is a
-named tuple, cheap to make and immutable.  No output of wp1, wp3 or the
-doubled wp2 horizon builds a network: each tail's heads are its sell
-window, its own value and its buy window, three slices of the ascending
-next layer found by bisection (_window_slices).  The LP text walks them
-for each arc's tail, head and stock change, the lift check accepts a
-plan's stock move only into one of them, to_dot prices each arc they
-name by arc_candidates, and arc_counts sums their lengths, so bench
-counts the arcs of the levels solve searched without building them.
+No output builds the network either.  Any trade moves the stock by
+x - y in [-Uy, Ux], so a tail s has its heads in [s-Uy, s+Ux], and a pair
+is an arc when arc_candidates finds a trade for it.  Arcs are ordered by
+tail, then by ascending head.  On wp1, wp3 and the doubled wp2 horizon
+each tail's heads are its sell window, its own value and its buy window,
+three slices of the ascending next layer found by bisection
+(_window_slices), and _wp1_candidates turns the gap pairs away before
+pricing anything.  The LP text walks the slices for each arc's tail, head
+and stock change, the lift check accepts a plan's stock move only into
+one of them, to_dot prices each arc they name by arc_candidates, and
+arc_counts sums their lengths, so bench counts the arcs of the levels
+solve searched.  solve_wp2_direct, whose seven-case arcs follow no window
+rule, prices the pairs in [s-Uy, s+Ux] in one backward DP.
 
 search_instance is the one route to the searched instance: it moves wp2
 onto the doubled horizon and returns the map back.
@@ -93,9 +89,6 @@ class ArcDecision(NamedTuple):
     payoff: Exact
 
 
-Arc = tuple  # (tail index in layer t-1, head index in layer t, ArcDecision)
-
-
 @dataclass
 class SolveTrace:
     """What solve records about its search when it is handed one.
@@ -119,26 +112,6 @@ class SolveTrace:
     @property
     def S_size(self) -> int:
         return self.levels.S_size
-
-
-@dataclass(frozen=True)
-class LayeredNetwork:
-    """Acyclic layered graph over candidate stock values.
-
-    layers has T+1 entries; layers[0] == (s0,).  arcs[t-1] lists the period-t
-    arcs as (tail, head, decision) with indices into the adjacent layers.
-    """
-
-    layers: tuple[tuple[Exact, ...], ...]
-    arcs: tuple[tuple[Arc, ...], ...]
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    @property
-    def arc_count(self) -> int:
-        return sum(len(period) for period in self.arcs)
 
 
 def _indicator(amount) -> int:
@@ -241,95 +214,24 @@ def _window_slices(heads, s, lx, ux, ly, uy) -> tuple[range, range, range]:
 
 
 def arc_counts(inst: Instance, layers) -> list[int]:
-    """Per period t, the number of arcs build_network makes between
-    layers[t-1] and layers[t], counted from _window_slices without
-    making one.  inst must not be wp2 (count its doubled
-    horizon instead)."""
+    """Per period t, the number of arcs between layers[t-1] and
+    layers[t], counted from _window_slices without making one.  inst
+    must not be wp2 (count its doubled horizon instead)."""
     return [sum(len(window) for s in tails
                 for window in _window_slices(heads, s, lx, ux, ly, uy))
             for tails, heads, lx, ux, ly, uy
             in zip(layers, layers[1:], inst.Lx, inst.Ux, inst.Ly, inst.Uy)]
 
 
-def build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
-    """Assemble the layered network over the given candidate stock values.
-
-    Any trade moves the stock by x - y in [-Uy, Ux], so each tail s tries
-    only the heads in [s-Uy, s+Ux].  A pair is an arc when arc_candidates
-    finds a trade for it, and the arc keeps the payoff-maximizing one
-    (ties: smaller x, then w, then z).  Arcs are listed by tail, then
-    ascending head.  The network is not pruned: nodes with no incoming or
-    outgoing arcs stay, and infeasibility surfaces as the absence of any
-    source-to-sink path.
-    """
-    layers = ((inst.s0,),) + tuple(levels.levels)
-    arcs = []
-    for t, tails, heads in zip(inst.periods, layers, layers[1:]):
-        period = []
-        for k, s in enumerate(tails):
-            for j in range(bisect_left(heads, s - inst.Uy[t - 1]),
-                           bisect_right(heads, s + inst.Ux[t - 1])):
-                cands = arc_candidates(inst, t, s, heads[j])
-                if cands:
-                    period.append((k, j, max(
-                        cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))))
-        arcs.append(tuple(period))
-    return LayeredNetwork(layers=layers, arcs=tuple(arcs))
-
-
-def _longest_path(net: LayeredNetwork) -> tuple[list[list], list[list]]:
-    """Best payoff to the last layer from every node, and the (head,
-    decision) of the first arc, in arc order, that attains it."""
-    T = len(net.arcs)
-    suffix: list[list] = [[None] * len(layer) for layer in net.layers]
-    choice: list[list] = [[None] * len(layer) for layer in net.layers[:-1]]
-    suffix[T] = [0] * len(net.layers[T])
-    for t in range(T, 0, -1):
-        after, best, picks = suffix[t], suffix[t - 1], choice[t - 1]
-        for tail, head, dec in net.arcs[t - 1]:
-            if after[head] is None:
-                continue
-            total = dec.payoff + after[head]
-            if best[tail] is None or total > best[tail]:
-                best[tail] = total
-                picks[tail] = (head, dec)
-    return suffix, choice
-
-
-def _decode(net: LayeredNetwork) -> Solution:
-    """Decode a longest path of net forward along its chosen arcs.
-
-    build_network lists each node's arcs by ascending head, so each node's
-    choice is its smallest attaining head and the plan is the
-    lexicographically smallest.
-    """
-    suffix, choice = _longest_path(net)
-    layers = net.layers
-    if not layers[-1] or suffix[0][0] is None:
-        raise Infeasible("no feasible trading plan")
-    x, y, w, z, stocks = [], [], [], [], []
-    node = 0
-    total = 0
-    for t, picks in enumerate(choice, start=1):
-        node, dec = picks[node]
-        x.append(dec.x)
-        y.append(dec.y)
-        w.append(dec.w)
-        z.append(dec.z)
-        stocks.append(layers[t][node])
-        total += dec.payoff
-    return Solution(x=tuple(x), y=tuple(y), s=tuple(stocks),
-                    w=tuple(w), z=tuple(z), objective=total)
-
-
 def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     """Best payoff to the last layer from every node, and the head that
     attains it, without building arcs.
 
-    suffix equals the table _longest_path computes on build_network(inst,
-    ...) over the same layers.  choice[t-1][k] indexes the smallest head in
-    layer t that attains suffix[t-1][k], or is None with it.  inst must not
-    be wp2 (solve its doubled horizon instead).
+    suffix equals the longest-path table of the network over the same
+    layers, its arcs taken by tail, then by ascending head.
+    choice[t-1][k] indexes the smallest head in layer t that attains
+    suffix[t-1][k], or is None with it.  inst must not be wp2 (solve its
+    doubled horizon instead).
 
     One sweep up each layer's ascending tails carries three pointers into
     the ascending heads: a sell deque over [s-Uy, s-Ly] keyed by
@@ -510,8 +412,8 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     scaling multiplies every stock by one factor F and every objective by
     F*F, so it changes no comparison and the plan found is the one the
     rational search finds, divided back.  Agrees in plan and objective
-    with the tests' witness, which decodes a longest path of build_network
-    in rationals.  A given trace records the searched instance and its
+    with a longest path of the network in rationals, its arcs taken by
+    tail, then by ascending head.  A given trace records the searched instance and its
     levels (see SolveTrace).  Raises Infeasible when no plan exists.
     """
     base, back = search_instance(inst)
@@ -520,14 +422,48 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:
-    """Solve a wp2 instance on its own network via the seven-case arcs.
+    """Solve a wp2 instance on its own horizon via the seven-case arcs.
 
-    Exists as an independent route for cross-checking solve(); the two must
-    agree in objective value.
+    An independent route for cross-checking solve(), which searches the
+    doubled horizon; the two agree in objective value.  One backward DP
+    over gen_stock_levels(inst) tries each tail's heads in [s-Uy, s+Ux] in
+    ascending order, skipping dead ones; an arc keeps its best
+    arc_candidates trade and a node its first strictly best head, so the
+    forward walk along those choices keeps the module's tie-break.
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("solve_wp2_direct applies to wp2 instances only")
-    return _decode(build_network(inst, gen_stock_levels(inst)))
+    layers = ((inst.s0,),) + gen_stock_levels(inst).levels
+    after = [0] * len(layers[-1])  # best payoff from each node to the end
+    choices = []  # per period, backwards: each tail's (head, decision)
+    for t in reversed(inst.periods):
+        heads = layers[t]
+        best, choice = [], []
+        for s in layers[t - 1]:
+            value = pick = None
+            for j in range(bisect_left(heads, s - inst.Uy[t - 1]),
+                           bisect_right(heads, s + inst.Ux[t - 1])):
+                if after[j] is None:
+                    continue
+                cands = arc_candidates(inst, t, s, heads[j])
+                if not cands:
+                    continue
+                dec = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+                if value is None or dec.payoff + after[j] > value:
+                    value, pick = dec.payoff + after[j], (j, dec)
+            best.append(value)
+            choice.append(pick)
+        after = best
+        choices.append(choice)
+    if after[0] is None:
+        raise Infeasible("no feasible trading plan")
+    decs, stocks, node = [], [], 0
+    for t, choice in zip(inst.periods, reversed(choices)):
+        node, dec = choice[node]
+        decs.append(dec)
+        stocks.append(layers[t][node])
+    x, y, w, z, _ = map(tuple, zip(*decs))
+    return Solution(x=x, y=y, s=tuple(stocks), w=w, z=z, objective=after[0])
 
 
 def to_dot(inst: Instance) -> str:
@@ -535,7 +471,7 @@ def to_dot(inst: Instance) -> str:
 
     Like extform.emit_lp, it draws the instance search_instance returns,
     from its levels, and builds no network: each tail's arcs are its
-    _window_slices in build_network's order, each labelled with the payoff
+    _window_slices, by tail, then by ascending head, each labelled with the payoff
     arc_candidates prices it at.
     """
     base = search_instance(inst)[0]

@@ -24,7 +24,6 @@ from wareflow import (
     Variant,
     arc_candidates,
     assemble_solution,
-    build_network,
     double_horizon,
     fptas_params,
     gen_random,
@@ -50,7 +49,7 @@ from wareflow.model import (
     parse_exact,
     validate_instance,
 )
-from wareflow.network import LayeredNetwork, _decode, search_instance
+from wareflow.network import search_instance
 
 
 def two_period_trade() -> Instance:
@@ -416,12 +415,33 @@ def reference_scale_instance(inst: Instance, factor: int) -> Instance:
     return replace(inst, s0=exact(inst.s0 * factor), **scaled)
 
 
+@dataclass(frozen=True)
+class LayeredNetwork:
+    """Acyclic layered graph over candidate stock values.
+
+    layers has T+1 entries; layers[0] == (s0,).  arcs[t-1] lists the
+    period-t arcs as (tail, head, ArcDecision), with indices into the
+    adjacent layers, by tail, then by ascending head.
+    """
+
+    layers: tuple
+    arcs: tuple
+
+    @property
+    def node_count(self) -> int:
+        return sum(len(layer) for layer in self.layers)
+
+    @property
+    def arc_count(self) -> int:
+        return sum(len(period) for period in self.arcs)
+
+
 def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwork:
     """The network with no reach bound: every (tail, head) pair of
     adjacent layers goes through arc_candidates, and each arc keeps its
-    payoff-maximizing candidate (ties: smaller x, then w, then z).
-    network.build_network asks only about the heads in [s-Uy, s+Ux], so
-    equal networks show that the bound drops no arc."""
+    payoff-maximizing candidate (ties: smaller x, then w, then z).  The
+    program asks only about the heads in [s-Uy, s+Ux], so outputs equal
+    to this network's show that the bound drops no arc."""
     layers = ((inst.s0,),) + tuple(levels.levels)
     all_arcs = []
     for t in inst.periods:
@@ -442,21 +462,21 @@ def reference_build_network(inst: Instance, levels: StockLevels) -> LayeredNetwo
 def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
     """Solve an instance on its built network and return both.
 
-    The network is built on search_instance(inst), so for wp2 it is the
-    doubled-horizon one while the solution is mapped back.  Decoding from
-    the network's own longest path keeps this an independent witness for
-    solve; the two return equal solutions.  Raises Infeasible when no plan
-    exists.
+    The network is built pair by pair on search_instance(inst), so for wp2
+    it is the doubled-horizon one while the solution is mapped back.
+    Decoding from the network's own longest path keeps this an independent
+    witness for solve; the two return equal solutions.  Raises Infeasible
+    when no plan exists.
     """
     base, back = search_instance(inst)
-    net = build_network(base, gen_stock_levels(base))
-    return back(_decode(net)), net
+    net = reference_build_network(base, gen_stock_levels(base))
+    return back(reference_decode(net)), net
 
 
 def reference_to_dot(net: LayeredNetwork) -> str:
     """network.to_dot as it was when it drew a built network, kept
     verbatim; to_dot(inst), walking the window slices, must write the same
-    text as this does on build_network over the searched instance."""
+    text as this does on the network over the searched instance."""
     lines = ["digraph trading {", "  rankdir=LR;"]
     for t, layer in enumerate(net.layers):
         for i, stock in enumerate(layer):
@@ -890,18 +910,22 @@ def reference_clipped_stock_levels(inst: Instance) -> StockLevels:
                                     for t in inst.periods))
 
 
-def reference_decode(net: LayeredNetwork) -> Solution:
-    """Decode a longest path of net as network._decode did before it
-    followed its recorded choices: per-tail adjacency dicts, a suffix
-    table, then a forward pass that sorts each node's arcs and takes the
-    first head attaining the node's suffix value."""
-    T = len(net.arcs)
+def _adjacency(net: LayeredNetwork) -> list[dict]:
+    """Per period, each tail's outgoing (head, decision) list."""
     adjacency = []
-    for t in range(1, T + 1):
+    for period in net.arcs:
         adj: dict[int, list] = {}
-        for tail, head, dec in net.arcs[t - 1]:
+        for tail, head, dec in period:
             adj.setdefault(tail, []).append((head, dec))
         adjacency.append(adj)
+    return adjacency
+
+
+def reference_longest_path(net: LayeredNetwork) -> list[list]:
+    """Best payoff from every node of net to its last layer, or None
+    where no path goes on, from per-tail adjacency dicts."""
+    T = len(net.arcs)
+    adjacency = _adjacency(net)
     suffix: list[list] = [[None] * len(layer) for layer in net.layers]
     suffix[T] = [0] * len(net.layers[T])
     for t in range(T, 0, -1):
@@ -915,6 +939,17 @@ def reference_decode(net: LayeredNetwork) -> Solution:
                 if best is None or total > best:
                     best = total
             suffix[t - 1][tail] = best
+    return suffix
+
+
+def reference_decode(net: LayeredNetwork) -> Solution:
+    """Decode a longest path of net: reference_longest_path's table, then
+    a forward pass that sorts each node's arcs and takes the first head
+    attaining the node's suffix value, so the plan is the
+    lexicographically smallest.  Raises Infeasible when no source-to-sink
+    path exists."""
+    adjacency = _adjacency(net)
+    suffix = reference_longest_path(net)
     layers = net.layers
     if not layers[-1] or suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")

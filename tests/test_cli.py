@@ -18,7 +18,6 @@ from wareflow import (
     InvalidArgument,
     LotSizingInstance,
     LowerExceedsUpper,
-    build_network,
     check_solution,
     format_exact,
     fptas_params,
@@ -39,6 +38,7 @@ from wareflow.model import echo
 from wareflow.network import search_instance
 from helpers import (
     gap_infeasible,
+    reference_build_network,
     reference_dump,
     solve_with_network,
     two_period_trade,
@@ -166,14 +166,22 @@ def _broken(case: str, text: str, vector: str) -> tuple[str, str]:
         data["T"] = 1.5
         return json.dumps(data), ("T must be an integer, got 1.5" if has_T
                                   else "{kind} JSON has unknown keys: 'T'")
+    if case == "unknown-variant":
+        data["variant"] = "wp9"
+        return json.dumps(data), "unknown variant: 'wp9'"
     data[vector] = "34"  # a string is iterable, but it is no vector
     return json.dumps(data), f"{vector} must be a list"
 
 
-@pytest.mark.parametrize("case", [
+# each record kind breaks each rule; only an instance names a variant
+_BROKEN = [(kind, case) for case in (
     "not-an-object", "missing-key", "unknown-key", "unknown-keys",
-    "fractional-T", "string-vector", "malformed", "deep"])
-@pytest.mark.parametrize("kind", list(_RECORDS))
+    "fractional-T", "string-vector", "malformed", "deep")
+    for kind in _RECORDS] + [("instance", "unknown-variant")]
+
+
+@pytest.mark.parametrize("kind, case", _BROKEN,
+                         ids=[f"{kind}-{case}" for kind, case in _BROKEN])
 def test_every_record_file_breaks_the_same_rules_in_the_same_words(
         kind, case, instance_file, tmp_path, capsys):
     argv, reader, valid, vector = _RECORDS[kind]
@@ -416,10 +424,10 @@ def test_solve_output_is_the_same_with_dot(tmp_path, capsys):
 
 def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("build_network called")
+        raise AssertionError("arc priced")
 
-    monkeypatch.setattr(wareflow.network, "build_network", refuse)
-    assert not hasattr(wareflow.cli, "build_network")
+    monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
+    assert not hasattr(wareflow.cli, "arc_candidates")
     inst = two_period_trade()
     path = tmp_path / "trade.json"
     path.write_text(serialize_instance(inst))
@@ -435,6 +443,8 @@ def test_solve_and_fptas_build_no_network(tmp_path, capsys, monkeypatch):
     assert run(["fptas", "--input", str(path), "--epsilon", "2/5"]) == 0
     assert capsys.readouterr().out.startswith("objective: ")
     # --dot draws the arcs from the window slices of the searched instance
+    # and prices each one it draws
+    monkeypatch.undo()
     golden = sorted(GOLDEN.glob("*.dot"))
     assert len(golden) == 6
     for dot in golden:
@@ -646,10 +656,10 @@ GOLDEN = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.lp")))
 def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("build_network called")
+        raise AssertionError("arc priced")
 
     # the LP text is written from the levels alone
-    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
     source = str(GOLDEN / f"{name}.json")
     expected = (GOLDEN / f"{name}.lp").read_bytes()
     lp_path = tmp_path / f"{name}.lp"
@@ -757,7 +767,7 @@ def _network_bench_row(name, inst) -> dict:
     except Infeasible:
         objective = "infeasible"
     base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    net = reference_build_network(base, gen_stock_levels(base))
     return {"instance": name, "T": str(inst.T),
             "S_size": str(max(len(layer) for layer in net.layers[1:])),
             "nodes": str(net.node_count), "arcs": str(net.arc_count),
@@ -788,7 +798,7 @@ def test_bench_counts_the_searched_levels_without_a_network(
     assert not cases["e_fptas"].bounds_integral()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("network built")
+        raise AssertionError("arc priced")
 
     levels_calls = []
     original = wareflow.network.gen_stock_levels
@@ -797,7 +807,7 @@ def test_bench_counts_the_searched_levels_without_a_network(
         levels_calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
     for module in (wareflow.cli, wareflow.network):
         monkeypatch.setattr(module, "gen_stock_levels", counted)
     assert run(["bench", "--dir", str(tmp_path)]) == 0

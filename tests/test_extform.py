@@ -15,7 +15,6 @@ from wareflow import (
     Variant,
     WrongVariant,
     assemble_solution,
-    build_network,
     emit_lp,
     fptas_params,
     gen_random,
@@ -36,6 +35,7 @@ from helpers import (
     lp_rows,
     lp_sizes,
     perturbed_stocks,
+    reference_build_network,
     reference_decimal_or_none,
     reference_emit_lp,
     reference_lift_solution,
@@ -188,14 +188,19 @@ def test_lift_refuses_a_wp2_instance():
     assert report.feasible, report.violations
 
 
-def test_lift_solution_matches_the_network_reference():
+def test_lift_solution_matches_the_network_reference(monkeypatch):
     # the optimal plan and perturbed stock sequences: the slice lift gives
-    # the reference's dict, or raises NotAPath with its message
+    # the reference's dict, or raises NotAPath with its message, and
+    # prices no arc
+    def refuse(*args, **kwargs):
+        raise AssertionError("arc priced")
+
+    monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
     rng = random.Random(23)
     lifted = no_arc = 0
     for inst in slice_rule_cases():
         base = search_instance(inst)[0]
-        net = build_network(base, gen_stock_levels(base))
+        net = reference_build_network(base, gen_stock_levels(base))
         try:
             sol = solve(base)
         except Infeasible:
@@ -233,8 +238,7 @@ def test_model_size_stays_polynomial():
     for seed in range(18):
         variant = ("wp1", "wp3")[seed % 2]
         inst = gen_random(seed, T=2 + seed % 3, variant=variant, max_bound=5)
-        net = build_network(inst, gen_stock_levels(inst))
-        width = max(len(layer) for layer in net.layers[1:])
+        width = gen_stock_levels(inst).S_size
         budget = 20 * inst.T * width**2
         assert sum(lp_sizes(emit_lp(inst))) <= budget
 
@@ -430,10 +434,10 @@ def test_emit_lp_builds_no_network(monkeypatch, s0):
         return original(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("build_network called")
+        raise AssertionError("arc priced")
 
     monkeypatch.setattr(extform, "gen_stock_levels", counted)
-    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+    monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
     inst = Instance(
         variant="wp1", T=2, s0=s0,
         Ls=(0, 0), Us=(3 * s0, 3 * s0), Lx=(0, s0), Ux=(s0, 2 * s0),
@@ -488,7 +492,7 @@ def test_lp_text_matches_the_arc_walk():
     outcomes = set()
     for inst in cases:
         base = search_instance(inst)[0]
-        net = build_network(base, gen_stock_levels(base))
+        net = reference_build_network(base, gen_stock_levels(base))
         comments = ("a comment",)
         for literal in (_decimal, str):
             text = text_or_value_error(_lp_text, base, net.layers,

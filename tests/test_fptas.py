@@ -10,6 +10,7 @@ from wareflow import (
     EpsilonOutOfRange,
     IndexOutOfRange,
     Instance,
+    InvalidArgument,
     NoPositiveBounds,
     TerminalStockMismatch,
     WrongVariant,
@@ -77,6 +78,17 @@ def test_decompose_requires_settled_terminal_stock():
     inst = as_wp3(two_period_trade())
     sol = assemble_solution(inst, (5, 0), (0, 0))
     with pytest.raises(TerminalStockMismatch):
+        balanced_flow_decompose(inst, sol)
+
+
+def test_decompose_requires_stocks_that_follow_the_trades():
+    # the purchase of 5 in period 1 is never sold, yet the plan claims the
+    # stock is back at s0 = 0 after period 2
+    inst = as_wp3(two_period_trade())
+    sol = replace(assemble_solution(inst, (5, 0), (0, 0)), s=(5, 0))
+    assert sol.s[-1] == inst.s0
+    with pytest.raises(InvalidArgument, match=(
+            "^stock after period 2 is 0, but the trades give 5$")):
         balanced_flow_decompose(inst, sol)
 
 

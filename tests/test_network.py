@@ -15,7 +15,6 @@ from wareflow import (
     WrongVariant,
     WrongVectorLength,
     arc_candidates,
-    build_network,
     check_solution,
     double_horizon,
     fptas_params,
@@ -30,10 +29,6 @@ from wareflow import (
     to_dot,
 )
 from wareflow.network import (
-    ArcDecision,
-    LayeredNetwork,
-    _decode,
-    _longest_path,
     _reachable_hulls,
     _window_suffix,
     arc_counts,
@@ -46,6 +41,7 @@ from helpers import (
     path_levels,
     reference_build_network,
     reference_decode,
+    reference_longest_path,
     reference_to_dot,
     reference_window_suffix,
     slice_rule_cases,
@@ -108,7 +104,7 @@ def test_arc_wp2_enumerates_pass_through_trades():
 
 def test_build_network_two_period_trade():
     inst = two_period_trade()
-    net = build_network(inst, gen_stock_levels(inst))
+    net = reference_build_network(inst, gen_stock_levels(inst))
     assert net.layers == ((0,), (0, 5, 10), (0, 5, 10))
     assert net.node_count == 7
     assert net.arc_count == 9
@@ -252,7 +248,7 @@ def test_to_dot_lists_every_node_and_arc():
     assert dot.endswith("}\n")
 
 
-def test_to_dot_matches_the_network_reference(monkeypatch):
+def test_to_dot_matches_the_network_reference():
     # drawn from the window slices of the searched instance, with no
     # network, as the verbatim reference draws the built one
     cases = slice_rule_cases()
@@ -260,12 +256,7 @@ def test_to_dot_matches_the_network_reference(monkeypatch):
     for inst in cases:
         base = search_instance(inst)[0]
         expected.append(reference_to_dot(
-            build_network(base, gen_stock_levels(base))))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("build_network called")
-
-    monkeypatch.setattr(wareflow.network, "build_network", refuse)
+            reference_build_network(base, gen_stock_levels(base))))
     assert [to_dot(inst) for inst in cases] == expected
 
 
@@ -325,9 +316,9 @@ def _window_dp_matches_network(inst) -> bool:
     over the integer search solve's trace records, as bench reads them.
     """
     base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    net = reference_build_network(base, gen_stock_levels(base))
     tables = _window_suffix(base, net.layers)
-    assert tables[0] == _longest_path(net)[0]
+    assert tables[0] == reference_longest_path(net)
     assert tables == reference_window_suffix(base, net.layers)
     counts = [len(period) for period in net.arcs]
     assert arc_counts(base, net.layers) == counts
@@ -564,139 +555,85 @@ def test_window_dp_matches_network_on_fractional_data():
                                           for v in inst.fixed_purchase)
 
 
-def test_build_network_matches_the_pairwise_reference():
-    seeded = [gen_random(seed, T=T, variant=variant, max_bound=2 * T + seed)
-              for variant in ("wp1", "wp2", "wp3")
-              for T in range(2, 11)
-              for seed in range(2)]
-    wp2 = [inst for inst in seeded if inst.variant is Variant.WP2]
-    cases = [inst for inst in seeded if inst.variant is not Variant.WP2]
-    cases += [search_instance(inst)[0] for inst in wp2]  # doubled horizon
-    cases += wp2  # the direct route of solve_wp2_direct
-    cases += [_divided(inst, (2, 3, 7)[k % 3], 5)
-              for k, inst in enumerate(seeded[::3])]
-    cases += [scale_trade_bounds(inst, fptas_params(inst, epsilon))
-              for inst in seeded if inst.variant is Variant.WP3
-              for epsilon in (Fraction(1, 3), Fraction(2, 7))]
-    # one price vector of Fractions makes every payoff a Fraction, even
-    # through the terms whose amount or indicator is 0
-    cases += [replace(inst, **{name: tuple(Fraction(v, 3)
-                                           for v in getattr(inst, name))})
-              for inst in cases[::4]
-              for name in ("revenue", "cost", "holding", "fixed_purchase",
-                           "fixed_sale")]
-    for inst in cases:  # layers, arc order, decisions and payoff types
-        levels = gen_stock_levels(inst)
-        assert repr(build_network(inst, levels)) == repr(
-            reference_build_network(inst, levels))
-
-
-def test_build_network_prices_only_arcs(monkeypatch):
-    # positive lower trade bounds leave gaps between the sell window, the
-    # stay and the buy window, and the wide layers hold many pairs outside
-    inst = Instance(
-        variant="wp1", T=4, s0=20,
-        Ls=(0, 0, 0, 0), Us=(40, 40, 40, 40),
-        Lx=(3, 2, 4, 3), Ux=(7, 5, 9, 6), Ly=(2, 3, 1, 4), Uy=(6, 8, 5, 7),
-        revenue=(3, 1, 4, 2), cost=(1, 2, 1, 3), holding=(0, 1, 0, 1),
-        fixed_purchase=(2, 0, 1, 1), fixed_sale=(0, 1, 2, 0),
-    )
-    made, asked = [], []
-    make = wareflow.network.ArcDecision
-    candidates = wareflow.network.arc_candidates
-
-    def counted(*args, **kwargs):
-        made.append(make(*args, **kwargs))
-        return made[-1]
-
-    def asking(*args):
-        asked.append(args)
-        return candidates(*args)
-
-    monkeypatch.setattr(wareflow.network, "ArcDecision", counted)
-    monkeypatch.setattr(wareflow.network, "arc_candidates", asking)
-    net = build_network(inst, gen_stock_levels(inst))
-    arcs = [(t, net.layers[t - 1][tail], net.layers[t][head], dec)
-            for t, period in enumerate(net.arcs, start=1)
-            for tail, head, dec in period]
-    # every decision made is one arc's, so no other pair was priced
-    assert len(made) == len(arcs) == net.arc_count
-    for made_dec, (t, s_prev, s_next, dec) in zip(made, arcs):
-        assert made_dec is dec
-        i = t - 1
-        move = s_next - s_prev
-        assert dec.x - dec.y == move
-        assert (move == 0 or inst.Lx[i] <= move <= inst.Ux[i]
-                or inst.Ly[i] <= -move <= inst.Uy[i])
-    # the pairs looked at are exactly those with head in [s-Uy, s+Ux]:
-    # more than the arcs, for the gaps, and fewer than all pairs
-    reach = sum(s - uy <= v <= s + ux
-                for tails, heads, ux, uy
-                in zip(net.layers, net.layers[1:], inst.Ux, inst.Uy)
-                for s in tails for v in heads)
-    sizes = [len(layer) for layer in net.layers]
-    pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-    assert net.arc_count < len(asked) == reach < pairs
-    assert min(sizes[2:]) > 20 and 3 * net.arc_count < pairs
-    assert arc_counts(inst, net.layers) == [len(p) for p in net.arcs]
-
-
-def _decodes_like_the_reference(net) -> bool:
-    """Assert _decode and reference_decode give an equal Solution repr, or
-    the same Infeasible message; return feasibility."""
+def _wp2_direct_matches_the_reference(inst) -> bool:
+    """Assert solve_wp2_direct and the decoded pairwise network on the
+    instance's own horizon give an equal Solution repr, or the same
+    Infeasible message; return feasibility."""
+    net = reference_build_network(inst, gen_stock_levels(inst))
     try:
         expected = reference_decode(net)
     except Infeasible as err:
         with pytest.raises(Infeasible, match=f"^{re.escape(str(err))}$"):
-            _decode(net)
+            solve_wp2_direct(inst)
         return False
-    assert repr(_decode(net)) == repr(expected)
+    assert repr(solve_wp2_direct(inst)) == repr(expected)
     return True
 
 
 def test_decode_matches_the_adjacency_reference():
-    # wp1/wp3 and doubled wp2 networks, wp2 own-horizon networks (the route
-    # of solve_wp2_direct), Fraction data and FPTAS-rounded wp3 bounds
+    # solve_wp2_direct's DP and forward walk against the adjacency decode
+    # of the pairwise network: wp2 instances, wp1 and wp3 data read as
+    # wp2, Fraction bounds and prices, and Fraction payoffs alone
     seeded = [gen_random(seed, T=T, variant=variant, max_bound=2 * T + seed)
               for variant in ("wp1", "wp2", "wp3")
-              for T in range(2, 9)
+              for T in range(1, 9)
               for seed in range(3)]
-    cases = [search_instance(inst)[0] for inst in seeded]
-    cases += [inst for inst in seeded if inst.variant is Variant.WP2]
+    cases = [replace(inst, variant="wp2") for inst in seeded]
     cases += [_divided(inst, (2, 3, 7)[k % 3], 5)
-              for k, inst in enumerate(seeded[::2])]
-    cases += [scale_trade_bounds(inst, fptas_params(inst, Fraction(1, 3)))
-              for inst in seeded if inst.variant is Variant.WP3]
-    outcomes = [
-        _decodes_like_the_reference(build_network(inst, gen_stock_levels(inst)))
-        for inst in cases
-    ]
+              for k, inst in enumerate(cases[::2])]
+    cases += [replace(inst, revenue=tuple(Fraction(v, 3)
+                                          for v in inst.revenue))
+              for inst in cases[::5]]
+    outcomes = [_wp2_direct_matches_the_reference(inst) for inst in cases]
     assert any(outcomes) and not all(outcomes)
+    assert any(feasible for feasible, inst in zip(outcomes, cases)
+               if not inst.bounds_integral())
 
 
-def test_decode_takes_the_smaller_of_two_equal_heads():
-    # from s0 = 0, the paths through stock 1 and stock 2 both total 5 and
-    # the one through 3 totals 4; the arcs list heads in ascending order,
-    # as build_network does, so the smaller head keeps its choice
-    net = LayeredNetwork(
-        layers=((0,), (1, 2, 3), (2,)),
-        arcs=(
-            ((0, 0, ArcDecision(1, 0, 1, 0, 3)),
-             (0, 1, ArcDecision(2, 0, 1, 0, 1)),
-             (0, 2, ArcDecision(3, 0, 1, 0, 4))),
-            ((0, 0, ArcDecision(1, 0, 1, 0, 2)),
-             (1, 0, ArcDecision(0, 0, 0, 0, 4)),
-             (2, 0, ArcDecision(0, 1, 0, 1, 0))),
-        ),
+def test_wp2_direct_takes_the_smaller_of_two_equal_heads():
+    # buy k at 1 in period 1, k in [1, 3], and sell up to 2 of it at 1 in
+    # period 2, ending with at most 1: through stock 1 or 2 the plan nets
+    # 0, through 3 it keeps 1 unsold and nets -1
+    inst = Instance(
+        variant="wp2", T=2, s0=0, Ls=(1, 0), Us=(3, 1),
+        Lx=(0, 0), Ux=(3, 0), Ly=(0, 0), Uy=(0, 2),
+        revenue=(0, 1), cost=(1, 0), holding=(0, 0),
+        fixed_purchase=(0, 0), fixed_sale=(0, 0),
     )
-    suffix, choice = _longest_path(net)
-    assert suffix[1] == [2, 4, 0] and suffix[0] == [5]
-    assert choice[0][0][0] == 0
-    sol = _decode(net)
+    assert gen_stock_levels(inst).levels[0] == (1, 2, 3)
+    sol = solve_wp2_direct(inst)
     assert (sol.x, sol.y, sol.s, sol.w, sol.z) == (
-        (1, 1), (0, 0), (1, 2), (1, 1), (0, 0))
-    assert sol.objective == 5
-    assert sol == reference_decode(net)
+        (1, 0), (0, 1), (1, 0), (1, 0), (0, 1))
+    assert sol.objective == 0
+    assert sol == reference_decode(
+        reference_build_network(inst, gen_stock_levels(inst)))
+
+
+def test_wp2_direct_takes_the_smallest_of_equal_candidates():
+    # r = c and no fixed cost, so on the one arc 3 -> 2 selling 2 while
+    # buying 1 ties with selling 3 while buying 2 (Ly = 2 rules out a
+    # sale of 1 alone): the smaller x wins
+    inst = Instance(
+        variant="wp2", T=1, s0=3, Ls=(2,), Us=(2,),
+        Lx=(1,), Ux=(2,), Ly=(2,), Uy=(3,),
+        revenue=(1,), cost=(1,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    cands = [(c.x, c.y, c.w, c.z, c.payoff)
+             for c in arc_candidates(inst, 1, 3, 2)]
+    assert cands == [(2, 3, 1, 1, 1), (1, 2, 1, 1, 1)]
+    sol = solve_wp2_direct(inst)
+    assert (sol.x, sol.y, sol.s, sol.w, sol.z) == (
+        (1,), (2,), (2,), (1,), (1,))
+    # on the stay arc 2 -> 2 trading nothing also ties with the idle
+    # indicators that Lx = Ly = 0 allow, and the smaller w and z win
+    idle = replace(inst, s0=2, Lx=(0,), Ly=(0,), Uy=(2,))
+    cands = {(c.x, c.y, c.w, c.z): c.payoff
+             for c in arc_candidates(idle, 1, 2, 2)}
+    assert {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)} <= cands.keys()
+    assert set(cands.values()) == {0}
+    sol = solve_wp2_direct(idle)
+    assert (sol.x, sol.y, sol.w, sol.z) == ((0,), (0,), (0,), (0,))
 
 
 def test_window_suffix_matches_the_reference_on_seeded_layers():
@@ -782,7 +719,8 @@ def test_path_levels_lie_in_their_cut_layer(variant):
                           max_bound=4 + seed % 5)
         base = search_instance(inst)[0]
         hulls = _reachable_hulls(base)
-        on_paths = path_levels(build_network(base, gen_stock_levels(base)))
+        on_paths = path_levels(
+            reference_build_network(base, gen_stock_levels(base)))
         assert (hulls is None) == (not on_paths[-1])
         if hulls is not None:
             for levels, (lo, hi) in zip(on_paths, hulls):

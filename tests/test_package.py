@@ -38,3 +38,33 @@ def test_all_names_public_objects_and_no_module():
     assert not [name for name, value in values.items()
                 if isinstance(value, ModuleType)]
     assert "solve" in values and "Instance" in values
+
+
+def test_all_lists_exactly_the_pinned_names():
+    """__all__ is this sorted list, so a change to the public names shows
+    in the diff of this test."""
+    pinned = [
+        "ArcDecision", "BalancedFlow", "DeltaOutOfRange", "EmptyInput",
+        "EpsilonOutOfRange", "Exact", "FeasibilityReport", "FlowPair",
+        "FptasParams", "IndexOutOfRange", "Infeasible", "Instance",
+        "InvalidArgument", "InvalidInstance", "LotSizingInstance",
+        "LowerExceedsUpper", "NegativeBound", "NoPositiveBounds",
+        "NonIntegralData", "NotAPath", "PeriodOutOfRange", "Solution",
+        "SolveTrace", "StockLevels", "TerminalStockMismatch", "Variant",
+        "WP3ShapeViolation", "WarehouseError", "WrongVariant",
+        "WrongVectorLength", "arc_candidates", "assemble_solution",
+        "balanced_flow_decompose", "bound_S", "check_solution",
+        "compute_objective", "double_horizon", "emit_lp", "evaluate_payoff",
+        "exact", "exact_vector", "format_exact", "fptas_bound_S",
+        "fptas_params", "fptas_scale", "fptas_solve", "gen_random",
+        "gen_stock_levels", "integral_instance", "lift_and_check",
+        "lift_solution", "normalize_terminal", "oracle_solve", "parse_exact",
+        "parse_instance", "parse_lotsizing", "parse_solution", "reassemble",
+        "reduce_flow", "reduce_lotsizing", "reduce_partition",
+        "scale_instance", "scale_trade_bounds", "serialize_instance",
+        "serialize_lotsizing", "serialize_solution", "solve",
+        "solve_wp2_direct", "to_dot", "validate_instance",
+        "validate_lotsizing",
+    ]
+    assert pinned == sorted(pinned)
+    assert wareflow.__all__ == pinned

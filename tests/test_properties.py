@@ -24,7 +24,6 @@ from wareflow import (  # noqa: E402
     Solution,
     Variant,
     assemble_solution,
-    build_network,
     check_solution,
     compute_objective,
     emit_lp,
@@ -62,7 +61,6 @@ from wareflow.model import (  # noqa: E402
 )
 from wareflow.network import (  # noqa: E402
     SolveTrace,
-    _decode,
     _reachable_hulls,
     _window_suffix,
     arc_counts,
@@ -224,7 +222,7 @@ def test_slice_lift_and_dot_match_the_network_references(inst, d, rounded,
     if rounded and inst.variant is Variant.WP3:
         inst = scale_trade_bounds(inst, fptas_params(inst, Fraction(1, 3)))
     base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    net = reference_build_network(base, gen_stock_levels(base))
     assert to_dot(inst) == reference_to_dot(net)
     try:
         sol = solve(base)
@@ -236,24 +234,13 @@ def test_slice_lift_and_dot_match_the_network_references(inst, d, rounded,
 
 
 @SETTINGS
-@given(instances())
-def test_network_matches_the_pairwise_reference(inst):
-    # wp2 twice: on the doubled horizon it is searched on, and on its own
-    # horizon as solve_wp2_direct builds it
-    for base in {search_instance(inst)[0], inst}:
-        levels = gen_stock_levels(base)
-        assert repr(build_network(base, levels)) == repr(
-            reference_build_network(base, levels))
-
-
-@SETTINGS
 @given(instances(), st.integers(1, 3))
 def test_arc_counts_match_the_built_network(inst, d):
     # the network over the levels as given, and the counts over the integer
     # copy that solve searches and records, as bench reads them
     inst = _rescaled(inst, Fraction(1, d), 1)
     base = search_instance(inst)[0]
-    net = build_network(base, gen_stock_levels(base))
+    net = reference_build_network(base, gen_stock_levels(base))
     counts = [len(period) for period in net.arcs]
     assert arc_counts(base, net.layers) == counts
     trace = SolveTrace()
@@ -304,7 +291,8 @@ def test_path_levels_lie_in_their_cut_layer(inst, d):
     hulls = _reachable_hulls(base)
     if hulls is None:
         return
-    on_paths = path_levels(build_network(base, gen_stock_levels(base)))
+    on_paths = path_levels(
+        reference_build_network(base, gen_stock_levels(base)))
     for levels, (lo, hi) in zip(on_paths, hulls):
         assert all(lo <= v <= hi for v in levels)
 
@@ -364,20 +352,21 @@ def test_levels_match_the_two_sweep_reference(inst, d):
 
 
 @SETTINGS
-@given(instances(), st.integers(1, 4))
-def test_decode_matches_the_adjacency_reference(inst, d):
-    # Fraction payoffs; wp2 on its doubled and on its own horizon
-    inst = fractional_payoffs(inst, d)
-    for base in {search_instance(inst)[0], inst}:
-        net = build_network(base, gen_stock_levels(base))
-        try:
-            expected = reference_decode(net)
-        except Infeasible as err:
-            with pytest.raises(Infeasible) as raised:
-                _decode(net)
-            assert str(raised.value) == str(err)
-            continue
-        assert repr(_decode(net)) == repr(expected)
+@given(instances(), st.integers(1, 4), st.integers(1, 3))
+def test_decode_matches_the_adjacency_reference(inst, d, e):
+    # solve_wp2_direct against the adjacency decode of the pairwise network
+    # on the instance read as wp2, with Fraction payoffs and bounds over e
+    inst = replace(_rescaled(fractional_payoffs(inst, d), Fraction(1, e), 1),
+                   variant="wp2")
+    net = reference_build_network(inst, gen_stock_levels(inst))
+    try:
+        expected = reference_decode(net)
+    except Infeasible as err:
+        with pytest.raises(Infeasible) as raised:
+            solve_wp2_direct(inst)
+        assert str(raised.value) == str(err)
+        return
+    assert repr(solve_wp2_direct(inst)) == repr(expected)
 
 
 def _rescaled(inst, quantity, price):
@@ -459,7 +448,7 @@ def test_emit_lp_matches_the_reference_emitter(inst):
 def test_lp_text_matches_the_arc_walk(inst, d):
     # bounds over 3 stop the decimal write, in both, at the same number
     base = search_instance(_rescaled(inst, Fraction(1, d), 1))[0]
-    net = build_network(base, gen_stock_levels(base))
+    net = reference_build_network(base, gen_stock_levels(base))
     for literal in (_decimal, str):
         assert text_or_value_error(
             _lp_text, base, net.layers, (), literal) == text_or_value_error(

@@ -10,7 +10,6 @@ from wareflow import (
     Instance,
     WrongVariant,
     bound_S,
-    build_network,
     double_horizon,
     fptas_params,
     gen_random,
@@ -20,9 +19,11 @@ from wareflow import (
     scale_trade_bounds,
     solve,
 )
-from wareflow.network import _decode, search_instance
+from wareflow.network import search_instance
 from helpers import (
+    reference_build_network,
     reference_clipped_stock_levels,
+    reference_decode,
     reference_stock_levels,
     two_period_trade,
     wp2_mixed,
@@ -314,8 +315,8 @@ def test_whole_levels_are_ints_on_fractional_bounds():
     fractional = 0
     for inst in cases:
         base = search_instance(inst)[0]
-        net = build_network(base, gen_stock_levels(base))
-        for layer in gen_stock_levels(inst).levels + net.layers:
+        layers = ((base.s0,),) + gen_stock_levels(base).levels
+        for layer in gen_stock_levels(inst).levels + layers:
             assert all(type(v) is int for v in layer if v.denominator == 1)
             fractional += any(type(v) is not int for v in layer)
     assert fractional > 0
@@ -325,9 +326,9 @@ def test_solve_matches_the_network_over_unclipped_levels():
     outcomes = []
     for inst in _seeded_instances():
         base, back = search_instance(inst)
-        net = build_network(base, reference_stock_levels(base))
+        net = reference_build_network(base, reference_stock_levels(base))
         try:
-            expected = back(_decode(net))
+            expected = back(reference_decode(net))
         except Infeasible as err:
             with pytest.raises(Infeasible, match=str(err)):
                 solve(inst)
