@@ -19,12 +19,16 @@ pass: the stock moves give x and y, and model.assemble_solution adds the
 minimal indicators and the objective.
 
 Unless s0 lies in every [Ls_t, Us_t] (then the plan that never trades is
-feasible, as validation makes it on wp3), solve first carries the exact
-stock a plan can reach, as disjoint intervals, forward through the periods
-(_reachable_hulls).  An empty period makes it raise Infeasible before any
-level is built; otherwise the DP runs on each layer cut to the hull of
-what is reachable from s0 and can still reach the last period's bounds.
-No cut level lies on an s0-to-T path, so the plan stays the same.
+feasible, as validation makes it on wp3), solve first decides
+feasibility on the instance as read: it carries the exact stock a plan
+can reach, as disjoint intervals, forward through the periods
+(_reachable_hulls), walking each wp2 period as its sale half, then its
+purchase half.  An empty period makes it raise Infeasible before any copy
+or level is built: no doubled horizon, no integer-scaled instance.
+Otherwise the DP runs on each layer cut to the hull of what is reachable
+from s0 and can still reach the last period's bounds, those hulls times
+the integral factor F below.  No cut level lies on an s0-to-T path, so
+the plan stays the same.
 
 No output builds the network either.  Any trade moves the stock by
 x - y in [-Uy, Ux], so a tail s has its heads in [s-Uy, s+Ux], and a pair
@@ -54,8 +58,10 @@ which is divided back by F.  to_dot and the LP work on the searched
 instance as it is, so the DOT dump and the LP print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
-arc the smaller x wins, then smaller w, then smaller z; among equal-value
-paths the lexicographically smallest stock sequence wins.
+arc the smaller x wins, then smaller w, then smaller z (arc_candidates
+lists a zero trade with its indicator off first, and max keeps the first
+maximum); among equal-value paths the lexicographically smallest stock
+sequence wins.
 """
 
 from __future__ import annotations
@@ -75,8 +81,14 @@ from .model import (
     assemble_solution,
     evaluate_payoff,
     integral_instance,
+    scale_factor,
 )
-from .stocklevels import StockLevels, double_horizon, gen_stock_levels
+from .stocklevels import (
+    StockLevels,
+    double_horizon,
+    gen_stock_levels,
+    searched_bounds,
+)
 
 
 class ArcDecision(NamedTuple):
@@ -99,7 +111,9 @@ class SolveTrace:
     gen_stock_levels makes them, before the DP cuts them to the stock a
     plan can reach.  layer_sizes[t-1] counts the levels of period t and
     S_size is their maximum; the integer scaling keeps every size.  A
-    solve that raises Infeasible has still recorded both.
+    solve that raises Infeasible has still recorded both: given a trace,
+    it builds that instance and its levels even when the instance as read
+    has already been found infeasible.
     """
 
     searched: Instance | None = None
@@ -156,7 +170,10 @@ def _wp2_candidates(inst: Instance, t: int, s_prev, s_next) -> list[ArcDecision]
     stock (y = s_prev, x = s_next); the purchase indicator is off, or the
     purchase sits at Lx or Ux; the sale indicator is off, or the sale sits
     at Ly or Uy.  Each case is completed via y = s_prev - s_next + x and
-    filtered against sign, availability, and the coupled bounds.
+    filtered against sign, availability, and the coupled bounds.  So a
+    zero purchase is listed with w = 0 before w = 1, and a zero sale with
+    z = 0 before z = 1: the first of the best candidates has the smallest
+    indicators.
     """
     i = t - 1
     shift = s_prev - s_next  # y - x on any feasible arc
@@ -306,70 +323,75 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
 
 
 def _reachable_hulls(inst: Instance) -> list[tuple] | None:
-    """Per period t, the hull [lo, hi] of the stocks an s0-to-T plan can
-    hold after t, or None when some period has no reachable stock.
+    """Per period t of the searched horizon, the hull [lo, hi] of the
+    stocks an s0-to-T plan can hold after t, or None when some period has
+    no reachable stock.
 
-    The forward pass carries the exact set of stocks reachable from s0 as
+    The periods are the rows searched_bounds reads off inst, so a wp2
+    instance is walked as its 2T half-periods, each period's sale half
+    before its purchase half, and no doubled instance is built.  The
+    forward pass carries the exact set of stocks reachable from s0 as
     ascending disjoint intervals: [a, b] moves to itself, to [a+Lx, b+Ux]
     when Ux > 0 and to [a-Uy, b-Ly] when Uy > 0, and the union is clipped
     to [Ls_t, Us_t] and merged.  Trades are real, so a set is empty
     exactly when no plan gets through its period.  Every interval end is
     a forward level, so no set outgrows its layer.  The backward pass then
     cuts each hull to the stocks from which the next cut hull is within
-    one move: [lo - Ux, hi + Uy].  inst must not be wp2.
+    one move: [lo - Ux, hi + Uy].  Every end is a sum of inst's data, so
+    on inst scaled by F the hulls are these times F.
     """
+    Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
     reach = [(inst.s0, inst.s0)]
     hulls = []
-    for ls, us, lx, ux, ly, uy in zip(inst.Ls, inst.Us, inst.Lx, inst.Ux,
-                                      inst.Ly, inst.Uy):
-        moved = list(reach)
+    for ls, us, lx, ux, ly, uy in zip(Ls, Us, Lx, Ux, Ly, Uy):
+        moved = reach
         if ux > 0:
-            moved += [(a + lx, b + ux) for a, b in reach]
+            moved = moved + [(a + lx, b + ux) for a, b in reach]
         if uy > 0:
-            moved += [(a - uy, b - ly) for a, b in reach]
-        moved.sort()
+            moved = [(a - uy, b - ly) for a, b in reach] + moved
+        if moved is not reach:
+            moved.sort()
         reach = []
+        lo = hi = None  # the interval being merged
         for a, b in moved:
-            a, b = max(a, ls), min(b, us)
-            if a > b:
+            if a > us:  # and so is every later a
+                break
+            if b < ls:
                 continue
-            if reach and a <= reach[-1][1]:
-                if b > reach[-1][1]:
-                    reach[-1] = (reach[-1][0], b)
+            if a < ls:
+                a = ls
+            if b > us:
+                b = us
+            if hi is not None and a <= hi:
+                if b > hi:
+                    hi = b
             else:
-                reach.append((a, b))
-        if not reach:
+                if hi is not None:
+                    reach.append((lo, hi))
+                lo, hi = a, b
+        if hi is None:
             return None
-        hulls.append((reach[0][0], reach[-1][1]))
+        reach.append((lo, hi))
+        hulls.append((reach[0][0], hi))
     lo, hi = hulls[-1]
-    for i in range(inst.T - 1, 0, -1):
-        lo = max(hulls[i - 1][0], lo - inst.Ux[i])
-        hi = min(hulls[i - 1][1], hi + inst.Uy[i])
+    for i in range(len(hulls) - 1, 0, -1):
+        lo = max(hulls[i - 1][0], lo - Ux[i])
+        hi = min(hulls[i - 1][1], hi + Uy[i])
         hulls[i - 1] = (lo, hi)
     return hulls
 
 
-def _solve_windows(inst: Instance, trace: SolveTrace | None) -> Solution:
-    """Window DP over the reachable levels, then a forward pass along the
-    chosen heads.
+def _solve_windows(inst: Instance, hulls: list[tuple] | None,
+                   trace: SolveTrace | None) -> Solution:
+    """Window DP over the levels of inst, each layer cut to its hull by
+    two bisections, then a forward pass along the chosen heads.
 
-    When s0 lies in every [Ls_t, Us_t] the plan that never trades is
-    feasible and the DP runs on the full levels.  Otherwise
-    _reachable_hulls decides feasibility first: a period with no reachable
-    stock raises Infeasible, and no level is built unless a trace is given
-    to record them.  Else each layer is cut by two bisections to its
-    hull.  A cut level lies on no s0-to-T path, so every node on
-    the decoded path keeps its suffix value and smallest best head, and
-    the plan is the one the full levels give.  inst must not be wp2
-    (solve its doubled horizon instead).
+    hulls are _reachable_hulls in inst's scale, or None to search the full
+    levels, as when s0 lies in every [Ls_t, Us_t].  A cut level lies on
+    no s0-to-T path, so every node on the decoded path keeps its suffix
+    value and smallest best head, and the plan is the one the full levels
+    give.  inst must not be wp2 (solve its doubled horizon instead).
     """
-    hulls = None
-    if not all(ls <= inst.s0 <= us for ls, us in zip(inst.Ls, inst.Us)):
-        hulls = _reachable_hulls(inst)
-        if hulls is None:
-            if trace is not None:
-                trace.searched, trace.levels = inst, gen_stock_levels(inst)
-            raise Infeasible("no feasible trading plan")
     levels = gen_stock_levels(inst)
     if trace is not None:
         trace.searched, trace.levels = inst, levels
@@ -413,12 +435,31 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     F*F, so it changes no comparison and the plan found is the one the
     rational search finds, divided back.  Agrees in plan and objective
     with a longest path of the network in rationals, its arcs taken by
-    tail, then by ascending head.  A given trace records the searched instance and its
-    levels (see SolveTrace).  Raises Infeasible when no plan exists.
+    tail, then by ascending head.  A given trace records the searched
+    instance and its levels (see SolveTrace).
+
+    Unless s0 lies in every [Ls_t, Us_t], _reachable_hulls first decides
+    feasibility on inst as read, once: with no plan and no trace it raises
+    Infeasible before search_instance, integral_instance or any level
+    runs.  A feasible search cuts its layers to those hulls times F.
+    Raises Infeasible when no plan exists.
     """
+    hulls = None
+    # on wp2 this also tests the doubled bounds: [0, Us_t] holds [Ls_t, Us_t]
+    if not all(ls <= inst.s0 <= us for ls, us in zip(inst.Ls, inst.Us)):
+        hulls = _reachable_hulls(inst)
+        if hulls is None:
+            if trace is not None:
+                searched = integral_instance(search_instance(inst)[0])[0]
+                trace.searched = searched
+                trace.levels = gen_stock_levels(searched)
+            raise Infeasible("no feasible trading plan")
     base, back = search_instance(inst)
     searched, unscale = integral_instance(base)
-    return back(unscale(_solve_windows(searched, trace)))
+    if hulls is not None and searched is not base:
+        F = scale_factor(base)
+        hulls = [(int(lo * F), int(hi * F)) for lo, hi in hulls]
+    return back(unscale(_solve_windows(searched, hulls, trace)))
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:
@@ -427,9 +468,10 @@ def solve_wp2_direct(inst: Instance) -> Solution:
     An independent route for cross-checking solve(), which searches the
     doubled horizon; the two agree in objective value.  One backward DP
     over gen_stock_levels(inst) tries each tail's heads in [s-Uy, s+Ux] in
-    ascending order, skipping dead ones; an arc keeps its best
-    arc_candidates trade and a node its first strictly best head, so the
-    forward walk along those choices keeps the module's tie-break.
+    ascending order, skipping dead ones; an arc keeps its first
+    arc_candidates trade of highest payoff and smallest x, and a node its
+    first strictly best head, so the forward walk along those choices
+    keeps the module's tie-break.
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("solve_wp2_direct applies to wp2 instances only")
@@ -448,7 +490,7 @@ def solve_wp2_direct(inst: Instance) -> Solution:
                 cands = arc_candidates(inst, t, s, heads[j])
                 if not cands:
                     continue
-                dec = max(cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+                dec = max(cands, key=lambda c: (c.payoff, -c.x))
                 if value is None or dec.payoff + after[j] > value:
                     value, pick = dec.payoff + after[j], (j, dec)
             best.append(value)

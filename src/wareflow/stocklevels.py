@@ -56,6 +56,31 @@ class StockLevels:
         return max(map(len, self.levels), default=0)
 
 
+def _interleave(odd, even) -> tuple:
+    """odd[0], even[0], odd[1], even[1], ...: a doubled-horizon vector."""
+    out = [0] * (2 * len(odd))
+    out[0::2] = odd
+    out[1::2] = even
+    return tuple(out)
+
+
+def searched_bounds(inst: Instance) -> tuple[tuple, ...]:
+    """Ls, Us, Lx, Ux, Ly, Uy of the horizon the solvers search, without
+    building it: for wp2 the doubled rows double_horizon writes, for wp1
+    and wp3 inst's own.
+
+    Period t of wp2 becomes its sale half 2t-1, with stock bounds
+    [0, Us_t] and sales in [Ly_t, Uy_t], then its purchase half 2t, with
+    stock bounds [Ls_t, Us_t] and purchases in [Lx_t, Ux_t].
+    """
+    if inst.variant is not Variant.WP2:
+        return inst.Ls, inst.Us, inst.Lx, inst.Ux, inst.Ly, inst.Uy
+    zeros = (0,) * inst.T
+    return (_interleave(zeros, inst.Ls), _interleave(inst.Us, inst.Us),
+            _interleave(zeros, inst.Lx), _interleave(zeros, inst.Ux),
+            _interleave(inst.Ly, zeros), _interleave(inst.Uy, zeros))
+
+
 def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
     """Split every wp2 period into a sales half then a purchases half.
 
@@ -71,28 +96,18 @@ def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("double_horizon applies to wp2 instances only")
-
-    def interleave(odd, even):
-        out = [0] * (2 * inst.T)
-        out[0::2] = odd
-        out[1::2] = even
-        return tuple(out)
-
+    Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
+    zeros = (0,) * inst.T
     doubled = Instance(
         variant=Variant.WP1,
         T=2 * inst.T,
         s0=inst.s0,
-        Ls=interleave((0,) * inst.T, inst.Ls),
-        Us=interleave(inst.Us, inst.Us),
-        Lx=interleave((0,) * inst.T, inst.Lx),
-        Ux=interleave((0,) * inst.T, inst.Ux),
-        Ly=interleave(inst.Ly, (0,) * inst.T),
-        Uy=interleave(inst.Uy, (0,) * inst.T),
-        revenue=interleave(inst.revenue, (0,) * inst.T),
-        cost=interleave((0,) * inst.T, inst.cost),
-        holding=interleave((0,) * inst.T, inst.holding),
-        fixed_purchase=interleave((0,) * inst.T, inst.fixed_purchase),
-        fixed_sale=interleave(inst.fixed_sale, (0,) * inst.T),
+        Ls=Ls, Us=Us, Lx=Lx, Ux=Ux, Ly=Ly, Uy=Uy,
+        revenue=_interleave(inst.revenue, zeros),
+        cost=_interleave(zeros, inst.cost),
+        holding=_interleave(zeros, inst.holding),
+        fixed_purchase=_interleave(zeros, inst.fixed_purchase),
+        fixed_sale=_interleave(inst.fixed_sale, zeros),
     )
 
     def back(sol: Solution) -> Solution:

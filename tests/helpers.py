@@ -46,10 +46,12 @@ from wareflow.model import (
     evaluate_payoff,
     exact,
     format_exact,
+    integral_instance,
     parse_exact,
+    scale_factor,
     validate_instance,
 )
-from wareflow.network import search_instance
+from wareflow.network import _reachable_hulls, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -200,6 +202,30 @@ def has_balanced_split(entries) -> bool:
     return total // 2 in sums
 
 
+def planted_partition(seed: int, n: int, hi: int) -> list[int]:
+    """n entries in [1, hi] that split into two halves of equal sum, so
+    reduce_partition's optimum is 3A/2 before any solve.  n >= 2 and
+    hi >= 2: an odd number of ones never balances.
+
+    n - 1 entries drawn in [1, hi] are dealt one by one to the lighter
+    half, which keeps the halves within hi of each other, and their
+    difference is appended to the lighter one (all redrawn while it is
+    0); the entries come back shuffled.
+    """
+    assert n >= 2 and hi >= 2
+    rng = random.Random(seed)
+    while True:
+        entries, gap = [], 0  # gap: the first half's sum less the second's
+        for _ in range(n - 1):
+            value = rng.randint(1, hi)
+            entries.append(value)
+            gap += value if gap <= 0 else -value
+        if gap:
+            entries.append(abs(gap))
+            rng.shuffle(entries)
+            return entries
+
+
 def random_trading_wp3(seed: int, T: int, lo: int = 4, hi: int = 12) -> Instance:
     """Integral wp3 instance whose trade bounds all land in [lo, hi]."""
     rng = random.Random(seed)
@@ -263,6 +289,13 @@ def solution_with(sol: Solution, **overrides) -> Solution:
     }
     fields.update(overrides)
     return Solution(**fields)
+
+
+def hulls_on_the_searched_copy(inst: Instance) -> tuple[list | None, int]:
+    """_reachable_hulls where solve once ran it: on the searched instance
+    (for wp2 the doubled horizon) scaled to integers by F, and F."""
+    base = search_instance(inst)[0]
+    return _reachable_hulls(integral_instance(base)[0]), scale_factor(base)
 
 
 def reference_decimal_or_none(value):

@@ -15,6 +15,7 @@ import wareflow.fptas
 import wareflow.network
 from wareflow import (
     Infeasible,
+    Instance,
     InvalidArgument,
     LotSizingInstance,
     LowerExceedsUpper,
@@ -89,8 +90,18 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     gap = tmp_path / "gap.json"
     gap.write_text(serialize_instance(gap_infeasible()))
+    # wp2 sells from the opening stock only: buying 3 and selling 2 would
+    # reach the stock 1, but a sale from s0 = 0 is 0, so x lies in {0, 3}
+    order = tmp_path / "order.json"
+    order.write_text(serialize_instance(Instance(
+        variant="wp2", T=1, s0=0, Ls=(1,), Us=(1,),
+        Lx=(3,), Ux=(3,), Ly=(2,), Uy=(2,),
+        revenue=(1,), cost=(1,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )))
     # the oracle answers an instance no plan gets through in the same way
-    for command, source in (("solve", path), ("solve", gap), ("oracle", gap)):
+    for command, source in (("solve", path), ("solve", gap), ("oracle", gap),
+                            ("solve", order), ("oracle", order)):
         assert run([command, "--input", str(source)]) == 1
         out = capsys.readouterr()
         assert out.out == ""

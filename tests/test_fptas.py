@@ -28,12 +28,14 @@ from wareflow import (
     parse_exact,
     reassemble,
     reduce_flow,
+    reduce_partition,
     scale_trade_bounds,
     solve,
 )
 from helpers import (
     as_wp3,
     buy_then_sell,
+    planted_partition,
     random_settled_walk,
     random_trading_wp3,
     reference_scale_trade_bounds,
@@ -299,6 +301,23 @@ def test_fptas_guarantee_on_random_instances():
             sol = fptas_solve(inst, eps)
             assert sol.objective >= (1 - eps) * best
             assert check_solution(inst, sol).feasible
+
+
+def test_fptas_guarantee_on_planted_partitions():
+    # twenty entries up to a million whose halves balance, so OPT = 3A/2
+    # is known without an exact solve; an odd twin has no balanced split
+    eps = Fraction(1, 3)
+    for seed in range(3):
+        entries = planted_partition(seed, 20, 10**6)
+        inst, target = reduce_partition(entries)
+        sol = fptas_solve(inst, eps)
+        assert check_solution(inst, sol).feasible
+        assert (1 - eps) * target <= sol.objective <= target
+        entries[0] += 1  # A is now odd: OPT < 3A/2
+        inst, target = reduce_partition(entries)
+        sol = fptas_solve(inst, eps)
+        assert check_solution(inst, sol).feasible
+        assert sol.objective < target
 
 
 def test_scaled_down_optimum_fits_scaled_bounds():

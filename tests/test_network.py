@@ -38,10 +38,12 @@ from helpers import (
     blocked_by_fixed_cost,
     buy_then_sell,
     gap_infeasible,
+    hulls_on_the_searched_copy,
     path_levels,
     reference_build_network,
     reference_decode,
     reference_longest_path,
+    reference_scale_instance,
     reference_to_dot,
     reference_window_suffix,
     slice_rule_cases,
@@ -636,6 +638,47 @@ def test_wp2_direct_takes_the_smallest_of_equal_candidates():
     assert (sol.x, sol.y, sol.w, sol.z) == ((0,), (0,), (0,), (0,))
 
 
+def test_wp2_candidates_list_the_smaller_indicator_first():
+    # Lx = Ly = 0, so a zero purchase is priced with w = 0 (purchases off)
+    # and w = 1 (x at Lx), a zero sale with z = 0 and z = 1; free
+    # indicators tie them, and max by (payoff, -x) keeps the first
+    inst = Instance(
+        variant="wp2", T=1, s0=2, Ls=(0,), Us=(5,),
+        Lx=(0,), Ux=(3,), Ly=(0,), Uy=(2,),
+        revenue=(1,), cost=(1,), holding=(0,),
+        fixed_purchase=(0,), fixed_sale=(0,),
+    )
+    stay = arc_candidates(inst, 1, 2, 2)
+    assert [(c.w, c.z) for c in stay if c.x == 0] == [(0, 0), (1, 0), (0, 1)]
+    buy = arc_candidates(inst, 1, 2, 4)
+    assert [(c.w, c.z) for c in buy if c.y == 0] == [(1, 0), (1, 1)]
+    picks = [max(cands, key=lambda c: (c.payoff, -c.x))
+             for cands in (stay, buy)]
+    assert [(c.x, c.y, c.w, c.z) for c in picks] == [(0, 0, 0, 0),
+                                                     (2, 0, 1, 0)]
+    # on every arc of seeded wp2 instances, half of them with free
+    # indicators, w and z never decide between the best candidates
+    tied = 0
+    for seed in range(40):
+        inst = gen_random(seed, T=1 + seed % 4, variant="wp2",
+                          max_bound=2 + seed % 5)
+        if seed % 2:
+            zero = (0,) * inst.T
+            inst = replace(inst, fixed_purchase=zero, fixed_sale=zero)
+        layers = ((inst.s0,),) + gen_stock_levels(inst).levels
+        for t in inst.periods:
+            for s in layers[t - 1]:
+                for head in layers[t]:
+                    cands = arc_candidates(inst, t, s, head)
+                    if not cands:
+                        continue
+                    top = max(c.payoff for c in cands)
+                    tied += sum(c.payoff == top for c in cands) > 1
+                    assert max(cands, key=lambda c: (c.payoff, -c.x)) == max(
+                        cands, key=lambda c: (c.payoff, -c.x, -c.w, -c.z))
+    assert tied > 100
+
+
 def test_window_suffix_matches_the_reference_on_seeded_layers():
     rng = random.Random(20)
     dead = zero_sides = 0
@@ -683,7 +726,7 @@ def test_gap_infeasible_raises_before_building_levels(monkeypatch):
 @pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
 def test_infeasible_solves_build_no_levels(monkeypatch, variant):
     calls = _counted_levels(monkeypatch)
-    infeasible = 0
+    infeasible = []
     for seed in range(60):
         inst = gen_random(seed, T=2 + seed % 6, variant=variant,
                           max_bound=4 + seed % 5)
@@ -691,11 +734,77 @@ def test_infeasible_solves_build_no_levels(monkeypatch, variant):
         try:
             solve(inst)
         except Infeasible:
-            infeasible += 1
+            infeasible.append(inst)
             assert len(calls) == before
         else:
             assert len(calls) == before + 1
-    assert (infeasible > 0) == (variant != "wp3")
+    assert bool(infeasible) == (variant != "wp3")
+    # nor a doubled or integer-scaled copy, nor any other Instance, also
+    # when the data are fractions
+    infeasible += [reference_scale_instance(inst, Fraction(1, 3))
+                   for inst in infeasible]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy built")
+
+    monkeypatch.setattr(wareflow.network, "double_horizon", refuse)
+    monkeypatch.setattr(wareflow.network, "integral_instance", refuse)
+    monkeypatch.setattr(Instance, "__post_init__", refuse)
+    for inst in infeasible:
+        with pytest.raises(Infeasible, match="^no feasible trading plan$"):
+            solve(inst)
+
+
+@pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
+def test_hulls_of_the_instance_as_read_match_the_searched_copy(variant):
+    # the pass on the instance as given, times F, is the pass on the
+    # doubled, integer-scaled copy solve searches; data over 1, 2 or 3
+    cut = empty = 0
+    for seed in range(90):
+        inst = gen_random(seed, T=1 + seed % 8, variant=variant,
+                          max_bound=3 + seed % 10)
+        inst = reference_scale_instance(inst, Fraction(1, 1 + seed % 3))
+        hulls = _reachable_hulls(inst)
+        copy, F = hulls_on_the_searched_copy(inst)
+        assert (hulls is None) == (copy is None)
+        if hulls is None:
+            empty += 1
+            continue
+        assert [(lo * F, hi * F) for lo, hi in hulls] == copy
+        cut += not all(ls <= inst.s0 <= us
+                       for ls, us in zip(inst.Ls, inst.Us))
+    if variant != "wp3":
+        assert cut > 5 and empty > 5
+
+
+def test_solve_runs_the_reachable_pass_at_most_once(monkeypatch):
+    runs = []
+    original = wareflow.network._reachable_hulls
+
+    def counted(inst):
+        runs.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(wareflow.network, "_reachable_hulls", counted)
+    for seed in range(60):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
+                          max_bound=4 + seed % 5)
+        for case in (inst, reference_scale_instance(inst, Fraction(1, 2))):
+            for trace in (None, SolveTrace()):
+                before = len(runs)
+                try:
+                    solve(case, trace)
+                except Infeasible:
+                    pass
+                # at most once, on the instance as given, never a copy
+                assert len(runs) - before <= 1
+                assert all(run is case for run in runs[before:])
+                if trace is not None:
+                    searched = integral_instance(search_instance(case)[0])[0]
+                    assert trace.searched == searched
+                    assert trace.levels == gen_stock_levels(searched)
+    assert len(runs) > 40
 
 
 def test_solve_skips_the_pass_when_never_trading_is_feasible(monkeypatch):

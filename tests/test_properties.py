@@ -38,6 +38,7 @@ from wareflow import (  # noqa: E402
     parse_instance,
     parse_lotsizing,
     parse_solution,
+    reduce_partition,
     scale_instance,
     scale_trade_bounds,
     serialize_instance,
@@ -72,10 +73,12 @@ from helpers import (  # noqa: E402
     brute_oracle_solve,
     flat_payloads,
     fractional_payoffs,
+    hulls_on_the_searched_copy,
     lift_outcome,
     outcome,
     path_levels,
     planted,
+    planted_partition,
     perturbed_stocks,
     reference_build_network,
     reference_clipped_stock_levels,
@@ -278,10 +281,23 @@ def test_reachable_stock_decides_feasibility(inst, d):
     # a period with no reachable stock <=> no path in the network <=> (on
     # integral bounds) no integral plan; the bounds are over d
     inst = _rescaled(inst, Fraction(1, d), 1)
-    empty = _reachable_hulls(search_instance(inst)[0]) is None
+    empty = _reachable_hulls(inst) is None
     assert empty == _raises_infeasible(solve_with_network, inst)
     if inst.bounds_integral():
         assert empty == _raises_infeasible(oracle_solve, inst)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.integers(1, 3))
+def test_hulls_of_the_instance_as_read_match_the_searched_copy(inst, d, e):
+    # bounds over d and prices over e; wp2 walked as sale then purchase
+    # halves matches the pass on its doubled, integer-scaled copy
+    inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
+    hulls = _reachable_hulls(inst)
+    copy, F = hulls_on_the_searched_copy(inst)
+    assert (hulls is None) == (copy is None)
+    if hulls is not None:
+        assert [(lo * F, hi * F) for lo, hi in hulls] == copy
 
 
 @SETTINGS
@@ -310,6 +326,13 @@ def test_window_suffix_matches_the_reference_on_drawn_layers(case):
     inst, layers = case
     assert _window_suffix(inst, layers) == reference_window_suffix(
         inst, layers)
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(2, 12))
+def test_solve_reaches_three_halves_of_a_planted_partition(seed, n, hi):
+    inst, target = reduce_partition(planted_partition(seed, n, hi))
+    assert solve(inst).objective == target
 
 
 @st.composite
