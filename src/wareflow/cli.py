@@ -81,7 +81,7 @@ def _cmd_fptas(args) -> int:
     trace = SolveTrace()
     sol = solve(scaled, trace)
     print(f"K: {format_exact(params.K)}", file=sys.stderr)
-    print(f"S_size: {trace.S_size}", file=sys.stderr)
+    print(f"S_size: {trace.levels.S_size}", file=sys.stderr)
     return _answer(sol, args)
 
 
@@ -159,8 +159,8 @@ def _bench_one(name: str, inst) -> dict:
     return {
         "instance": name,
         "T": inst.T,
-        "S_size": trace.S_size,
-        "nodes": 1 + sum(trace.layer_sizes),
+        "S_size": trace.levels.S_size,
+        "nodes": sum(map(len, layers)),
         "arcs": sum(arc_counts(searched, layers)),
         "objective": objective,
         "wall_ms": wall_ms,

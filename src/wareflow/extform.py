@@ -115,12 +115,13 @@ def lift_and_check(inst: Instance, sol: Solution) -> FeasibilityReport:
     reports as (0, "obj", LP value, sol.objective).  Raises NotAPath when
     the plan is not a path of the LP's arcs.  _lp_text makes the arcs by
     the wp1 window rule, which a wp2 instance on its own horizon does not
-    follow, so a wp2 inst raises WrongVariant: pass search_instance(inst)[0],
-    the instance that was searched.
+    follow, so a wp2 inst raises WrongVariant: pass search_instance(inst),
+    the instance that was searched, with a plan of it, such as
+    solve(search_instance(inst)).
     """
     if inst.variant is Variant.WP2:
         raise WrongVariant("lift_and_check takes the searched instance: "
-                           "pass search_instance(inst)[0], not wp2")
+                           "pass search_instance(inst), not wp2")
     layers = ((inst.s0,),) + gen_stock_levels(inst).levels
     values = lift_solution(inst, layers, sol)
     # all-digit literals parse as int: Fraction(str) on every term is
@@ -276,7 +277,7 @@ def emit_lp(inst: Instance) -> str:
     F*F, linear payoff and fixed costs alike, so the LP ranks plans as the
     instance does.
     """
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     layers = ((base.s0,),) + gen_stock_levels(base).levels
     comments = ("extended formulation over the trading network",)
     try:

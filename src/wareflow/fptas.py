@@ -275,7 +275,7 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
     the data (model.integral_instance), which keeps the order of every
     stock and payoff and so returns the plan the rational search would,
     its trades divided by F and its objective by F**2.  The rounding, the
-    scaling and that map back are integer arithmetic on numerators and
+    scaling and that division are integer arithmetic on numerators and
     denominators.
     """
     return solve(fptas_scale(inst, epsilon)[1])

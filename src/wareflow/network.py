@@ -15,8 +15,9 @@ layer's suffix values follow in O(S) from one sweep up its tails that
 carries a monotone deque per side with a positive upper bound plus a
 pointer to the no-trade head, and every node keeps the smallest head
 that attains its value.  The plan is read off those heads in one forward
-pass: the stock moves give x and y, and model.assemble_solution adds the
-minimal indicators and the objective.
+pass into a stock path, stocklevels.searched_trades turns that path into
+the instance's own trades, and model.assemble_solution adds the minimal
+indicators and the objective.
 
 Unless s0 lies in every [Ls_t, Us_t] (then the plan that never trades is
 feasible, as validation makes it on wp3), solve first decides
@@ -45,17 +46,19 @@ solve searched.  solve_wp2_direct, whose seven-case arcs follow no window
 rule, prices the pairs in [s-Uy, s+Ux] in one backward DP.
 
 search_instance is the one route to the searched instance: it moves wp2
-onto the doubled horizon and returns the map back.
+onto the doubled horizon.
 
 solve searches in integers.  model.integral_instance multiplies the
-searched instance's s0, bounds and unit prices by F, the LCM of the
-denominators of all its data, and its fixed costs by F*F, the rule emit-lp
-prints, so no level, window key or payoff is a Fraction.  Every plan's
-objective scales by the same F*F and every stock by F, so all comparisons
-and equalities come out as before: the level sets keep their sizes, and
-the deque fronts and with them the tie-break below choose the same plan,
-which is divided back by F.  to_dot and the LP work on the searched
-instance as it is, so the DOT dump and the LP print its own numbers.
+instance's s0, bounds and unit prices by F, the LCM of the denominators of
+all its data, and its fixed costs by F*F, the rule emit-lp prints, so no
+level, window key or payoff is a Fraction; the doubled horizon of that
+copy is the scaled doubled horizon, since doubling adds only zeros.
+Every plan's objective scales by the same F*F and every stock by F, so all
+comparisons and equalities come out as before: the level sets keep their
+sizes, and the deque fronts and with them the tie-break below choose the
+same plan, which is assembled on the scaled instance and divided back by
+F once.  to_dot and the LP work on the searched instance as it is, so the
+DOT dump and the LP print its own numbers.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z (arc_candidates
@@ -70,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import Infeasible, WrongVariant
 from .model import (
@@ -88,6 +91,7 @@ from .stocklevels import (
     double_horizon,
     gen_stock_levels,
     searched_bounds,
+    searched_trades,
 )
 
 
@@ -105,27 +109,18 @@ class ArcDecision(NamedTuple):
 class SolveTrace:
     """What solve records about its search when it is handed one.
 
-    searched is the instance the window DP ran on: search_instance's
-    instance (for wp2 the doubled, 2T-period horizon) scaled to integers
-    by model.integral_instance.  levels are its StockLevels, as
-    gen_stock_levels makes them, before the DP cuts them to the stock a
-    plan can reach.  layer_sizes[t-1] counts the levels of period t and
-    S_size is their maximum; the integer scaling keeps every size.  A
-    solve that raises Infeasible has still recorded both: given a trace,
-    it builds that instance and its levels even when the instance as read
-    has already been found infeasible.
+    searched is the instance the window DP ran on: the instance scaled to
+    integers by model.integral_instance, then moved by search_instance
+    (for wp2 onto the doubled, 2T-period horizon).  levels are its
+    StockLevels, as gen_stock_levels makes them, before the DP cuts them
+    to the stock a plan can reach; the integer scaling keeps every layer's
+    size.  A solve that raises Infeasible has still recorded both: given a
+    trace, it builds that instance and its levels even when the instance
+    as read has already been found infeasible.
     """
 
     searched: Instance | None = None
     levels: StockLevels = StockLevels(levels=())
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.levels.levels))
-
-    @property
-    def S_size(self) -> int:
-        return self.levels.S_size
 
 
 def _indicator(amount) -> int:
@@ -382,9 +377,10 @@ def _reachable_hulls(inst: Instance) -> list[tuple] | None:
 
 
 def _solve_windows(inst: Instance, hulls: list[tuple] | None,
-                   trace: SolveTrace | None) -> Solution:
+                   trace: SolveTrace | None) -> list:
     """Window DP over the levels of inst, each layer cut to its hull by
-    two bisections, then a forward pass along the chosen heads.
+    two bisections, then a forward pass along the chosen heads: the stock
+    after each period of the best plan.
 
     hulls are _reachable_hulls in inst's scale, or None to search the full
     levels, as when s0 lies in every [Ls_t, Us_t].  A cut level lies on
@@ -403,44 +399,40 @@ def _solve_windows(inst: Instance, hulls: list[tuple] | None,
     suffix, choice = _window_suffix(inst, layers)
     if suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")
-    x, y = [], []
-    node, s_prev = 0, inst.s0
+    stocks, node = [], 0
     for t in inst.periods:
         node = choice[t - 1][node]
-        s = layers[t][node]
-        x.append(max(s - s_prev, 0))
-        y.append(max(s_prev - s, 0))
-        s_prev = s
-    return assemble_solution(inst, x, y)
+        stocks.append(layers[t][node])
+    return stocks
 
 
-def search_instance(inst: Instance) -> tuple[Instance, Callable]:
-    """The instance the solvers search, and the map of its plans back.
-
-    wp2 is rewritten onto its doubled, one-side-per-period horizon and the
-    returned map restores a T-period solution; wp1 and wp3 pass through
-    unchanged with the identity map.
-    """
+def search_instance(inst: Instance) -> Instance:
+    """The instance the solvers search: wp2 rewritten onto its doubled,
+    one-side-per-period horizon, wp1 and wp3 as they are.
+    stocklevels.searched_trades reads inst's trades off a stock path of
+    it."""
     if inst.variant is Variant.WP2:
         return double_horizon(inst)
-    return inst, lambda sol: sol
+    return inst
 
 
 def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     """Solve an instance exactly by the window DP over its level sets.
 
-    Runs on search_instance(inst), so the single wp1 arc rule serves all
-    variants, scaled to integer data by model.integral_instance.  The
-    scaling multiplies every stock by one factor F and every objective by
-    F*F, so it changes no comparison and the plan found is the one the
-    rational search finds, divided back.  Agrees in plan and objective
-    with a longest path of the network in rationals, its arcs taken by
-    tail, then by ascending head.  A given trace records the searched
-    instance and its levels (see SolveTrace).
+    Scales inst to integer data by model.integral_instance, then runs on
+    search_instance of that copy, so the single wp1 arc rule serves all
+    variants.  The scaling multiplies every stock by one factor F and
+    every objective by F*F, so it changes no comparison and the plan found
+    is the one the rational search finds.  The DP's stock path becomes
+    the scaled instance's trades by stocklevels.searched_trades, and one
+    plan is assembled on it and divided back by F.  Agrees in plan and
+    objective with a longest path of the network in rationals, its arcs
+    taken by tail, then by ascending head.  A given trace records the
+    searched instance and its levels (see SolveTrace).
 
     Unless s0 lies in every [Ls_t, Us_t], _reachable_hulls first decides
     feasibility on inst as read, once: with no plan and no trace it raises
-    Infeasible before search_instance, integral_instance or any level
+    Infeasible before integral_instance, search_instance or any level
     runs.  A feasible search cuts its layers to those hulls times F.
     Raises Infeasible when no plan exists.
     """
@@ -450,16 +442,16 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
         hulls = _reachable_hulls(inst)
         if hulls is None:
             if trace is not None:
-                searched = integral_instance(search_instance(inst)[0])[0]
+                searched = search_instance(integral_instance(inst)[0])
                 trace.searched = searched
                 trace.levels = gen_stock_levels(searched)
             raise Infeasible("no feasible trading plan")
-    base, back = search_instance(inst)
-    searched, unscale = integral_instance(base)
-    if hulls is not None and searched is not base:
-        F = scale_factor(base)
+    scaled, unscale = integral_instance(inst)
+    if hulls is not None and scaled is not inst:
+        F = scale_factor(inst)
         hulls = [(int(lo * F), int(hi * F)) for lo, hi in hulls]
-    return back(unscale(_solve_windows(searched, hulls, trace)))
+    stocks = _solve_windows(search_instance(scaled), hulls, trace)
+    return unscale(assemble_solution(scaled, *searched_trades(scaled, stocks)))
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:
@@ -516,7 +508,7 @@ def to_dot(inst: Instance) -> str:
     _window_slices, by tail, then by ascending head, each labelled with the payoff
     arc_candidates prices it at.
     """
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     layers = ((base.s0,),) + gen_stock_levels(base).levels
     lines = ["digraph trading {", "  rankdir=LR;"]
     for t, layer in enumerate(layers):

@@ -27,18 +27,24 @@ backward from {Ls_T, Us_T}, with the negated moves of period t+1 for
 layer t.  The work is proportional to the number of distinct in-bound
 values rather than the number of move selections.
 
-For wp2 instances the computation runs on the purchases/sales-split doubled
-horizon (see double_horizon) and projects the even layers back, which adds
-zero as an anchor value.
+For wp2 instances the sweep runs over the rows of the purchases/sales-split
+doubled horizon that searched_bounds reads off the instance, with no
+doubled instance built, and keeps the layers after each purchase half:
+the sale halves add zero as an anchor value.  Fractional bounds are swept
+in integers, times model.scale_factor, and divided back at the end.
+
+The doubled horizon is read through two functions: searched_bounds gives
+its rows, and searched_trades turns a stock path over them into the
+instance's own trades.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
 
 from .errors import WrongVariant
-from .model import Exact, Instance, Solution, Variant, compute_objective
+from .model import Exact, Instance, Variant, exact_quotient, scale_factor
 
 
 @dataclass(frozen=True)
@@ -81,24 +87,41 @@ def searched_bounds(inst: Instance) -> tuple[tuple, ...]:
             _interleave(inst.Ly, zeros), _interleave(inst.Uy, zeros))
 
 
-def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
+def searched_trades(inst: Instance, stocks) -> tuple[list, list]:
+    """x and y of inst's plan whose stocks over the searched horizon of
+    inst (the rows searched_bounds reads) are stocks, in period order.
+
+    On wp1 and wp3 each stock move is one trade.  On wp2 the sale half of
+    period t moves the stock from s'_{2t-2} down to s'_{2t-1} (s'_0 = s0)
+    and its purchase half on up to s'_{2t}, so y_t = s'_{2t-2} - s'_{2t-1}
+    and x_t = s'_{2t} - s'_{2t-1}.
+    """
+    if inst.variant is Variant.WP2:
+        after_sale, after_purchase = stocks[0::2], stocks[1::2]
+        before_sale = (inst.s0, *after_purchase)
+        return ([b - a for a, b in zip(after_sale, after_purchase)],
+                [b - a for a, b in zip(after_sale, before_sale)])
+    before = (inst.s0, *stocks)
+    return ([max(s - b, 0) for b, s in zip(before, stocks)],
+            [max(b - s, 0) for b, s in zip(before, stocks)])
+
+
+def double_horizon(inst: Instance) -> Instance:
     """Split every wp2 period into a sales half then a purchases half.
 
-    Returns the doubled instance and the map of its plans back.  The
-    doubled instance is a wp1 instance over 2T periods: odd period 2t-1
-    carries only the sales of period t, even period 2t only its purchases.
-    Its stock bounds are [0, Us_t] after an odd period and [Ls_t, Us_t]
-    after an even one, which encodes y_t <= s_{t-1} under plain
-    complementarity, so its feasible plans correspond one to one with the
-    wp2 plans, with equal objective.  The map back takes x_t = x'_{2t},
-    y_t = y'_{2t-1}, s_t = s'_{2t}, w_t = w'_{2t}, z_t = z'_{2t-1} and
-    recomputes the objective on inst.
+    The doubled instance is a wp1 instance over 2T periods: odd period
+    2t-1 carries only the sales of period t, even period 2t only its
+    purchases.  Its stock bounds are [0, Us_t] after an odd period and
+    [Ls_t, Us_t] after an even one, which encodes y_t <= s_{t-1} under
+    plain complementarity, so its feasible plans correspond one to one
+    with the wp2 plans, with equal objective: searched_trades reads a
+    wp2 plan's trades off the doubled plan's stocks.
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("double_horizon applies to wp2 instances only")
     Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
     zeros = (0,) * inst.T
-    doubled = Instance(
+    return Instance(
         variant=Variant.WP1,
         T=2 * inst.T,
         s0=inst.s0,
@@ -109,18 +132,6 @@ def double_horizon(inst: Instance) -> tuple[Instance, Callable]:
         fixed_purchase=_interleave(zeros, inst.fixed_purchase),
         fixed_sale=_interleave(inst.fixed_sale, zeros),
     )
-
-    def back(sol: Solution) -> Solution:
-        if len(sol.x) != 2 * inst.T:
-            raise ValueError(
-                f"expected a {2 * inst.T}-period solution, got {len(sol.x)}"
-            )
-        x, y, s = sol.x[1::2], sol.y[0::2], sol.s[1::2]
-        w, z = sol.w[1::2], sol.z[0::2]
-        objective = compute_objective(inst, x, y, s, w, z)
-        return Solution(x=x, y=y, s=s, w=w, z=z, objective=objective)
-
-    return doubled, back
 
 
 def _sweep(start: set, steps) -> list[set]:
@@ -143,29 +154,30 @@ def _sweep(start: set, steps) -> list[set]:
 def gen_stock_levels(inst: Instance) -> StockLevels:
     """Compute the candidate stock values for every period.
 
-    For wp2 the doubled horizon is expanded and its even layers are
-    projected back.  A whole level is always an int, also when the bounds
-    hold Fractions.
+    The sweep runs over the rows searched_bounds(inst) returns; for wp2
+    it keeps the layers after each purchase half.  Fractional bounds are
+    swept times F = model.scale_factor(inst), in ints, and each level is
+    divided back by exact_quotient, so a whole level is always an int.
     """
-    if inst.variant is Variant.WP2:
-        inner = gen_stock_levels(double_horizon(inst)[0])
-        return StockLevels(levels=inner.levels[1::2])
-    Ls, Us = inst.Ls, inst.Us
-    Lx, Ux, Ly, Uy = inst.Lx, inst.Ux, inst.Ly, inst.Uy
-    forward = _sweep({inst.s0}, (
+    s0, bounds = inst.s0, searched_bounds(inst)
+    F = 1 if inst.bounds_integral() else scale_factor(inst)
+    if F != 1:
+        s0 = int(s0 * F)
+        bounds = [[int(v * F) for v in vec] for vec in bounds]
+    Ls, Us, Lx, Ux, Ly, Uy = bounds
+    forward = _sweep({s0}, (
         ({0, Lx[i], Ux[i], -Ly[i], -Uy[i]}, Ls[i], Us[i])
-        for i in range(inst.T)))
+        for i in range(len(Ls))))
     # the layer after period i+1 undoes the moves of period i+2
     backward = _sweep({Ls[-1], Us[-1]}, (
         ({0, -Lx[i + 1], -Ux[i + 1], Ly[i + 1], Uy[i + 1]}, Ls[i], Us[i])
-        for i in range(inst.T - 2, -1, -1)))
-    layers = (sorted(ahead | behind)
-              for ahead, behind in zip(forward[1:], reversed(backward)))
-    if not inst.bounds_integral():
-        # a whole sum of Fractions stays a Fraction, and a set keeps
-        # whichever of 1 and Fraction(1, 1) it met first: make them ints
-        layers = ([v.numerator if v.denominator == 1 else v for v in layer]
-                  for layer in layers)
+        for i in range(len(Ls) - 2, -1, -1)))
+    pairs = zip(forward[1:], reversed(backward))
+    if inst.variant is Variant.WP2:
+        pairs = islice(pairs, 1, None, 2)
+    layers = (sorted(ahead | behind) for ahead, behind in pairs)
+    if F != 1:
+        layers = ([exact_quotient(v, F) for v in layer] for layer in layers)
     return StockLevels(levels=tuple(map(tuple, layers)))
 
 

@@ -24,6 +24,7 @@ from wareflow import (
     Variant,
     arc_candidates,
     assemble_solution,
+    compute_objective,
     double_horizon,
     fptas_params,
     gen_random,
@@ -294,7 +295,7 @@ def solution_with(sol: Solution, **overrides) -> Solution:
 def hulls_on_the_searched_copy(inst: Instance) -> tuple[list | None, int]:
     """_reachable_hulls where solve once ran it: on the searched instance
     (for wp2 the doubled horizon) scaled to integers by F, and F."""
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     return _reachable_hulls(integral_instance(base)[0]), scale_factor(base)
 
 
@@ -496,14 +497,28 @@ def solve_with_network(inst: Instance) -> tuple[Solution, LayeredNetwork]:
     """Solve an instance on its built network and return both.
 
     The network is built pair by pair on search_instance(inst), so for wp2
-    it is the doubled-horizon one while the solution is mapped back.
-    Decoding from the network's own longest path keeps this an independent
-    witness for solve; the two return equal solutions.  Raises Infeasible
-    when no plan exists.
+    it is the doubled-horizon one while the solution is mapped back by
+    reference_map_back.  Decoding from the network's own longest path
+    keeps this an independent witness for solve; the two return equal
+    solutions.  Raises Infeasible when no plan exists.
     """
-    base, back = search_instance(inst)
+    base = search_instance(inst)
     net = reference_build_network(base, gen_stock_levels(base))
-    return back(reference_decode(net)), net
+    sol = reference_decode(net)
+    if inst.variant is Variant.WP2:
+        sol = reference_map_back(inst, sol)
+    return sol, net
+
+
+def reference_map_back(inst: Instance, sol: Solution) -> Solution:
+    """A plan of double_horizon(inst) as the wp2 plan of inst, by the
+    slicing that double_horizon's map back once did: x_t = x'_{2t},
+    y_t = y'_{2t-1}, s_t = s'_{2t}, w_t = w'_{2t}, z_t = z'_{2t-1}, and
+    the objective recomputed on inst."""
+    x, y, s = sol.x[1::2], sol.y[0::2], sol.s[1::2]
+    w, z = sol.w[1::2], sol.z[0::2]
+    return Solution(x=x, y=y, s=s, w=w, z=z,
+                    objective=compute_objective(inst, x, y, s, w, z))
 
 
 def reference_to_dot(net: LayeredNetwork) -> str:
@@ -765,7 +780,7 @@ def reference_emit_lp(inst: Instance) -> str:
         net = reference_build_network(base, gen_stock_levels(base))
         return reference_build_extended_formulation(base, net)
 
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     comments = ["extended formulation over the trading network"]
     model = model_for(base)
     if any(reference_decimal_or_none(v) is None
@@ -879,7 +894,7 @@ def reference_stock_levels(inst: Instance) -> StockLevels:
     carry every value through every layer unclipped, and clip to
     [Ls_t, Us_t] only at the end."""
     if inst.variant is Variant.WP2:
-        inner = reference_stock_levels(double_horizon(inst)[0])
+        inner = reference_stock_levels(double_horizon(inst))
         levels = tuple(inner.levels[2 * t - 1] for t in inst.periods)
         return StockLevels(levels=levels)
     forward = _reference_forward_sets(inst)
@@ -934,7 +949,7 @@ def reference_clipped_stock_levels(inst: Instance) -> StockLevels:
     [Ls_t, Us_t] as it is built, the backward one seeded per layer with the
     next period's anchors."""
     if inst.variant is Variant.WP2:
-        inner = reference_clipped_stock_levels(double_horizon(inst)[0])
+        inner = reference_clipped_stock_levels(double_horizon(inst))
         return StockLevels(levels=tuple(inner.levels[2 * t - 1]
                                         for t in inst.periods))
     forward = _reference_clipped_forward_sets(inst)
@@ -1467,3 +1482,9 @@ def typed(value):
     if isinstance(value, (Instance, Solution)):
         return typed(vars(value))
     return type(value), value
+
+
+def typed_exact_levels(levels: StockLevels):
+    """typed() of the level values in exact form, so that a whole
+    Fraction, as a set of Fraction sums may keep, reads as its int."""
+    return typed(tuple(tuple(map(exact, layer)) for layer in levels.levels))

@@ -238,7 +238,7 @@ def test_criterion_7_extended_formulation_lift():
     for inst in _benchmark_instances():
         base = inst
         if inst.variant.value == "wp2":
-            base = double_horizon(inst)[0]
+            base = double_horizon(inst)
         try:
             sol, net = solve_with_network(base)
         except Infeasible:

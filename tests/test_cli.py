@@ -777,7 +777,7 @@ def _network_bench_row(name, inst) -> dict:
         objective = str(format_exact(solve(inst).objective))
     except Infeasible:
         objective = "infeasible"
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     net = reference_build_network(base, gen_stock_levels(base))
     return {"instance": name, "T": str(inst.T),
             "S_size": str(max(len(layer) for layer in net.layers[1:])),

@@ -181,9 +181,11 @@ def test_lift_refuses_a_wp2_instance():
     # the rows follow the wp1 window rule, which the network of a wp2
     # instance on its own horizon does not: the searched instance lifts
     inst = wp2_mixed()
-    with pytest.raises(WrongVariant, match=r"search_instance\(inst\)\[0\]"):
+    with pytest.raises(WrongVariant, match=(
+            r"^lift_and_check takes the searched instance: "
+            r"pass search_instance\(inst\), not wp2$")):
         lift_and_check(inst, solve(inst))
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     report = lift_and_check(base, solve(base))
     assert report.feasible, report.violations
 
@@ -199,7 +201,7 @@ def test_lift_solution_matches_the_network_reference(monkeypatch):
     rng = random.Random(23)
     lifted = no_arc = 0
     for inst in slice_rule_cases():
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         net = reference_build_network(base, gen_stock_levels(base))
         try:
             sol = solve(base)
@@ -468,7 +470,7 @@ def test_scaled_levels_are_the_levels_of_the_scaled_instance():
              for seed in range(3)]
     factors = set()
     for inst in cases:
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         layers = ((base.s0,),) + gen_stock_levels(base).levels
         scaled = re.search(r"scaled by (\d+),", emit_lp(inst))
         factors.add(int(scaled[1]) if scaled else 1)
@@ -491,7 +493,7 @@ def test_lp_text_matches_the_arc_walk():
     infeasible = 0
     outcomes = set()
     for inst in cases:
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         net = reference_build_network(base, gen_stock_levels(base))
         comments = ("a comment",)
         for literal in (_decimal, str):

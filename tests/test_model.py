@@ -410,7 +410,7 @@ def test_flat_writers_write_the_pure_python_encoders_bytes_seeded():
         try:
             plans.append(solve(inst))
             if variant == "wp2":  # a plan of the doubled horizon
-                plans.append(solve(search_instance(inst)[0]))
+                plans.append(solve(search_instance(inst)))
             if variant == "wp3":
                 plans.append(fptas_solve(inst, Fraction(1, 3)))
         except Infeasible:
@@ -531,7 +531,7 @@ def test_integral_instance_maps_the_objective_back_exactly():
     # the original data
     solved = 0
     for inst in _fractional_cases():
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         searched, back = integral_instance(base)
         assert searched is not base
         try:

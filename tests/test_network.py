@@ -10,11 +10,13 @@ from wareflow import (
     Infeasible,
     Instance,
     LowerExceedsUpper,
+    Solution,
     SolveTrace,
     Variant,
     WrongVariant,
     WrongVectorLength,
     arc_candidates,
+    assemble_solution,
     check_solution,
     double_horizon,
     fptas_params,
@@ -34,6 +36,7 @@ from wareflow.network import (
     arc_counts,
     search_instance,
 )
+from wareflow.stocklevels import searched_trades
 from helpers import (
     blocked_by_fixed_cost,
     buy_then_sell,
@@ -43,6 +46,7 @@ from helpers import (
     reference_build_network,
     reference_decode,
     reference_longest_path,
+    reference_map_back,
     reference_scale_instance,
     reference_to_dot,
     reference_window_suffix,
@@ -256,7 +260,7 @@ def test_to_dot_matches_the_network_reference():
     cases = slice_rule_cases()
     expected = []
     for inst in cases:
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         expected.append(reference_to_dot(
             reference_build_network(base, gen_stock_levels(base))))
     assert [to_dot(inst) for inst in cases] == expected
@@ -264,21 +268,21 @@ def test_to_dot_matches_the_network_reference():
 
 def test_search_instance_doubles_wp2_and_maps_back():
     inst = wp2_mixed()
-    base, back = search_instance(inst)
-    assert base == double_horizon(inst)[0]
+    base = search_instance(inst)
+    assert base == double_horizon(inst)
     assert base.variant is Variant.WP1 and base.T == 2 * inst.T
-    sol = back(solve_with_network(base)[0])
+    doubled = solve_with_network(base)[0]
+    sol = assemble_solution(inst, *searched_trades(inst, doubled.s))
     assert len(sol.x) == inst.T
-    assert sol == solve(inst)
+    assert sol == solve(inst) == reference_map_back(inst, doubled)
 
 
 @pytest.mark.parametrize("make", [two_period_trade, buy_then_sell])
 def test_search_instance_passes_wp1_and_wp3_through(make):
     inst = make()
-    base, back = search_instance(inst)
-    assert base is inst
+    assert search_instance(inst) is inst
     sol = solve(inst)
-    assert back(sol) is sol
+    assert assemble_solution(inst, *searched_trades(inst, sol.s)) == sol
 
 
 def test_search_instance_validates_before_doubling(monkeypatch):
@@ -317,7 +321,7 @@ def _window_dp_matches_network(inst) -> bool:
     gives the network's per-period arc counts, both over its layers and
     over the integer search solve's trace records, as bench reads them.
     """
-    base = search_instance(inst)[0]
+    base = search_instance(inst)
     net = reference_build_network(base, gen_stock_levels(base))
     tables = _window_suffix(base, net.layers)
     assert tables[0] == reference_longest_path(net)
@@ -427,7 +431,7 @@ def test_window_suffix_matches_the_reference_on_doubled_wp2_mixed():
     # no head into the other side's deque
     inst = wp2_mixed()
     assert all(v > 0 for v in inst.Ux + inst.Uy)
-    doubled = search_instance(inst)[0]
+    doubled = search_instance(inst)
     assert [(ux > 0, uy > 0) for ux, uy in zip(doubled.Ux, doubled.Uy)] == (
         [(False, True), (True, False)] * inst.T)
     _sweep_matches_the_reference(doubled)
@@ -461,6 +465,35 @@ def _trace(inst) -> SolveTrace:
     return trace
 
 
+def test_a_wp2_solve_assembles_one_plan(monkeypatch):
+    # the stock path gives the wp2 trades, so no plan of the doubled
+    # horizon is made; fractional data add the one divided back by F
+    cases = [gen_random(seed, T=2 + seed % 5, variant="wp2", max_bound=6)
+             for seed in range(60)]
+    cases += [reference_scale_instance(inst, Fraction(1, 3))
+              for inst in cases]
+    built = []
+    post_init = Solution.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Solution, "__post_init__", counted)
+    solved = 0
+    for inst in cases:
+        built.clear()
+        try:
+            sol = solve(inst)
+        except Infeasible:
+            continue
+        integral = integral_instance(inst)[0] is inst
+        assert len(built) == (1 if integral else 2)
+        assert built[-1] is sol and len(sol.x) == inst.T
+        solved += not integral
+    assert solved > 10
+
+
 @pytest.mark.parametrize("variant", ["wp1", "wp3"])
 def test_trace_records_the_level_set_sizes(variant):
     for seed in range(40):
@@ -468,8 +501,9 @@ def test_trace_records_the_level_set_sizes(variant):
                           max_bound=4 + seed % 5)
         trace = _trace(inst)
         levels = gen_stock_levels(inst)
-        assert trace.layer_sizes == tuple(map(len, levels.levels))
-        assert trace.S_size == levels.S_size
+        assert tuple(map(len, trace.levels.levels)) == tuple(
+            map(len, levels.levels))
+        assert trace.levels.S_size == levels.S_size
 
 
 def test_trace_keeps_the_sizes_of_fractional_levels():
@@ -478,7 +512,7 @@ def test_trace_keeps_the_sizes_of_fractional_levels():
         inst = gen_random(700 + seed, T=2 + seed % 6, variant="wp3",
                           max_bound=12)
         scaled = scale_trade_bounds(inst, fptas_params(inst, Fraction(2, 7)))
-        assert _trace(scaled).layer_sizes == tuple(
+        assert tuple(map(len, _trace(scaled).levels.levels)) == tuple(
             map(len, gen_stock_levels(scaled).levels))
 
 
@@ -490,7 +524,8 @@ def test_trace_records_the_searched_instance_and_its_levels():
     assert not cases[-1].bounds_integral()
     for inst in cases:
         trace = _trace(inst)
-        searched = integral_instance(search_instance(inst)[0])[0]
+        searched = search_instance(integral_instance(inst)[0])
+        assert searched == integral_instance(search_instance(inst))[0]
         assert trace.searched == searched
         assert trace.levels == gen_stock_levels(searched)
 
@@ -498,9 +533,9 @@ def test_trace_records_the_searched_instance_and_its_levels():
 def test_wp2_trace_covers_the_doubled_horizon():
     inst = wp2_mixed()
     trace = _trace(inst)
-    doubled = gen_stock_levels(double_horizon(inst)[0])
-    assert len(trace.layer_sizes) == 2 * inst.T
-    assert trace.layer_sizes == tuple(map(len, doubled.levels))
+    doubled = gen_stock_levels(double_horizon(inst))
+    assert len(trace.levels.levels) == 2 * inst.T
+    assert trace.levels == doubled
 
 
 def _divided(inst, d, p):
@@ -546,7 +581,7 @@ def test_window_dp_matches_network_on_fractional_data():
             cases.append(_divided(inst, (2, 3, 7)[seed % 3], 5))
     cases += [_coprime(seed) for seed in range(4)]
     for inst in cases:  # every case is searched on a scaled copy
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         assert integral_instance(base)[0] is not base
     outcomes = [_window_dp_matches_network(inst) for inst in cases]
     assert outcomes[-4:] == [True] * 4 and not all(outcomes)
@@ -801,7 +836,7 @@ def test_solve_runs_the_reachable_pass_at_most_once(monkeypatch):
                 assert len(runs) - before <= 1
                 assert all(run is case for run in runs[before:])
                 if trace is not None:
-                    searched = integral_instance(search_instance(case)[0])[0]
+                    searched = search_instance(integral_instance(case)[0])
                     assert trace.searched == searched
                     assert trace.levels == gen_stock_levels(searched)
     assert len(runs) > 40
@@ -826,7 +861,7 @@ def test_path_levels_lie_in_their_cut_layer(variant):
     for seed in range(60):
         inst = gen_random(seed, T=2 + seed % 6, variant=variant,
                           max_bound=4 + seed % 5)
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         hulls = _reachable_hulls(base)
         on_paths = path_levels(
             reference_build_network(base, gen_stock_levels(base)))

@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import wareflow.stocklevels
 from wareflow import (
     Infeasible,
     Instance,
+    Variant,
     WrongVariant,
+    WrongVectorLength,
+    assemble_solution,
     bound_S,
     double_horizon,
     fptas_params,
@@ -18,14 +22,19 @@ from wareflow import (
     reduce_partition,
     scale_trade_bounds,
     solve,
+    solve_wp2_direct,
 )
 from wareflow.network import search_instance
+from wareflow.stocklevels import searched_trades
 from helpers import (
     reference_build_network,
     reference_clipped_stock_levels,
     reference_decode,
+    reference_map_back,
     reference_stock_levels,
     two_period_trade,
+    typed,
+    typed_exact_levels,
     wp2_mixed,
 )
 
@@ -71,7 +80,7 @@ def test_double_horizon_bounds():
         revenue=(7,), cost=(2,), holding=(1,),
         fixed_purchase=(4,), fixed_sale=(6,),
     )
-    doubled = double_horizon(inst)[0]
+    doubled = double_horizon(inst)
     assert doubled.variant.value == "wp1"
     assert doubled.T == 2
     assert (doubled.Lx, doubled.Ux) == ((0, 0), (0, 2))
@@ -92,7 +101,7 @@ def test_double_horizon_all_zero():
         revenue=(0,), cost=(0,), holding=(0,),
         fixed_purchase=(0,), fixed_sale=(0,),
     )
-    doubled = double_horizon(inst)[0]
+    doubled = double_horizon(inst)
     assert doubled.T == 2
     assert all(v == 0 for v in doubled.Us + doubled.Ux + doubled.Uy)
 
@@ -107,7 +116,7 @@ def test_double_horizon_objective_preserved():
     fixtures += [gen_random(seed, T=2 + seed % 2, variant="wp2", max_bound=5)
                  for seed in range(25)]
     for inst in fixtures:
-        doubled, back = double_horizon(inst)
+        doubled = double_horizon(inst)
         try:
             direct = oracle_solve(inst).objective
         except Infeasible:
@@ -116,21 +125,23 @@ def test_double_horizon_objective_preserved():
             continue
         inner = oracle_solve(doubled)
         assert inner.objective == direct
-        assert back(inner).objective == direct
+        outer = assemble_solution(inst, *searched_trades(inst, inner.s))
+        assert outer.objective == direct
 
 
 def test_map_back_reindexes():
+    # the trades read off the doubled plan's stocks are its own, sliced
     inst = wp2_mixed()
-    doubled, back = double_horizon(inst)
-    inner = oracle_solve(doubled)
-    outer = back(inner)
-    assert outer.x == inner.x[1::2]
-    assert outer.y == inner.y[0::2]
+    inner = oracle_solve(double_horizon(inst))
+    x, y = searched_trades(inst, inner.s)
+    assert (tuple(x), tuple(y)) == (inner.x[1::2], inner.y[0::2])
+    outer = assemble_solution(inst, x, y)
     assert outer.s == inner.s[1::2]
+    assert outer == reference_map_back(inst, inner)
     # a plan of the wp2 horizon is not one of its doubled horizon
-    with pytest.raises(ValueError,
-                       match="^expected a 4-period solution, got 2$"):
-        back(outer)
+    with pytest.raises(WrongVectorLength,
+                       match="^x and y must have length T$"):
+        assemble_solution(inst, *searched_trades(inst, outer.s))
 
 
 def test_bound_S_integral_span():
@@ -230,7 +241,7 @@ def test_widening_one_period_grows_levels():
 def test_wp2_levels_project_even_layers():
     inst = wp2_mixed()
     outer = gen_stock_levels(inst)
-    inner = gen_stock_levels(double_horizon(inst)[0])
+    inner = gen_stock_levels(double_horizon(inst))
     assert len(outer.levels) == inst.T
     assert len(inner.levels) == 2 * inst.T
     for t in range(inst.T):
@@ -314,7 +325,7 @@ def test_whole_levels_are_ints_on_fractional_bounds():
               for variant in ("wp1", "wp2", "wp3") for seed in range(30)]
     fractional = 0
     for inst in cases:
-        base = search_instance(inst)[0]
+        base = search_instance(inst)
         layers = ((base.s0,),) + gen_stock_levels(base).levels
         for layer in gen_stock_levels(inst).levels + layers:
             assert all(type(v) is int for v in layer if v.denominator == 1)
@@ -322,13 +333,122 @@ def test_whole_levels_are_ints_on_fractional_bounds():
     assert fractional > 0
 
 
+def _fractional_cases() -> list[Instance]:
+    """The fractional instances of _seeded_instances, and wp1/wp2/wp3
+    instances with every bound over 2 or times 2/3."""
+    out = [inst for inst in _seeded_instances() if not inst.bounds_integral()]
+    for seed in range(20):
+        for variant in ("wp1", "wp2", "wp3"):
+            inst = gen_random(500 + seed, T=2 + seed % 5, variant=variant,
+                              max_bound=7)
+            out.append(_halved(inst))
+            out.append(replace(
+                inst, s0=inst.s0 * Fraction(2, 3),
+                **{name: tuple(v * Fraction(2, 3) for v in getattr(inst, name))
+                   for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")}))
+    return out
+
+
+def test_integer_sweep_matches_the_rational_sweep_value_and_type():
+    # the sweep runs times F in ints; divided back, each level is the one
+    # the Fraction sweep gives, an int where it is whole
+    cases = _fractional_cases()
+    assert {inst.variant.value for inst in cases} == {"wp1", "wp2", "wp3"}
+    fractional = 0
+    for inst in cases:
+        levels = gen_stock_levels(inst)
+        assert typed(levels.levels) == typed_exact_levels(
+            reference_clipped_stock_levels(inst))
+        fractional += any(type(v) is Fraction
+                          for layer in levels.levels for v in layer)
+    assert fractional > 100
+
+
+def test_sweep_sees_only_ints_on_fractional_data(monkeypatch):
+    sweep, calls = wareflow.stocklevels._sweep, []
+
+    def ints_only(start, steps):
+        steps = list(steps)
+        values = list(start)
+        for moves, lo, hi in steps:
+            values += [*moves, lo, hi]
+        assert all(type(v) is int for v in values)
+        calls.append(len(steps))
+        return sweep(start, steps)
+
+    monkeypatch.setattr(wareflow.stocklevels, "_sweep", ints_only)
+    for inst in _fractional_cases():
+        gen_stock_levels(inst)
+    assert len(calls) > 200
+
+
+def test_wp2_levels_and_the_direct_solve_build_no_instance(monkeypatch):
+    # the rows of the doubled horizon are read, not validated again
+    cases = [inst for inst in _seeded_instances() + _fractional_cases()
+             if inst.variant is Variant.WP2]
+    expected = []
+    for inst in cases:
+        try:
+            plan = repr(solve_wp2_direct(inst))
+        except Infeasible:
+            plan = None
+        expected.append((gen_stock_levels(inst), plan))
+
+    def refuse(self):
+        raise AssertionError("Instance built")
+
+    monkeypatch.setattr(Instance, "__post_init__", refuse)
+    got = []
+    for inst in cases:
+        try:
+            plan = repr(solve_wp2_direct(inst))
+        except Infeasible:
+            plan = None
+        got.append((gen_stock_levels(inst), plan))
+    assert got == expected
+    assert sum(plan is not None for _, plan in got) > 20
+
+
+def test_searched_trades_slice_the_doubled_plan():
+    # what double_horizon's map back read off a doubled plan, the stock
+    # path alone gives: its trades and, assembled, the wp2 plan
+    solved = 0
+    for inst in _seeded_instances() + _fractional_cases():
+        if inst.variant is not Variant.WP2:
+            continue
+        try:
+            doubled = solve(double_horizon(inst))
+        except Infeasible:
+            continue
+        x, y = searched_trades(inst, doubled.s)
+        assert (tuple(x), tuple(y)) == (doubled.x[1::2], doubled.y[0::2])
+        plan = assemble_solution(inst, x, y)
+        assert typed(plan) == typed(reference_map_back(inst, doubled))
+        assert typed(plan) == typed(solve(inst))
+        solved += not inst.bounds_integral()
+    assert solved > 10
+
+
+def test_searched_trades_are_the_stock_moves_on_wp1_and_wp3():
+    for inst in _seeded_instances():
+        if inst.variant is Variant.WP2:
+            continue
+        try:
+            plan = solve(inst)
+        except Infeasible:
+            continue
+        assert assemble_solution(inst, *searched_trades(inst, plan.s)) == plan
+
+
 def test_solve_matches_the_network_over_unclipped_levels():
     outcomes = []
     for inst in _seeded_instances():
-        base, back = search_instance(inst)
+        base = search_instance(inst)
         net = reference_build_network(base, reference_stock_levels(base))
         try:
-            expected = back(reference_decode(net))
+            expected = reference_decode(net)
+            if inst.variant is Variant.WP2:
+                expected = reference_map_back(inst, expected)
         except Infeasible as err:
             with pytest.raises(Infeasible, match=str(err)):
                 solve(inst)
