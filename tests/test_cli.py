@@ -685,7 +685,8 @@ def test_emit_lp_matches_the_golden_file(name, tmp_path, capsys, monkeypatch):
 # where the bounds are integral the oracle prints the same line
 @pytest.mark.parametrize("name", sorted(
     p.name.removesuffix(".json") for p in GOLDEN.glob("*.json")
-    if not p.name.endswith(".solution.json")))
+    if not p.name.endswith(".solution.json")
+    and p.name != "cli_digests.json"))
 def test_solve_matches_the_network_witness_on_the_data_files(name, tmp_path,
                                                              capsys):
     source = GOLDEN / f"{name}.json"
