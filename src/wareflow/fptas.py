@@ -60,16 +60,23 @@ def balanced_flow_decompose(inst: Instance, sol: Solution) -> BalancedFlow:
     unmatched sale, then each sale drains against the earliest later
     unmatched purchase.  The walk needs complementarity: a period that both
     buys and sells has no later trade to pair with, so an instance that is
-    not wp3 raises WrongVariant.  Requires each stock to follow from the
-    trades, s_t = s_{t-1} - y_t + x_t, and raises InvalidArgument naming
-    the first period that breaks it.  Requires s_T = s0 (equal totals);
-    raises TerminalStockMismatch otherwise.
+    not wp3 raises WrongVariant, and a plan with such a period, or with a
+    negative trade, raises InvalidArgument naming the first one.  Requires
+    each stock to follow from the trades, s_t = s_{t-1} - y_t + x_t, and
+    raises InvalidArgument naming the first period that breaks it.
+    Requires s_T = s0 (equal totals); raises TerminalStockMismatch
+    otherwise.  Past those checks the trades left from period t on total
+    alike and no period trades both ways, so every trade finds a partner.
     """
     if inst.variant is not Variant.WP3:
         raise WrongVariant(
             "balanced_flow_decompose applies to wp3 instances only")
     stock = inst.s0
     for t, (bought, sold, held) in enumerate(zip(sol.x, sol.y, sol.s), 1):
+        if bought < 0 or sold < 0:
+            raise InvalidArgument(f"period {t} trades a negative amount")
+        if bought and sold:
+            raise InvalidArgument(f"period {t} both buys and sells")
         stock += bought - sold
         if held != stock:
             raise InvalidArgument(
@@ -84,25 +91,13 @@ def balanced_flow_decompose(inst: Instance, sol: Solution) -> BalancedFlow:
     pairs: list[FlowPair] = []
     for t in range(1, inst.T + 1):
         while x[t - 1] > 0:
-            sale = next(
-                (u for u in range(t + 1, inst.T + 1) if y[u - 1] > 0), None
-            )
-            if sale is None:
-                raise TerminalStockMismatch(
-                    f"purchase in period {t} has no later sale to feed"
-                )
+            sale = next(u for u in range(t + 1, inst.T + 1) if y[u - 1] > 0)
             amount = min(x[t - 1], y[sale - 1])
             pairs.append((t, sale, amount))
             x[t - 1] -= amount
             y[sale - 1] -= amount
         while y[t - 1] > 0:
-            buy = next(
-                (u for u in range(t + 1, inst.T + 1) if x[u - 1] > 0), None
-            )
-            if buy is None:
-                raise TerminalStockMismatch(
-                    f"sale in period {t} has no later purchase covering it"
-                )
+            buy = next(u for u in range(t + 1, inst.T + 1) if x[u - 1] > 0)
             amount = min(x[buy - 1], y[t - 1])
             pairs.append((buy, t, amount))
             x[buy - 1] -= amount

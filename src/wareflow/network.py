@@ -19,17 +19,16 @@ pass into a stock path, stocklevels.searched_trades turns that path into
 the instance's own trades, and model.assemble_solution adds the minimal
 indicators and the objective.
 
-Unless s0 lies in every [Ls_t, Us_t] (then the plan that never trades is
-feasible, as validation makes it on wp3), solve first decides
-feasibility on the instance as read: it carries the exact stock a plan
-can reach, as disjoint intervals, forward through the periods
-(_reachable_hulls), walking each wp2 period as its sale half, then its
-purchase half.  An empty period makes it raise Infeasible before any copy
-or level is built: no doubled horizon, no integer-scaled instance.
-Otherwise the DP runs on each layer cut to the hull of what is reachable
-from s0 and can still reach the last period's bounds, those hulls times
-the integral factor F below.  No cut level lies on an s0-to-T path, so
-the plan stays the same.
+The DP searches the full level sets, which hold every extreme plan's
+stocks.  Unless s0 lies in every [Ls_t, Us_t] (then the plan that never
+trades is feasible, as validation makes it on wp3), an untraced solve
+first decides feasibility on the instance as read (_feasible): it carries
+the exact stock a plan can reach, as disjoint intervals, forward through
+the periods, walking each wp2 period as its sale half, then its purchase
+half.  An empty period makes it raise Infeasible before any copy or level
+is built: no doubled horizon, no integer-scaled instance.  A traced solve
+skips that pass and takes the DP's own verdict, that no path leads from
+s0 to the last layer.
 
 No output builds the network either.  Any trade moves the stock by
 x - y in [-Uy, Ux], so a tail s has its heads in [s-Uy, s+Ux], and a pair
@@ -84,7 +83,6 @@ from .model import (
     assemble_solution,
     evaluate_payoff,
     integral_instance,
-    scale_factor,
 )
 from .stocklevels import (
     StockLevels,
@@ -112,11 +110,10 @@ class SolveTrace:
     searched is the instance the window DP ran on: the instance scaled to
     integers by model.integral_instance, then moved by search_instance
     (for wp2 onto the doubled, 2T-period horizon).  levels are its
-    StockLevels, as gen_stock_levels makes them, before the DP cuts them
-    to the stock a plan can reach; the integer scaling keeps every layer's
-    size.  A solve that raises Infeasible has still recorded both: given a
-    trace, it builds that instance and its levels even when the instance
-    as read has already been found infeasible.
+    StockLevels, as gen_stock_levels makes them, and exactly the layers
+    the DP searched; the integer scaling keeps every layer's size.  A
+    traced solve that raises Infeasible has still recorded both, since it
+    runs no feasibility pass and raises from the DP.
     """
 
     searched: Instance | None = None
@@ -317,27 +314,23 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     return suffix, choice
 
 
-def _reachable_hulls(inst: Instance) -> list[tuple] | None:
-    """Per period t of the searched horizon, the hull [lo, hi] of the
-    stocks an s0-to-T plan can hold after t, or None when some period has
-    no reachable stock.
+def _feasible(inst: Instance) -> bool:
+    """Whether some plan gets through every period of inst's searched
+    horizon.
 
     The periods are the rows searched_bounds reads off inst, so a wp2
     instance is walked as its 2T half-periods, each period's sale half
-    before its purchase half, and no doubled instance is built.  The
-    forward pass carries the exact set of stocks reachable from s0 as
-    ascending disjoint intervals: [a, b] moves to itself, to [a+Lx, b+Ux]
-    when Ux > 0 and to [a-Uy, b-Ly] when Uy > 0, and the union is clipped
-    to [Ls_t, Us_t] and merged.  Trades are real, so a set is empty
-    exactly when no plan gets through its period.  Every interval end is
-    a forward level, so no set outgrows its layer.  The backward pass then
-    cuts each hull to the stocks from which the next cut hull is within
-    one move: [lo - Ux, hi + Uy].  Every end is a sum of inst's data, so
-    on inst scaled by F the hulls are these times F.
+    before its purchase half, and no doubled instance is built.  The pass
+    carries the exact set of stocks reachable from s0 forward as ascending
+    disjoint intervals: [a, b] moves to itself, to [a+Lx, b+Ux] when
+    Ux > 0 and to [a-Uy, b-Ly] when Uy > 0, and the union is clipped to
+    [Ls_t, Us_t] and merged.  Trades are real, so a set is empty exactly
+    when no plan gets through its period.  Every interval end is a
+    forward level, so no set outgrows its layer, and a sum of inst's data,
+    so the verdict is the same on inst scaled by any factor.
     """
     Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
     reach = [(inst.s0, inst.s0)]
-    hulls = []
     for ls, us, lx, ux, ly, uy in zip(Ls, Us, Lx, Ux, Ly, Uy):
         moved = reach
         if ux > 0:
@@ -365,37 +358,23 @@ def _reachable_hulls(inst: Instance) -> list[tuple] | None:
                     reach.append((lo, hi))
                 lo, hi = a, b
         if hi is None:
-            return None
+            return False
         reach.append((lo, hi))
-        hulls.append((reach[0][0], hi))
-    lo, hi = hulls[-1]
-    for i in range(len(hulls) - 1, 0, -1):
-        lo = max(hulls[i - 1][0], lo - Ux[i])
-        hi = min(hulls[i - 1][1], hi + Uy[i])
-        hulls[i - 1] = (lo, hi)
-    return hulls
+    return True
 
 
-def _solve_windows(inst: Instance, hulls: list[tuple] | None,
-                   trace: SolveTrace | None) -> list:
-    """Window DP over the levels of inst, each layer cut to its hull by
-    two bisections, then a forward pass along the chosen heads: the stock
-    after each period of the best plan.
+def _solve_windows(inst: Instance, trace: SolveTrace | None) -> list:
+    """Window DP over the full levels of inst, then a forward pass along
+    the chosen heads: the stock after each period of the best plan.
 
-    hulls are _reachable_hulls in inst's scale, or None to search the full
-    levels, as when s0 lies in every [Ls_t, Us_t].  A cut level lies on
-    no s0-to-T path, so every node on the decoded path keeps its suffix
-    value and smallest best head, and the plan is the one the full levels
-    give.  inst must not be wp2 (solve its doubled horizon instead).
+    Raises Infeasible when s0 has no path to the last layer, which is its
+    verdict on a traced solve.  inst must not be wp2 (solve its doubled
+    horizon instead).
     """
     levels = gen_stock_levels(inst)
     if trace is not None:
         trace.searched, trace.levels = inst, levels
-    layers = ((inst.s0,),) + tuple(levels.levels)
-    if hulls is not None:
-        layers = ((inst.s0,),) + tuple(
-            layer[bisect_left(layer, lo):bisect_right(layer, hi)]
-            for layer, (lo, hi) in zip(levels.levels, hulls))
+    layers = ((inst.s0,),) + levels.levels
     suffix, choice = _window_suffix(inst, layers)
     if suffix[0][0] is None:
         raise Infeasible("no feasible trading plan")
@@ -430,27 +409,20 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     taken by tail, then by ascending head.  A given trace records the
     searched instance and its levels (see SolveTrace).
 
-    Unless s0 lies in every [Ls_t, Us_t], _reachable_hulls first decides
-    feasibility on inst as read, once: with no plan and no trace it raises
-    Infeasible before integral_instance, search_instance or any level
-    runs.  A feasible search cuts its layers to those hulls times F.
+    An untraced solve first decides feasibility on inst as read, by
+    _feasible, unless s0 lies in every [Ls_t, Us_t]: an infeasible inst
+    raises before integral_instance, search_instance or any level runs.  A
+    traced solve skips that pass, so the trace always records the
+    searched instance and its levels, and takes the window DP's verdict.
     Raises Infeasible when no plan exists.
     """
-    hulls = None
     # on wp2 this also tests the doubled bounds: [0, Us_t] holds [Ls_t, Us_t]
-    if not all(ls <= inst.s0 <= us for ls, us in zip(inst.Ls, inst.Us)):
-        hulls = _reachable_hulls(inst)
-        if hulls is None:
-            if trace is not None:
-                searched = search_instance(integral_instance(inst)[0])
-                trace.searched = searched
-                trace.levels = gen_stock_levels(searched)
+    if trace is None and not all(ls <= inst.s0 <= us
+                                 for ls, us in zip(inst.Ls, inst.Us)):
+        if not _feasible(inst):
             raise Infeasible("no feasible trading plan")
     scaled, unscale = integral_instance(inst)
-    if hulls is not None and scaled is not inst:
-        F = scale_factor(inst)
-        hulls = [(int(lo * F), int(hi * F)) for lo, hi in hulls]
-    stocks = _solve_windows(search_instance(scaled), hulls, trace)
+    stocks = _solve_windows(search_instance(scaled), trace)
     return unscale(assemble_solution(scaled, *searched_trades(scaled, stocks)))
 
 

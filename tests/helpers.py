@@ -49,10 +49,9 @@ from wareflow.model import (
     format_exact,
     integral_instance,
     parse_exact,
-    scale_factor,
     validate_instance,
 )
-from wareflow.network import _reachable_hulls, search_instance
+from wareflow.network import _feasible, search_instance
 
 
 def two_period_trade() -> Instance:
@@ -292,11 +291,10 @@ def solution_with(sol: Solution, **overrides) -> Solution:
     return Solution(**fields)
 
 
-def hulls_on_the_searched_copy(inst: Instance) -> tuple[list | None, int]:
-    """_reachable_hulls where solve once ran it: on the searched instance
-    (for wp2 the doubled horizon) scaled to integers by F, and F."""
-    base = search_instance(inst)
-    return _reachable_hulls(integral_instance(base)[0]), scale_factor(base)
+def verdict_on_the_searched_copy(inst: Instance) -> bool:
+    """_feasible where solve once ran the pass: on the searched instance
+    (for wp2 the doubled horizon) scaled to integers."""
+    return _feasible(integral_instance(search_instance(inst))[0])
 
 
 def reference_decimal_or_none(value):
@@ -1105,20 +1103,6 @@ def window_case(pick) -> tuple[Instance, tuple]:
     layers = tuple(tuple(s for s in range(-2, 9) if pick(0, 1))
                    for _ in range(T + 1))
     return inst, layers
-
-
-def path_levels(net: LayeredNetwork) -> list[set]:
-    """Per period t, the levels of layer t on some s0-to-T path of net:
-    reached from s0 along arcs, and reaching layer T along arcs."""
-    ahead = [{0}]
-    for period in net.arcs:
-        ahead.append({head for tail, head, _ in period if tail in ahead[-1]})
-    behind = [set(range(len(net.layers[-1])))]
-    for period in reversed(net.arcs):
-        behind.append({tail for tail, head, _ in period if head in behind[-1]})
-    behind.reverse()
-    return [{net.layers[t][k] for k in ahead[t] & behind[t]}
-            for t in range(1, len(net.layers))]
 
 
 def reference_window_suffix(inst: Instance,

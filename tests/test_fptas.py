@@ -94,6 +94,28 @@ def test_decompose_requires_stocks_that_follow_the_trades():
         balanced_flow_decompose(inst, sol)
 
 
+def test_decompose_refuses_a_period_that_buys_and_sells():
+    # the stock is back at s0 = 5, but period 1's purchase has no later
+    # sale to feed: the plan is not complementary
+    inst = replace(as_wp3(two_period_trade()), s0=5)
+    sol = assemble_solution(inst, (3, 0), (3, 0))
+    assert sol.s == (5, 5)
+    with pytest.raises(InvalidArgument,
+                       match="^period 1 both buys and sells$"):
+        balanced_flow_decompose(inst, sol)
+
+
+def test_decompose_refuses_a_negative_trade():
+    # stocks that follow the trades and end at s0 = 0, but the purchase
+    # of -1 in period 1 leaves period 2's purchase no sale to feed
+    inst = as_wp3(two_period_trade())
+    sol = assemble_solution(inst, (-1, 1), (0, 0))
+    assert sol.s == (-1, 0)
+    with pytest.raises(InvalidArgument,
+                       match="^period 1 trades a negative amount$"):
+        balanced_flow_decompose(inst, sol)
+
+
 def test_decompose_requires_wp3():
     # a wp2 plan that buys and sells 5 in one period returns to s0 = 5,
     # yet neither trade has a later one to pair with

@@ -31,18 +31,18 @@ from wareflow import (
     to_dot,
 )
 from wareflow.network import (
-    _reachable_hulls,
+    _feasible,
     _window_suffix,
     arc_counts,
     search_instance,
 )
 from wareflow.stocklevels import searched_trades
 from helpers import (
+    Raised,
     blocked_by_fixed_cost,
     buy_then_sell,
     gap_infeasible,
-    hulls_on_the_searched_copy,
-    path_levels,
+    outcome,
     reference_build_network,
     reference_decode,
     reference_longest_path,
@@ -53,6 +53,7 @@ from helpers import (
     slice_rule_cases,
     solve_with_network,
     two_period_trade,
+    verdict_on_the_searched_copy,
     window_case,
     wp2_mixed,
 )
@@ -744,12 +745,13 @@ def test_gap_infeasible_raises_before_building_levels(monkeypatch):
     # the hull [0, 5] of what s0 reaches meets [Ls, Us] = [1, 2]; the
     # reachable stock {0} | [3, 5] does not
     inst = gap_infeasible()
-    assert _reachable_hulls(inst) is None
+    assert not _feasible(inst)
     calls = _counted_levels(monkeypatch)
     with pytest.raises(Infeasible, match="^no feasible trading plan$"):
         solve(inst)
     assert calls == []
-    # a trace still records the full levels, for bench's counts
+    # a traced solve runs on to the DP, so it records the full levels, for
+    # bench's counts
     trace = SolveTrace()
     with pytest.raises(Infeasible, match="^no feasible trading plan$"):
         solve(inst, trace)
@@ -792,54 +794,87 @@ def test_infeasible_solves_build_no_levels(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
 def test_hulls_of_the_instance_as_read_match_the_searched_copy(variant):
-    # the pass on the instance as given, times F, is the pass on the
+    # the pass's verdict on the instance as given is its verdict on the
     # doubled, integer-scaled copy solve searches; data over 1, 2 or 3
-    cut = empty = 0
+    moves = empty = 0
     for seed in range(90):
         inst = gen_random(seed, T=1 + seed % 8, variant=variant,
                           max_bound=3 + seed % 10)
         inst = reference_scale_instance(inst, Fraction(1, 1 + seed % 3))
-        hulls = _reachable_hulls(inst)
-        copy, F = hulls_on_the_searched_copy(inst)
-        assert (hulls is None) == (copy is None)
-        if hulls is None:
-            empty += 1
-            continue
-        assert [(lo * F, hi * F) for lo, hi in hulls] == copy
-        cut += not all(ls <= inst.s0 <= us
-                       for ls, us in zip(inst.Ls, inst.Us))
+        feasible = _feasible(inst)
+        assert feasible == verdict_on_the_searched_copy(inst)
+        empty += not feasible
+        moves += feasible and not all(ls <= inst.s0 <= us for ls, us
+                                      in zip(inst.Ls, inst.Us))
     if variant != "wp3":
-        assert cut > 5 and empty > 5
+        assert moves > 5 and empty > 5
 
 
 def test_solve_runs_the_reachable_pass_at_most_once(monkeypatch):
     runs = []
-    original = wareflow.network._reachable_hulls
+    original = wareflow.network._feasible
 
     def counted(inst):
         runs.append(inst)
         return original(inst)
 
-    monkeypatch.setattr(wareflow.network, "_reachable_hulls", counted)
+    monkeypatch.setattr(wareflow.network, "_feasible", counted)
     for seed in range(60):
         variant = ("wp1", "wp2", "wp3")[seed % 3]
         inst = gen_random(seed, T=2 + seed % 6, variant=variant,
                           max_bound=4 + seed % 5)
         for case in (inst, reference_scale_instance(inst, Fraction(1, 2))):
-            for trace in (None, SolveTrace()):
-                before = len(runs)
-                try:
-                    solve(case, trace)
-                except Infeasible:
-                    pass
-                # at most once, on the instance as given, never a copy
-                assert len(runs) - before <= 1
-                assert all(run is case for run in runs[before:])
-                if trace is not None:
-                    searched = search_instance(integral_instance(case)[0])
-                    assert trace.searched == searched
-                    assert trace.levels == gen_stock_levels(searched)
+            before = len(runs)
+            try:
+                solve(case)
+            except Infeasible:
+                pass
+            # at most once, on the instance as given, never a copy
+            assert len(runs) - before <= 1
+            assert all(run is case for run in runs[before:])
+            # a traced solve runs none and records what the DP searched
+            before, trace = len(runs), SolveTrace()
+            try:
+                solve(case, trace)
+            except Infeasible:
+                pass
+            assert len(runs) == before
+            searched = search_instance(integral_instance(case)[0])
+            assert trace.searched == searched
+            assert trace.levels == gen_stock_levels(searched)
     assert len(runs) > 40
+
+
+def test_traced_and_untraced_solves_agree(monkeypatch):
+    # the same plan, or the same error; a traced infeasible solve takes
+    # the window DP's verdict, where an untraced one is refused by the pass
+    raised = []
+    original = wareflow.network._solve_windows
+
+    def recorded(inst, trace):
+        try:
+            return original(inst, trace)
+        except Infeasible as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(wareflow.network, "_solve_windows", recorded)
+    infeasible = fractional = 0
+    for seed in range(90):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
+                          max_bound=4 + seed % 5)
+        for case in (inst, reference_scale_instance(inst, Fraction(2, 3))):
+            untraced = outcome(solve, case)
+            before = len(raised)
+            assert outcome(solve, case, SolveTrace()) == untraced
+            if isinstance(untraced, Solution):
+                continue
+            assert untraced == Raised(Infeasible, "no feasible trading plan")
+            assert len(raised) == before + 1
+            infeasible += 1
+            fractional += not case.bounds_integral()
+    assert infeasible > 20 and fractional > 10
 
 
 def test_solve_skips_the_pass_when_never_trading_is_feasible(monkeypatch):
@@ -850,23 +885,7 @@ def test_solve_skips_the_pass_when_never_trading_is_feasible(monkeypatch):
         gen_random(seed, T=2 + seed % 6, variant="wp3", max_bound=9)
         for seed in range(20)]
     expected = [repr(solve(inst)) for inst in cases]
-    monkeypatch.setattr(wareflow.network, "_reachable_hulls", refuse)
+    monkeypatch.setattr(wareflow.network, "_feasible", refuse)
     assert [repr(solve(inst)) for inst in cases] == expected
     with pytest.raises(AssertionError, match="reachable stock computed"):
         solve(gap_infeasible())
-
-
-@pytest.mark.parametrize("variant", ["wp1", "wp2", "wp3"])
-def test_path_levels_lie_in_their_cut_layer(variant):
-    for seed in range(60):
-        inst = gen_random(seed, T=2 + seed % 6, variant=variant,
-                          max_bound=4 + seed % 5)
-        base = search_instance(inst)
-        hulls = _reachable_hulls(base)
-        on_paths = path_levels(
-            reference_build_network(base, gen_stock_levels(base)))
-        assert (hulls is None) == (not on_paths[-1])
-        if hulls is not None:
-            for levels, (lo, hi) in zip(on_paths, hulls):
-                assert all(lo <= v <= hi for v in levels)
-

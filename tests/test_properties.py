@@ -24,6 +24,7 @@ from wareflow import (  # noqa: E402
     Solution,
     Variant,
     assemble_solution,
+    balanced_flow_decompose,
     check_solution,
     compute_objective,
     emit_lp,
@@ -38,6 +39,7 @@ from wareflow import (  # noqa: E402
     parse_instance,
     parse_lotsizing,
     parse_solution,
+    reassemble,
     reduce_partition,
     scale_instance,
     scale_trade_bounds,
@@ -62,7 +64,7 @@ from wareflow.model import (  # noqa: E402
 )
 from wareflow.network import (  # noqa: E402
     SolveTrace,
-    _reachable_hulls,
+    _feasible,
     _window_suffix,
     arc_counts,
     search_instance,
@@ -73,10 +75,8 @@ from helpers import (  # noqa: E402
     brute_oracle_solve,
     flat_payloads,
     fractional_payoffs,
-    hulls_on_the_searched_copy,
     lift_outcome,
     outcome,
-    path_levels,
     planted,
     planted_partition,
     perturbed_stocks,
@@ -101,6 +101,7 @@ from helpers import (  # noqa: E402
     text_or_value_error,
     typed,
     typed_exact_levels,
+    verdict_on_the_searched_copy,
     window_case,
 )
 
@@ -282,7 +283,7 @@ def test_reachable_stock_decides_feasibility(inst, d):
     # a period with no reachable stock <=> no path in the network <=> (on
     # integral bounds) no integral plan; the bounds are over d
     inst = _rescaled(inst, Fraction(1, d), 1)
-    empty = _reachable_hulls(inst) is None
+    empty = not _feasible(inst)
     assert empty == _raises_infeasible(solve_with_network, inst)
     if inst.bounds_integral():
         assert empty == _raises_infeasible(oracle_solve, inst)
@@ -292,26 +293,19 @@ def test_reachable_stock_decides_feasibility(inst, d):
 @given(instances(), st.integers(1, 3), st.integers(1, 3))
 def test_hulls_of_the_instance_as_read_match_the_searched_copy(inst, d, e):
     # bounds over d and prices over e; wp2 walked as sale then purchase
-    # halves matches the pass on its doubled, integer-scaled copy
+    # halves gives the verdict of the pass on its doubled, integer-scaled
+    # copy
     inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
-    hulls = _reachable_hulls(inst)
-    copy, F = hulls_on_the_searched_copy(inst)
-    assert (hulls is None) == (copy is None)
-    if hulls is not None:
-        assert [(lo * F, hi * F) for lo, hi in hulls] == copy
+    assert _feasible(inst) == verdict_on_the_searched_copy(inst)
 
 
 @SETTINGS
-@given(instances(), st.integers(1, 3))
-def test_path_levels_lie_in_their_cut_layer(inst, d):
-    base = search_instance(_rescaled(inst, Fraction(1, d), 1))
-    hulls = _reachable_hulls(base)
-    if hulls is None:
-        return
-    on_paths = path_levels(
-        reference_build_network(base, gen_stock_levels(base)))
-    for levels, (lo, hi) in zip(on_paths, hulls):
-        assert all(lo <= v <= hi for v in levels)
+@given(instances(), st.integers(1, 3), st.integers(1, 3))
+def test_traced_and_untraced_solves_agree(inst, d, e):
+    # the same plan or the same error, though only the untraced solve runs
+    # the pass; bounds over d and prices over e
+    inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
+    assert outcome(solve, inst, SolveTrace()) == outcome(solve, inst)
 
 
 @st.composite
@@ -502,6 +496,26 @@ def test_integer_rounding_matches_the_fraction_rounding(inst, data, eps):
     params = fptas_params(wide, eps)
     assert repr(outcome(scale_trade_bounds, wide, params)) == repr(
         outcome(reference_scale_trade_bounds, wide, params))
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.lists(st.integers(0, 12), max_size=5),
+       st.integers(1, 3))
+def test_complementary_settled_plans_decompose(s0, path, d):
+    # a stock path over d that returns to s0, each move one trade: the
+    # walk pairs every unit, and the pairs rebuild the plan
+    stocks = [Fraction(v, d) for v in path] + [s0]
+    T = len(stocks)
+    zero, wide = (0,) * T, (12,) * T
+    inst = Instance(variant="wp3", T=T, s0=s0, Ls=zero, Us=wide, Lx=zero,
+                    Ux=wide, Ly=zero, Uy=wide, revenue=zero, cost=zero,
+                    holding=zero, fixed_purchase=zero, fixed_sale=zero)
+    moves = [b - a for a, b in zip([s0] + stocks, stocks)]
+    sol = assemble_solution(inst, [max(m, 0) for m in moves],
+                            [max(-m, 0) for m in moves])
+    flow = balanced_flow_decompose(inst, sol)
+    assert all(amount > 0 and buy != sale for buy, sale, amount in flow.pairs)
+    assert reassemble(inst, flow) == sol
 
 
 def _fractional_copies(inst, L, M):
