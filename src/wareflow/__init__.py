@@ -66,11 +66,9 @@ from .model import (
     exact,
     exact_vector,
     format_exact,
-    integral_instance,
     parse_exact,
     parse_instance,
     parse_solution,
-    scale_instance,
     serialize_instance,
     serialize_solution,
     validate_instance,

@@ -143,10 +143,10 @@ def _cmd_reduce_lotsizing(args) -> int:
 
 def _bench_one(name: str, inst) -> dict:
     """Solve inst and describe the network over the levels the solve
-    searched, the full levels of the searched instance, as SolveTrace
-    records them: the counts are read off the trace, so no network is
-    built.  A traced solve takes the DP's verdict, so on an infeasible
-    instance wall_ms includes the level build and the DP."""
+    searched, the full levels of the searched rows, as SolveTrace records
+    them: the counts are read off the trace, so no network is built.  A
+    traced solve takes the DP's verdict, so on an infeasible instance
+    wall_ms includes the level build and the DP."""
     trace = SolveTrace()
     start = time.perf_counter()
     try:

@@ -22,12 +22,11 @@ _lp_text is the one definition of the LP: it writes the text straight from
 the level sets, in one walk over each tail's window slices that makes each
 arc's name once and joins every row from the names.  The rows need only an
 arc's tail, head and stock change, so neither the LP nor the lift builds a
-network.  emit_lp prints
-it with decimal numbers; lift_and_check writes it with exact p/q numbers
-and evaluates its rows on a plan lifted by the same slices.  emit_lp
-writes first and rescales on failure: when a number has no decimal
-literal the write stops and the levels, times model.scale_factor, are
-written again.
+network.  emit_lp prints it with decimal numbers; lift_and_check writes it
+with exact p/q numbers and evaluates its rows on a plan lifted by the same
+slices.  emit_lp writes the rows of stocklevels.searched(inst) first and,
+when a number has no decimal literal, the rows scaled to integers by
+model.scale_factor, whose levels it swept.
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ from .model import (
     Variant,
     exact,
     scale_factor,
-    scale_instance,
 )
-from .network import _window_slices, search_instance
-from .stocklevels import gen_stock_levels
+from .network import _window_slices
+from .stocklevels import gen_stock_levels, searched, searched_levels, unscaled
 
 # An arc's variable is named a_{t}_{tail}_{head}: _lp_text joins one prefix
 # per tail node with one suffix per head node, lift_solution names single
@@ -115,13 +113,13 @@ def lift_and_check(inst: Instance, sol: Solution) -> FeasibilityReport:
     reports as (0, "obj", LP value, sol.objective).  Raises NotAPath when
     the plan is not a path of the LP's arcs.  _lp_text makes the arcs by
     the wp1 window rule, which a wp2 instance on its own horizon does not
-    follow, so a wp2 inst raises WrongVariant: pass search_instance(inst),
-    the instance that was searched, with a plan of it, such as
-    solve(search_instance(inst)).
+    follow, so a wp2 inst raises WrongVariant: pass double_horizon(inst),
+    the horizon that was searched, with a plan of it, such as
+    solve(double_horizon(inst)).
     """
     if inst.variant is Variant.WP2:
         raise WrongVariant("lift_and_check takes the searched instance: "
-                           "pass search_instance(inst), not wp2")
+                           "pass double_horizon(inst), not wp2")
     layers = ((inst.s0,),) + gen_stock_levels(inst).levels
     values = lift_solution(inst, layers, sol)
     # all-digit literals parse as int: Fraction(str) on every term is
@@ -196,12 +194,12 @@ def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
              literal=_decimal) -> str:
     """The LP of inst as text, every number printed by literal.  layers
     holds (s0,) and then each period's ascending levels; inst must not be
-    wp2 (write its doubled horizon).  One walk makes the arcs from each
-    tail's network._window_slices, by tail, then by ascending head, an
-    arc's trade being its stock change.  Each arc's name is made once and joins its
-    head's incoming and its tail's outgoing list, which make the
-    conservation rows; every row's text is joined from names, and rows are
-    gathered per family."""
+    wp2 (write the rows of stocklevels.searched(inst)).  One walk makes
+    the arcs from each tail's network._window_slices, by tail, then by
+    ascending head, an arc's trade being its stock change.  Each arc's
+    name is made once and joins its head's incoming and its tail's
+    outgoing list, which make the conservation rows; every row's text is
+    joined from names, and rows are gathered per family."""
     objective, source, flows, trades, balances, couplings = (
         [[] for _ in range(6)])
     into_prev: list[list[str]] = []
@@ -264,28 +262,28 @@ def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
 def emit_lp(inst: Instance) -> str:
     """Print the extended formulation in the common LP text dialect.
 
-    The instance is emitted as search_instance returns it, so wp2 lands
-    on its doubled horizon, matching how it is solved.  The
-    text is _lp_text's, written from the levels in one walk with no
-    network built, and its rows are the ones lift_and_check evaluates.
-    Every number prints as an exact decimal: emit_lp writes the text, and
-    when a number has no decimal literal it rescales and writes again.
-    The rescale multiplies s0, the bounds, the unit prices and the levels
-    by F = model.scale_factor, the factor solve searches with, and the
-    fixed costs by F*F, and a comment line records both factors.  Every
-    printed number is then an integer, and every plan's objective grows by
-    F*F, linear payoff and fixed costs alike, so the LP ranks plans as the
-    instance does.
+    The LP is written over the rows stocklevels.searched returns, so wp2
+    lands on its doubled horizon, matching how it is solved.  The text is
+    _lp_text's, written from the levels in one walk with no network built,
+    and its rows are the ones lift_and_check evaluates.  The levels are
+    swept once, on the rows searched(inst, F) scaled to integers by
+    F = model.scale_factor, the factor solve searches with: s0, the
+    bounds and the unit prices times F, the fixed costs times F*F.  Every
+    number prints as an exact decimal: the text is written first on the
+    rows of inst as read, with the levels divided back by F, and when a
+    number has no decimal literal it is written on the scaled rows, and a
+    comment line records both factors.  Every printed number is then an
+    integer, and every plan's objective grows by F*F, linear payoff and
+    fixed costs alike, so the LP ranks plans as the instance does.
     """
-    base = search_instance(inst)
-    layers = ((base.s0,),) + gen_stock_levels(base).levels
+    F = scale_factor(inst)
+    rows = searched(inst, F)
+    layers = searched_levels(rows)
     comments = ("extended formulation over the trading network",)
-    try:
-        return _lp_text(base, layers, comments)
-    except ValueError:
-        factor = scale_factor(base)
-        return _lp_text(
-            scale_instance(base, factor),
-            [[exact(v * factor) for v in layer] for layer in layers],
-            comments + (f"quantities and unit prices scaled by {factor}, "
-                        f"fixed costs by {factor * factor}",))
+    if F != 1:
+        try:
+            return _lp_text(searched(inst), unscaled(layers, F), comments)
+        except ValueError:
+            comments += (f"quantities and unit prices scaled by {F}, "
+                         f"fixed costs by {F * F}",)
+    return _lp_text(rows, layers, comments)

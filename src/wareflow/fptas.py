@@ -265,12 +265,12 @@ def fptas_solve(inst: Instance, epsilon) -> Solution:
     costs that wp3 validation enforces.  The rounded network has
     polynomially many stock levels in T and 1/epsilon when U_max / U_min is
     bounded: at most fptas_bound_S per period.  A fractional K makes the
-    rounded bounds fractional; solve then searches a copy with s0, the
+    rounded bounds fractional; solve then searches rows with s0, the
     bounds and the prices multiplied by F, the LCM of every denominator of
-    the data (model.integral_instance), which keeps the order of every
-    stock and payoff and so returns the plan the rational search would,
-    its trades divided by F and its objective by F**2.  The rounding, the
-    scaling and that division are integer arithmetic on numerators and
-    denominators.
+    the data (stocklevels.searched, model.scale_factor), which keeps the
+    order of every stock and payoff and so returns the plan the rational
+    search would, its trades and stocks divided by F and its objective by
+    F**2.  The rounding, the scaling and that division are integer
+    arithmetic on numerators and denominators.
     """
     return solve(fptas_scale(inst, epsilon)[1])

@@ -34,12 +34,12 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, gt
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import (
     InvalidArgument,
@@ -384,67 +384,13 @@ def compute_objective(inst: Instance, x, y, s, w, z) -> Exact:
     return exact(total)
 
 
-def _times(value: Exact, factor: int) -> int:
-    """value * factor, for a factor that is a multiple of value's
-    denominator, as an int product with no Fraction arithmetic."""
-    share, rest = divmod(factor, value.denominator)
-    if rest:
-        raise ValueError(f"factor {factor} leaves {value} fractional")
-    return value.numerator * share
-
-
-def scale_instance(inst: Instance, factor: int) -> Instance:
-    """Multiply s0, the six bound vectors and the unit prices by factor
-    and the fixed costs by factor**2, so every plan's stocks and trades
-    grow by factor and its objective by factor**2.
-
-    The factor must clear every denominator, as scale_factor(inst) and its
-    multiples do, so every scaled datum is an int; another factor raises
-    ValueError.
-    """
-    fixed = factor * factor
-    fields = {name: tuple(_times(v, factor) for v in getattr(inst, name))
-              for name in _BOUND_FIELDS + _PRICE_FIELDS}
-    for name in _FIXED_FIELDS:
-        fields[name] = tuple(_times(v, fixed) for v in getattr(inst, name))
-    return replace(inst, s0=_times(inst.s0, factor), **fields)
-
-
-def _data(inst: Instance) -> list[Exact]:
-    values = [inst.s0]
-    for name in _VECTOR_FIELDS:
-        values.extend(getattr(inst, name))
-    return values
-
-
 def scale_factor(inst: Instance) -> int:
     """F, the LCM of the denominators of s0 and every vector datum: the
-    least factor that makes scale_instance(inst, F) all-integer."""
-    return math.lcm(*(v.denominator for v in _data(inst)))
-
-
-def integral_instance(inst: Instance) -> tuple[Instance, Callable]:
-    """An all-integer copy of an instance, and the map of its plans back.
-
-    The copy is scale_instance(inst, F) with F = scale_factor(inst), the
-    factor emit-lp prints, so a plan's stocks and trades grow by F and its
-    objective by F**2.  The map back divides x, y and s by F and the
-    objective by F**2: every term of the objective is a quantity times a
-    unit price or an indicator times a fixed cost, each of which grew by
-    F**2, so the quotient is the plan's objective on inst exactly.
-    All-integer data returns inst itself with the identity map.
-    """
-    if _all_int(_data(inst)):
-        return inst, lambda sol: sol
-    F = scale_factor(inst)
-
-    def back(sol: Solution) -> Solution:
-        x, y, s = (tuple(exact_quotient(v, F) for v in vec)
-                   for vec in (sol.x, sol.y, sol.s))
-        return Solution(x=x, y=y, s=s, w=sol.w, z=sol.z,
-                        objective=exact_quotient(sol.objective, F * F))
-
-    return scale_instance(inst, F), back
+    least factor that turns s0, the bounds and the unit prices times F and
+    the fixed costs times F*F into ints, the rows stocklevels.searched
+    scales by it."""
+    return math.lcm(inst.s0.denominator, *(
+        v.denominator for name in _VECTOR_FIELDS for v in getattr(inst, name)))
 
 
 def assemble_solution(inst: Instance, x, y) -> Solution:

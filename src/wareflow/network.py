@@ -7,17 +7,20 @@ feasible trade decision realizing that stock change, and its payoff.  Every
 source-to-sink path decodes to a feasible plan, and some optimal plan is a
 path, so a longest path is an optimal plan.
 
-solve never materializes the O(T*S^2) arcs.  On wp1, wp3 and the doubled
-wp2 horizon a purchase arc s -> s' pays c*s - fp + [suf(s') - (c+h)*s'] and
-its heads form the window [s+Lx, s+Ux], which slides upward with the
-tail; sales mirror it with r in place of c over [s-Uy, s-Ly].  So each
-layer's suffix values follow in O(S) from one sweep up its tails that
-carries a monotone deque per side with a positive upper bound plus a
-pointer to the no-trade head, and every node keeps the smallest head
-that attains its value.  The plan is read off those heads in one forward
-pass into a stock path, stocklevels.searched_trades turns that path into
-the instance's own trades, and model.assemble_solution adds the minimal
-indicators and the objective.
+solve runs on the rows stocklevels.searched returns, the horizon it
+searches: inst's own for wp1 and wp3, the doubled, one-side-per-half-period
+horizon for wp2, read off the instance with no copy of it built.  It never
+materializes the O(T*S^2) arcs.  Over those rows a purchase arc s -> s'
+pays c*s - fp + [suf(s') - (c+h)*s'] and its heads form the window
+[s+Lx, s+Ux], which slides upward with the tail; sales mirror it with r
+in place of c over [s-Uy, s-Ly].  So each layer's suffix values follow in
+O(S) from one sweep up its tails that carries a monotone deque per side
+with a positive upper bound plus a pointer to the no-trade head, and every
+node keeps the smallest head that attains its value.  The plan is read
+off those heads in one forward pass into a stock path,
+stocklevels.searched_trades turns that path into the instance's own
+trades and stocks, the indicators are the minimal ones, and the objective
+is the DP's own value.
 
 The DP searches the full level sets, which hold every extreme plan's
 stocks.  Unless s0 lies in every [Ls_t, Us_t] (then the plan that never
@@ -25,39 +28,33 @@ trades is feasible, as validation makes it on wp3), an untraced solve
 first decides feasibility on the instance as read (_feasible): it carries
 the exact stock a plan can reach, as disjoint intervals, forward through
 the periods, walking each wp2 period as its sale half, then its purchase
-half.  An empty period makes it raise Infeasible before any copy or level
-is built: no doubled horizon, no integer-scaled instance.  A traced solve
-skips that pass and takes the DP's own verdict, that no path leads from
-s0 to the last layer.
+half.  An empty period makes it raise Infeasible before any scaling, price
+row or level is made.  A traced solve skips that pass and takes the DP's
+own verdict, that no path leads from s0 to the last layer.
 
 No output builds the network either.  Any trade moves the stock by
 x - y in [-Uy, Ux], so a tail s has its heads in [s-Uy, s+Ux], and a pair
 is an arc when arc_candidates finds a trade for it.  Arcs are ordered by
-tail, then by ascending head.  On wp1, wp3 and the doubled wp2 horizon
-each tail's heads are its sell window, its own value and its buy window,
-three slices of the ascending next layer found by bisection
-(_window_slices), and _wp1_candidates turns the gap pairs away before
-pricing anything.  The LP text walks the slices for each arc's tail, head
-and stock change, the lift check accepts a plan's stock move only into
-one of them, to_dot prices each arc they name by arc_candidates, and
-arc_counts sums their lengths, so bench counts the arcs of the levels
-solve searched.  solve_wp2_direct, whose seven-case arcs follow no window
-rule, prices the pairs in [s-Uy, s+Ux] in one backward DP.
+tail, then by ascending head.  Over the searched rows each tail's heads
+are its sell window, its own value and its buy window, three slices of
+the ascending next layer found by bisection (_window_slices), and
+_wp1_candidates turns the gap pairs away before pricing anything.  The LP
+text walks the slices for each arc's tail, head and stock change, the lift
+check accepts a plan's stock move only into one of them, to_dot prices
+each arc they name by _wp1_candidates, and arc_counts sums their lengths,
+so bench counts the arcs of the levels solve searched.  solve_wp2_direct,
+whose seven-case arcs follow no window rule, prices the pairs in
+[s-Uy, s+Ux] in one backward DP.
 
-search_instance is the one route to the searched instance: it moves wp2
-onto the doubled horizon.
-
-solve searches in integers.  model.integral_instance multiplies the
-instance's s0, bounds and unit prices by F, the LCM of the denominators of
-all its data, and its fixed costs by F*F, the rule emit-lp prints, so no
-level, window key or payoff is a Fraction; the doubled horizon of that
-copy is the scaled doubled horizon, since doubling adds only zeros.
-Every plan's objective scales by the same F*F and every stock by F, so all
-comparisons and equalities come out as before: the level sets keep their
-sizes, and the deque fronts and with them the tie-break below choose the
-same plan, which is assembled on the scaled instance and divided back by
-F once.  to_dot and the LP work on the searched instance as it is, so the
-DOT dump and the LP print its own numbers.
+solve and to_dot search in integers: the rows are searched(inst, F),
+whose s0, bounds and unit prices are multiplied by F = model.scale_factor,
+the LCM of the denominators of all the data, and whose fixed costs by
+F*F, the rule emit-lp prints, so no level, window key or payoff is a
+Fraction.  Every plan's objective scales by the same F*F and every stock
+by F, so all comparisons and equalities come out as before: the level
+sets keep their sizes, and the deque fronts and with them the tie-break
+below choose the same plan.  Its stocks and trades are divided back by F
+and the DP's value by F*F once; to_dot divides each number it prints.
 
 Tie-breaking is fully deterministic: among equal-payoff candidates on one
 arc the smaller x wins, then smaller w, then smaller z (arc_candidates
@@ -80,16 +77,18 @@ from .model import (
     Instance,
     Solution,
     Variant,
-    assemble_solution,
     evaluate_payoff,
-    integral_instance,
+    exact_quotient,
+    scale_factor,
 )
 from .stocklevels import (
+    Rows,
     StockLevels,
-    double_horizon,
     gen_stock_levels,
-    searched_bounds,
+    searched,
+    searched_levels,
     searched_trades,
+    unscaled,
 )
 
 
@@ -107,16 +106,16 @@ class ArcDecision(NamedTuple):
 class SolveTrace:
     """What solve records about its search when it is handed one.
 
-    searched is the instance the window DP ran on: the instance scaled to
-    integers by model.integral_instance, then moved by search_instance
-    (for wp2 onto the doubled, 2T-period horizon).  levels are its
-    StockLevels, as gen_stock_levels makes them, and exactly the layers
-    the DP searched; the integer scaling keeps every layer's size.  A
-    traced solve that raises Infeasible has still recorded both, since it
-    runs no feasibility pass and raises from the DP.
+    searched holds the rows the window DP ran on, stocklevels.searched(inst,
+    F) with F = model.scale_factor(inst): for wp2 the doubled, 2T-period
+    horizon, and every number an int.  levels are the layers the DP
+    searched after s0, searched_levels of those rows; the integer scaling
+    keeps every layer's size.  A traced solve that raises Infeasible has
+    still recorded both, since it runs no feasibility pass and raises from
+    the DP.
     """
 
-    searched: Instance | None = None
+    searched: Rows | None = None
     levels: StockLevels = StockLevels(levels=())
 
 
@@ -225,7 +224,7 @@ def _window_slices(heads, s, lx, ux, ly, uy) -> tuple[range, range, range]:
 def arc_counts(inst: Instance, layers) -> list[int]:
     """Per period t, the number of arcs between layers[t-1] and
     layers[t], counted from _window_slices without making one.  inst
-    must not be wp2 (count its doubled horizon instead)."""
+    must not be wp2 (count the rows of searched(inst) instead)."""
     return [sum(len(window) for s in tails
                 for window in _window_slices(heads, s, lx, ux, ly, uy))
             for tails, heads, lx, ux, ly, uy
@@ -239,8 +238,8 @@ def _window_suffix(inst: Instance, layers) -> tuple[list[list], list[list]]:
     suffix equals the longest-path table of the network over the same
     layers, its arcs taken by tail, then by ascending head.
     choice[t-1][k] indexes the smallest head in layer t that attains
-    suffix[t-1][k], or is None with it.  inst must not be wp2 (solve its
-    doubled horizon instead).
+    suffix[t-1][k], or is None with it.  inst must not be wp2 (solve the
+    rows of searched(inst) instead).
 
     One sweep up each layer's ascending tails carries three pointers into
     the ascending heads: a sell deque over [s-Uy, s-Ly] keyed by
@@ -318,9 +317,9 @@ def _feasible(inst: Instance) -> bool:
     """Whether some plan gets through every period of inst's searched
     horizon.
 
-    The periods are the rows searched_bounds reads off inst, so a wp2
-    instance is walked as its 2T half-periods, each period's sale half
-    before its purchase half, and no doubled instance is built.  The pass
+    The periods are the bound rows of searched(inst), with no price row
+    made and nothing scaled, so a wp2 instance is walked as its 2T
+    half-periods, each period's sale half before its purchase half.  The pass
     carries the exact set of stocks reachable from s0 forward as ascending
     disjoint intervals: [a, b] moves to itself, to [a+Lx, b+Ux] when
     Ux > 0 and to [a-Uy, b-Ly] when Uy > 0, and the union is clipped to
@@ -329,9 +328,10 @@ def _feasible(inst: Instance) -> bool:
     forward level, so no set outgrows its layer, and a sum of inst's data,
     so the verdict is the same on inst scaled by any factor.
     """
-    Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
-    reach = [(inst.s0, inst.s0)]
-    for ls, us, lx, ux, ly, uy in zip(Ls, Us, Lx, Ux, Ly, Uy):
+    rows = searched(inst, prices=False)
+    reach = [(rows.s0, rows.s0)]
+    for ls, us, lx, ux, ly, uy in zip(rows.Ls, rows.Us, rows.Lx, rows.Ux,
+                                      rows.Ly, rows.Uy):
         moved = reach
         if ux > 0:
             moved = moved + [(a + lx, b + ux) for a, b in reach]
@@ -363,67 +363,50 @@ def _feasible(inst: Instance) -> bool:
     return True
 
 
-def _solve_windows(inst: Instance, trace: SolveTrace | None) -> list:
-    """Window DP over the full levels of inst, then a forward pass along
-    the chosen heads: the stock after each period of the best plan.
-
-    Raises Infeasible when s0 has no path to the last layer, which is its
-    verdict on a traced solve.  inst must not be wp2 (solve its doubled
-    horizon instead).
-    """
-    levels = gen_stock_levels(inst)
-    if trace is not None:
-        trace.searched, trace.levels = inst, levels
-    layers = ((inst.s0,),) + levels.levels
-    suffix, choice = _window_suffix(inst, layers)
-    if suffix[0][0] is None:
-        raise Infeasible("no feasible trading plan")
-    stocks, node = [], 0
-    for t in inst.periods:
-        node = choice[t - 1][node]
-        stocks.append(layers[t][node])
-    return stocks
-
-
-def search_instance(inst: Instance) -> Instance:
-    """The instance the solvers search: wp2 rewritten onto its doubled,
-    one-side-per-period horizon, wp1 and wp3 as they are.
-    stocklevels.searched_trades reads inst's trades off a stock path of
-    it."""
-    if inst.variant is Variant.WP2:
-        return double_horizon(inst)
-    return inst
-
-
 def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     """Solve an instance exactly by the window DP over its level sets.
 
-    Scales inst to integer data by model.integral_instance, then runs on
-    search_instance of that copy, so the single wp1 arc rule serves all
-    variants.  The scaling multiplies every stock by one factor F and
-    every objective by F*F, so it changes no comparison and the plan found
-    is the one the rational search finds.  The DP's stock path becomes
-    the scaled instance's trades by stocklevels.searched_trades, and one
-    plan is assembled on it and divided back by F.  Agrees in plan and
-    objective with a longest path of the network in rationals, its arcs
-    taken by tail, then by ascending head.  A given trace records the
-    searched instance and its levels (see SolveTrace).
+    The DP runs on the rows of searched(inst, F), with F =
+    model.scale_factor(inst), so the single wp1 arc rule serves all
+    variants and every number is an int.  The scaling multiplies every
+    stock by one factor F and every objective by F*F, so it changes no
+    comparison and the plan found is the one the rational search finds.
+    stocklevels.searched_trades reads the plan's trades and stocks off
+    the DP's stock path and divides them by F; its objective is the DP's
+    value divided by F*F, and its indicators are the minimal ones.  No
+    Instance is built.  Agrees in plan and objective with a longest path
+    of the network in rationals, its arcs taken by tail, then by ascending
+    head.  A given trace records the searched rows and their levels (see
+    SolveTrace).
 
-    An untraced solve first decides feasibility on inst as read, by
+    An untraced solve first decides feasibility on inst's bound rows, by
     _feasible, unless s0 lies in every [Ls_t, Us_t]: an infeasible inst
-    raises before integral_instance, search_instance or any level runs.  A
-    traced solve skips that pass, so the trace always records the
-    searched instance and its levels, and takes the window DP's verdict.
-    Raises Infeasible when no plan exists.
+    raises before F, any price row or any level is made.  A traced solve
+    skips that pass, so the trace always records the searched rows and
+    their levels, and takes the window DP's verdict, that no path leads
+    from s0 to the last layer.  Raises Infeasible when no plan exists.
     """
     # on wp2 this also tests the doubled bounds: [0, Us_t] holds [Ls_t, Us_t]
     if trace is None and not all(ls <= inst.s0 <= us
                                  for ls, us in zip(inst.Ls, inst.Us)):
         if not _feasible(inst):
             raise Infeasible("no feasible trading plan")
-    scaled, unscale = integral_instance(inst)
-    stocks = _solve_windows(search_instance(scaled), trace)
-    return unscale(assemble_solution(scaled, *searched_trades(scaled, stocks)))
+    F = scale_factor(inst)
+    rows = searched(inst, F)
+    layers = searched_levels(rows)
+    if trace is not None:
+        trace.searched, trace.levels = rows, StockLevels(levels=layers[1:])
+    suffix, choice = _window_suffix(rows, layers)
+    if suffix[0][0] is None:
+        raise Infeasible("no feasible trading plan")
+    stocks, node = [], 0
+    for t in range(1, rows.T + 1):
+        node = choice[t - 1][node]
+        stocks.append(layers[t][node])
+    x, y, s = searched_trades(inst, stocks, F)
+    return Solution(x=x, y=y, s=s, w=tuple(map(_indicator, x)),
+                    z=tuple(map(_indicator, y)),
+                    objective=exact_quotient(suffix[0][0], F * F))
 
 
 def solve_wp2_direct(inst: Instance) -> Solution:
@@ -475,24 +458,26 @@ def solve_wp2_direct(inst: Instance) -> Solution:
 def to_dot(inst: Instance) -> str:
     """Render the network of inst in DOT format for debugging.
 
-    Like extform.emit_lp, it draws the instance search_instance returns,
-    from its levels, and builds no network: each tail's arcs are its
-    _window_slices, by tail, then by ascending head, each labelled with the payoff
-    arc_candidates prices it at.
+    Like extform.emit_lp, it draws the horizon solve searches, from the
+    levels of searched(inst, F), F = model.scale_factor(inst), and builds
+    no network: each tail's arcs are its _window_slices, by tail, then by
+    ascending head, each labelled with the payoff _wp1_candidates prices
+    it at.  Every stock is printed divided back by F and every payoff by
+    F*F, so the dump shows inst's own numbers.
     """
-    base = search_instance(inst)
-    layers = ((base.s0,),) + gen_stock_levels(base).levels
+    F = scale_factor(inst)
+    rows = searched(inst, F)
+    layers = searched_levels(rows)
     lines = ["digraph trading {", "  rankdir=LR;"]
-    for t, layer in enumerate(layers):
+    for t, layer in enumerate(unscaled(layers, F)):
         for i, stock in enumerate(layer):
             lines.append(f'  n_{t}_{i} [label="{t}:{stock}"];')
     for t, (tails, heads) in enumerate(zip(layers, layers[1:]), start=1):
-        bounds = base.Lx[t - 1], base.Ux[t - 1], base.Ly[t - 1], base.Uy[t - 1]
+        bounds = rows.Lx[t - 1], rows.Ux[t - 1], rows.Ly[t - 1], rows.Uy[t - 1]
         for tail, s in enumerate(tails):
             for head in chain(*_window_slices(heads, s, *bounds)):
-                payoff = arc_candidates(base, t, s, heads[head])[0].payoff
-                lines.append(
-                    f'  n_{t - 1}_{tail} -> n_{t}_{head} [label="{payoff}"];'
-                )
+                payoff = _wp1_candidates(rows, t, s, heads[head])[0].payoff
+                lines.append(f'  n_{t - 1}_{tail} -> n_{t}_{head} '
+                             f'[label="{exact_quotient(payoff, F * F)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

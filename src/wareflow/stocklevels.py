@@ -27,24 +27,33 @@ backward from {Ls_T, Us_T}, with the negated moves of period t+1 for
 layer t.  The work is proportional to the number of distinct in-bound
 values rather than the number of move selections.
 
-For wp2 instances the sweep runs over the rows of the purchases/sales-split
-doubled horizon that searched_bounds reads off the instance, with no
-doubled instance built, and keeps the layers after each purchase half:
-the sale halves add zero as an anchor value.  Fractional bounds are swept
-in integers, times model.scale_factor, and divided back at the end.
-
-The doubled horizon is read through two functions: searched_bounds gives
-its rows, and searched_trades turns a stock path over them into the
-instance's own trades.
+The horizon the solvers search is read through three functions.  searched
+gives its rows: inst's own for wp1 and wp3, for wp2 the purchases/sales-
+split doubled horizon, in both cases optionally scaled to integers by one
+factor.  searched_levels sweeps the levels over those rows, the one sweep
+every route builds its levels by.  searched_trades turns a stock path over
+them into the instance's own trades.  gen_stock_levels sweeps fractional
+bounds in integers, times model.scale_factor, divides each level back at
+the end, and for wp2 keeps the layers after each purchase half: the sale
+halves add zero as an anchor value.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import WrongVariant
-from .model import Exact, Instance, Variant, exact_quotient, scale_factor
+from .model import (
+    _BOUND_FIELDS,
+    _FIXED_FIELDS,
+    _VECTOR_FIELDS,
+    Exact,
+    Instance,
+    Variant,
+    exact_quotient,
+    scale_factor,
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,26 @@ class StockLevels:
         return max(map(len, self.levels), default=0)
 
 
+# The rows of a searched horizon, named as Instance names its fields, so the
+# code that reads an instance's T, s0 and vectors reads them alike; the five
+# price rows default to None, for rows read for their bounds alone.
+Rows = namedtuple("Rows", ("T", "s0") + _VECTOR_FIELDS, defaults=(None,) * 5)
+
+# the rows that a wp2 period's sale half, and its purchase half, carries
+_SALE_HALF = frozenset({"Us", "Ly", "Uy", "revenue", "fixed_sale"})
+_PURCHASE_HALF = frozenset({"Ls", "Us", "Lx", "Ux", "cost", "holding",
+                            "fixed_purchase"})
+
+
+def _times(value: Exact, factor: int) -> int:
+    """value * factor, for a factor that is a multiple of value's
+    denominator, as an int product with no Fraction arithmetic."""
+    share, rest = divmod(factor, value.denominator)
+    if rest:
+        raise ValueError(f"factor {factor} leaves {value} fractional")
+    return value.numerator * share
+
+
 def _interleave(odd, even) -> tuple:
     """odd[0], even[0], odd[1], even[1], ...: a doubled-horizon vector."""
     out = [0] * (2 * len(odd))
@@ -70,68 +99,72 @@ def _interleave(odd, even) -> tuple:
     return tuple(out)
 
 
-def searched_bounds(inst: Instance) -> tuple[tuple, ...]:
-    """Ls, Us, Lx, Ux, Ly, Uy of the horizon the solvers search, without
-    building it: for wp2 the doubled rows double_horizon writes, for wp1
-    and wp3 inst's own.
+def searched(inst: Instance, F: int = 1, prices: bool = True) -> Rows:
+    """The rows of the horizon the solvers search: inst's own for wp1 and
+    wp3, for wp2 its doubled horizon, with s0, the bounds and the unit
+    prices times F and the fixed costs times F*F.
 
     Period t of wp2 becomes its sale half 2t-1, with stock bounds
-    [0, Us_t] and sales in [Ly_t, Uy_t], then its purchase half 2t, with
-    stock bounds [Ls_t, Us_t] and purchases in [Lx_t, Ux_t].
+    [0, Us_t] and only its sales, revenue and fixed sale cost, then its
+    purchase half 2t, with stock bounds [Ls_t, Us_t] and only its
+    purchases, cost, holding cost and fixed purchase cost.  That encodes
+    y_t <= s_{t-1} under plain complementarity, so the plans over the rows
+    correspond one to one with inst's plans (see searched_trades).  F
+    scales every plan's stocks and trades by F and its payoff by F*F, so
+    it changes no comparison.  F must clear every denominator, as
+    model.scale_factor(inst) and its multiples do, and the rows are then
+    all ints; another F raises ValueError.  F = 1 gives inst's numbers as
+    they are.  prices=False leaves the five price rows None.
     """
+    names = _VECTOR_FIELDS if prices else _BOUND_FIELDS
+    s0, rows = inst.s0, [getattr(inst, name) for name in names]
+    if F != 1:
+        s0 = _times(s0, F)
+        rows = [tuple(_times(v, F * F if name in _FIXED_FIELDS else F)
+                      for v in row) for name, row in zip(names, rows)]
     if inst.variant is not Variant.WP2:
-        return inst.Ls, inst.Us, inst.Lx, inst.Ux, inst.Ly, inst.Uy
+        return Rows(inst.T, s0, *rows)
     zeros = (0,) * inst.T
-    return (_interleave(zeros, inst.Ls), _interleave(inst.Us, inst.Us),
-            _interleave(zeros, inst.Lx), _interleave(zeros, inst.Ux),
-            _interleave(inst.Ly, zeros), _interleave(inst.Uy, zeros))
+    return Rows(2 * inst.T, s0, *(
+        _interleave(row if name in _SALE_HALF else zeros,
+                    row if name in _PURCHASE_HALF else zeros)
+        for name, row in zip(names, rows)))
 
 
-def searched_trades(inst: Instance, stocks) -> tuple[list, list]:
-    """x and y of inst's plan whose stocks over the searched horizon of
-    inst (the rows searched_bounds reads) are stocks, in period order.
+def searched_trades(inst: Instance, stocks, F: int = 1) -> tuple[list, ...]:
+    """x, y and s of inst's plan whose stocks over searched(inst, F) are
+    stocks, in period order, each divided by F.
 
     On wp1 and wp3 each stock move is one trade.  On wp2 the sale half of
     period t moves the stock from s'_{2t-2} down to s'_{2t-1} (s'_0 = s0)
-    and its purchase half on up to s'_{2t}, so y_t = s'_{2t-2} - s'_{2t-1}
-    and x_t = s'_{2t} - s'_{2t-1}.
+    and its purchase half on up to s'_{2t}, so y_t = s'_{2t-2} - s'_{2t-1},
+    x_t = s'_{2t} - s'_{2t-1} and s_t = s'_{2t}.  The trades are taken on
+    the stocks as given, ints when F clears inst's denominators, and only
+    then divided.
     """
+    s0 = inst.s0 if F == 1 else _times(inst.s0, F)
     if inst.variant is Variant.WP2:
-        after_sale, after_purchase = stocks[0::2], stocks[1::2]
-        before_sale = (inst.s0, *after_purchase)
-        return ([b - a for a, b in zip(after_sale, after_purchase)],
-                [b - a for a, b in zip(after_sale, before_sale)])
-    before = (inst.s0, *stocks)
-    return ([max(s - b, 0) for b, s in zip(before, stocks)],
-            [max(b - s, 0) for b, s in zip(before, stocks)])
+        after_sale, s = stocks[0::2], stocks[1::2]
+        x = [b - a for a, b in zip(after_sale, s)]
+        y = [b - a for a, b in zip(after_sale, (s0, *s))]
+    else:
+        s, before = stocks, (s0, *stocks)
+        x = [max(v - b, 0) for b, v in zip(before, stocks)]
+        y = [max(b - v, 0) for b, v in zip(before, stocks)]
+    return unscaled((x, y, s), F)
 
 
 def double_horizon(inst: Instance) -> Instance:
     """Split every wp2 period into a sales half then a purchases half.
 
-    The doubled instance is a wp1 instance over 2T periods: odd period
-    2t-1 carries only the sales of period t, even period 2t only its
-    purchases.  Its stock bounds are [0, Us_t] after an odd period and
-    [Ls_t, Us_t] after an even one, which encodes y_t <= s_{t-1} under
-    plain complementarity, so its feasible plans correspond one to one
-    with the wp2 plans, with equal objective: searched_trades reads a
-    wp2 plan's trades off the doubled plan's stocks.
+    The doubled instance is the wp1 instance over 2T periods whose data
+    are the rows searched(inst) reads: odd period 2t-1 carries only the
+    sales of period t, even period 2t only its purchases, and its feasible
+    plans correspond one to one with the wp2 plans, with equal objective.
     """
     if inst.variant is not Variant.WP2:
         raise WrongVariant("double_horizon applies to wp2 instances only")
-    Ls, Us, Lx, Ux, Ly, Uy = searched_bounds(inst)
-    zeros = (0,) * inst.T
-    return Instance(
-        variant=Variant.WP1,
-        T=2 * inst.T,
-        s0=inst.s0,
-        Ls=Ls, Us=Us, Lx=Lx, Ux=Ux, Ly=Ly, Uy=Uy,
-        revenue=_interleave(inst.revenue, zeros),
-        cost=_interleave(zeros, inst.cost),
-        holding=_interleave(zeros, inst.holding),
-        fixed_purchase=_interleave(zeros, inst.fixed_purchase),
-        fixed_sale=_interleave(inst.fixed_sale, zeros),
-    )
+    return Instance(Variant.WP1, *searched(inst))
 
 
 def _sweep(start: set, steps) -> list[set]:
@@ -151,34 +184,48 @@ def _sweep(start: set, steps) -> list[set]:
     return layers
 
 
-def gen_stock_levels(inst: Instance) -> StockLevels:
-    """Compute the candidate stock values for every period.
-
-    The sweep runs over the rows searched_bounds(inst) returns; for wp2
-    it keeps the layers after each purchase half.  Fractional bounds are
-    swept times F = model.scale_factor(inst), in ints, and each level is
-    divided back by exact_quotient, so a whole level is always an int.
-    """
-    s0, bounds = inst.s0, searched_bounds(inst)
-    F = 1 if inst.bounds_integral() else scale_factor(inst)
-    if F != 1:
-        s0 = int(s0 * F)
-        bounds = [[int(v * F) for v in vec] for vec in bounds]
-    Ls, Us, Lx, Ux, Ly, Uy = bounds
-    forward = _sweep({s0}, (
+def searched_levels(rows) -> tuple[tuple, ...]:
+    """The candidate stock values over rows, as searched returns them: (s0,),
+    then the ascending levels after each of the rows' T periods, by the
+    forward and the backward sweep.  Every level is a sum of the rows'
+    numbers, and every caller sweeps int rows, scaled by F when the data
+    hold fractions, so every level is an int."""
+    Ls, Us, Lx, Ux, Ly, Uy = (rows.Ls, rows.Us, rows.Lx, rows.Ux, rows.Ly,
+                              rows.Uy)
+    forward = _sweep({rows.s0}, (
         ({0, Lx[i], Ux[i], -Ly[i], -Uy[i]}, Ls[i], Us[i])
-        for i in range(len(Ls))))
+        for i in range(rows.T)))
     # the layer after period i+1 undoes the moves of period i+2
     backward = _sweep({Ls[-1], Us[-1]}, (
         ({0, -Lx[i + 1], -Ux[i + 1], Ly[i + 1], Uy[i + 1]}, Ls[i], Us[i])
-        for i in range(len(Ls) - 2, -1, -1)))
-    pairs = zip(forward[1:], reversed(backward))
+        for i in range(rows.T - 2, -1, -1)))
+    return ((rows.s0,),) + tuple(
+        tuple(sorted(ahead | behind))
+        for ahead, behind in zip(forward[1:], reversed(backward)))
+
+
+def unscaled(vectors, F: int) -> tuple[tuple, ...]:
+    """Every value of vectors divided by F, by exact_quotient, so a whole
+    quotient is an int; F = 1 returns vectors as they are."""
+    if F == 1:
+        return vectors
+    return tuple(tuple(exact_quotient(v, F) for v in vec) for vec in vectors)
+
+
+def gen_stock_levels(inst: Instance) -> StockLevels:
+    """Compute the candidate stock values for every period.
+
+    The levels are searched_levels over the bound rows of
+    searched(inst, F), with F = 1 for integral bounds and
+    model.scale_factor(inst) otherwise, so fractional bounds are swept in
+    ints and each level divided back; for wp2 the layers after each
+    purchase half are kept.
+    """
+    F = 1 if inst.bounds_integral() else scale_factor(inst)
+    layers = searched_levels(searched(inst, F, prices=False))[1:]
     if inst.variant is Variant.WP2:
-        pairs = islice(pairs, 1, None, 2)
-    layers = (sorted(ahead | behind) for ahead, behind in pairs)
-    if F != 1:
-        layers = ([exact_quotient(v, F) for v in layer] for layer in layers)
-    return StockLevels(levels=tuple(map(tuple, layers)))
+        layers = layers[1::2]
+    return StockLevels(levels=unscaled(layers, F))
 
 
 def _ceil_div(num: int, den: int) -> int:

@@ -47,11 +47,12 @@ from wareflow.model import (
     evaluate_payoff,
     exact,
     format_exact,
-    integral_instance,
     parse_exact,
+    scale_factor,
     validate_instance,
 )
-from wareflow.network import _feasible, search_instance
+from wareflow.network import _feasible
+from wareflow.stocklevels import Rows
 
 
 def two_period_trade() -> Instance:
@@ -291,10 +292,33 @@ def solution_with(sol: Solution, **overrides) -> Solution:
     return Solution(**fields)
 
 
+def search_instance(inst: Instance) -> Instance:
+    """The searched horizon as an Instance, for the references that take
+    one: wp2 rewritten onto its doubled, one-side-per-period horizon by
+    double_horizon, wp1 and wp3 as they are."""
+    if inst.variant is Variant.WP2:
+        return double_horizon(inst)
+    return inst
+
+
+def instance_rows(inst: Instance):
+    """T, s0 and the eleven vectors of an instance, as the rows
+    stocklevels.searched returns them."""
+    return Rows(inst.T, inst.s0, *(getattr(inst, name)
+                                   for name in _VECTOR_FIELDS))
+
+
+def searched_copy(inst: Instance) -> Instance:
+    """The instance solve once searched, built as one: inst scaled to
+    integers by reference_scale_instance at F = model.scale_factor(inst),
+    then moved onto its doubled horizon for wp2.  Its rows are the ones
+    stocklevels.searched(inst, F) reads off inst with no copy built."""
+    return search_instance(reference_scale_instance(inst, scale_factor(inst)))
+
+
 def verdict_on_the_searched_copy(inst: Instance) -> bool:
-    """_feasible where solve once ran the pass: on the searched instance
-    (for wp2 the doubled horizon) scaled to integers."""
-    return _feasible(integral_instance(search_instance(inst))[0])
+    """_feasible where solve once ran the pass: on the searched copy."""
+    return _feasible(searched_copy(inst))
 
 
 def reference_decimal_or_none(value):
@@ -438,7 +462,7 @@ def reference_scale_trade_bounds(inst: Instance, params) -> Instance:
 def reference_scale_instance(inst: Instance, factor: int) -> Instance:
     """Every number of the instance times one factor, the fixed costs
     times its square, so every plan's objective grows by factor**2, as
-    Fraction products (kept apart from model.scale_instance, which
+    Fraction products (kept apart from stocklevels.searched, which
     multiplies numerators in integers)."""
     fixed = ("fixed_purchase", "fixed_sale")
     scaled = {name: tuple(exact(v * factor ** (2 if name in fixed else 1))

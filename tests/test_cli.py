@@ -36,11 +36,11 @@ from wareflow import (
 )
 from wareflow.cli import run
 from wareflow.model import echo
-from wareflow.network import search_instance
 from helpers import (
     gap_infeasible,
     reference_build_network,
     reference_dump,
+    search_instance,
     solve_with_network,
     two_period_trade,
     wp2_mixed,
@@ -344,16 +344,19 @@ def test_fptas_scales_the_instance_once(tmp_path, capsys, monkeypatch):
 
 def test_fptas_generates_the_level_sets_once(tmp_path, capsys, monkeypatch):
     calls = []
-    original = wareflow.network.gen_stock_levels
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(original):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return call
 
-    # patched wherever a caller could bind it, the CLI included
-    monkeypatch.setattr(wareflow.network, "gen_stock_levels", counted)
-    monkeypatch.setattr(wareflow.cli, "gen_stock_levels", counted,
-                        raising=False)
+    # the one sweep and gen_stock_levels, patched wherever a caller could
+    # bind them, the CLI included
+    for module, name in ((wareflow.network, "searched_levels"),
+                         (wareflow.network, "gen_stock_levels"),
+                         (wareflow.cli, "gen_stock_levels")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     data = json.loads(serialize_instance(two_period_trade()))
     data["variant"] = "wp3"
     path = tmp_path / "wp3.json"
@@ -812,16 +815,21 @@ def test_bench_counts_the_searched_levels_without_a_network(
     def refuse(*args, **kwargs):
         raise AssertionError("arc priced")
 
+    # the levels are built once per instance, by the one sweep, and
+    # gen_stock_levels is not called on top of it
     levels_calls = []
-    original = wareflow.network.gen_stock_levels
 
-    def counted(*args, **kwargs):
-        levels_calls.append(args[0])
-        return original(*args, **kwargs)
+    def counted(original):
+        def call(*args, **kwargs):
+            levels_calls.append(args[0])
+            return original(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
-    for module in (wareflow.cli, wareflow.network):
-        monkeypatch.setattr(module, "gen_stock_levels", counted)
+    for module, name in ((wareflow.cli, "gen_stock_levels"),
+                         (wareflow.network, "gen_stock_levels"),
+                         (wareflow.network, "searched_levels")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     assert run(["bench", "--dir", str(tmp_path)]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert all(_is_wall_ms(row.pop("wall_ms")) for row in rows)

@@ -27,8 +27,8 @@ from wareflow import (
 import wareflow.network
 from wareflow import extform
 from wareflow.extform import _decimal, _lp_text
-from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, exact, scale_instance
-from wareflow.network import search_instance
+from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, exact
+from wareflow.stocklevels import searched, searched_levels
 from helpers import (
     gap_trading,
     lift_outcome,
@@ -38,6 +38,8 @@ from helpers import (
     reference_build_network,
     reference_decimal_or_none,
     reference_emit_lp,
+    reference_scale_instance,
+    search_instance,
     reference_lift_solution,
     reference_lp_text_from_arcs,
     slice_rule_cases,
@@ -183,7 +185,7 @@ def test_lift_refuses_a_wp2_instance():
     inst = wp2_mixed()
     with pytest.raises(WrongVariant, match=(
             r"^lift_and_check takes the searched instance: "
-            r"pass search_instance\(inst\), not wp2$")):
+            r"pass double_horizon\(inst\), not wp2$")):
         lift_and_check(inst, solve(inst))
     base = search_instance(inst)
     report = lift_and_check(base, solve(base))
@@ -427,9 +429,10 @@ def test_emit_lp_skips_scaling_for_numbers_outside_the_model():
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(1, 3)])
 def test_emit_lp_builds_no_network(monkeypatch, s0):
     # s0 = 1/3 has no decimal literal, so that LP is printed scaled by 3
-    # from the same levels: the text is written from the levels alone
+    # from the same levels, swept once: the text is written from the
+    # levels alone
     calls = []
-    original = extform.gen_stock_levels
+    original = extform.searched_levels
 
     def counted(*args):
         calls.append(args)
@@ -438,7 +441,7 @@ def test_emit_lp_builds_no_network(monkeypatch, s0):
     def refuse(*args, **kwargs):
         raise AssertionError("arc priced")
 
-    monkeypatch.setattr(extform, "gen_stock_levels", counted)
+    monkeypatch.setattr(extform, "searched_levels", counted)
     monkeypatch.setattr(wareflow.network, "arc_candidates", refuse)
     inst = Instance(
         variant="wp1", T=2, s0=s0,
@@ -474,10 +477,12 @@ def test_scaled_levels_are_the_levels_of_the_scaled_instance():
         layers = ((base.s0,),) + gen_stock_levels(base).levels
         scaled = re.search(r"scaled by (\d+),", emit_lp(inst))
         factors.add(int(scaled[1]) if scaled else 1)
-        big = scale_instance(base, 6)
+        big = reference_scale_instance(base, 6)
+        expected = ((exact(6 * base.s0),),) + gen_stock_levels(big).levels
         assert repr(tuple(tuple(exact(v * 6) for v in layer)
-                          for layer in layers)) == repr(
-            ((exact(6 * base.s0),),) + gen_stock_levels(big).levels)
+                          for layer in layers)) == repr(expected)
+        # the one sweep over the rows searched at 6 gives them too
+        assert repr(searched_levels(searched(inst, 6))) == repr(expected)
     # some networks only move the stock by whole units and print as they are
     assert factors == {1, 6}
 

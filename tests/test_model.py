@@ -17,6 +17,8 @@ from wareflow import (
     NegativeBound,
     PeriodOutOfRange,
     Solution,
+    SolveTrace,
+    Variant,
     WP3ShapeViolation,
     WrongVectorLength,
     assemble_solution,
@@ -28,11 +30,9 @@ from wareflow import (
     fptas_params,
     fptas_solve,
     gen_random,
-    integral_instance,
     parse_exact,
     parse_instance,
     parse_solution,
-    scale_instance,
     scale_trade_bounds,
     serialize_instance,
     serialize_lotsizing,
@@ -46,15 +46,17 @@ from wareflow.model import (
     _to_json_dict,
     scale_factor,
 )
-from wareflow.network import search_instance
+from wareflow.stocklevels import searched, searched_trades
 from helpers import (
     PLANTED,
     flat_payloads,
+    instance_rows,
     outcome,
     planted,
     reference_dump,
     reference_scale_instance,
     reference_validate_instance,
+    search_instance,
     solution_with,
     two_period_trade,
     wp2_mixed,
@@ -464,11 +466,19 @@ def test_no_floats_survive_construction():
 
 
 def test_integral_instance_returns_integer_data_unchanged():
-    inst = gen_random(3, 5, "wp2", 9)
-    same, back = integral_instance(inst)
-    assert same is inst
-    sol = assemble_solution(inst, (0,) * 5, (0,) * 5)
-    assert back(sol) is sol
+    # integer data are searched at F = 1: wp1 and wp3 on their own
+    # vectors, wp2 on double_horizon's rows, and a stock path's trades
+    # come back as they are
+    for variant in ("wp1", "wp2", "wp3"):
+        inst = gen_random(3, 5, variant, 9)
+        assert scale_factor(inst) == 1
+        rows = searched(inst, scale_factor(inst))
+        assert rows == instance_rows(search_instance(inst))
+        if variant != "wp2":
+            assert all(getattr(rows, name) is getattr(inst, name)
+                       for name in _VECTOR_FIELDS)
+            assert searched_trades(inst, inst.Us) == searched_trades(
+                inst, inst.Us, 1)
 
 
 def test_integral_instance_scales_by_one_factor():
@@ -479,18 +489,21 @@ def test_integral_instance_scales_by_one_factor():
         revenue=(Fraction(3, 5), 2), cost=(1, 1), holding=(0, 1),
         fixed_purchase=(Fraction(1, 2), 0), fixed_sale=(0, 1),
     )
-    scaled, back = integral_instance(inst)
+    rows = searched(inst, scale_factor(inst))
     # F = lcm(2, 3, 5) = 30 over every datum; the fixed costs take F*F = 900
-    assert scaled == scale_instance(inst, 30)
-    assert scaled.s0 == 15 and scaled.Us == (90, 70) and scaled.Uy == (20, 30)
-    assert scaled.revenue == (18, 60) and scaled.holding == (0, 30)
-    assert scaled.fixed_purchase == (450, 0) and scaled.fixed_sale == (0, 900)
-    numbers = serialize_instance(scaled)
-    assert "/" not in numbers  # every number is an integer
+    assert scale_factor(inst) == 30
+    assert rows == instance_rows(reference_scale_instance(inst, 30))
+    assert rows.s0 == 15 and rows.Us == (90, 70) and rows.Uy == (20, 30)
+    assert rows.revenue == (18, 60) and rows.holding == (0, 30)
+    assert rows.fixed_purchase == (450, 0) and rows.fixed_sale == (0, 900)
+    assert all(type(v) is int for v in (rows.s0, *sum(rows[2:], ())))
     plan = assemble_solution(inst, (1, 0), (0, Fraction(2, 3)))
-    image = assemble_solution(scaled, (30, 0), (0, 20))
+    image = assemble_solution(Instance(Variant.WP1, *rows), (30, 0), (0, 20))
     assert image.objective == 900 * plan.objective
-    assert repr(back(image)) == repr(plan)
+    # the searched stock path's trades and stocks, divided back by F
+    x, y, s_ = searched_trades(inst, image.s, 30)
+    assert repr((tuple(x), tuple(y), tuple(s_))) == repr(
+        (plan.x, plan.y, plan.s))
 
 
 def _fractional_cases():
@@ -515,34 +528,39 @@ def _fractional_cases():
 
 
 def test_scale_instance_matches_the_fraction_product():
-    # numerator times (factor // denominator) against the Fraction product,
-    # field by field and type by type, at F and at a multiple of F
+    # searched(inst, factor), numerator times (factor // denominator),
+    # against the Fraction product, row by row and type by type, at F and
+    # at a multiple of F, and for wp2 against double_horizon of it
     for inst in _fractional_cases():
         F = scale_factor(inst)
         for factor in (F, 4 * F):
-            assert repr(scale_instance(inst, factor)) == repr(
-                reference_scale_instance(inst, factor))
+            assert repr(searched(inst, factor)) == repr(instance_rows(
+                search_instance(reference_scale_instance(inst, factor))))
     with pytest.raises(ValueError, match="leaves 1/3 fractional"):
-        scale_instance(tiny(s0=Fraction(1, 3)), 2)
+        searched(tiny(s0=Fraction(1, 3)), 2)
+    with pytest.raises(ValueError, match="leaves 1/3 fractional"):
+        searched(tiny(Us=(Fraction(1, 3),)), 2)
 
 
 def test_integral_instance_maps_the_objective_back_exactly():
-    # the searched plan's objective over F*F is the plan's objective on
-    # the original data
+    # solve's objective, the DP's value on the scaled rows over F*F, is
+    # the plan's objective on the original data; the plan of the rows as
+    # an instance has F*F times it
     solved = 0
     for inst in _fractional_cases():
-        base = search_instance(inst)
-        searched, back = integral_instance(base)
-        assert searched is not base
+        F = scale_factor(inst)
+        assert F > 1
+        trace = SolveTrace()
         try:
-            image = solve(searched)
+            plan = solve(inst, trace)
         except Infeasible:
             continue
-        plan = back(image)
-        expected = compute_objective(base, plan.x, plan.y, plan.s, plan.w,
+        expected = compute_objective(inst, plan.x, plan.y, plan.s, plan.w,
                                      plan.z)
         assert plan.objective == expected
         assert type(plan.objective) is type(expected)
-        assert check_solution(base, plan).feasible
+        assert check_solution(inst, plan).feasible
+        image = solve(Instance(Variant.WP1, *trace.searched))
+        assert image.objective == F * F * plan.objective
         solved += 1
     assert solved > 20

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import wareflow.model
 import wareflow.network
 from wareflow import (
     Infeasible,
@@ -19,10 +20,10 @@ from wareflow import (
     assemble_solution,
     check_solution,
     double_horizon,
+    emit_lp,
     fptas_params,
     gen_random,
     gen_stock_levels,
-    integral_instance,
     oracle_solve,
     reduce_partition,
     scale_trade_bounds,
@@ -30,18 +31,19 @@ from wareflow import (
     solve_wp2_direct,
     to_dot,
 )
+from wareflow.model import scale_factor
 from wareflow.network import (
     _feasible,
     _window_suffix,
     arc_counts,
-    search_instance,
 )
-from wareflow.stocklevels import searched_trades
+from wareflow.stocklevels import searched, searched_levels, searched_trades
 from helpers import (
     Raised,
     blocked_by_fixed_cost,
     buy_then_sell,
     gap_infeasible,
+    instance_rows,
     outcome,
     reference_build_network,
     reference_decode,
@@ -50,6 +52,8 @@ from helpers import (
     reference_scale_instance,
     reference_to_dot,
     reference_window_suffix,
+    search_instance,
+    searched_copy,
     slice_rule_cases,
     solve_with_network,
     two_period_trade,
@@ -273,7 +277,7 @@ def test_search_instance_doubles_wp2_and_maps_back():
     assert base == double_horizon(inst)
     assert base.variant is Variant.WP1 and base.T == 2 * inst.T
     doubled = solve_with_network(base)[0]
-    sol = assemble_solution(inst, *searched_trades(inst, doubled.s))
+    sol = assemble_solution(inst, *searched_trades(inst, doubled.s)[:2])
     assert len(sol.x) == inst.T
     assert sol == solve(inst) == reference_map_back(inst, doubled)
 
@@ -283,19 +287,19 @@ def test_search_instance_passes_wp1_and_wp3_through(make):
     inst = make()
     assert search_instance(inst) is inst
     sol = solve(inst)
-    assert assemble_solution(inst, *searched_trades(inst, sol.s)) == sol
+    assert assemble_solution(inst, *searched_trades(inst, sol.s)[:2]) == sol
 
 
 def test_search_instance_validates_before_doubling(monkeypatch):
-    def no_doubling(inst):
+    def no_doubling(*args, **kwargs):
         raise AssertionError("doubled an invalid instance")
 
-    monkeypatch.setattr(wareflow.network, "double_horizon", no_doubling)
+    monkeypatch.setattr(wareflow.network, "searched", no_doubling)
     # the Instance refuses itself, so no invalid one is ever searched
     with pytest.raises(LowerExceedsUpper):
-        search_instance(replace(wp2_mixed(), Lx=(3, 0), Ux=(1, 3)))
+        solve(replace(wp2_mixed(), Lx=(3, 0), Ux=(1, 3)))
     with pytest.raises(WrongVectorLength):
-        search_instance(replace(wp2_mixed(), Uy=(2,)))
+        solve(replace(wp2_mixed(), Uy=(2,)))
 
 
 def test_solve_derives_no_arcs(monkeypatch):
@@ -315,7 +319,7 @@ def _window_dp_matches_network(inst) -> bool:
 
     Asserts equal suffix tables on the searched instance (wp2 doubled) and
     an equal Solution repr, or the same Infeasible message; returns
-    feasibility.  solve searches an integer copy of fractional data while
+    feasibility.  solve searches integer rows of fractional data while
     the network is built on the data as given.  Over both, the DP's suffix
     and choice tables must equal reference_window_suffix's, the DP that
     made both window passes on every layer.  Also asserts that arc_counts
@@ -419,9 +423,10 @@ def test_window_dp_ties_pick_the_smallest_head(overrides, stocks):
 
 def _sweep_matches_the_reference(inst) -> None:
     """_window_suffix's tables equal reference_window_suffix's over the
-    levels of inst as given and of its integer copy."""
-    for case in (inst, integral_instance(inst)[0]):
-        layers = ((case.s0,),) + gen_stock_levels(case).levels
+    levels of inst as given and of its rows scaled to integers."""
+    rows = searched(inst, scale_factor(inst))
+    for case, layers in ((inst, ((inst.s0,),) + gen_stock_levels(inst).levels),
+                         (rows, searched_levels(rows))):
         assert _window_suffix(case, layers) == reference_window_suffix(
             case, layers)
 
@@ -468,7 +473,8 @@ def _trace(inst) -> SolveTrace:
 
 def test_a_wp2_solve_assembles_one_plan(monkeypatch):
     # the stock path gives the wp2 trades, so no plan of the doubled
-    # horizon is made; fractional data add the one divided back by F
+    # horizon is made; fractional data add none, since the path's trades
+    # are divided back by F before the one plan is made
     cases = [gen_random(seed, T=2 + seed % 5, variant="wp2", max_bound=6)
              for seed in range(60)]
     cases += [reference_scale_instance(inst, Fraction(1, 3))
@@ -488,10 +494,9 @@ def test_a_wp2_solve_assembles_one_plan(monkeypatch):
             sol = solve(inst)
         except Infeasible:
             continue
-        integral = integral_instance(inst)[0] is inst
-        assert len(built) == (1 if integral else 2)
+        assert len(built) == 1
         assert built[-1] is sol and len(sol.x) == inst.T
-        solved += not integral
+        solved += scale_factor(inst) > 1
     assert solved > 10
 
 
@@ -508,7 +513,7 @@ def test_trace_records_the_level_set_sizes(variant):
 
 
 def test_trace_keeps_the_sizes_of_fractional_levels():
-    # the search runs on an integer copy; its levels are as many
+    # the search runs on integer rows; its levels are as many
     for seed in range(20):
         inst = gen_random(700 + seed, T=2 + seed % 6, variant="wp3",
                           max_bound=12)
@@ -525,10 +530,10 @@ def test_trace_records_the_searched_instance_and_its_levels():
     assert not cases[-1].bounds_integral()
     for inst in cases:
         trace = _trace(inst)
-        searched = search_instance(integral_instance(inst)[0])
-        assert searched == integral_instance(search_instance(inst))[0]
-        assert trace.searched == searched
-        assert trace.levels == gen_stock_levels(searched)
+        copy = searched_copy(inst)
+        assert trace.searched == instance_rows(copy)
+        assert trace.searched == searched(inst, scale_factor(inst))
+        assert trace.levels == gen_stock_levels(copy)
 
 
 def test_wp2_trace_covers_the_doubled_horizon():
@@ -581,13 +586,12 @@ def test_window_dp_matches_network_on_fractional_data():
                               max_bound=7)
             cases.append(_divided(inst, (2, 3, 7)[seed % 3], 5))
     cases += [_coprime(seed) for seed in range(4)]
-    for inst in cases:  # every case is searched on a scaled copy
-        base = search_instance(inst)
-        assert integral_instance(base)[0] is not base
+    for inst in cases:  # every case is searched on scaled rows
+        assert scale_factor(inst) > 1
     outcomes = [_window_dp_matches_network(inst) for inst in cases]
     assert outcomes[-4:] == [True] * 4 and not all(outcomes)
     inst = cases[-1]
-    scaled = integral_instance(inst)[0]
+    scaled = searched(inst, scale_factor(inst))
     assert scaled.Us == tuple(15015 * v for v in inst.Us)
     assert scaled.fixed_purchase == tuple(15015 ** 2 * v
                                           for v in inst.fixed_purchase)
@@ -729,15 +733,15 @@ def test_window_suffix_matches_the_reference_on_seeded_layers():
 
 
 def _counted_levels(monkeypatch) -> list:
-    """Record every gen_stock_levels call solve makes."""
+    """Record every level sweep solve makes."""
     calls = []
-    original = wareflow.network.gen_stock_levels
+    original = wareflow.network.searched_levels
 
-    def counted(inst):
-        calls.append(inst)
-        return original(inst)
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
 
-    monkeypatch.setattr(wareflow.network, "gen_stock_levels", counted)
+    monkeypatch.setattr(wareflow.network, "searched_levels", counted)
     return calls
 
 
@@ -756,7 +760,7 @@ def test_gap_infeasible_raises_before_building_levels(monkeypatch):
     with pytest.raises(Infeasible, match="^no feasible trading plan$"):
         solve(inst, trace)
     assert len(calls) == 1
-    assert trace.searched == inst
+    assert trace.searched == instance_rows(inst)
     assert trace.levels == gen_stock_levels(inst)
 
 
@@ -776,16 +780,22 @@ def test_infeasible_solves_build_no_levels(monkeypatch, variant):
         else:
             assert len(calls) == before + 1
     assert bool(infeasible) == (variant != "wp3")
-    # nor a doubled or integer-scaled copy, nor any other Instance, also
-    # when the data are fractions
+    # nor the factor F, nor a price row, nor any Instance, also when the
+    # data are fractions: the verdict reads the six bound rows alone
     infeasible += [reference_scale_instance(inst, Fraction(1, 3))
                    for inst in infeasible]
 
     def refuse(*args, **kwargs):
         raise AssertionError("copy built")
 
-    monkeypatch.setattr(wareflow.network, "double_horizon", refuse)
-    monkeypatch.setattr(wareflow.network, "integral_instance", refuse)
+    bounds_only = wareflow.network.searched
+
+    def bound_rows(inst, F=1, prices=True):
+        assert (F, prices) == (1, False), "scaled or priced rows made"
+        return bounds_only(inst, F, prices)
+
+    monkeypatch.setattr(wareflow.network, "scale_factor", refuse)
+    monkeypatch.setattr(wareflow.network, "searched", bound_rows)
     monkeypatch.setattr(Instance, "__post_init__", refuse)
     for inst in infeasible:
         with pytest.raises(Infeasible, match="^no feasible trading plan$"):
@@ -839,9 +849,9 @@ def test_solve_runs_the_reachable_pass_at_most_once(monkeypatch):
             except Infeasible:
                 pass
             assert len(runs) == before
-            searched = search_instance(integral_instance(case)[0])
-            assert trace.searched == searched
-            assert trace.levels == gen_stock_levels(searched)
+            copy = searched_copy(case)
+            assert trace.searched == instance_rows(copy)
+            assert trace.levels == gen_stock_levels(copy)
     assert len(runs) > 40
 
 
@@ -849,16 +859,15 @@ def test_traced_and_untraced_solves_agree(monkeypatch):
     # the same plan, or the same error; a traced infeasible solve takes
     # the window DP's verdict, where an untraced one is refused by the pass
     raised = []
-    original = wareflow.network._solve_windows
+    original = wareflow.network._window_suffix
 
-    def recorded(inst, trace):
-        try:
-            return original(inst, trace)
-        except Infeasible as err:
-            raised.append(err)
-            raise
+    def recorded(rows, layers):
+        tables = original(rows, layers)
+        if tables[0][0][0] is None:  # s0 reaches no last-layer node
+            raised.append(rows)
+        return tables
 
-    monkeypatch.setattr(wareflow.network, "_solve_windows", recorded)
+    monkeypatch.setattr(wareflow.network, "_window_suffix", recorded)
     infeasible = fractional = 0
     for seed in range(90):
         variant = ("wp1", "wp2", "wp3")[seed % 3]
@@ -889,3 +898,34 @@ def test_solve_skips_the_pass_when_never_trading_is_feasible(monkeypatch):
     assert [repr(solve(inst)) for inst in cases] == expected
     with pytest.raises(AssertionError, match="reachable stock computed"):
         solve(gap_infeasible())
+
+
+def test_solve_emit_lp_and_to_dot_build_no_instance(monkeypatch):
+    # the searched rows are read off the instance as read, so no doubled,
+    # integer-scaled or other Instance is built and validated: on wp2 data
+    # over 3, and on a wp3 instance FPTAS-rounded by a fractional K
+    wp2 = reference_scale_instance(wp2_mixed(), Fraction(1, 3))
+    wp3 = gen_random(5, T=6, variant="wp3", max_bound=12)
+    params = fptas_params(wp3, Fraction(1, 3))
+    rounded = scale_trade_bounds(wp3, params)
+    assert params.K.denominator > 1 and scale_factor(rounded) > 1
+    assert scale_factor(wp2) > 1
+    built = []
+    original = wareflow.model.validate_instance
+
+    def counted(inst):
+        built.append(inst)
+        original(inst)
+
+    monkeypatch.setattr(wareflow.model, "validate_instance", counted)
+    ops = {"solve": solve, "traced solve": lambda i: solve(i, SolveTrace()),
+           "emit_lp": emit_lp, "to_dot": to_dot}
+    counts = {}
+    for inst in (wp2, rounded):
+        for name, op in ops.items():
+            built.clear()
+            op(inst)
+            counts[inst.variant.value, name] = len(built)
+    assert counts == dict.fromkeys(counts, 0) and len(counts) == 8
+    double_horizon(wp2)  # the counter sees an Instance built
+    assert len(built) == 1

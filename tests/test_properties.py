@@ -31,7 +31,6 @@ from wareflow import (  # noqa: E402
     fptas_params,
     gen_random,
     gen_stock_levels,
-    integral_instance,
     lift_and_check,
     lift_solution,
     oracle_solve,
@@ -41,7 +40,6 @@ from wareflow import (  # noqa: E402
     parse_solution,
     reassemble,
     reduce_partition,
-    scale_instance,
     scale_trade_bounds,
     serialize_instance,
     serialize_lotsizing,
@@ -67,14 +65,15 @@ from wareflow.network import (  # noqa: E402
     _feasible,
     _window_suffix,
     arc_counts,
-    search_instance,
 )
+from wareflow.stocklevels import searched, searched_levels  # noqa: E402
 from helpers import (  # noqa: E402
     PLANTED,
     Raised,
     brute_oracle_solve,
     flat_payloads,
     fractional_payoffs,
+    instance_rows,
     lift_outcome,
     outcome,
     planted,
@@ -97,6 +96,7 @@ from helpers import (  # noqa: E402
     reference_validate_instance,
     reference_window_max,
     reference_window_suffix,
+    search_instance,
     solve_with_network,
     text_or_value_error,
     typed,
@@ -261,10 +261,12 @@ def test_arc_counts_match_the_built_network(inst, d):
 @given(instances(), st.integers(1, 3), st.integers(1, 4))
 def test_window_dp_matches_the_reference(inst, d, e):
     # the searched instance with bounds over d and prices over e, as given
-    # and as the integer copy solve searches; wp2 on its doubled horizon
-    base = search_instance(_rescaled(inst, Fraction(1, d), Fraction(1, e)))
-    for case in (base, integral_instance(base)[0]):
-        layers = ((case.s0,),) + gen_stock_levels(case).levels
+    # and as the integer rows solve searches; wp2 on its doubled horizon
+    inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
+    base = search_instance(inst)
+    rows = searched(inst, scale_factor(inst))
+    for case, layers in ((base, ((base.s0,),) + gen_stock_levels(base).levels),
+                         (rows, searched_levels(rows))):
         assert _window_suffix(case, layers) == reference_window_suffix(
             case, layers)
 
@@ -531,26 +533,29 @@ def _fractional_copies(inst, L, M):
 @SETTINGS
 @given(instances(), st.integers(2, 6), st.integers(1, 4), st.integers(1, 3))
 def test_scale_instance_matches_the_fraction_product(inst, L, M, k):
+    # the rows searched at a multiple of F, type by type, against the
+    # Fraction product, for wp2 on double_horizon of it
     for case in _fractional_copies(inst, L, M):
         factor = k * scale_factor(case)
-        assert repr(scale_instance(case, factor)) == repr(
-            reference_scale_instance(case, factor))
+        assert repr(searched(case, factor)) == repr(instance_rows(
+            search_instance(reference_scale_instance(case, factor))))
 
 
 @SETTINGS
 @given(instances(), st.integers(2, 6), st.integers(1, 4))
 def test_integral_instance_maps_the_objective_back_exactly(inst, L, M):
+    # solve's objective, the DP's value over F*F, and its plan, divided
+    # back by F, recompute alike on the data as given
     for case in _fractional_copies(inst, L, M):
-        base = search_instance(case)
-        searched, back = integral_instance(base)
         try:
-            plan = back(solve(searched))
+            plan = solve(case)
         except Infeasible:
             continue
-        expected = compute_objective(base, plan.x, plan.y, plan.s, plan.w,
+        expected = compute_objective(case, plan.x, plan.y, plan.s, plan.w,
                                      plan.z)
         assert plan.objective == expected
         assert type(plan.objective) is type(expected)
+        assert check_solution(case, plan).feasible
 
 
 # --- the CLI's input boundary ----------------------------------------------

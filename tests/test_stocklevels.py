@@ -24,7 +24,6 @@ from wareflow import (
     solve,
     solve_wp2_direct,
 )
-from wareflow.network import search_instance
 from wareflow.stocklevels import searched_trades
 from helpers import (
     reference_build_network,
@@ -32,6 +31,7 @@ from helpers import (
     reference_decode,
     reference_map_back,
     reference_stock_levels,
+    search_instance,
     two_period_trade,
     typed,
     typed_exact_levels,
@@ -125,23 +125,24 @@ def test_double_horizon_objective_preserved():
             continue
         inner = oracle_solve(doubled)
         assert inner.objective == direct
-        outer = assemble_solution(inst, *searched_trades(inst, inner.s))
-        assert outer.objective == direct
+        x, y, s = searched_trades(inst, inner.s)
+        outer = assemble_solution(inst, x, y)
+        assert outer.objective == direct and outer.s == tuple(s)
 
 
 def test_map_back_reindexes():
     # the trades read off the doubled plan's stocks are its own, sliced
     inst = wp2_mixed()
     inner = oracle_solve(double_horizon(inst))
-    x, y = searched_trades(inst, inner.s)
+    x, y, s = searched_trades(inst, inner.s)
     assert (tuple(x), tuple(y)) == (inner.x[1::2], inner.y[0::2])
     outer = assemble_solution(inst, x, y)
-    assert outer.s == inner.s[1::2]
+    assert outer.s == tuple(s) == inner.s[1::2]
     assert outer == reference_map_back(inst, inner)
     # a plan of the wp2 horizon is not one of its doubled horizon
     with pytest.raises(WrongVectorLength,
                        match="^x and y must have length T$"):
-        assemble_solution(inst, *searched_trades(inst, outer.s))
+        assemble_solution(inst, *searched_trades(inst, outer.s)[:2])
 
 
 def test_bound_S_integral_span():
@@ -420,8 +421,9 @@ def test_searched_trades_slice_the_doubled_plan():
             doubled = solve(double_horizon(inst))
         except Infeasible:
             continue
-        x, y = searched_trades(inst, doubled.s)
+        x, y, s = searched_trades(inst, doubled.s)
         assert (tuple(x), tuple(y)) == (doubled.x[1::2], doubled.y[0::2])
+        assert tuple(s) == doubled.s[1::2]
         plan = assemble_solution(inst, x, y)
         assert typed(plan) == typed(reference_map_back(inst, doubled))
         assert typed(plan) == typed(solve(inst))
@@ -437,7 +439,8 @@ def test_searched_trades_are_the_stock_moves_on_wp1_and_wp3():
             plan = solve(inst)
         except Infeasible:
             continue
-        assert assemble_solution(inst, *searched_trades(inst, plan.s)) == plan
+        x, y, s = searched_trades(inst, plan.s)
+        assert assemble_solution(inst, x, y) == plan and tuple(s) == plan.s
 
 
 def test_solve_matches_the_network_over_unclipped_levels():
