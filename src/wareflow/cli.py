@@ -35,6 +35,7 @@ from .model import (
     parse_instance,
     parse_solution,
     serialize_instance,
+    serialize_levels,
     serialize_solution,
 )
 from .network import SolveTrace, arc_counts, solve, to_dot
@@ -43,14 +44,16 @@ from .stocklevels import gen_stock_levels
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
 
 
 def _answer(sol, args) -> int:
@@ -102,12 +105,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_levels(args) -> int:
     inst = parse_instance(_read(args.input))
-    levels = gen_stock_levels(inst)
-    payload = {
-        "S_size": levels.S_size,
-        "levels": [[format_exact(v) for v in layer] for layer in levels.levels],
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+    _emit(serialize_levels(gen_stock_levels(inst)), args.output)
     return 0
 
 
@@ -189,9 +187,9 @@ def _cmd_bench(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every run:
-    parse_args leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its commands' parsers by name, built on
+    first use and shared by every run: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="wareflow",
         description="Exact and approximate solvers for warehouse trading plans.",
@@ -253,13 +251,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write the CSV here")
     p.set_defaults(handler=_cmd_bench)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """parser.parse_args(argv) in one pass where argv is a command and its
+    arguments: the command's parser reads them, as parser would hand them
+    on.  parser itself runs only when there is no command or an argument is
+    left over, so every usage, message and exit code is its own."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
     try:
@@ -273,7 +285,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(run())
 
 
 if __name__ == "__main__":

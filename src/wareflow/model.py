@@ -25,7 +25,8 @@ fields, so every file holds exactly its record's keys and one that breaks
 a rule is told so in the same words whatever its record.  The files hold
 only scalars and lists of scalars, so _dump_flat writes them value by
 value through json's C encoder, in the bytes json.dumps(..., sort_keys=True,
-indent=2) gives, plus a newline.
+indent=2) gives, plus a newline; serialize_levels writes the levels dump,
+a list of such lists, in the same way.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ _BOUND_FIELDS = ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")
 _PRICE_FIELDS = ("revenue", "cost", "holding")
 _FIXED_FIELDS = ("fixed_purchase", "fixed_sale")
 _VECTOR_FIELDS = _BOUND_FIELDS + _PRICE_FIELDS + _FIXED_FIELDS
+# the eleven vectors, and the six bound vectors, of an instance or its rows
+_vectors = attrgetter(*_VECTOR_FIELDS)
+_bounds = attrgetter(*_BOUND_FIELDS)
 _BOUND_PAIRS = (("Ls", "Us"), ("Lx", "Ux"), ("Ly", "Uy"))
 # the data wp3 holds at zero in every period
 _WP3_ZERO = ("Lx", "Ly", "fixed_purchase", "fixed_sale", "holding")
@@ -388,9 +392,13 @@ def scale_factor(inst: Instance) -> int:
     """F, the LCM of the denominators of s0 and every vector datum: the
     least factor that turns s0, the bounds and the unit prices times F and
     the fixed costs times F*F into ints, the rows stocklevels.searched
-    scales by it."""
+    scales by it.  Data of ints only give 1 with no walk over the values."""
+    vectors = _vectors(inst)
+    # a sum of ints is an int, and one Fraction makes it a Fraction
+    if all(type(sum(vec, inst.s0)) is int for vec in vectors):
+        return 1
     return math.lcm(inst.s0.denominator, *(
-        v.denominator for name in _VECTOR_FIELDS for v in getattr(inst, name)))
+        v.denominator for vec in vectors for v in vec))
 
 
 def assemble_solution(inst: Instance, x, y) -> Solution:
@@ -563,6 +571,22 @@ def _dump_flat(payload: dict) -> str:
             text = f"[\n    {text[1:-1]}\n  ]"
         items.append(f"  {_FLAT.encode(key)}: {text}")
     return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+# the C encoder, with each item of a nested list on its own line under it
+_NESTED = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def serialize_levels(levels) -> str:
+    """The dump of a stocklevels.StockLevels: its S_size and its level
+    sets, each value through format_exact, in the bytes json.dumps(...,
+    sort_keys=True, indent=2) gives, plus a newline.  Each level set goes
+    through _NESTED in C and is then opened and closed on lines of its own,
+    as _dump_flat does a list."""
+    layers = [f"[\n      {_NESTED.encode(_format_vector(layer))[1:-1]}\n    ]"
+              if layer else "[]" for layer in levels.levels]
+    body = "[\n    " + ",\n    ".join(layers) + "\n  ]" if layers else "[]"
+    return f'{{\n  "S_size": {levels.S_size},\n  "levels": {body}\n}}\n'
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -51,6 +51,8 @@ from .model import (
     Exact,
     Instance,
     Variant,
+    _bounds,
+    _vectors,
     exact_quotient,
     scale_factor,
 )
@@ -117,7 +119,7 @@ def searched(inst: Instance, F: int = 1, prices: bool = True) -> Rows:
     they are.  prices=False leaves the five price rows None.
     """
     names = _VECTOR_FIELDS if prices else _BOUND_FIELDS
-    s0, rows = inst.s0, [getattr(inst, name) for name in names]
+    s0, rows = inst.s0, (_vectors if prices else _bounds)(inst)
     if F != 1:
         s0 = _times(s0, F)
         rows = [tuple(_times(v, F * F if name in _FIXED_FIELDS else F)

@@ -285,6 +285,80 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+# argvs that run hands to their command's parser, or that the top-level
+# parser reads on its own; "X" stands for an instance file
+_ARGVS = [
+    [], ["-h"], ["--help"], ["no-such-command"], ["-h", "solve"],
+    ["--", "solve", "--input", "X"], ["solve"], ["solve", "-h"],
+    ["solve", "--input", "X", "--bogus"], ["solve", "--input", "X", "extra"],
+    ["solve", "--input", "X", "--", "extra"], ["reduce"], ["reduce", "-h"],
+    ["reduce", "partition", "--numbers", "1,2", "--bogus"],
+    ["reduce", "partition", "--numbers", "-1"], ["solve", "--inp", "X"],
+    ["solve", "--input=X"], ["solve", "--", "--input", "X"],
+    ["levels", "--input", "X", "-h"], ["fptas", "--input", "X"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda a: " ".join(a) or "none")
+def test_a_command_reads_its_arguments_as_the_top_level_parser_does(
+    argv, instance_file, capsys, monkeypatch
+):
+    # the exit code, usage and message of every argv are the top-level
+    # parser's: leftovers are reported under its usage, not the command's
+    argv = [a.replace("X", instance_file) for a in argv]
+    handed = (run(argv), *capsys.readouterr())
+    parser, _ = wareflow.cli._build_parser()
+    monkeypatch.setattr(wareflow.cli, "_build_parser", lambda: (parser, {}))
+    alone = (run(argv), *capsys.readouterr())
+    assert handed == alone
+    if "--bogus" in argv:
+        assert "wareflow: error: unrecognized arguments: --bogus" in alone[2]
+
+
+def test_a_well_formed_op_skips_the_top_level_parser(tmp_path, capsys,
+                                                     monkeypatch):
+    parser, _ = wareflow.cli._build_parser()
+    calls = []
+
+    def counted(method):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return method(*args, **kwargs)
+        return call
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, name, counted(getattr(parser, name)))
+    wp2, wp3 = str(GOLDEN / "wp2_mixed.json"), str(GOLDEN / "fptas_third.json")
+    plan = str(GOLDEN / "fptas_third.solution.json")
+    for argv in (
+        ["solve", "--input", wp2, "--output", str(tmp_path / "plan.json")],
+        ["fptas", "--input", wp3, "--epsilon", "1/3"],
+        ["emit-lp", "--input", wp2],
+        ["check", "--input", wp3, "--solution", plan],
+        ["levels", "--input", wp2],
+    ):
+        assert run(argv) == 0, argv
+    assert calls == []
+    assert run(["levels", "--input", wp2, "--bogus"]) == 2
+    assert calls
+    capsys.readouterr()
+
+
+def test_python_dash_m_reports_bad_arguments_as_run_does(instance_file,
+                                                         capsys, monkeypatch):
+    # main passes no argv, so run reads sys.argv itself
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["solve", "--input", instance_file, "--bogus"]
+    in_process = (run(argv), *capsys.readouterr())
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wareflow.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wareflow.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+    assert in_process[0] == 2 and in_process[2].endswith(
+        "wareflow: error: unrecognized arguments: --bogus\n")
+
+
 def test_oracle_agrees_with_solver(instance_file, tmp_path, capsys):
     assert run(["oracle", "--input", instance_file]) == 0
     assert capsys.readouterr().out == "objective: 10\n"

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from dataclasses import replace
@@ -37,16 +38,19 @@ from wareflow import (
     serialize_instance,
     serialize_lotsizing,
     serialize_solution,
+    gen_stock_levels,
     solve,
     validate_instance,
 )
 from wareflow.model import (
     _VECTOR_FIELDS,
+    _all_int,
     _dump_flat,
     _to_json_dict,
     scale_factor,
+    serialize_levels,
 )
-from wareflow.stocklevels import searched, searched_trades
+from wareflow.stocklevels import StockLevels, searched, searched_trades
 from helpers import (
     PLANTED,
     flat_payloads,
@@ -446,6 +450,26 @@ def test_data_files_round_trip_through_the_flat_writer(name, reader, writer):
     assert writer(value) == text == reference_dump(_to_json_dict(value))
 
 
+def test_the_levels_writer_writes_the_pure_python_encoders_bytes():
+    # integral and fractional levels, "p/q" values among them, and level
+    # sets that are empty or hold no set at all
+    cases = [StockLevels(levels=()), StockLevels(levels=((), (-3, 5), ())),
+             StockLevels(levels=((Fraction(-1, 3), 0, 10**40),))]
+    for seed in range(12):
+        variant = ("wp1", "wp2", "wp3")[seed % 3]
+        inst = gen_random(seed, T=1 + seed % 4, variant=variant, max_bound=9)
+        thirds = replace(inst, s0=Fraction(inst.s0, 3), **{
+            name: tuple(Fraction(v, 3) for v in getattr(inst, name))
+            for name in ("Ls", "Us", "Lx", "Ux", "Ly", "Uy")})
+        cases += [gen_stock_levels(inst), gen_stock_levels(thirds)]
+    assert any(not all(map(_all_int, levels.levels)) for levels in cases)
+    for levels in cases:
+        assert serialize_levels(levels) == reference_dump({
+            "S_size": levels.S_size,
+            "levels": [[format_exact(v) for v in layer]
+                       for layer in levels.levels]})
+
+
 def test_parse_instance_rejects_garbage():
     with pytest.raises(ValueError):
         parse_instance("not json")
@@ -540,6 +564,29 @@ def test_scale_instance_matches_the_fraction_product():
         searched(tiny(s0=Fraction(1, 3)), 2)
     with pytest.raises(ValueError, match="leaves 1/3 fractional"):
         searched(tiny(Us=(Fraction(1, 3),)), 2)
+
+
+def test_scale_factor_is_the_lcm_of_every_denominator(monkeypatch):
+    # int data give 1 with no walk; a vector of Fractions that sums to a
+    # whole number, such as (1/2, 1/2), still takes the walk
+    halves = (Fraction(1, 2), Fraction(1, 2))
+    zeros = tiny(T=2, **{name: (0, 0) for name in _VECTOR_FIELDS})
+    whole_sums = [replace(zeros, **{name: halves}) for name in (
+        "Us", "Ux", "Uy", "revenue", "cost", "holding", "fixed_purchase",
+        "fixed_sale")]
+    integral = [gen_random(seed, 1 + seed % 4, variant, 9)
+                for seed in range(12) for variant in ("wp1", "wp2", "wp3")]
+    for inst in whole_sums + _fractional_cases() + integral:
+        assert scale_factor(inst) == math.lcm(inst.s0.denominator, *(
+            v.denominator for name in _VECTOR_FIELDS
+            for v in getattr(inst, name)))
+    assert {scale_factor(inst) for inst in whole_sums} == {2}
+
+    def refuse(*args):
+        raise AssertionError("scale_factor walked int data")
+
+    monkeypatch.setattr(math, "lcm", refuse)
+    assert {scale_factor(inst) for inst in integral} == {1}
 
 
 def test_integral_instance_maps_the_objective_back_exactly():
