@@ -37,7 +37,6 @@ from .fptas import (
     balanced_flow_decompose,
     fptas_bound_S,
     fptas_params,
-    fptas_scale,
     fptas_solve,
     normalize_terminal,
     reassemble,

@@ -12,14 +12,13 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 import time
 from pathlib import Path
 
 from .errors import Infeasible, WarehouseError
 from .extform import emit_lp
-from .fptas import fptas_scale
+from .fptas import fptas_rows
 from .generators import (
     gen_random,
     parse_lotsizing,
@@ -36,9 +35,10 @@ from .model import (
     parse_solution,
     serialize_instance,
     serialize_levels,
+    serialize_report,
     serialize_solution,
 )
-from .network import SolveTrace, arc_counts, solve, to_dot
+from .network import SolveTrace, arc_counts, search, solve, to_dot
 from .oracle import oracle_solve
 from .stocklevels import gen_stock_levels
 
@@ -78,11 +78,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_fptas(args) -> int:
     """fptas_solve, spelled out to report K and the widest level set the
-    solve searched."""
+    search over the rounded int rows (fptas_rows) ran on."""
     inst = parse_instance(_read(args.input))
-    params, scaled = fptas_scale(inst, parse_exact(args.epsilon))
+    params, rows, F = fptas_rows(inst, parse_exact(args.epsilon))
     trace = SolveTrace()
-    sol = solve(scaled, trace)
+    sol = search(inst, rows, F, trace)
     print(f"K: {format_exact(params.K)}", file=sys.stderr)
     print(f"S_size: {trace.levels.S_size}", file=sys.stderr)
     return _answer(sol, args)
@@ -97,9 +97,7 @@ def _cmd_emit_lp(args) -> int:
 def _cmd_check(args) -> int:
     inst = parse_instance(_read(args.input))
     sol = parse_solution(_read(args.solution))
-    report = check_solution(inst, sol)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    _emit(text, args.output)
+    _emit(serialize_report(check_solution(inst, sol)), args.output)
     return 0
 
 

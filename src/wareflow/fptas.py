@@ -6,8 +6,10 @@ later sale (or covers an earlier sale from stock).  balanced_flow_decompose
 makes that explicit as purchase/sale pairs, reduce_flow shrinks one pair
 while keeping the plan feasible, and fptas_solve exploits both: rounding
 the trade bounds down to multiples of K = epsilon * U_min keeps some plan
-worth at least (1 - epsilon) of the optimum inside the scaled instance,
-which the exact solver then finds.
+worth at least (1 - epsilon) of the optimum inside the rounded bounds,
+which the exact search then finds.  fptas_rows rounds them in the int rows
+that search runs on, so the FPTAS builds no rounded Instance;
+scale_trade_bounds builds one for a caller that wants it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .model import (
     echo,
     exact,
     exact_quotient,
+    scale_factor,
 )
-from .network import solve
+from .network import search
+from .stocklevels import Rows, searched
 
 FlowPair = tuple  # (purchase period, sale period, amount), periods 1-based
 
@@ -242,35 +246,42 @@ def scale_trade_bounds(inst: Instance, params: FptasParams) -> Instance:
     return replace(inst, Ux=ux, Uy=uy)
 
 
-def fptas_scale(inst: Instance, epsilon) -> tuple[FptasParams, Instance]:
-    """Round a wp3 instance's trade bounds for the FPTAS.
+def fptas_rows(inst: Instance, epsilon) -> tuple[FptasParams, Rows, int]:
+    """The FPTAS's params, the int rows it searches and their factor F.
 
-    Returns the scaling params and the instance with every upper trade
-    bound rounded down to a multiple of K = epsilon * U_min.  Raises
-    WrongVariant, then the fptas_params errors.
+    Raises WrongVariant, then the fptas_params errors.  F is the LCM of
+    model.scale_factor(inst) and K's denominator, so K*F is an int, and
+    the rows are stocklevels.searched(inst, F) with each Ux and Uy row value
+    u rounded down to a multiple of K*F: u - u % (K*F) is
+    K*F*floor(U*F / (K*F)) = K*floor(U/K)*F, the bound scale_trade_bounds
+    rounds to, times F.  No Instance is built.
     """
     if inst.variant is not Variant.WP3:
         raise WrongVariant("fptas applies to wp3 instances only")
     params = fptas_params(inst, epsilon)
-    return params, scale_trade_bounds(inst, params)
+    p, q = params.K.numerator, params.K.denominator
+    F = math.lcm(scale_factor(inst), q)
+    unit = p * (F // q)  # K*F
+    rows = searched(inst, F)
+    return params, rows._replace(Ux=tuple(u - u % unit for u in rows.Ux),
+                                 Uy=tuple(u - u % unit for u in rows.Uy)), F
 
 
 def fptas_solve(inst: Instance, epsilon) -> Solution:
     """Approximate a wp3 instance to within a factor of (1 - epsilon).
 
-    Rounds the trade bounds down to multiples of K = epsilon * U_min
-    (fptas_scale) and solves the rounded instance exactly.  The result is
-    feasible for the original instance and its objective is at least
-    (1 - epsilon) times the optimum; the guarantee needs the zero holding
-    costs that wp3 validation enforces.  The rounded network has
-    polynomially many stock levels in T and 1/epsilon when U_max / U_min is
-    bounded: at most fptas_bound_S per period.  A fractional K makes the
-    rounded bounds fractional; solve then searches rows with s0, the
-    bounds and the prices multiplied by F, the LCM of every denominator of
-    the data (stocklevels.searched, model.scale_factor), which keeps the
-    order of every stock and payoff and so returns the plan the rational
-    search would, its trades and stocks divided by F and its objective by
-    F**2.  The rounding, the scaling and that division are integer
-    arithmetic on numerators and denominators.
+    Rounds the trade bounds down to multiples of K = epsilon * U_min and
+    solves the rounded problem exactly.  The result is feasible for the
+    original instance and its objective is at least (1 - epsilon) times the
+    optimum; the guarantee needs the zero holding costs that wp3 validation
+    enforces.  The rounded network has polynomially many stock levels in T
+    and 1/epsilon when U_max / U_min is bounded: at most fptas_bound_S per
+    period.  The rounding happens in the int rows network.search runs on
+    (fptas_rows): the data times F, the LCM of every denominator of the data
+    and of K, with the trade bounds rounded there.  The scaling keeps the
+    order of every stock and payoff, so the search returns the plan it
+    would on scale_trade_bounds(inst, params), its trades and stocks
+    divided by F and its objective by F**2.  The rounding, the scaling and
+    that division are integer arithmetic, and no Instance is built.
     """
-    return solve(fptas_scale(inst, epsilon)[1])
+    return search(inst, *fptas_rows(inst, epsilon)[1:])

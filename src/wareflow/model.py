@@ -26,7 +26,8 @@ a rule is told so in the same words whatever its record.  The files hold
 only scalars and lists of scalars, so _dump_flat writes them value by
 value through json's C encoder, in the bytes json.dumps(..., sort_keys=True,
 indent=2) gives, plus a newline; serialize_levels writes the levels dump,
-a list of such lists, in the same way.
+a list of such lists, in the same way.  serialize_report writes the check
+report, whose list holds objects, through json.dumps itself.
 """
 
 from __future__ import annotations
@@ -587,6 +588,13 @@ def serialize_levels(levels) -> str:
               if layer else "[]" for layer in levels.levels]
     body = "[\n    " + ",\n    ".join(layers) + "\n  ]" if layers else "[]"
     return f'{{\n  "S_size": {levels.S_size},\n  "levels": {body}\n}}\n'
+
+
+def serialize_report(report: FeasibilityReport) -> str:
+    """The check report: json.dumps(..., sort_keys=True, indent=2) plus a
+    newline.  Its violations are a list of objects, which _dump_flat would
+    write unsorted and unindented, unlike the indent=2 encoder."""
+    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def serialize_instance(inst: Instance) -> str:

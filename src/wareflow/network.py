@@ -20,7 +20,9 @@ node keeps the smallest head that attains its value.  The plan is read
 off those heads in one forward pass into a stock path,
 stocklevels.searched_trades turns that path into the instance's own
 trades and stocks, the indicators are the minimal ones, and the objective
-is the DP's own value.
+is the DP's own value.  search runs that DP, decode and assembly on given
+rows; solve hands it searched's, and the FPTAS the same rows with the
+trade bounds rounded (fptas.fptas_rows).
 
 The DP searches the full level sets, which hold every extreme plan's
 stocks.  Unless s0 lies in every [Ls_t, Us_t] (then the plan that never
@@ -104,15 +106,19 @@ class ArcDecision(NamedTuple):
 
 @dataclass
 class SolveTrace:
-    """What solve records about its search when it is handed one.
+    """What solve, or search, records about its search when handed one.
 
     searched holds the rows the window DP ran on, stocklevels.searched(inst,
     F) with F = model.scale_factor(inst): for wp2 the doubled, 2T-period
-    horizon, and every number an int.  levels are the layers the DP
-    searched after s0, searched_levels of those rows; the integer scaling
-    keeps every layer's size.  A traced solve that raises Infeasible has
-    still recorded both, since it runs no feasibility pass and raises from
-    the DP.
+    horizon, and every number an int.  On the FPTAS route (fptas.fptas_rows)
+    F is the LCM of scale_factor(inst) and K's denominator, which can be a
+    multiple of the factor of the Instance scale_trade_bounds rounds, and
+    the trade bounds are rounded down to multiples of K*F.  levels are the
+    layers the DP searched after s0, searched_levels of those rows; the
+    integer scaling keeps every layer's size, so on the FPTAS route the
+    sizes are those a solve of that rounded Instance records.  A traced
+    solve that raises Infeasible has still recorded both, since it runs no
+    feasibility pass and raises from the DP.
     """
 
     searched: Rows | None = None
@@ -373,11 +379,11 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     comparison and the plan found is the one the rational search finds.
     stocklevels.searched_trades reads the plan's trades and stocks off
     the DP's stock path and divides them by F; its objective is the DP's
-    value divided by F*F, and its indicators are the minimal ones.  No
-    Instance is built.  Agrees in plan and objective with a longest path
-    of the network in rationals, its arcs taken by tail, then by ascending
-    head.  A given trace records the searched rows and their levels (see
-    SolveTrace).
+    value divided by F*F, and its indicators are the minimal ones.  That
+    part is search, which the FPTAS runs too.  No Instance is built.  Agrees in plan and
+    objective with a longest path of the network in rationals, its arcs
+    taken by tail, then by ascending head.  A given trace records the
+    searched rows and their levels (see SolveTrace).
 
     An untraced solve first decides feasibility on inst's bound rows, by
     _feasible, unless s0 lies in every [Ls_t, Us_t]: an infeasible inst
@@ -392,7 +398,20 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
         if not _feasible(inst):
             raise Infeasible("no feasible trading plan")
     F = scale_factor(inst)
-    rows = searched(inst, F)
+    return search(inst, searched(inst, F), F, trace)
+
+
+def search(inst: Instance, rows: Rows, F: int,
+           trace: SolveTrace | None = None) -> Solution:
+    """inst's plan found by the window DP over int rows: searched(inst, F),
+    or, on the FPTAS route, those rows with the trade bounds rounded
+    (fptas.fptas_rows).  searched_trades reads the DP's stock path off
+    into inst's trades and stocks, divided by F; it reads only inst's
+    variant and s0, which the rounding leaves alone.  The objective is the
+    DP's value divided by F*F, and the indicators are the minimal ones.  A
+    given trace records the rows and their levels.  Raises Infeasible when
+    no path leads from s0 to the last layer.
+    """
     layers = searched_levels(rows)
     if trace is not None:
         trace.searched, trace.levels = rows, StockLevels(levels=layers[1:])

@@ -87,6 +87,8 @@ _PURCHASE_HALF = frozenset({"Ls", "Us", "Lx", "Ux", "cost", "holding",
 def _times(value: Exact, factor: int) -> int:
     """value * factor, for a factor that is a multiple of value's
     denominator, as an int product with no Fraction arithmetic."""
+    if type(value) is int:
+        return value * factor
     share, rest = divmod(factor, value.denominator)
     if rest:
         raise ValueError(f"factor {factor} leaves {value} fractional")

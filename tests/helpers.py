@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
 import random
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 from wareflow import (
@@ -20,24 +23,32 @@ from wareflow import (
     NonIntegralData,
     NotAPath,
     Solution,
+    SolveTrace,
     StockLevels,
     Variant,
+    WarehouseError,
     arc_candidates,
     assemble_solution,
     compute_objective,
     double_horizon,
     fptas_params,
+    fptas_solve,
     gen_random,
     gen_stock_levels,
     normalize_terminal,
     scale_trade_bounds,
+    serialize_instance,
+    serialize_solution,
+    solve,
 )
+from wareflow import cli
 from wareflow.extform import _arc_name, _arc_prefix, _arc_suffix, _expr
 from wareflow.errors import (
     InvalidArgument,
     LowerExceedsUpper,
     NegativeBound,
     WP3ShapeViolation,
+    WrongVariant,
     WrongVectorLength,
 )
 from wareflow.model import (
@@ -51,7 +62,8 @@ from wareflow.model import (
     scale_factor,
     validate_instance,
 )
-from wareflow.network import _feasible
+from wareflow.fptas import fptas_rows
+from wareflow.network import _feasible, search
 from wareflow.stocklevels import Rows
 
 
@@ -457,6 +469,65 @@ def reference_scale_trade_bounds(inst: Instance, params) -> Instance:
     ux = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Ux)
     uy = tuple(exact(K * math.floor(Fraction(v) / K)) for v in inst.Uy)
     return replace(inst, Ux=ux, Uy=uy)
+
+
+def fptas_scale(inst: Instance, epsilon) -> tuple:
+    """The FPTAS's params and its rounded Instance: WrongVariant, then the
+    fptas_params errors, then scale_trade_bounds (the route the FPTAS took
+    before fptas.fptas_rows rounded in the searched rows)."""
+    if inst.variant is not Variant.WP3:
+        raise WrongVariant("fptas applies to wp3 instances only")
+    params = fptas_params(inst, epsilon)
+    return params, scale_trade_bounds(inst, params)
+
+
+def reference_fptas(inst: Instance, epsilon) -> tuple:
+    """K, the widest searched level set and the repr of the Solution, or of
+    the Raised error, of solve on fptas_scale's rounded Instance."""
+    params, rounded = fptas_scale(inst, epsilon)
+    trace = SolveTrace()
+    outcome(solve, rounded, trace)
+    return params.K, trace.levels.S_size, repr(outcome(solve, rounded))
+
+
+def fptas_route(inst: Instance, epsilon) -> tuple:
+    """reference_fptas's fields as fptas_solve gives them, over the rows
+    fptas.fptas_rows rounds."""
+    params, rows, F = fptas_rows(inst, epsilon)
+    trace = SolveTrace()
+    outcome(search, inst, rows, F, trace)
+    return params.K, trace.levels.S_size, repr(outcome(fptas_solve, inst,
+                                                       epsilon))
+
+
+def fptas_cli_outputs(inst: Instance, epsilon, directory) -> tuple:
+    """Exit code, stdout, stderr and --output text (None when none is
+    written) of the fptas op on inst, its files kept in directory."""
+    path, plan = Path(directory) / "inst.json", Path(directory) / "plan.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    plan.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["fptas", "--input", str(path), "--epsilon",
+                        str(epsilon), "--output", str(plan)])
+    text = plan.read_text(encoding="utf-8") if plan.exists() else None
+    return code, out.getvalue(), err.getvalue(), text
+
+
+def reference_fptas_cli_outputs(inst: Instance, epsilon) -> tuple:
+    """fptas_cli_outputs as the op gave them when it solved fptas_scale's
+    rounded Instance, traced for the S_size line."""
+    try:
+        params, rounded = fptas_scale(inst, epsilon)
+        trace = SolveTrace()
+        sol = solve(rounded, trace)
+    except Infeasible as err:
+        return 1, "", f"infeasible: {err}\n", None
+    except (WarehouseError, ValueError) as err:
+        return 2, "", f"error: {err}\n", None
+    return (0, f"objective: {format_exact(sol.objective)}\n",
+            f"K: {format_exact(params.K)}\nS_size: {trace.levels.S_size}\n",
+            serialize_solution(sol))
 
 
 def reference_scale_instance(inst: Instance, factor: int) -> Instance:

@@ -22,6 +22,7 @@ from wareflow import (
     check_solution,
     format_exact,
     fptas_params,
+    fptas_solve,
     gen_random,
     gen_stock_levels,
     parse_instance,
@@ -40,6 +41,7 @@ from helpers import (
     gap_infeasible,
     reference_build_network,
     reference_dump,
+    reference_scale_instance,
     search_instance,
     solve_with_network,
     two_period_trade,
@@ -397,16 +399,15 @@ def test_fptas_reports_unit_on_stderr(tmp_path, capsys):
 
 def test_fptas_scales_the_instance_once(tmp_path, capsys, monkeypatch):
     calls = []
-    original = wareflow.fptas.scale_trade_bounds
+    original = wareflow.fptas.fptas_rows
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     # patched wherever a caller could bind it, the CLI included
-    monkeypatch.setattr(wareflow.fptas, "scale_trade_bounds", counted)
-    monkeypatch.setattr(wareflow.cli, "scale_trade_bounds", counted,
-                        raising=False)
+    monkeypatch.setattr(wareflow.fptas, "fptas_rows", counted)
+    monkeypatch.setattr(wareflow.cli, "fptas_rows", counted, raising=False)
     data = json.loads(serialize_instance(two_period_trade()))
     data["variant"] = "wp3"
     path = tmp_path / "wp3.json"
@@ -414,6 +415,45 @@ def test_fptas_scales_the_instance_once(tmp_path, capsys, monkeypatch):
     assert run(["fptas", "--input", str(path), "--epsilon", "2/5"]) == 0
     assert "K: 2" in capsys.readouterr().err
     assert len(calls) == 1
+
+
+def test_fptas_builds_no_instance_after_parsing(tmp_path, capsys,
+                                                monkeypatch):
+    # the trade bounds are rounded in the searched rows, so neither
+    # fptas_solve nor the fptas op builds and validates a rounded Instance:
+    # fptas_third has K = 2/3, and its copy over 3 fractional data too
+    source = parse_instance((GOLDEN / "fptas_third.json").read_text())
+    cases = [source, reference_scale_instance(source, Fraction(1, 3))]
+    eps = Fraction(1, 3)
+    assert [fptas_params(inst, eps).K.denominator for inst in cases] == [3, 9]
+    built = []
+    original = wareflow.model.validate_instance
+    parse = wareflow.cli.parse_instance
+
+    def counted(inst):
+        built.append(inst)
+        original(inst)
+
+    def parsed(text):  # the op's one Instance is the one it reads
+        inst = parse(text)
+        built.clear()
+        return inst
+
+    monkeypatch.setattr(wareflow.model, "validate_instance", counted)
+    monkeypatch.setattr(wareflow.cli, "parse_instance", parsed)
+    counts = []
+    for k, inst in enumerate(cases):
+        path = tmp_path / f"{k}.json"
+        path.write_text(serialize_instance(inst))
+        built.clear()
+        fptas_solve(inst, eps)
+        counts.append(len(built))
+        assert run(["fptas", "--input", str(path), "--epsilon", "1/3"]) == 0
+        counts.append(len(built))
+    capsys.readouterr()
+    assert counts == [0, 0, 0, 0]
+    scale_trade_bounds(source, fptas_params(source, eps))
+    assert len(built) == 1  # the counter sees an Instance built
 
 
 def test_fptas_generates_the_level_sets_once(tmp_path, capsys, monkeypatch):
@@ -586,6 +626,23 @@ def test_check_reports_tampering(instance_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["feasible"] is False
     assert report["violations"]
+
+
+def test_check_writes_the_report_json_dumps_writes(instance_file, tmp_path,
+                                                  capsys):
+    # a plan with no violation and one with three: the report's bytes are
+    # json.dumps(..., sort_keys=True, indent=2) plus a newline
+    sol = solve(two_period_trade())
+    plans = [sol, replace(sol, x=(6, 0), objective=Fraction(21, 2))]
+    for k, plan in enumerate(plans):
+        path = tmp_path / f"plan{k}.json"
+        path.write_text(serialize_solution(plan))
+        assert run(["check", "--input", instance_file,
+                    "--solution", str(path)]) == 0
+        report = check_solution(two_period_trade(), plan)
+        assert len(report.violations) == 3 * k
+        assert capsys.readouterr().out == reference_dump(
+            report.to_json_dict())
 
 
 def test_levels_json(instance_file, tmp_path, capsys):

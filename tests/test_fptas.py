@@ -19,7 +19,6 @@ from wareflow import (
     check_solution,
     fptas_bound_S,
     fptas_params,
-    fptas_scale,
     fptas_solve,
     gen_random,
     gen_stock_levels,
@@ -32,12 +31,24 @@ from wareflow import (
     scale_trade_bounds,
     solve,
 )
+from wareflow.fptas import fptas_rows
+from wareflow.model import scale_factor
+from wareflow.stocklevels import searched
 from helpers import (
+    Raised,
     as_wp3,
     buy_then_sell,
+    fptas_cli_outputs,
+    fptas_route,
+    fptas_scale,
+    fractional_payoffs,
+    outcome,
     planted_partition,
     random_settled_walk,
     random_trading_wp3,
+    reference_fptas,
+    reference_fptas_cli_outputs,
+    reference_scale_instance,
     reference_scale_trade_bounds,
     two_period_trade,
     wp2_mixed,
@@ -403,3 +414,64 @@ def test_fptas_requires_wp3():
         fptas_solve(two_period_trade(), Fraction(1, 2))
     with pytest.raises(WrongVariant):
         fptas_solve(wp2_mixed(), Fraction(1, 2))
+
+
+def k_kind(K: Fraction) -> str:
+    den = K.denominator
+    while den % 2 == 0:
+        den //= 2
+    while den % 5 == 0:
+        den //= 5
+    if K.denominator == 1:
+        return "integral"
+    return "decimal" if den == 1 else "not decimal"
+
+
+def test_fptas_matches_the_rounded_instance_route(tmp_path):
+    # fptas_solve, its rows and the fptas op against solving the Instance
+    # scale_trade_bounds rounds: integral, decimal and other K, each on
+    # integral data and on bounds or prices over 2..6
+    kinds = set()
+    for seed in range(45):
+        inst = gen_random(seed, T=2 + seed % 6, variant="wp3",
+                          max_bound=4 + seed % 17)
+        if seed % 3 == 1:
+            inst = reference_scale_instance(inst, Fraction(1, 2 + seed % 5))
+        elif seed % 3 == 2:
+            inst = fractional_payoffs(inst, 2 + seed % 5)
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                    Fraction(1, 10), Fraction(5, 6), Fraction(2, 5)):
+            expected = outcome(reference_fptas, inst, eps)
+            assert outcome(fptas_route, inst, eps) == expected, (seed, eps)
+            assert fptas_cli_outputs(inst, eps, tmp_path) == (
+                reference_fptas_cli_outputs(inst, eps)), (seed, eps)
+            if isinstance(expected, Raised):
+                continue
+            params, rows, F = fptas_rows(inst, eps)
+            # the rows are the rounded Instance's, scaled by F
+            assert rows == searched(scale_trade_bounds(inst, params), F)
+            kinds.add((k_kind(params.K), scale_factor(inst) > 1))
+    assert kinds == {(kind, fractional)
+                     for kind in ("integral", "decimal", "not decimal")
+                     for fractional in (False, True)}
+
+
+def test_fptas_raises_in_the_reference_order(tmp_path):
+    # not wp3 first, then epsilon outside (0, 1), then no positive bound,
+    # in fptas_rows, fptas_solve and the fptas op alike
+    zeros = (0,) * 2
+    wp1 = replace(two_period_trade(), Lx=zeros, Ux=zeros, Ly=zeros,
+                  Uy=zeros)
+    wp3 = replace(as_wp3(two_period_trade()), Ux=zeros, Uy=zeros)
+    cases = [(wp1, 2, WrongVariant), (wp2_mixed(), 0, WrongVariant),
+             (wp3, 0, EpsilonOutOfRange), (wp3, 1, EpsilonOutOfRange),
+             (wp3, Fraction(3, 2), EpsilonOutOfRange),
+             (wp3, Fraction(1, 2), NoPositiveBounds)]
+    for inst, eps, error in cases:
+        expected = outcome(fptas_scale, inst, eps)
+        assert isinstance(expected, Raised) and expected.kind is error
+        assert outcome(fptas_rows, inst, eps) == expected
+        assert outcome(fptas_solve, inst, eps) == expected
+        outputs = fptas_cli_outputs(inst, eps, tmp_path)
+        assert outputs == (2, "", f"error: {expected.message}\n", None)
+        assert outputs == reference_fptas_cli_outputs(inst, eps)

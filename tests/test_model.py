@@ -49,6 +49,7 @@ from wareflow.model import (
     _to_json_dict,
     scale_factor,
     serialize_levels,
+    serialize_report,
 )
 from wareflow.stocklevels import StockLevels, searched, searched_trades
 from helpers import (
@@ -448,6 +449,23 @@ def test_data_files_round_trip_through_the_flat_writer(name, reader, writer):
     text = (DATA / name).read_text()
     value = reader(text)
     assert writer(value) == text == reference_dump(_to_json_dict(value))
+
+
+def test_the_report_writer_writes_the_pure_python_encoders_bytes():
+    # the check report the CLI wrote by json.dumps(..., sort_keys=True,
+    # indent=2) itself: _dump_flat writes the same bytes only while the
+    # violations list is empty, so the report keeps the pure-Python encoder
+    inst = two_period_trade()
+    sol = solve(inst)
+    clean = check_solution(inst, sol)
+    broken = check_solution(inst, solution_with(sol, x=(100, 0),
+                                                objective=Fraction(1, 3)))
+    assert clean.feasible and len(broken.violations) == 3
+    for report in (clean, broken):
+        assert serialize_report(report) == reference_dump(
+            report.to_json_dict())
+    assert _dump_flat(clean.to_json_dict()) == serialize_report(clean)
+    assert _dump_flat(broken.to_json_dict()) != serialize_report(broken)
 
 
 def test_the_levels_writer_writes_the_pure_python_encoders_bytes():

@@ -72,6 +72,8 @@ from helpers import (  # noqa: E402
     Raised,
     brute_oracle_solve,
     flat_payloads,
+    fptas_cli_outputs,
+    fptas_route,
     fractional_payoffs,
     instance_rows,
     lift_outcome,
@@ -85,6 +87,8 @@ from helpers import (  # noqa: E402
     reference_dump,
     reference_emit_lp,
     reference_exact_vector,
+    reference_fptas,
+    reference_fptas_cli_outputs,
     reference_instance_from_json_dict,
     reference_lift_solution,
     reference_lp_text_from_arcs,
@@ -498,6 +502,21 @@ def test_integer_rounding_matches_the_fraction_rounding(inst, data, eps):
     params = fptas_params(wide, eps)
     assert repr(outcome(scale_trade_bounds, wide, params)) == repr(
         outcome(reference_scale_trade_bounds, wide, params))
+
+
+@SETTINGS
+@given(instances().filter(lambda inst: inst.variant is Variant.WP3),
+       st.integers(1, 4), st.integers(1, 4), epsilons)
+def test_fptas_matches_the_rounded_instance_route(inst, d, e, eps):
+    # quantities over d and prices over e: fptas_solve's K, level width and
+    # Solution or error, and the fptas op's outputs, equal those of solving
+    # the Instance scale_trade_bounds rounds
+    inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
+    assert outcome(fptas_route, inst, eps) == outcome(reference_fptas, inst,
+                                                      eps)
+    with tempfile.TemporaryDirectory() as directory:
+        assert fptas_cli_outputs(inst, eps, directory) == (
+            reference_fptas_cli_outputs(inst, eps))
 
 
 @SETTINGS
