@@ -4,6 +4,17 @@ Results go to stdout (or --output files), diagnostics to stderr.  Exit
 codes: 0 success, 1 infeasible instance, 2 invalid input or arguments.
 Outputs are deterministic: rerunning a subcommand on the same inputs
 produces byte-identical results (the bench timing column excepted).
+
+The arguments are read in one of three ways.  _COMMANDS declares every
+command whose options are plain strings; a command line of one of them
+followed by pairs of its own flags and their values (each flag at most
+once, no value empty or starting with '-', every required flag given) is
+read straight from that table, and no parser is built.  Any other argv
+goes to argparse, whose parsers _build_parser builds from the same table
+and for gen and reduce: the command's parser reads its arguments, and
+the top-level parser runs only when there is no command or an argument
+is left over, so every help text, usage, message and exit code is
+argparse's own.
 """
 
 from __future__ import annotations
@@ -184,47 +195,47 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its commands' parsers by name, built on
-    first use and shared by every run: parsing leaves them unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="wareflow",
-        description="Exact and approximate solvers for warehouse trading plans.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Every command whose options are all plain strings: its handler, its help,
+# its options' flags with their help, and the flags it requires.  An option
+# left out reads None.  _build_parser declares these commands from here and
+# _plain reads a plain argv by the same table.
+_COMMANDS = {
+    "solve": (_cmd_solve, "exact network solver", {
+        "--input": "instance JSON file",
+        "--output": "write the solution JSON here",
+        "--dot": "write the network in DOT format",
+    }, ("--input",)),
+    "oracle": (_cmd_oracle, "integer dynamic-programming solver", {
+        "--input": "instance JSON file",
+        "--output": "write the solution JSON here",
+    }, ("--input",)),
+    "fptas": (_cmd_fptas, "approximation scheme for wp3", {
+        "--input": "instance JSON file",
+        "--output": "write the solution JSON here",
+        "--epsilon": "accuracy, e.g. 1/4",
+    }, ("--input", "--epsilon")),
+    "emit-lp": (_cmd_emit_lp, "write the extended formulation", {
+        "--input": "instance JSON file",
+        "--output": "write the LP text here (default stdout)",
+    }, ("--input",)),
+    "check": (_cmd_check, "verify a solution against an instance", {
+        "--input": "instance JSON file",
+        "--output": "write the report JSON here (default stdout)",
+        "--solution": "solution JSON file",
+    }, ("--input", "--solution")),
+    "levels": (_cmd_levels, "dump candidate stock values per period", {
+        "--input": "instance JSON file",
+        "--output": "write the JSON dump here (default stdout)",
+    }, ("--input",)),
+    "bench": (_cmd_bench, "solve every instance in a directory", {
+        "--dir": "directory of instance JSON files",
+        "--output": "write the CSV here",
+    }, ("--dir",)),
+}
 
-    def with_io(p, output_help):
-        p.add_argument("--input", required=True, help="instance JSON file")
-        p.add_argument("--output", default=None, help=output_help)
 
-    p = sub.add_parser("solve", help="exact network solver")
-    with_io(p, "write the solution JSON here")
-    p.add_argument("--dot", default=None, help="write the network in DOT format")
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("oracle", help="integer dynamic-programming solver")
-    with_io(p, "write the solution JSON here")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("fptas", help="approximation scheme for wp3")
-    with_io(p, "write the solution JSON here")
-    p.add_argument("--epsilon", required=True, help="accuracy, e.g. 1/4")
-    p.set_defaults(handler=_cmd_fptas)
-
-    p = sub.add_parser("emit-lp", help="write the extended formulation")
-    with_io(p, "write the LP text here (default stdout)")
-    p.set_defaults(handler=_cmd_emit_lp)
-
-    p = sub.add_parser("check", help="verify a solution against an instance")
-    with_io(p, "write the report JSON here (default stdout)")
-    p.add_argument("--solution", required=True, help="solution JSON file")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("levels", help="dump candidate stock values per period")
-    with_io(p, "write the JSON dump here (default stdout)")
-    p.set_defaults(handler=_cmd_levels)
-
+def _add_gen_and_reduce(sub) -> None:
+    """The commands whose options argparse converts or nests."""
     p = sub.add_parser("gen", help="seeded random instance")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
@@ -244,22 +255,58 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     q.add_argument("--output", default=None, help="write the instance JSON here")
     q.set_defaults(handler=_cmd_reduce_lotsizing)
 
-    p = sub.add_parser("bench", help="solve every instance in a directory")
-    p.add_argument("--dir", required=True, help="directory of instance JSON files")
-    p.add_argument("--output", default=None, help="write the CSV here")
-    p.set_defaults(handler=_cmd_bench)
 
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its commands' parsers by name, built on
+    first use and shared by every run: parsing leaves them unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="wareflow",
+        description="Exact and approximate solvers for warehouse trading plans.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, text, options, required) in _COMMANDS.items():
+        if name == "bench":  # the help lists gen and reduce before bench
+            _add_gen_and_reduce(sub)
+        p = sub.add_parser(name, help=text)
+        for flag, option_help in options.items():
+            p.add_argument(flag, required=flag in required, help=option_help)
+        p.set_defaults(handler=handler)
     return parser, sub.choices
 
 
+def _plain(argv) -> argparse.Namespace | None:
+    """What argv's command parser returns for argv, read from _COMMANDS
+    with no parser, when argv is a command of the table followed by pairs
+    of one of its flags, each at most once, and a non-empty value that
+    does not start with '-', and names every flag the command requires.
+    None for any other argv, which argparse reads."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    handler, _, options, required = _COMMANDS[argv[0]]
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in options or flag in given or value[:1] in ("", "-"):
+            return None
+        given[flag] = value
+    if not all(flag in given for flag in required):
+        return None
+    return argparse.Namespace(
+        **{flag[2:]: given.get(flag) for flag in options}, handler=handler)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """parser.parse_args(argv) in one pass where argv is a command and its
-    arguments: the command's parser reads them, as parser would hand them
-    on.  parser itself runs only when there is no command or an argument is
-    left over, so every usage, message and exit code is its own."""
-    parser, commands = _build_parser()
+    """parser.parse_args(argv): _plain's namespace where it reads argv,
+    else the command's parser's where argv is a command and arguments it
+    reads in full, as parser would hand them on.  parser itself runs only
+    when there is no command or an argument is left over, so every usage,
+    message and exit code is its own."""
     if argv is None:
         argv = sys.argv[1:]
+    args = _plain(argv)
+    if args is not None:
+        return args
+    parser, commands = _build_parser()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(argv[1:])
         if not rest:

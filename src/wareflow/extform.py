@@ -64,17 +64,25 @@ def _arc_name(t: int, tail: int, head: int) -> str:
     return _arc_prefix(t, tail) + _arc_suffix(head)
 
 
+def _refuse_wp2(inst: Instance, caller: str) -> None:
+    if inst.variant is Variant.WP2:
+        raise WrongVariant(f"{caller} takes the searched instance: "
+                           "pass double_horizon(inst), not wp2")
+
+
 def lift_solution(inst: Instance, layers, sol: Solution) -> dict:
     """Map a plan to a unit flow along its stocks plus the period variables.
 
     layers holds (s0,) and then each period's ascending levels, as _lp_text
-    takes them; inst must not be wp2.  Each stock is found in its layer by
-    bisection, and a stock move is an arc only when its head lies in one of
-    the tail's _window_slices, the rule the LP's arcs are written by.  The
-    solution's trades and indicators are attached as given.  Raises
-    NotAPath when a vector of the plan does not have one entry per period,
-    or when the stocks do not trace arcs.
+    takes them.  Each stock is found in its layer by bisection, and a stock
+    move is an arc only when its head lies in one of the tail's
+    _window_slices, the rule the LP's arcs are written by.  The solution's
+    trades and indicators are attached as given.  A wp2 inst raises
+    WrongVariant, as in lift_and_check.  Raises NotAPath when a vector of
+    the plan does not have one entry per period, or when the stocks do not
+    trace arcs.
     """
+    _refuse_wp2(inst, "lift_solution")
     values: dict = {}
     T = len(layers) - 1
     for prefix in "sxywz":
@@ -117,9 +125,7 @@ def lift_and_check(inst: Instance, sol: Solution) -> FeasibilityReport:
     the horizon that was searched, with a plan of it, such as
     solve(double_horizon(inst)).
     """
-    if inst.variant is Variant.WP2:
-        raise WrongVariant("lift_and_check takes the searched instance: "
-                           "pass double_horizon(inst), not wp2")
+    _refuse_wp2(inst, "lift_and_check")
     layers = ((inst.s0,),) + gen_stock_levels(inst).levels
     values = lift_solution(inst, layers, sol)
     # all-digit literals parse as int: Fraction(str) on every term is

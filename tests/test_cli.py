@@ -288,7 +288,8 @@ def test_help_exits_zero(capsys):
 
 
 # argvs that run hands to their command's parser, or that the top-level
-# parser reads on its own; "X" stands for an instance file
+# parser reads on its own, none of them read from the command table; "X"
+# stands for an instance file
 _ARGVS = [
     [], ["-h"], ["--help"], ["no-such-command"], ["-h", "solve"],
     ["--", "solve", "--input", "X"], ["solve"], ["solve", "-h"],
@@ -298,6 +299,11 @@ _ARGVS = [
     ["reduce", "partition", "--numbers", "-1"], ["solve", "--inp", "X"],
     ["solve", "--input=X"], ["solve", "--", "--input", "X"],
     ["levels", "--input", "X", "-h"], ["fptas", "--input", "X"],
+    ["solve", "--input", "X", "--input", "X"], ["solve", "--input", ""],
+    ["solve", "--input", "-"], ["fptas", "--input", "X", "--epsilon", "-1"],
+    ["solve", "--input", "X", "--output"],
+    ["fptas", "--input", "X", "--epsilon", "1/3", "--dot", "X.dot"],
+    ["solve", "--input", "X", "--dir", "X"],
 ]
 
 
@@ -306,20 +312,26 @@ def test_a_command_reads_its_arguments_as_the_top_level_parser_does(
     argv, instance_file, capsys, monkeypatch
 ):
     # the exit code, usage and message of every argv are the top-level
-    # parser's: leftovers are reported under its usage, not the command's
+    # parser's: leftovers are reported under its usage, not the command's,
+    # and the command table hands each of these argvs to argparse
     argv = [a.replace("X", instance_file) for a in argv]
+    assert wareflow.cli._plain(argv) is None
     handed = (run(argv), *capsys.readouterr())
+    monkeypatch.setattr(wareflow.cli, "_plain", lambda argv: None)
+    untabled = (run(argv), *capsys.readouterr())
     parser, _ = wareflow.cli._build_parser()
     monkeypatch.setattr(wareflow.cli, "_build_parser", lambda: (parser, {}))
     alone = (run(argv), *capsys.readouterr())
-    assert handed == alone
+    assert handed == untabled == alone
     if "--bogus" in argv:
         assert "wareflow: error: unrecognized arguments: --bogus" in alone[2]
 
 
 def test_a_well_formed_op_skips_the_top_level_parser(tmp_path, capsys,
                                                      monkeypatch):
-    parser, _ = wareflow.cli._build_parser()
+    # the command table reads a plain argv: neither the top-level parser
+    # nor a command's parser runs, and none is built
+    parser, commands = wareflow.cli._build_parser()
     calls = []
 
     def counted(method):
@@ -328,16 +340,23 @@ def test_a_well_formed_op_skips_the_top_level_parser(tmp_path, capsys,
             return method(*args, **kwargs)
         return call
 
-    for name in ("parse_args", "parse_known_args"):
-        monkeypatch.setattr(parser, name, counted(getattr(parser, name)))
+    for p in (parser, *commands.values()):
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(p, name, counted(getattr(p, name)))
+    monkeypatch.setattr(wareflow.cli, "_build_parser",
+                        counted(wareflow.cli._build_parser))
     wp2, wp3 = str(GOLDEN / "wp2_mixed.json"), str(GOLDEN / "fptas_third.json")
     plan = str(GOLDEN / "fptas_third.solution.json")
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "wp2.json").write_text(Path(wp2).read_text())
     for argv in (
         ["solve", "--input", wp2, "--output", str(tmp_path / "plan.json")],
         ["fptas", "--input", wp3, "--epsilon", "1/3"],
         ["emit-lp", "--input", wp2],
         ["check", "--input", wp3, "--solution", plan],
         ["levels", "--input", wp2],
+        ["bench", "--dir", str(bench_dir)],
     ):
         assert run(argv) == 0, argv
     assert calls == []

@@ -190,6 +190,13 @@ def test_lift_refuses_a_wp2_instance():
     base = search_instance(inst)
     report = lift_and_check(base, solve(base))
     assert report.feasible, report.violations
+    # lift_solution refuses it too, though the wp1 rule would lift this
+    # plan of a wp2 instance into a dict
+    inst = gen_random(0, 3, "wp2", 6)
+    with pytest.raises(WrongVariant, match=(
+            r"^lift_solution takes the searched instance: "
+            r"pass double_horizon\(inst\), not wp2$")):
+        lift_solution(inst, _layers(inst), solve(inst))
 
 
 def test_lift_solution_matches_the_network_reference(monkeypatch):

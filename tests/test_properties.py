@@ -3,7 +3,10 @@
 import copy
 import io
 import json
+import os
 import random
+import re
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -11,6 +14,7 @@ from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -48,7 +52,7 @@ from wareflow import (  # noqa: E402
     solve_wp2_direct,
     to_dot,
 )
-from wareflow import oracle  # noqa: E402
+from wareflow import cli, oracle  # noqa: E402
 from wareflow.cli import run  # noqa: E402
 from wareflow.extform import _decimal, _lp_text  # noqa: E402
 from wareflow.model import (  # noqa: E402
@@ -673,6 +677,105 @@ def test_mutated_json_exits_cleanly(base, inst_edits, sol_edits, cut):
             assert all(len(line.encode()) < STDERR_LINE_LIMIT
                        for line in err.getvalue().splitlines()), (
                 argv, err.getvalue()[:300])
+
+
+# --- the CLI's command table ------------------------------------------------
+
+# "X" is an instance, "S" a plan of it and "D" a directory holding it; "O"
+# and "P" are files a run may write.  Each is named relative to the
+# directory a run starts in.
+_FILE_TOKENS = {"X": "inst.json", "S": "plan.json", "D": "dir", "O": "o",
+                "P": "p"}
+_GOOD_VALUES = {"--input": "X", "--output": "O", "--dot": "P",
+                "--epsilon": "1/3", "--solution": "S", "--dir": "D"}
+_ODD_VALUES = ("X", "S", "D", "O", "1/3", "-", "-1", "", "--input", "x y")
+_ODD_TOKENS = ("-h", "--help", "--", "--input=inst.json", "--output=o",
+               "--inp", "--bogus", "X", "-")
+_DATA = Path(__file__).parent / "data"
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then flag and value pairs, mostly of the command's own
+    flags, half the time starting from the flags it requires, each value
+    the one its flag needs three times in four, with odd tokens slipped
+    in."""
+    command = draw(st.sampled_from(
+        (*cli._COMMANDS, "gen", "reduce", "no-such-command", "-h")))
+    _, _, options, required = cli._COMMANDS.get(command, (None, None, {}, ()))
+    flag = st.sampled_from(tuple(_GOOD_VALUES))
+    if options:
+        flag = st.sampled_from(tuple(options)) | flag
+    names = list(required) * draw(st.booleans())
+    names = draw(st.permutations(names + draw(st.lists(flag, max_size=3))))
+    argv = [command]
+    for name in names:
+        odd = draw(st.integers(0, 3)) == 0
+        argv += [name, draw(st.sampled_from(_ODD_VALUES)) if odd
+                 else _GOOD_VALUES[name]]
+    for _ in range(draw(st.integers(0, 2)) * draw(st.booleans())):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(_ODD_TOKENS)))
+    return argv
+
+
+def _plain_form(argv) -> bool:
+    """Whether argv is a table command followed by pairs of its own flags,
+    none repeated, each with a value that is not empty and does not start
+    with '-', naming every flag the command requires."""
+    if not argv or argv[0] not in cli._COMMANDS:
+        return False
+    _, _, options, required = cli._COMMANDS[argv[0]]
+    flags, values = argv[1::2], argv[2::2]
+    return (len(flags) == len(values) and len(set(flags)) == len(flags)
+            and set(flags) <= set(options) and set(required) <= set(flags)
+            and all(v and not v.startswith("-") for v in values))
+
+
+def _run_in(root: Path, argv) -> tuple:
+    """run(argv) in root on fresh input files: its exit code, stdout,
+    stderr and every file in root afterwards, bench's wall_ms column
+    masked.  A value such as "x y" or "-" names a file in root."""
+
+    def masked(text):
+        return re.sub(r",[0-9]+\.[0-9]{3}$", ",wall_ms", text, flags=re.M)
+
+    shutil.rmtree(root, ignore_errors=True)
+    (root / "dir").mkdir(parents=True)
+    for name in ("inst.json", "dir/inst.json"):
+        shutil.copy(_DATA / "fptas_third.json", root / name)
+    shutil.copy(_DATA / "fptas_third.solution.json", root / "plan.json")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
+    files = {str(p.relative_to(root)): masked(p.read_text())
+             for p in sorted(root.rglob("*")) if p.is_file()}
+    return code, masked(out.getvalue()), err.getvalue(), files
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_the_command_table_reads_what_argparse_reads(argv):
+    """The table reads exactly the plain argvs, each into the namespace
+    the command's parser gives with nothing left over, and run answers
+    every argv alike with the table turned off."""
+    argv = [_FILE_TOKENS.get(a, a) for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "work"
+        args = cli._plain(argv)
+        assert (args is not None) == _plain_form(argv)
+        if args is not None:
+            _, commands = cli._build_parser()
+            parsed, rest = commands[argv[0]].parse_known_args(argv[1:])
+            assert (vars(args), rest) == (vars(parsed), [])
+        tabled = _run_in(root, argv)
+        with mock.patch.object(cli, "_plain", lambda argv: None):
+            assert _run_in(root, argv) == tabled
 
 
 # --- the data model's whole-vector paths ------------------------------------
