@@ -55,8 +55,14 @@ from .stocklevels import gen_stock_levels
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as file:
-        return file.read()
+    """A file's text as text mode reads it: decoded as UTF-8, each CRLF
+    and lone CR made LF.  One binary read and one decode are faster, and
+    the rarely needed newline rewrite runs only when a CR occurs."""
+    with open(path, "rb") as file:
+        text = file.read().decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -19,22 +19,24 @@ relaxed binaries, and integrality comes from the polytope itself.
 The module only writes, lifts, and checks the model; no LP solver is run.
 
 _lp_text is the one definition of the LP: it writes the text straight from
-the level sets, in one walk over each tail's window slices that makes each
-arc's name once and joins every row from the names.  The rows need only an
-arc's tail, head and stock change, so neither the LP nor the lift builds a
-network.  emit_lp prints it with decimal numbers; lift_and_check writes it
-with exact p/q numbers and evaluates its rows on a plan lifted by the same
-slices.  emit_lp writes the rows of stocklevels.searched(inst) first and,
-when a number has no decimal literal, the rows scaled to integers by
+the level sets, in one walk that bisects each tail's sell, stay and buy
+windows in place, by the rule of network._window_slices, makes each arc's
+name once and joins every row from the names.  An arc costs its name, two
+appends to the conservation lists and, on a trade, one coefficient lookup
+and two more.  The rows need only an arc's tail, head and stock change, so
+neither the LP nor the lift builds a network.  emit_lp prints it with
+decimal numbers; lift_and_check writes it with exact p/q numbers and
+evaluates its rows on a plan lifted by network._window_slices itself.
+emit_lp writes the rows of stocklevels.searched(inst) first and, when a
+number has no decimal literal, the rows scaled to integers by
 model.scale_factor, whose levels it swept.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
 
 from .errors import NotAPath, WrongVariant
 from .model import (
@@ -189,80 +191,105 @@ def _decimal(value: Exact) -> str:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-def _expr(plus, minus=()) -> str:
-    """The terms in plus less the names in minus, as the LP text writes
-    them: with no plus term it opens with "- ", and with none at all it
-    is 0."""
-    return " - ".join([" + ".join(plus), *minus]).lstrip() or "0 "
+class _Coefficients(dict):
+    """A coefficient's magnitude as it leads a variable's name, keyed by
+    the number: nothing for 1, else its literal and a space.  A number is
+    rendered by literal the first time it is looked up; few distinct
+    amounts and prices recur."""
+
+    def __init__(self, literal) -> None:
+        super().__init__()
+        self.literal = literal
+
+    def __missing__(self, value: Exact) -> str:
+        text = self.literal(value)
+        text = self[value] = "" if text == "1" else text + " "
+        return text
 
 
 def _lp_text(inst: Instance, layers, comments: tuple[str, ...],
              literal=_decimal) -> str:
     """The LP of inst as text, every number printed by literal.  layers
     holds (s0,) and then each period's ascending levels; inst must not be
-    wp2 (write the rows of stocklevels.searched(inst)).  One walk makes
-    the arcs from each tail's network._window_slices, by tail, then by
-    ascending head, an arc's trade being its stock change.  Each arc's
-    name is made once and joins its head's incoming and its tail's
-    outgoing list, which make the conservation rows; every row's text is
-    joined from names, and rows are gathered per family."""
-    objective, source, flows, trades, balances, couplings = (
-        [[] for _ in range(6)])
+    wp2 (write the rows of stocklevels.searched(inst)).
+
+    One walk makes the arcs by tail, then by ascending head.  Per tail it
+    bisects the sell window below s, the stay and the buy window above s
+    with the six bisections of network._window_slices, and loops over
+    each window on its own, so a sell arc's trade is s - s' and a buy
+    arc's s' - s with no sign test.  An arc costs one name, made once as
+    prefix + suffix, two appends for its head's incoming and its tail's
+    outgoing list, and on a trade one coefficient lookup in a
+    _Coefficients table and two more appends.  Each conservation row is
+    one f-string over those lists, and rows are gathered per family."""
+    objective, flows, trades, balances, couplings = [], [], [], [], []
+    source: list[str] = []
     into_prev: list[list[str]] = []
-
-    @functools.cache  # few distinct amounts and prices recur
-    def times(value: Exact) -> str:
-        """A coefficient's magnitude as it leads a variable's name: nothing
-        for 1, else its literal and a space."""
-        text = literal(value)
-        return "" if text == "1" else text + " "
-
+    coef = _Coefficients(literal)
     for t, (tails, heads) in enumerate(zip(layers, layers[1:]), start=1):
         i = t - 1
         lx, ux, ly, uy = inst.Lx[i], inst.Ux[i], inst.Ly[i], inst.Uy[i]
         suffixes = [_arc_suffix(j) for j in range(len(heads))]
-        into, out_of = [[] for _ in heads], [[] for _ in tails]
+        into, out_of = [[] for _ in heads], []
         x_terms, y_terms, buys, sells = [], [], [], []
         for k, s in enumerate(tails):
-            prefix, out = _arc_prefix(t, k), out_of[k]
-            for j in chain(*_window_slices(heads, s, lx, ux, ly, uy)):
+            prefix, out = _arc_prefix(t, k), []
+            out_of.append(out)
+            below = bisect_left(heads, s)
+            above = bisect_right(heads, s, below)
+            for j in range(bisect_left(heads, s - uy, 0, below),
+                           bisect_right(heads, s - ly, 0, below)):
                 name = prefix + suffixes[j]
                 into[j].append(name)
                 out.append(name)
-                move = heads[j] - s
-                if move > 0:
-                    x_terms.append(times(move) + name)
-                    buys.append(name)
-                elif move < 0:
-                    y_terms.append(times(-move) + name)
-                    sells.append(name)
+                y_terms.append(coef[s - heads[j]] + name)
+                sells.append(name)
+            if below < above:
+                name = prefix + suffixes[below]
+                into[below].append(name)
+                out.append(name)
+            for j in range(bisect_left(heads, s + lx, above),
+                           bisect_right(heads, s + ux, above)):
+                name = prefix + suffixes[j]
+                into[j].append(name)
+                out.append(name)
+                x_terms.append(coef[heads[j] - s] + name)
+                buys.append(name)
         if t == 1:
             source = out_of[0]
-        flows += [f" flow_{i}_{node}: {_expr(entering, out_of[node])} = 0"
-                  for node, entering in enumerate(into_prev)
-                  if entering or out_of[node]]
+        for node, entering in enumerate(into_prev):
+            out = out_of[node]
+            if entering and out:
+                flows.append(f" flow_{i}_{node}: {' + '.join(entering)}"
+                             f" - {' - '.join(out)} = 0")
+            elif entering:
+                flows.append(f" flow_{i}_{node}: {' + '.join(entering)} = 0")
+            elif out:
+                flows.append(f" flow_{i}_{node}: - {' - '.join(out)} = 0")
         into_prev = into
-        trades += [f" def_x_{t}: {_expr(x_terms, [f'x_{t}'])} = 0",
-                   f" def_y_{t}: {_expr(y_terms, [f'y_{t}'])} = 0"]
+        for v, terms in (("x", x_terms), ("y", y_terms)):
+            lead = " + ".join(terms) + " " if terms else ""
+            trades.append(f" def_{v}_{t}: {lead}- {v}_{t} = 0")
         rest = f"- s_{i} = 0" if i else f"= {literal(inst.s0)}"
         balances.append(f" balance_{t}: s_{t} + y_{t} - x_{t} {rest}")
         for v, arcs, low in (("w", buys, lx), ("z", sells, ly)):
-            couplings.append(f" {v}_couple_{t}: {_expr([f'{v}_{t}'], arcs)} "
+            row = " - ".join([f"{v}_{t}", *arcs])
+            couplings.append(f" {v}_couple_{t}: {row} "
                              f"{'=' if low > 0 else '>='} 0")
         prices = (inst.revenue[i], -inst.cost[i], -inst.holding[i],
                   -inst.fixed_purchase[i], -inst.fixed_sale[i])
-        objective += [("- " if c < 0 else "+ ") + times(abs(c)) + f"{v}_{t}"
+        objective += [("- " if c < 0 else "+ ") + coef[abs(c)] + f"{v}_{t}"
                       for v, c in zip("yxswz", prices) if c]
     periods = range(1, len(layers))
     lines = [f"\\ {c}" for c in comments]
     lines += ["Maximize",
               f" obj: {' '.join(objective).removeprefix('+ ') or '0 '}",
-              "Subject To", f" unit_source: {_expr(source)} = 1",
+              "Subject To", f" unit_source: {' + '.join(source) or '0 '} = 1",
               *flows, *trades, *balances, *couplings,
               *(f" {v}_ub_{t}: {v}_{t} <= 1" for t in periods for v in "wz"),
               "Bounds", *(f" {v}_{t} free" for t in periods for v in "xyswz"),
-              "End"]
-    return "\n".join(lines) + "\n"
+              "End", ""]  # the final newline, with no copy of the text
+    return "\n".join(lines)
 
 
 def emit_lp(inst: Instance) -> str:

@@ -41,10 +41,12 @@ tail, then by ascending head.  Over the searched rows each tail's heads
 are its sell window, its own value and its buy window, three slices of
 the ascending next layer found by bisection (_window_slices), and
 _wp1_candidates turns the gap pairs away before pricing anything.  The LP
-text walks the slices for each arc's tail, head and stock change, the lift
-check accepts a plan's stock move only into one of them, to_dot prices
-each arc they name by _wp1_candidates, and arc_counts sums their lengths,
-so bench counts the arcs of the levels solve searched.  solve_wp2_direct,
+text makes the same six bisections in place, per tail, for each arc's
+tail, head and stock change; the lift check accepts a plan's stock move
+only into one of the slices, to_dot prices each arc they name by
+_wp1_candidates, and arc_counts sums their lengths, so bench counts the
+arcs of the levels solve searched, and a test ties the LP's variables to
+that count.  solve_wp2_direct,
 whose seven-case arcs follow no window rule, prices the pairs in
 [s-Uy, s+Ux] in one backward DP.
 

@@ -42,7 +42,7 @@ from wareflow import (
     solve,
 )
 from wareflow import cli
-from wareflow.extform import _arc_name, _arc_prefix, _arc_suffix, _expr
+from wareflow.extform import _arc_name, _arc_prefix, _arc_suffix
 from wareflow.errors import (
     InvalidArgument,
     LowerExceedsUpper,
@@ -887,6 +887,13 @@ def reference_emit_lp(inst: Instance) -> str:
         comments.append(f"quantities and unit prices scaled by {factor}, "
                         f"fixed costs by {factor * factor}")
     return _reference_render(model, tuple(comments))
+
+
+def _expr(plus, minus=()) -> str:
+    """The terms in plus less the names in minus, as the LP text writes
+    them: with no plus term it opens with "- ", and with none at all it
+    is 0."""
+    return " - ".join([" + ".join(plus), *minus]).lstrip() or "0 "
 
 
 def reference_lp_text_from_arcs(inst: Instance, net: LayeredNetwork,

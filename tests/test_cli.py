@@ -122,6 +122,41 @@ def test_bad_json_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _text_mode_read(path: str) -> str:
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+_TEXT = serialize_instance(two_period_trade())
+_SOLUTION = serialize_solution(solve(two_period_trade()))
+
+
+@pytest.mark.parametrize("data, code", [
+    (_TEXT.replace('"T": 2', '"T": 2 2').replace("\n", "\r\n").encode(), 2),
+    (_TEXT.replace("\n", "\r").encode(), 0),
+    (_TEXT.replace('"holding"', '"holding" 1').replace("\n", "\r\n", 9)
+     .replace("\n", "\r", 9).encode(), 2),
+    ("\ufeff".encode() + _TEXT.encode(), 2),
+    (_TEXT.replace('"T"', '"caf\u00e9"').encode("latin-1"), 2),
+], ids=["crlf-json-error", "lone-cr", "mixed-newlines-json-error", "bom",
+        "latin-1"])
+def test_a_file_reads_as_in_text_mode(data, code, tmp_path, capsys,
+                                      monkeypatch):
+    # the binary read and its newline rewrite give every op the exit code,
+    # stdout and stderr that reading in text mode gives, on newlines, a
+    # byte order mark and bytes that are not UTF-8; check reads two files
+    path = tmp_path / "instance.json"
+    path.write_bytes(data)
+    solution = tmp_path / "plan.json"
+    solution.write_bytes(_SOLUTION.replace("\n", "\r\n").encode())
+    argvs = [["solve", "--input", str(path)],
+             ["check", "--input", str(path), "--solution", str(solution)]]
+    binary = [(run(argv), *capsys.readouterr()) for argv in argvs]
+    monkeypatch.setattr(wareflow.cli, "_read", _text_mode_read)
+    assert binary == [(run(argv), *capsys.readouterr()) for argv in argvs]
+    assert binary[0][0] == code
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--input", "DEEP"],
     ["levels", "--input", "DEEP"],

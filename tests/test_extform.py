@@ -25,6 +25,7 @@ from wareflow import (
     solve,
 )
 import wareflow.network
+from wareflow.network import arc_counts
 from wareflow import extform
 from wareflow.extform import _decimal, _lp_text
 from wareflow.model import _BOUND_FIELDS, _PRICE_FIELDS, exact
@@ -527,3 +528,18 @@ def test_lp_text_matches_the_arc_walk():
     assert any(inst.variant is Variant.WP2 for inst in cases)
     assert {("_decimal", "error"), ("_decimal", "decimal"),
             ("str", "p/q")} <= outcomes
+
+
+def test_lp_variables_are_the_arcs_the_window_slices_count():
+    # at the benchmark's LP sizes: the windows _lp_text bisects in place
+    # hold the arcs network._window_slices gives the dump, bench and the
+    # lift check, one variable each, next to the five period variables
+    arcs = []
+    for variant, T in (("wp1", 16), ("wp2", 12), ("wp3", 12)):
+        for seed in range(8):
+            inst = gen_random(seed, T, variant, 5 * T)
+            rows = searched(inst)
+            counts = arc_counts(rows, searched_levels(rows))
+            assert lp_sizes(emit_lp(inst))[1] == sum(counts) + 5 * rows.T
+            arcs.append(sum(counts))
+    assert min(arcs) > 0

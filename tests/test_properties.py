@@ -119,9 +119,9 @@ SETTINGS = settings(
 
 
 @st.composite
-def instances(draw):
+def instances(draw, periods=4):
     variant = draw(st.sampled_from(("wp1", "wp2", "wp3")))
-    T = draw(st.integers(1, 4))
+    T = draw(st.integers(1, periods))
     small = st.integers(0, 6)
 
     def pairs():
@@ -474,9 +474,10 @@ def test_emit_lp_matches_the_reference_emitter(inst):
 
 
 @SETTINGS
-@given(instances(), st.integers(1, 3))
+@given(instances(periods=6), st.integers(1, 3))
 def test_lp_text_matches_the_arc_walk(inst, d):
-    # bounds over 3 stop the decimal write, in both, at the same number
+    # every variant, wp2 on its doubled horizon, up to six periods; bounds
+    # over 3 stop the decimal write, in both, at the same number
     base = search_instance(_rescaled(inst, Fraction(1, d), 1))
     net = reference_build_network(base, gen_stock_levels(base))
     for literal in (_decimal, str):
