@@ -6,8 +6,10 @@ and for seeded wp1/wp2/wp3 instances (some with fractional data, some
 infeasible), the digest of each op's exit code, stdout, stderr and
 written files: solve --output --dot, check of that plan (or, when there
 is none, of the plan that never trades), levels, emit-lp, oracle, fptas
---epsilon 1/3 and bench without its wall_ms column.  A change that must
-keep every output leaves the file as it is; one that changes an output on
+--epsilon 1/3 and bench without its wall_ms column.  It also holds the
+digests of gen for each variant, of reduce partition on an even-sum and an
+odd-sum list and of reduce lotsizing, each writing its instance to a file.
+A change that must keep every output leaves the file as it is; one that changes an output on
 purpose regenerates it with
 
     PYTHONPATH=src python tests/test_cli_digests.py
@@ -28,10 +30,12 @@ from pathlib import Path
 
 from wareflow import (
     Infeasible,
+    LotSizingInstance,
     assemble_solution,
     gen_random,
     parse_instance,
     serialize_instance,
+    serialize_lotsizing,
     serialize_solution,
     solve,
 )
@@ -111,10 +115,35 @@ def _ops(root: Path, name: str, path: Path) -> dict[str, str]:
     return {f"{name} {op}": value for op, value in digests.items()}
 
 
-def cli_digests(root: Path) -> dict[str, str]:
-    """Every digest, keyed "instance op", made in the empty directory
-    root."""
+def _generator_ops(root: Path) -> dict[str, str]:
+    """The digest of every op that writes an instance without reading one:
+    gen per variant, reduce partition on lists of even and of odd sum, and
+    reduce lotsizing on a lot-sizing file written here."""
+    lotsizing = root / "lotsizing.json"
+    lotsizing.write_text(serialize_lotsizing(LotSizingInstance(
+        T=3, s0=1, demand=(2, 0, 3), unit_cost=(1, 4, 2),
+        fixed_cost=(3, 0, 5), Ux=(4, 2, 3), Us=(3, 3, 2))))
+    argvs = {f"gen {variant}": ["gen", "--seed", "3", "--T", "5", "--variant",
+                                variant, "--max-bound", "12"]
+             for variant in ("wp1", "wp2", "wp3")}
+    argvs["reduce partition even-sum"] = ["reduce", "partition",
+                                          "--numbers", "3,1,1,2,2,1"]
+    argvs["reduce partition odd-sum"] = ["reduce", "partition",
+                                         "--numbers", "2, 4,1"]
+    argvs["reduce lotsizing"] = ["reduce", "lotsizing",
+                                 "--input", str(lotsizing)]
     digests = {}
+    for key, argv in argvs.items():
+        written = root / f"{key.replace(' ', '_')}.json"
+        digests[key] = _digest(root, [*argv, "--output", str(written)],
+                               [written])
+    return digests
+
+
+def cli_digests(root: Path) -> dict[str, str]:
+    """Every digest, keyed "instance op" or by the generating op, made in
+    the empty directory root."""
+    digests = _generator_ops(root)
     for name, path in _instances(root).items():
         digests.update(_ops(root, name, path))
     return digests
