@@ -5,16 +5,14 @@ codes: 0 success, 1 infeasible instance, 2 invalid input or arguments.
 Outputs are deterministic: rerunning a subcommand on the same inputs
 produces byte-identical results (the bench timing column excepted).
 
-The arguments are read in one of three ways.  _COMMANDS declares every
+The arguments are read in one of two ways.  _COMMANDS declares every
 command whose options are plain strings; a command line of one of them
 followed by pairs of its own flags and their values (each flag at most
 once, no value empty or starting with '-', every required flag given) is
 read straight from that table, and no parser is built.  Any other argv
-goes to argparse, whose parsers _build_parser builds from the same table
-and for gen and reduce: the command's parser reads its arguments, and
-the top-level parser runs only when there is no command or an argument
-is left over, so every help text, usage, message and exit code is
-argparse's own.
+goes to the argparse parser that _build_parser builds from the same table
+and for gen and reduce, so every help text, usage, message and exit code
+is argparse's own.
 """
 
 from __future__ import annotations
@@ -263,9 +261,9 @@ def _add_gen_and_reduce(sub) -> None:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its commands' parsers by name, built on
-    first use and shared by every run: parsing leaves them unchanged."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wareflow",
         description="Exact and approximate solvers for warehouse trading plans.",
@@ -278,15 +276,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         for flag, option_help in options.items():
             p.add_argument(flag, required=flag in required, help=option_help)
         p.set_defaults(handler=handler)
-    return parser, sub.choices
+    return parser
 
 
 def _plain(argv) -> argparse.Namespace | None:
-    """What argv's command parser returns for argv, read from _COMMANDS
-    with no parser, when argv is a command of the table followed by pairs
-    of one of its flags, each at most once, and a non-empty value that
-    does not start with '-', and names every flag the command requires.
-    None for any other argv, which argparse reads."""
+    """argv's options and handler as the argument parser reads them, read
+    from _COMMANDS with no parser, when argv is a command of the table
+    followed by pairs of one of its flags, each at most once, and a
+    non-empty value that does not start with '-', and names every flag
+    the command requires.  None for any other argv, which argparse
+    reads."""
     if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return None
     handler, _, options, required = _COMMANDS[argv[0]]
@@ -302,22 +301,11 @@ def _plain(argv) -> argparse.Namespace | None:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """parser.parse_args(argv): _plain's namespace where it reads argv,
-    else the command's parser's where argv is a command and arguments it
-    reads in full, as parser would hand them on.  parser itself runs only
-    when there is no command or an argument is left over, so every usage,
-    message and exit code is its own."""
+    """_plain's namespace where it reads argv, else the argument parser's."""
     if argv is None:
         argv = sys.argv[1:]
     args = _plain(argv)
-    if args is not None:
-        return args
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:

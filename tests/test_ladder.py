@@ -28,6 +28,14 @@ def test_the_emit_lp_rung_measures_every_column(ladder):
     assert len(row["sha256"]) == 64
 
 
+def test_the_solve_rung_measures_every_column(ladder, tmp_path):
+    row = ladder.solve_row("wp3", 10, 1, tmp_path)
+    for column in ladder.SOLVE_COLUMNS:
+        assert row.get(column), column
+    assert len(row["sha256"]) == 64
+    assert row["exit_code"] in (0, 1)
+
+
 def test_the_ladder_refuses_a_missing_output_path(ladder, capsys):
     assert ladder.main([]) == 2
     assert capsys.readouterr().err.startswith("usage:")
