@@ -42,6 +42,7 @@ from .model import (
     parse_exact,
     parse_instance,
     parse_solution,
+    scale_factor,
     serialize_instance,
     serialize_levels,
     serialize_report,
@@ -49,7 +50,7 @@ from .model import (
 )
 from .network import SolveTrace, arc_counts, search, solve, to_dot
 from .oracle import oracle_solve
-from .stocklevels import gen_stock_levels
+from .stocklevels import gen_stock_levels, searched
 
 
 def _read(path: str) -> str:
@@ -153,27 +154,28 @@ def _cmd_reduce_lotsizing(args) -> int:
 
 
 def _bench_one(name: str, inst) -> dict:
-    """Solve inst and describe the network over the levels the solve
-    searched, the full levels of the searched rows, as SolveTrace records
-    them: the counts are read off the trace, so no network is built.  A
-    traced solve takes the DP's verdict, so on an infeasible instance
-    wall_ms includes the level build and the DP."""
+    """Search searched(inst, F), F = model.scale_factor(inst), with no
+    feasibility pass, and describe the network over the full levels of
+    those rows, read off them and the SolveTrace, so no network is built:
+    an infeasible instance has its counts too, and its wall_ms runs up to
+    the DP's verdict."""
     trace = SolveTrace()
     start = time.perf_counter()
+    F = scale_factor(inst)
+    rows = searched(inst, F)
     try:
-        objective = format_exact(solve(inst, trace).objective)
+        objective = format_exact(search(inst, rows, F, trace).objective)
     except Infeasible:
         objective = "infeasible"
     # three decimals: a sub-millisecond solve must not read as 0
     wall_ms = f"{(time.perf_counter() - start) * 1000:.3f}"
-    searched = trace.searched
-    layers = ((searched.s0,),) + trace.levels.levels
+    layers = ((rows.s0,),) + trace.levels.levels
     return {
         "instance": name,
         "T": inst.T,
         "S_size": trace.levels.S_size,
         "nodes": sum(map(len, layers)),
-        "arcs": sum(arc_counts(searched, layers)),
+        "arcs": sum(arc_counts(rows, layers)),
         "objective": objective,
         "wall_ms": wall_ms,
     }

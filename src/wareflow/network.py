@@ -26,13 +26,13 @@ trade bounds rounded (fptas.fptas_rows).
 
 The DP searches the full level sets, which hold every extreme plan's
 stocks.  Unless s0 lies in every [Ls_t, Us_t] (then the plan that never
-trades is feasible, as validation makes it on wp3), an untraced solve
-first decides feasibility on the instance as read (_feasible): it carries
-the exact stock a plan can reach, as disjoint intervals, forward through
-the periods, walking each wp2 period as its sale half, then its purchase
+trades is feasible, as validation makes it on wp3), solve first decides
+feasibility on the instance as read (_feasible): it carries the exact
+stock a plan can reach, as disjoint intervals, forward through the
+periods, walking each wp2 period as its sale half, then its purchase
 half.  An empty period makes it raise Infeasible before any scaling, price
-row or level is made.  A traced solve skips that pass and takes the DP's
-own verdict, that no path leads from s0 to the last layer.
+row or level is made, traced or not.  search runs no such pass and takes
+the DP's own verdict, that no path leads from s0 to the last layer.
 
 No output builds the network either.  Any trade moves the stock by
 x - y in [-Uy, Ux], so a tail s has its heads in [s-Uy, s+Ux], and a pair
@@ -45,8 +45,8 @@ text makes the same six bisections in place, per tail, for each arc's
 tail, head and stock change; the lift check accepts a plan's stock move
 only into one of the slices, to_dot prices each arc they name by
 _wp1_candidates, and arc_counts sums their lengths, so bench counts the
-arcs of the levels solve searched, and a test ties the LP's variables to
-that count.  solve_wp2_direct,
+arcs of the levels the DP searched, and a test ties the LP's variables
+to that count.  solve_wp2_direct,
 whose seven-case arcs follow no window rule, prices the pairs in
 [s-Uy, s+Ux] in one backward DP.
 
@@ -108,7 +108,8 @@ class ArcDecision(NamedTuple):
 
 @dataclass
 class SolveTrace:
-    """What solve, or search, records about its search when handed one.
+    """What search, called directly or by solve, records when handed one;
+    it changes no outcome.
 
     searched holds the rows the window DP ran on, stocklevels.searched(inst,
     F) with F = model.scale_factor(inst): for wp2 the doubled, 2T-period
@@ -118,9 +119,9 @@ class SolveTrace:
     the trade bounds are rounded down to multiples of K*F.  levels are the
     layers the DP searched after s0, searched_levels of those rows; the
     integer scaling keeps every layer's size, so on the FPTAS route the
-    sizes are those a solve of that rounded Instance records.  A traced
-    solve that raises Infeasible has still recorded both, since it runs no
-    feasibility pass and raises from the DP.
+    sizes are those a solve of that rounded Instance records.  search
+    records both before the DP's verdict; a solve that _feasible refuses
+    raises before any row is made and leaves the trace as it was.
     """
 
     searched: Rows | None = None
@@ -384,19 +385,17 @@ def solve(inst: Instance, trace: SolveTrace | None = None) -> Solution:
     value divided by F*F, and its indicators are the minimal ones.  That
     part is search, which the FPTAS runs too.  No Instance is built.  Agrees in plan and
     objective with a longest path of the network in rationals, its arcs
-    taken by tail, then by ascending head.  A given trace records the
-    searched rows and their levels (see SolveTrace).
+    taken by tail, then by ascending head.  A given trace is handed to
+    search, which records the searched rows and their levels (see
+    SolveTrace).
 
-    An untraced solve first decides feasibility on inst's bound rows, by
-    _feasible, unless s0 lies in every [Ls_t, Us_t]: an infeasible inst
-    raises before F, any price row or any level is made.  A traced solve
-    skips that pass, so the trace always records the searched rows and
-    their levels, and takes the window DP's verdict, that no path leads
-    from s0 to the last layer.  Raises Infeasible when no plan exists.
+    solve first decides feasibility on inst's bound rows, by _feasible,
+    unless s0 lies in every [Ls_t, Us_t]: an infeasible inst raises before
+    F, any price row or any level is made, traced or not, so a refused
+    solve leaves its trace empty.  Raises Infeasible when no plan exists.
     """
     # on wp2 this also tests the doubled bounds: [0, Us_t] holds [Ls_t, Us_t]
-    if trace is None and not all(ls <= inst.s0 <= us
-                                 for ls, us in zip(inst.Ls, inst.Us)):
+    if not all(ls <= inst.s0 <= us for ls, us in zip(inst.Ls, inst.Us)):
         if not _feasible(inst):
             raise Infeasible("no feasible trading plan")
     F = scale_factor(inst)
@@ -411,8 +410,8 @@ def search(inst: Instance, rows: Rows, F: int,
     into inst's trades and stocks, divided by F; it reads only inst's
     variant and s0, which the rounding leaves alone.  The objective is the
     DP's value divided by F*F, and the indicators are the minimal ones.  A
-    given trace records the rows and their levels.  Raises Infeasible when
-    no path leads from s0 to the last layer.
+    given trace records the rows and their levels.  Runs no feasibility
+    pass: raises Infeasible when no path leads from s0 to the last layer.
     """
     layers = searched_levels(rows)
     if trace is not None:

@@ -64,7 +64,7 @@ from wareflow.model import (
 )
 from wareflow.fptas import fptas_rows
 from wareflow.network import _feasible, search
-from wareflow.stocklevels import Rows
+from wareflow.stocklevels import Rows, searched
 
 
 def two_period_trade() -> Instance:
@@ -331,6 +331,16 @@ def searched_copy(inst: Instance) -> Instance:
 def verdict_on_the_searched_copy(inst: Instance) -> bool:
     """_feasible where solve once ran the pass: on the searched copy."""
     return _feasible(searched_copy(inst))
+
+
+def bench_trace(inst: Instance) -> SolveTrace:
+    """What search records over searched(inst, scale_factor(inst)), the
+    call bench makes: the rows and their full levels, also when the DP
+    finds no plan."""
+    F = scale_factor(inst)
+    trace = SolveTrace()
+    outcome(search, inst, searched(inst, F), F, trace)
+    return trace
 
 
 def reference_decimal_or_none(value):

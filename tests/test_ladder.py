@@ -36,6 +36,12 @@ def test_the_solve_rung_measures_every_column(ladder, tmp_path):
     assert row["exit_code"] in (0, 1)
 
 
+def test_the_stage_rung_measures_every_column(ladder):
+    row = ladder.stage_row("wp3", 10, 1)
+    for column in ladder.STAGE_COLUMNS:
+        assert row.get(column), column
+
+
 def test_the_ladder_refuses_a_missing_output_path(ladder, capsys):
     assert ladder.main([]) == 2
     assert capsys.readouterr().err.startswith("usage:")

@@ -36,10 +36,12 @@ from wareflow.network import (
     _feasible,
     _window_suffix,
     arc_counts,
+    search,
 )
 from wareflow.stocklevels import searched, searched_levels, searched_trades
 from helpers import (
     Raised,
+    bench_trace,
     blocked_by_fixed_cost,
     buy_then_sell,
     gap_infeasible,
@@ -324,7 +326,7 @@ def _window_dp_matches_network(inst) -> bool:
     and choice tables must equal reference_window_suffix's, the DP that
     made both window passes on every layer.  Also asserts that arc_counts
     gives the network's per-period arc counts, both over its layers and
-    over the integer search solve's trace records, as bench reads them.
+    over the integer rows and levels bench's search records.
     """
     base = search_instance(inst)
     net = reference_build_network(base, gen_stock_levels(base))
@@ -333,7 +335,7 @@ def _window_dp_matches_network(inst) -> bool:
     assert tables == reference_window_suffix(base, net.layers)
     counts = [len(period) for period in net.arcs]
     assert arc_counts(base, net.layers) == counts
-    trace = _trace(inst)
+    trace = bench_trace(inst)
     layers = ((trace.searched.s0,),) + trace.levels.levels
     assert arc_counts(trace.searched, layers) == counts
     assert _window_suffix(trace.searched, layers) == reference_window_suffix(
@@ -462,15 +464,6 @@ def test_window_dp_matches_network_on_fptas_scaled_bounds():
     assert fractional > 0
 
 
-def _trace(inst) -> SolveTrace:
-    trace = SolveTrace()
-    try:
-        solve(inst, trace)
-    except Infeasible:
-        pass
-    return trace
-
-
 def test_a_wp2_solve_assembles_one_plan(monkeypatch):
     # the stock path gives the wp2 trades, so no plan of the doubled
     # horizon is made; fractional data add none, since the path's trades
@@ -505,7 +498,7 @@ def test_trace_records_the_level_set_sizes(variant):
     for seed in range(40):
         inst = gen_random(seed, T=2 + seed % 6, variant=variant,
                           max_bound=4 + seed % 5)
-        trace = _trace(inst)
+        trace = bench_trace(inst)
         levels = gen_stock_levels(inst)
         assert tuple(map(len, trace.levels.levels)) == tuple(
             map(len, levels.levels))
@@ -518,7 +511,7 @@ def test_trace_keeps_the_sizes_of_fractional_levels():
         inst = gen_random(700 + seed, T=2 + seed % 6, variant="wp3",
                           max_bound=12)
         scaled = scale_trade_bounds(inst, fptas_params(inst, Fraction(2, 7)))
-        assert tuple(map(len, _trace(scaled).levels.levels)) == tuple(
+        assert tuple(map(len, bench_trace(scaled).levels.levels)) == tuple(
             map(len, gen_stock_levels(scaled).levels))
 
 
@@ -529,16 +522,15 @@ def test_trace_records_the_searched_instance_and_its_levels():
     cases.append(scale_trade_bounds(wp3, fptas_params(wp3, Fraction(2, 7))))
     assert not cases[-1].bounds_integral()
     for inst in cases:
-        trace = _trace(inst)
+        trace = bench_trace(inst)
         copy = searched_copy(inst)
         assert trace.searched == instance_rows(copy)
-        assert trace.searched == searched(inst, scale_factor(inst))
         assert trace.levels == gen_stock_levels(copy)
 
 
 def test_wp2_trace_covers_the_doubled_horizon():
     inst = wp2_mixed()
-    trace = _trace(inst)
+    trace = bench_trace(inst)
     doubled = gen_stock_levels(double_horizon(inst))
     assert len(trace.levels.levels) == 2 * inst.T
     assert trace.levels == doubled
@@ -754,11 +746,17 @@ def test_gap_infeasible_raises_before_building_levels(monkeypatch):
     with pytest.raises(Infeasible, match="^no feasible trading plan$"):
         solve(inst)
     assert calls == []
-    # a traced solve runs on to the DP, so it records the full levels, for
-    # bench's counts
+    # a traced solve is refused by the same pass and leaves its trace empty
     trace = SolveTrace()
     with pytest.raises(Infeasible, match="^no feasible trading plan$"):
         solve(inst, trace)
+    assert calls == []
+    assert trace.searched is None and trace.levels.levels == ()
+    # search runs no pass: it records the full levels, as bench and the
+    # FPTAS route read them, and raises the DP's verdict
+    F = scale_factor(inst)
+    with pytest.raises(Infeasible, match="^no feasible trading plan$"):
+        search(inst, searched(inst, F), F, trace)
     assert len(calls) == 1
     assert trace.searched == instance_rows(inst)
     assert trace.levels == gen_stock_levels(inst)
@@ -840,33 +838,43 @@ def test_solve_runs_the_reachable_pass_at_most_once(monkeypatch):
             except Infeasible:
                 pass
             # at most once, on the instance as given, never a copy
-            assert len(runs) - before <= 1
+            passes = len(runs) - before
+            assert passes <= 1
             assert all(run is case for run in runs[before:])
-            # a traced solve runs none and records what the DP searched
+            # a traced solve runs it as often, and records what the DP
+            # searched, or nothing when the pass refused the instance
             before, trace = len(runs), SolveTrace()
             try:
                 solve(case, trace)
             except Infeasible:
-                pass
-            assert len(runs) == before
-            copy = searched_copy(case)
-            assert trace.searched == instance_rows(copy)
-            assert trace.levels == gen_stock_levels(copy)
-    assert len(runs) > 40
+                assert trace == SolveTrace()
+            else:
+                copy = searched_copy(case)
+                assert trace.searched == instance_rows(copy)
+                assert trace.levels == gen_stock_levels(copy)
+            assert len(runs) - before == passes
+    assert len(runs) > 80
 
 
 def test_traced_and_untraced_solves_agree(monkeypatch):
-    # the same plan, or the same error; a traced infeasible solve takes
-    # the window DP's verdict, where an untraced one is refused by the pass
-    raised = []
-    original = wareflow.network._window_suffix
+    # the same plan, or the same error, after as many runs of the pass;
+    # search over the searched rows, which runs none, gives the window
+    # DP's own verdict and agrees too
+    runs, raised = [], []
+    feasible, window_suffix = (wareflow.network._feasible,
+                               wareflow.network._window_suffix)
+
+    def counted(inst):
+        runs.append(inst)
+        return feasible(inst)
 
     def recorded(rows, layers):
-        tables = original(rows, layers)
+        tables = window_suffix(rows, layers)
         if tables[0][0][0] is None:  # s0 reaches no last-layer node
             raised.append(rows)
         return tables
 
+    monkeypatch.setattr(wareflow.network, "_feasible", counted)
     monkeypatch.setattr(wareflow.network, "_window_suffix", recorded)
     infeasible = fractional = 0
     for seed in range(90):
@@ -874,12 +882,16 @@ def test_traced_and_untraced_solves_agree(monkeypatch):
         inst = gen_random(seed, T=2 + seed % 6, variant=variant,
                           max_bound=4 + seed % 5)
         for case in (inst, reference_scale_instance(inst, Fraction(2, 3))):
+            before = len(runs)
             untraced = outcome(solve, case)
-            before = len(raised)
+            passes = len(runs) - before
             assert outcome(solve, case, SolveTrace()) == untraced
+            assert len(runs) - before == 2 * passes
             if isinstance(untraced, Solution):
                 continue
             assert untraced == Raised(Infeasible, "no feasible trading plan")
+            before, F = len(raised), scale_factor(case)
+            assert outcome(search, case, searched(case, F), F) == untraced
             assert len(raised) == before + 1
             infeasible += 1
             fractional += not case.bounds_integral()

@@ -52,7 +52,7 @@ from wareflow import (  # noqa: E402
     solve_wp2_direct,
     to_dot,
 )
-from wareflow import cli, oracle  # noqa: E402
+from wareflow import cli, network, oracle  # noqa: E402
 from wareflow.cli import run  # noqa: E402
 from wareflow.extform import _decimal, _lp_text  # noqa: E402
 from wareflow.model import (  # noqa: E402
@@ -74,6 +74,7 @@ from wareflow.stocklevels import searched, searched_levels  # noqa: E402
 from helpers import (  # noqa: E402
     PLANTED,
     Raised,
+    bench_trace,
     brute_oracle_solve,
     flat_payloads,
     fptas_cli_outputs,
@@ -250,17 +251,13 @@ def test_slice_lift_and_dot_match_the_network_references(inst, d, rounded,
 @given(instances(), st.integers(1, 3))
 def test_arc_counts_match_the_built_network(inst, d):
     # the network over the levels as given, and the counts over the integer
-    # copy that solve searches and records, as bench reads them
+    # rows and levels that bench's search records
     inst = _rescaled(inst, Fraction(1, d), 1)
     base = search_instance(inst)
     net = reference_build_network(base, gen_stock_levels(base))
     counts = [len(period) for period in net.arcs]
     assert arc_counts(base, net.layers) == counts
-    trace = SolveTrace()
-    try:
-        solve(inst, trace)
-    except Infeasible:
-        pass
+    trace = bench_trace(inst)
     layers = ((trace.searched.s0,),) + trace.levels.levels
     assert arc_counts(trace.searched, layers) == counts
 
@@ -312,10 +309,14 @@ def test_hulls_of_the_instance_as_read_match_the_searched_copy(inst, d, e):
 @SETTINGS
 @given(instances(), st.integers(1, 3), st.integers(1, 3))
 def test_traced_and_untraced_solves_agree(inst, d, e):
-    # the same plan or the same error, though only the untraced solve runs
-    # the pass; bounds over d and prices over e
+    # the same plan or the same error, after as many runs of the pass;
+    # bounds over d and prices over e
     inst = _rescaled(inst, Fraction(1, d), Fraction(1, e))
-    assert outcome(solve, inst, SolveTrace()) == outcome(solve, inst)
+    with mock.patch.object(network, "_feasible", wraps=_feasible) as runs:
+        untraced = outcome(solve, inst)
+        passes = runs.call_count
+        assert outcome(solve, inst, SolveTrace()) == untraced
+    assert runs.call_count == 2 * passes
 
 
 @st.composite

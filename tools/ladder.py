@@ -1,4 +1,4 @@
-"""The emit-lp and solve rungs of the benchmark ladder.
+"""The emit-lp, solve and stage rungs of the benchmark ladder.
 
     python tools/ladder.py BENCH.json
 
@@ -15,6 +15,12 @@ A solve row records the median of five timings of the command line
 solve --input IN --output OUT, run in process with its output captured,
 its exit code (0 feasible, 1 infeasible) and the sha256 of that exit
 code, stdout, stderr and the plan file's bytes.
+
+A stage row times the two stages of the search inside a solve on the
+searched rows, searched(inst, F) with F = model.scale_factor(inst): the
+median of five timings of the level sweep, searched_levels(rows), and of
+the window DP over those levels, network._window_suffix(rows, layers).
+It times them on infeasible instances too, as bench runs them.
 
 The JSON file names the interpreter and machine the times were taken on.
 """
@@ -38,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from wareflow import emit_lp, gen_random, serialize_instance  # noqa: E402
 from wareflow.cli import run  # noqa: E402
 from wareflow.model import scale_factor  # noqa: E402
-from wareflow.network import arc_counts  # noqa: E402
+from wareflow.network import _window_suffix, arc_counts  # noqa: E402
 from wareflow.stocklevels import searched, searched_levels  # noqa: E402
 
 VARIANTS = ("wp1", "wp2", "wp3")
@@ -49,6 +55,7 @@ REPEATS = 5
 # row, and a solve row's exit_code is 0 or 1 besides
 COLUMNS = ("emit_lp_ns", "lp_bytes", "nodes", "arcs", "sha256")
 SOLVE_COLUMNS = ("solve_ns", "sha256")
+STAGE_COLUMNS = ("levels_ns", "window_dp_ns")
 
 
 def emit_lp_row(variant: str, T: int, seed: int) -> dict:
@@ -91,6 +98,24 @@ def solve_row(variant: str, T: int, seed: int, work: Path) -> dict:
             "sha256": hashlib.sha256(payload).hexdigest()}
 
 
+def stage_row(variant: str, T: int, seed: int) -> dict:
+    """One stage rung row: the level sweep and the window DP on the
+    searched rows of gen_random(seed, T, variant, 5T)."""
+    inst = gen_random(seed, T, variant, 5 * T)
+    rows = searched(inst, scale_factor(inst))
+    levels_ns, window_dp_ns = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter_ns()
+        layers = searched_levels(rows)
+        levels_ns.append(time.perf_counter_ns() - start)
+        start = time.perf_counter_ns()
+        _window_suffix(rows, layers)
+        window_dp_ns.append(time.perf_counter_ns() - start)
+    return {"variant": variant, "T": T, "seed": seed,
+            "levels_ns": statistics.median(levels_ns),
+            "window_dp_ns": statistics.median(window_dp_ns)}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/ladder.py OUTPUT.json", file=sys.stderr)
@@ -103,7 +128,8 @@ def main(argv: list[str]) -> int:
               "python": platform.python_version(),
               "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
               "rungs": {"emit-lp": [emit_lp_row(*case) for case in cases],
-                        "solve": solve_rows}}
+                        "solve": solve_rows,
+                        "stage": [stage_row(*case) for case in cases]}}
     Path(argv[0]).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
